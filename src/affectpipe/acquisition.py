@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import importlib.resources
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,6 +32,9 @@ from .errors import (
     ValidationFailed,
 )
 from .types import Modality, SubjectBundle, TimeSeries
+
+#: Rows formatted per write by write_csv_signal (bounds the text buffer).
+WRITE_CHUNK_ROWS = 65536
 
 
 @dataclass(frozen=True)
@@ -157,15 +161,25 @@ def load_csv_signal(path, modality: Modality, subject: str, phase: str) -> TimeS
                 raise MissingHeader(modality.name)
             t_col = lowered.index("timestamp")
             v_col = lowered.index(modality.name.lower())
-            timestamps, values = [], []
-            for i, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                try:
-                    timestamps.append(float(row[t_col]))
-                    values.append(float(row[v_col]))
-                except (ValueError, IndexError):
-                    raise NonNumericCell(i) from None
+            try:
+                # given a path (not fh), numpy reads in chunks, not line by
+                # line; skiprows covers the physical lines csv read for the
+                # header.  comments=None: a '#' cell must fail, not end the row
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # empty body
+                    body = np.loadtxt(path, delimiter=",", comments=None,
+                                      usecols=(t_col, v_col), ndmin=2,
+                                      skiprows=reader.line_num,
+                                      encoding="utf-8")
+            except ValueError:
+                # the row-wise parse locates the bad row, or accepts what
+                # csv reads but loadtxt does not (quoted cells, short rows)
+                fh.seek(0)
+                reader = csv.reader(fh)
+                next(reader)
+                timestamps, values = _parse_rows(reader, t_col, v_col)
+            else:
+                timestamps, values = body.T.copy()  # two contiguous rows
     except OSError as exc:
         raise IOFailure(f"cannot read {path}: {exc}") from exc
     if len(timestamps) < 2:
@@ -177,15 +191,33 @@ def load_csv_signal(path, modality: Modality, subject: str, phase: str) -> TimeS
     return TimeSeries(subject, phase, modality, timestamps, values, fs)
 
 
+def _parse_rows(reader, t_col: int, v_col: int):
+    """Row-by-row parse of the body; raises NonNumericCell(row number)."""
+    timestamps, values = [], []
+    for i, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        try:
+            timestamps.append(float(row[t_col]))
+            values.append(float(row[v_col]))
+        except (ValueError, IndexError):
+            raise NonNumericCell(i) from None
+    return timestamps, values
+
+
 def write_csv_signal(series: TimeSeries, path, precision: int = 12):
     """Serialize back to the CSV contract (inverse of load, up to formatting)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    row = f"%.{precision}g,%.{precision}g\n"
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["timestamp", series.modality.name])
-        for t, v in zip(series.timestamps, series.values):
-            writer.writerow([f"{t:.{precision}g}", f"{v:.{precision}g}"])
+        csv.writer(fh, lineterminator="\n").writerow(
+            ["timestamp", series.modality.name])
+        for start in range(0, len(series), WRITE_CHUNK_ROWS):
+            stop = start + WRITE_CHUNK_ROWS
+            fh.write("".join([
+                row % tv for tv in zip(series.timestamps[start:stop].tolist(),
+                                       series.values[start:stop].tolist())]))
 
 
 @dataclass(frozen=True)

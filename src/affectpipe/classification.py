@@ -32,6 +32,9 @@ from .types import FeatureMatrix, LabelVector
 LDA_RIDGE = 1e-6
 LOGISTIC_ITERS = 500
 LOGISTIC_STEP = 0.1
+#: Byte cap on the (queries, training rows, features) difference block
+#: that _knn_scores materialises at once.
+KNN_BLOCK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -78,8 +81,10 @@ def fit(spec: ClassifierSpec, X, y: LabelVector | np.ndarray) -> FittedModel:
     algo = spec.algorithm
 
     if algo == "KNN":
-        state = {"X": X.copy(), "y": y.copy(),
-                 "k": int(hp.get("k_neighbors", 5))}
+        k = int(hp.get("k_neighbors", 5))
+        if k < 1:
+            raise ValueError(f"k_neighbors must be at least 1, got {k}")
+        state = {"X": X.copy(), "y": y.copy(), "k": k}
     elif algo == "DecisionTree":
         tree = _grow_tree(X, y, classes, depth=0,
                           max_depth=hp.get("max_depth"))
@@ -145,14 +150,25 @@ def predict(model: FittedModel, X) -> tuple[np.ndarray, np.ndarray | None]:
 def _knn_scores(model: FittedModel, X: np.ndarray) -> np.ndarray:
     train, y, k = model.state["X"], model.state["y"], model.state["k"]
     k = min(k, train.shape[0])
-    scores = np.zeros((X.shape[0], model.classes.size))
-    class_pos = {c: i for i, c in enumerate(model.classes)}
-    for i, q in enumerate(X):
-        d = np.sqrt(np.sum((train - q) ** 2, axis=1))
-        # lexsort: primary key distance, secondary the row index
-        order = np.lexsort((np.arange(d.size), d))[:k]
-        for j in order:
-            scores[i, class_pos[y[j]]] += 1.0 / k
+    onehot = (y[:, None] == model.classes[None, :]).astype(float)
+    # entry c is 1/k added c times in sequence, as a per-neighbour vote loop
+    # would sum it
+    vote = np.concatenate(([0.0], np.cumsum(np.full(k, 1.0 / k))))
+    scores = np.empty((X.shape[0], model.classes.size))
+    block = max(1, KNN_BLOCK_BYTES // (train.itemsize * max(train.size, 1)))
+    for start in range(0, X.shape[0], block):
+        q = X[start:start + block]
+        d = np.sqrt(np.sum((train[None] - q[:, None]) ** 2, axis=-1))
+        # the k nearest, distance ties broken on the lower training-row
+        # index: every row closer than the k-th distance, then rows at
+        # exactly that distance in index order until k are chosen
+        kth = np.partition(d, k - 1, axis=1)[:, k - 1:k]
+        closer = d < kth
+        at_kth = d == kth
+        room = k - closer.sum(axis=1, keepdims=True)
+        chosen = closer | (at_kth & (np.cumsum(at_kth, axis=1) <= room))
+        counts = (chosen @ onehot).astype(int)
+        scores[start:start + block] = vote[counts]
     return scores
 
 

@@ -30,7 +30,7 @@ from .errors import (
 from .synth import synth_dataset
 
 
-def cmd_validate(root: str, strict: bool = False, out=None) -> int:
+def cmd_validate(root: str, out=None) -> int:
     out = out or sys.stdout
     try:
         index = scan_dataset(Path(root), SignalRegistry.default())
@@ -147,7 +147,6 @@ def main(argv=None) -> int:
     p_val = sub.add_parser("validate", help="check a dataset tree against the "
                            "standard layout")
     p_val.add_argument("root")
-    p_val.add_argument("--strict", action="store_true")
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
     p_synth.add_argument("spec")
@@ -162,7 +161,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "validate":
-        return cmd_validate(args.root, args.strict)
+        return cmd_validate(args.root)
     if args.command == "synth":
         return cmd_synth(args.spec, args.out, args.seed)
     if args.command == "run":

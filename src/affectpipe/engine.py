@@ -248,8 +248,6 @@ class Pipeline:
             try:
                 payload = stage.run(payload, ctx)
             except Exception as exc:
-                if isinstance(exc, StageExecutionError):
-                    raise
                 raise StageExecutionError(i, stage.kind, exc) from exc
             if ctx.checkpoint_dir is not None:
                 ctx.checkpoint_dir.mkdir(parents=True, exist_ok=True)

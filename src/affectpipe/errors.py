@@ -88,6 +88,14 @@ class SampleRateMismatch(AffectPipeError):
     pass
 
 
+class PreprocessingFailed(AffectPipeError):
+    """Every series whose chain failed, as (subject, phase, modality, error)."""
+
+    def __init__(self, failures):
+        super().__init__("; ".join(f"{s}/{p}/{m}: {e}" for s, p, m, e in failures))
+        self.failures = list(failures)
+
+
 # --- feature extraction ---
 
 class SeriesTooShort(AffectPipeError):

@@ -468,7 +468,7 @@ class FeatureCatalogEntry:
     features: tuple[str, ...] | None = None
 
 
-def _compute_ecg_stats(window: TimeSeries, params):
+def _compute_stats(window: TimeSeries, params):
     return statistical_features(window.values, window.timestamps)
 
 
@@ -487,10 +487,6 @@ def _compute_hrv_freq(window: TimeSeries, params):
     return hrv_freq_features(rr, bands, min_span_s=min_span)
 
 
-def _compute_eda_stats(window: TimeSeries, params):
-    return statistical_features(window.values, window.timestamps)
-
-
 def _compute_eda_decomposed(window: TimeSeries, params):
     decomp = decompose_eda(window)
     out = {"scl_mean_us": float(np.mean(decomp.tonic.values)),
@@ -504,10 +500,6 @@ def _compute_eda_decomposed(window: TimeSeries, params):
     return out
 
 
-def _compute_stats(window: TimeSeries, params):
-    return statistical_features(window.values, window.timestamps)
-
-
 def _compute_resp(window: TimeSeries, params):
     return resp_features(window)
 
@@ -517,10 +509,10 @@ def _compute_emg(window: TimeSeries, params):
 
 
 COMPUTATIONS = {
-    "ecg_stats": _compute_ecg_stats,
+    "ecg_stats": _compute_stats,
     "hrv_time": _compute_hrv_time,
     "hrv_freq": _compute_hrv_freq,
-    "eda_stats": _compute_eda_stats,
+    "eda_stats": _compute_stats,
     "eda_decomposition": _compute_eda_decomposed,
     "statistics": _compute_stats,
     "resp": _compute_resp,
@@ -621,7 +613,7 @@ def extract_features(bundle: SubjectBundle,
             if calculate_average:
                 stacked = np.array(window_rows, dtype=float)
                 with np.errstate(invalid="ignore"):
-                    means = np.nanmean(np.where(np.isnan(stacked), np.nan, stacked), axis=0)
+                    means = np.nanmean(stacked, axis=0)
                 means = [ABSENT if np.isnan(m) else float(m) for m in means]
                 rows.append(FeatureRow(subject, phase, 0, tuple(means)))
             else:

@@ -15,8 +15,8 @@ from scipy import signal as sps
 from .errors import (
     CutoffOutOfRange,
     InvalidOrder,
+    PreprocessingFailed,
     SampleRateMismatch,
-    StageExecutionError,
     UnknownModality,
 )
 from .types import Modality, SubjectBundle, TimeSeries
@@ -246,7 +246,8 @@ def preprocess(bundle: SubjectBundle,
     Modalities without an explicit chain get :func:`default_chain`.  When
     ``resample_rate_hz`` is set, each series is resampled onto that uniform
     grid before its chain runs.  The bundle shape (subjects, phases,
-    modalities) is preserved.
+    modalities) is preserved.  Raises PreprocessingFailed naming every
+    series whose chain failed.
     """
     chains = dict(chains or {})
     out = {}
@@ -268,6 +269,5 @@ def preprocess(bundle: SubjectBundle,
                 errors.append((subject, series.phase, series.modality.name, exc))
         out[subject] = tuple(processed)
     if errors:
-        detail = "; ".join(f"{s}/{p}/{m}: {e}" for s, p, m, e in errors)
-        raise StageExecutionError(0, "Preprocessor", detail)
+        raise PreprocessingFailed(errors)
     return SubjectBundle(out)

@@ -1,8 +1,13 @@
+import csv
+import warnings
+
 import numpy as np
 import pytest
 
 from affectpipe import (
+    Modality,
     SignalRegistry,
+    TimeSeries,
     acquire,
     load_csv_signal,
     scan_dataset,
@@ -14,7 +19,9 @@ from affectpipe.errors import (
     MissingHeader,
     MissingReport,
     NonNumericCell,
+    ValidationFailed,
 )
+from affectpipe import acquisition
 
 from conftest import make_series
 
@@ -112,6 +119,96 @@ def test_load_accepts_crlf(tmp_path):
     f = tmp_path / "sig.csv"
     f.write_bytes(b"timestamp,ECG\r\n0.0,0.1\r\n0.004,0.2\r\n")
     assert len(load_csv_signal(f, reg.lookup("ECG"), "S1", "rest")) == 2
+
+
+def _rowwise_values(path, modality):
+    """The original row-by-row body parse, kept as the reference."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        lowered = [h.strip().lower() for h in next(reader)]
+        t_col = lowered.index("timestamp")
+        v_col = lowered.index(modality.lower())
+        timestamps, values = [], []
+        for row in reader:
+            if row:
+                timestamps.append(float(row[t_col]))
+                values.append(float(row[v_col]))
+    return np.asarray(timestamps), np.asarray(values)
+
+
+@pytest.mark.parametrize("text", [
+    b"timestamp,ECG\r\n0.0,0.1\r\n0.004,0.2\r\n0.008,-3e-5\r\n",
+    b"timestamp,ECG\n\n0.0,0.1\n\n0.004,0.2\n0.008,7\n\n",
+    b"ECG,timestamp\n0.1,0.0\n0.2,0.004\n0.3,0.008\n",
+    b'timestamp,ECG\n"0.0",0.1\n0.004,"0.2"\n0.008,0.3\n',
+    b"timestamp,ECG\n0.0,0.1,9\n0.004,0.2,9\n0.008,0.3,9\n",
+    b"timestamp,ECG,note\n0.0,0.1,a\n0.004,0.2\n0.008, 0.3 ,b\n",
+    b'timestamp,ECG,"two\nline note"\n0.0,0.1,a\n0.004,0.2,b\n0.008,0.3,c\n',
+], ids=["crlf", "blank-lines", "swapped-columns", "quoted", "extra-column",
+        "ragged-column", "multiline-header"])
+def test_load_matches_rowwise_parse(tmp_path, text):
+    f = tmp_path / "sig.csv"
+    f.write_bytes(text)
+    s = load_csv_signal(f, SignalRegistry.default().lookup("ECG"), "S1", "rest")
+    t, v = _rowwise_values(f, "ECG")
+    assert s.timestamps.tobytes() == t.tobytes()
+    assert s.values.tobytes() == v.tobytes()
+
+
+def test_load_non_numeric_cell_deep_in_file(tmp_path):
+    n, bad = 50_000, 41_234  # bad is a 0-based data row
+    lines = ["timestamp,ECG"] + [f"{i / 250},{np.sin(i)}" for i in range(n)]
+    lines[1 + bad] = f"{bad / 250},1.0x"
+    f = tmp_path / "sig.csv"
+    f.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(NonNumericCell) as e:
+        load_csv_signal(f, SignalRegistry.default().lookup("ECG"), "S1", "rest")
+    assert e.value.row == bad + 2  # header is row 1
+
+
+@pytest.mark.parametrize("cell", ["#0.2", "0.2#", "#"])
+def test_load_hash_in_cell_is_non_numeric(tmp_path, cell):
+    f = tmp_path / "sig.csv"
+    f.write_text(f"timestamp,ECG\n0.0,0.1\n0.004,{cell}\n0.008,0.3\n",
+                 encoding="utf-8")
+    with pytest.raises(NonNumericCell) as e:
+        load_csv_signal(f, SignalRegistry.default().lookup("ECG"), "S1", "rest")
+    assert e.value.row == 3
+
+
+def test_load_header_only_fails_validation_without_warning(tmp_path):
+    f = tmp_path / "sig.csv"
+    f.write_text("timestamp,ECG\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationFailed):
+            load_csv_signal(f, SignalRegistry.default().lookup("ECG"), "S1", "rest")
+
+
+def _rowwise_write(series, path, precision=12):
+    """The original csv.writer serializer, kept as the byte reference."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["timestamp", series.modality.name])
+        for t, v in zip(series.timestamps, series.values):
+            writer.writerow([f"{t:.{precision}g}", f"{v:.{precision}g}"])
+
+
+@pytest.mark.parametrize("precision", [1, 6, 12, 17])
+def test_write_bytes_match_rowwise_writer(tmp_path, monkeypatch, precision):
+    rng = np.random.default_rng(precision)
+    special = [-0.0, 0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324, 3.0, -42.0,
+               1e15, 123456789012345678.0, np.nan, np.inf, -np.inf]
+    values = np.concatenate([special, rng.normal(0, 1e3, 200),
+                             rng.integers(-10**6, 10**6, 50).astype(float)])
+    timestamps = np.concatenate([[-1e300, -1.0, -0.0, 1e-300],
+                                 np.cumsum(rng.uniform(1e-3, 1.0, values.size - 4))])
+    series = TimeSeries("S1", "rest", Modality("ECG"), timestamps, values, 250.0)
+    # a chunk smaller than the series exercises the chunk boundaries
+    monkeypatch.setattr(acquisition, "WRITE_CHUNK_ROWS", 7)
+    write_csv_signal(series, tmp_path / "new.csv", precision)
+    _rowwise_write(series, tmp_path / "old.csv", precision)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def _fixture(tmp_path, subjects=("S1", "S2"), phases=("rest", "stress"),

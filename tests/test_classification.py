@@ -22,6 +22,7 @@ from affectpipe.errors import (
     TooFewRows,
     TooFewSubjects,
 )
+from affectpipe import classification
 from affectpipe.types import LabelVector
 
 KNN = lambda k: ClassifierSpec(f"knn{k}", "KNN", {"k_neighbors": k})
@@ -71,6 +72,12 @@ def test_single_class_rejected():
         fit(KNN(1), np.zeros((4, 2)), np.zeros(4, dtype=int))
 
 
+@pytest.mark.parametrize("k", [0, -3])
+def test_knn_rejects_k_below_one(k):
+    with pytest.raises(ValueError):
+        fit(KNN(k), np.arange(8.0).reshape(4, 2), np.array([0, 1, 0, 1]))
+
+
 def test_knn_k1_identity():
     X = np.array([[0.0, 0.0], [5.0, 5.0], [9.0, 0.0]])
     y = np.array([0, 1, 2])
@@ -94,6 +101,48 @@ def test_knn_vote_tie_breaks_to_smallest_class():
     model = fit(KNN(2), X, y)
     pred, _ = predict(model, np.array([[0.5]]))
     assert pred[0] == 0
+
+
+def _knn_scores_rowwise(model, X):
+    """The original per-query KNN scorer, kept as the bit-exact reference."""
+    train, y, k = model.state["X"], model.state["y"], model.state["k"]
+    k = min(k, train.shape[0])
+    scores = np.zeros((X.shape[0], model.classes.size))
+    class_pos = {c: i for i, c in enumerate(model.classes)}
+    for i, q in enumerate(X):
+        d = np.sqrt(np.sum((train - q) ** 2, axis=1))
+        order = np.lexsort((np.arange(d.size), d))[:k]
+        for j in order:
+            scores[i, class_pos[y[j]]] += 1.0 / k
+    return scores
+
+
+@pytest.mark.parametrize("p", range(1, 13))  # numpy's row sum turns pairwise at 8
+def test_knn_block_scores_bit_identical_to_rowwise(p):
+    rng = np.random.default_rng(p)
+    n_train, n_query = 120, 300
+    # every p puts more queries than one block holds through the kernel
+    assert n_query > classification.KNN_BLOCK_BYTES // (8 * n_train * p)
+    data = {
+        "normal": (rng.normal(0, 1, (n_train, p)), rng.normal(0, 1, (n_query, p))),
+        # few distinct values, so distance ties are everywhere
+        "ties": (rng.integers(0, 3, (n_train, p)).astype(float),
+                 rng.integers(0, 3, (n_query, p)).astype(float)),
+        # rows permute one vector and queries are constant, so every
+        # distance is equal in exact arithmetic and only the summation
+        # order's rounding ranks the neighbours
+        "rounding": (rng.permuted(np.tile(rng.normal(0, 1, p), (n_train, 1)), axis=1),
+                     np.repeat(rng.normal(0, 1, (n_query, 1)), p, axis=1)),
+    }
+    for X, Q in data.values():
+        for n_classes in (2, 3):
+            y = rng.integers(0, n_classes, n_train)
+            y[:n_classes] = np.arange(n_classes)
+            for k in (1, 2, 3, 4, 9, n_train, n_train + 7):
+                model = fit(KNN(k), X, y)
+                got = classification._knn_scores(model, Q)
+                want = _knn_scores_rowwise(model, Q)
+                assert got.tobytes() == want.tobytes(), (p, n_classes, k)
 
 
 def test_knn_brute_force_oracle():

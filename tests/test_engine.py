@@ -14,6 +14,8 @@ from affectpipe import (
     LabelGenerator,
     Pipeline,
     PipelineSpec,
+    PreprocessChain,
+    PreprocessStep,
     SignalAcquisition,
     SignalPreprocessor,
     WindowingPolicy,
@@ -27,6 +29,7 @@ from affectpipe.errors import (
     IncompatibleStages,
     MisorderedStage,
     MissingStage,
+    PreprocessingFailed,
     StageExecutionError,
 )
 
@@ -143,6 +146,21 @@ def test_empty_dataset_fails_at_acquisition(tmp_path):
         p.run()
     assert e.value.stage_index == 0
     assert isinstance(e.value.__cause__, EmptyDataset)
+
+
+def test_failing_preprocess_chain_reports_stage_1(dataset_root):
+    stages = _stages(dataset_root)
+    above_nyquist = PreprocessChain((
+        PreprocessStep("lowpass", {"order": 2, "cutoffs_hz": (1e6,)}),))
+    stages[1] = SignalPreprocessor({"EDA": above_nyquist})
+    p = build_pipeline(PipelineSpec(tuple(stages)))
+    with pytest.raises(StageExecutionError) as e:
+        p.run()
+    assert e.value.stage_index == 1
+    assert e.value.kind == "Preprocessor"
+    cause = e.value.__cause__
+    assert isinstance(cause, PreprocessingFailed)
+    assert {m for _, _, m, _ in cause.failures} == {"EDA"}
 
 
 def test_determinism_bit_identical(dataset_root):
