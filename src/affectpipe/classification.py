@@ -182,31 +182,53 @@ def _entropy(counts: np.ndarray) -> float:
     return float(-np.sum(p * np.log2(p)))
 
 
+def _entropies(counts: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`_entropy` of an integer count matrix, bit for bit.
+
+    numpy sums fewer than 8 terms in sequence, so adding the classes one by
+    one (a zero count adds +0.0) matches ``np.sum`` over the non-zero terms;
+    the rare rows with 8 or more non-zero classes go through ``_entropy``.
+    """
+    present = counts > 0
+    p = counts / counts.sum(axis=1, keepdims=True)
+    terms = np.where(present, p * np.log2(np.where(present, p, 1.0)), 0.0)
+    total = np.zeros(counts.shape[0])
+    for c in range(counts.shape[1]):
+        total += terms[:, c]
+    out = -total
+    for r in np.flatnonzero(present.sum(axis=1) >= 8):
+        out[r] = _entropy(counts[r].astype(float))
+    return out
+
+
 def _grow_tree(X, y, classes, depth, max_depth):
-    class_pos = {c: i for i, c in enumerate(classes)}
-    counts = np.bincount([class_pos[v] for v in y], minlength=classes.size).astype(float)
+    onehot = (y[:, None] == classes[None, :]).astype(int)
+    totals = onehot.sum(axis=0)
+    counts = totals.astype(float)
     node = {"counts": counts}
     if counts.max() == counts.sum() or (max_depth is not None and depth >= max_depth):
         return node
     parent_h = _entropy(counts)
     best = None  # (gain, feature, threshold)
     n = y.size
+    # split after sorted position i sends rows 0..i left, weights (i+1)/n
+    w_left = np.arange(1, n) / n
+    w_right = np.arange(n - 1, 0, -1) / n
     for j in range(X.shape[1]):
         order = np.argsort(X[:, j], kind="stable")
-        xs, ys = X[order, j], y[order]
-        left = np.zeros(classes.size)
-        right = counts.copy()
-        for i in range(n - 1):
-            c = class_pos[ys[i]]
-            left[c] += 1
-            right[c] -= 1
-            if xs[i + 1] == xs[i]:
-                continue
-            h = ((i + 1) / n) * _entropy(left) + ((n - i - 1) / n) * _entropy(right)
-            gain = parent_h - h
-            thr = 0.5 * (xs[i] + xs[i + 1])
-            if best is None or gain > best[0] + 1e-12:
-                best = (gain, j, thr)
+        xs = X[order, j]
+        left = np.cumsum(onehot[order], axis=0)[:-1]
+        h = w_left * _entropies(left) + w_right * _entropies(totals - left)
+        split_at = np.flatnonzero(xs[1:] != xs[:-1])
+        gains = (parent_h - h)[split_at]
+        # the sequential rule below only ever takes a gain above every
+        # earlier one (and above the best so far), so only those are visited
+        floor = -np.inf if best is None else best[0]
+        earlier = np.maximum.accumulate(np.concatenate(([floor], gains)))[:-1]
+        for k in np.flatnonzero(gains > earlier).tolist():
+            if best is None or gains[k] > best[0] + 1e-12:
+                i = split_at[k]
+                best = (float(gains[k]), j, 0.5 * (xs[i] + xs[i + 1]))
     if best is None or best[0] <= 1e-12:
         return node
     _, j, thr = best

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .features import FeatureCatalogEntry, WindowingPolicy, extract_features
 from .labels import LabelRule, attach_labels, load_reports, one_hot_encode, sequential_forward_selection
-from .types import FeatureMatrix, LabelVector, SubjectBundle, is_absent
+from .types import FeatureMatrix, LabelVector, SubjectBundle
 
 # payload tags threaded between stages
 NONE, BUNDLE, FEATURES, LABELED, OUTPUT = (
@@ -185,18 +185,12 @@ class Classification(Component):
 
     def run(self, payload, ctx):
         matrix, labels = payload
-        matrix = one_hot_encode(matrix)
         # rows with absent cells are dropped, with labels kept aligned
-        keep, dropped = [], []
-        for i, row in enumerate(matrix.rows):
-            if any(is_absent(v) for v in row.values):
-                dropped.append((row.subject_id, row.phase, row.window_index))
-            else:
-                keep.append(i)
+        matrix, dropped, kept = one_hot_encode(matrix).drop_incomplete_rows(
+            with_kept=True)
         ctx.reports["dropped_rows"] = dropped
         if dropped:
-            matrix = matrix.subset_rows(keep)
-            labels = labels.subset(keep)
+            labels = labels.subset(kept)
         if self.mode == self.MODE_CROSS_VALIDATE:
             cv = self.cv or CVStrategy("kfold", 5, ctx.seed)
             if cv.kind == "kfold" and cv.shuffle_seed == 0 and ctx.seed:
@@ -244,16 +238,19 @@ class Pipeline:
         ctx = RunContext(seed=self.spec.seed, strict=self.spec.strict,
                          checkpoint_dir=self.spec.checkpoint_dir)
         payload = None
-        for i, stage in enumerate(self.stages):
-            try:
-                payload = stage.run(payload, ctx)
-            except Exception as exc:
-                raise StageExecutionError(i, stage.kind, exc) from exc
-            if ctx.checkpoint_dir is not None:
-                ctx.checkpoint_dir.mkdir(parents=True, exist_ok=True)
-                with (ctx.checkpoint_dir / f"stage_{i}_{stage.kind}.pkl").open("wb") as fh:
-                    pickle.dump(payload, fh)
-        self.last_reports = ctx.reports
+        try:
+            for i, stage in enumerate(self.stages):
+                try:
+                    payload = stage.run(payload, ctx)
+                except Exception as exc:
+                    raise StageExecutionError(i, stage.kind, exc) from exc
+                if ctx.checkpoint_dir is not None:
+                    ctx.checkpoint_dir.mkdir(parents=True, exist_ok=True)
+                    with (ctx.checkpoint_dir / f"stage_{i}_{stage.kind}.pkl").open("wb") as fh:
+                        pickle.dump(payload, fh)
+        finally:
+            # a failed run keeps the record of the stages that did run
+            self.last_reports = ctx.reports
         return payload
 
 

@@ -13,6 +13,7 @@ from scipy import signal as sps
 from scipy.interpolate import CubicSpline
 
 from .errors import (
+    AffectPipeError,
     DegenerateSpectrum,
     NoBeatsDetected,
     NoBreathsDetected,
@@ -302,13 +303,18 @@ def scr_events(phasic: TimeSeries, min_amplitude_us: float = 0.01,
     duration_min = phasic.duration_s / 60.0
     peaks, _ = sps.find_peaks(x)
     amplitudes = []
-    for p in peaks:
-        before = x[:p]
-        troughs, _ = sps.find_peaks(-before)
-        onset_level = x[troughs[-1]] if troughs.size else before.min() if before.size else x[p]
-        rise = x[p] - onset_level
-        if rise >= min_amplitude_us:
-            amplitudes.append(rise)
+    if peaks.size:
+        # a trough (plateau) is visible to find_peaks on the prefix x[:p],
+        # the onset search of peak p, only if its right edge is <= p - 2
+        troughs, props = sps.find_peaks(-x, plateau_size=1)
+        trough_ends = props["right_edges"]
+        prefix_min = np.minimum.accumulate(x)
+        for p in peaks.tolist():
+            k = np.searchsorted(trough_ends, p - 2, side="right")
+            onset_level = x[troughs[k - 1]] if k else prefix_min[p - 1]
+            rise = x[p] - onset_level
+            if rise >= min_amplitude_us:
+                amplitudes.append(rise)
     count = len(amplitudes)
     return {
         "scr_count": float(count),
@@ -472,12 +478,11 @@ def _compute_stats(window: TimeSeries, params):
     return statistical_features(window.values, window.timestamps)
 
 
-def _compute_hrv_time(window: TimeSeries, params):
-    return hrv_time_features(rr_from_ecg(window))
+def _hrv_time(rr: RRSeries, window: TimeSeries, params):
+    return hrv_time_features(rr)
 
 
-def _compute_hrv_freq(window: TimeSeries, params):
-    rr = rr_from_ecg(window)
+def _hrv_freq(rr: RRSeries, window: TimeSeries, params):
     bands = params.get("bands")
     if bands is not None:
         bands = {k: tuple(v) for k, v in bands.items()}
@@ -485,6 +490,20 @@ def _compute_hrv_freq(window: TimeSeries, params):
     # relaxed to 3/4 of the window length
     min_span = params.get("min_span_s", 0.75 * window.duration_s)
     return hrv_freq_features(rr, bands, min_span_s=min_span)
+
+
+#: Computations of a window's inter-beat series, as ``fn(rr, window,
+#: params)``.  :func:`extract_features` detects each window's R-peaks once
+#: and hands the result to every entry naming one of these.
+_RR_COMPUTATIONS = {"hrv_time": _hrv_time, "hrv_freq": _hrv_freq}
+
+
+def _compute_hrv_time(window: TimeSeries, params):
+    return _hrv_time(rr_from_ecg(window), window, params)
+
+
+def _compute_hrv_freq(window: TimeSeries, params):
+    return _hrv_freq(rr_from_ecg(window), window, params)
 
 
 def _compute_eda_decomposed(window: TimeSeries, params):
@@ -559,16 +578,69 @@ def ecg_eda_catalog() -> list[FeatureCatalogEntry]:
     ]
 
 
+class _SeriesWindows:
+    """One series cut into windows once, with R-peaks found at most once
+    per window.  :func:`extract_features` keeps these for one
+    (subject, phase) and then drops them."""
+
+    def __init__(self, series: TimeSeries, policy: WindowingPolicy):
+        self.windows = segment(series, policy)
+        self._rr = [None] * len(self.windows)  # RRSeries or the error raised
+
+    def rr(self, k: int) -> RRSeries:
+        if self._rr[k] is None:
+            try:
+                self._rr[k] = rr_from_ecg(self.windows[k])
+            except AffectPipeError as exc:
+                self._rr[k] = exc
+        if isinstance(self._rr[k], AffectPipeError):
+            raise self._rr[k]
+        return self._rr[k]
+
+
+def _entry_values(entry: FeatureCatalogEntry, cut: _SeriesWindows) -> list[tuple]:
+    """One value tuple per window; absent cells where the window failed."""
+    names = _entry_feature_names(entry)
+    from_rr = (_RR_COMPUTATIONS.get(entry.computation)
+               if isinstance(entry.computation, str) else None)
+    fn = _resolve(entry)
+    values = []
+    for k, w in enumerate(cut.windows):
+        try:
+            computed = (from_rr(cut.rr(k), w, entry.parameters) if from_rr
+                        else fn(w, entry.parameters))
+        except AffectPipeError:
+            values.append((ABSENT,) * len(names))
+            continue
+        missing = [name for name in names if name not in computed]
+        if missing:
+            raise ValueError(
+                f"catalog entry {entry.name!r} declares features {missing} "
+                f"that computation {entry.computation!r} does not return "
+                f"(it returns {sorted(computed)})"
+            )
+        values.append(tuple(computed[name] for name in names))
+    return values
+
+
 def extract_features(bundle: SubjectBundle,
                      policies: dict[str, WindowingPolicy] | WindowingPolicy,
                      catalog: list[FeatureCatalogEntry],
                      calculate_average: bool = False) -> FeatureMatrix:
     """Segment every series, run the catalog per window, fuse by columns.
 
+    Each (subject, phase, modality) series is segmented once and its
+    windows are shared by all of that modality's entries; the HRV entries
+    also share one R-peak detection per window.
+
     With ``calculate_average`` the per-window feature time series collapses
     to one mean row per (subject, phase) with window_index 0.  A window
-    that fails extraction contributes absent cells; such rows are dropped
-    later, before classification.
+    whose computation raises an :class:`~affectpipe.errors.AffectPipeError`
+    (the signal-quality errors such as NoBeatsDetected, TooFewBeats or
+    SampleRateTooLow) contributes absent cells; such rows are dropped
+    later, before classification.  Any other error propagates, and so does
+    a ValueError when a computation returns no value for a declared
+    ``features`` name.
     """
     if not catalog:
         raise ValueError("feature catalog is empty")
@@ -580,27 +652,21 @@ def extract_features(bundle: SubjectBundle,
     rows = []
     for subject in bundle.subjects():
         for phase in bundle.phases_for(subject):
+            cuts = {}  # modality name -> _SeriesWindows
             per_entry = []  # list of per-window value tuples, one per entry
             n_windows = None
             for entry in catalog:
-                series = bundle.find(subject, phase, entry.modality)
-                if series is None:
-                    raise ValueError(
-                        f"modality {entry.modality!r} missing for "
-                        f"{subject}/{phase}"
-                    )
-                policy = (policies if isinstance(policies, WindowingPolicy)
-                          else policies[entry.modality])
-                windows = segment(series, policy)
-                names = _entry_feature_names(entry)
-                fn = _resolve(entry)
-                values = []
-                for w in windows:
-                    try:
-                        computed = fn(w, entry.parameters)
-                        values.append(tuple(computed[name] for name in names))
-                    except Exception:
-                        values.append(tuple(ABSENT for _ in names))
+                if entry.modality not in cuts:
+                    series = bundle.find(subject, phase, entry.modality)
+                    if series is None:
+                        raise ValueError(
+                            f"modality {entry.modality!r} missing for "
+                            f"{subject}/{phase}"
+                        )
+                    policy = (policies if isinstance(policies, WindowingPolicy)
+                              else policies[entry.modality])
+                    cuts[entry.modality] = _SeriesWindows(series, policy)
+                values = _entry_values(entry, cuts[entry.modality])
                 per_entry.append(values)
                 count = len(values)
                 n_windows = count if n_windows is None else min(n_windows, count)

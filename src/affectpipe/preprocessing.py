@@ -7,6 +7,7 @@ and applied forward-backward (zero phase), so feature timing downstream
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,19 +36,29 @@ class FilterDesign:
 
 @dataclass(frozen=True)
 class FilterCoefficients:
-    """Second-order-section coefficients plus the design that produced them."""
+    """Second-order-section coefficients plus the design that produced them.
+
+    Immutable (read-only sections), so one instance can be shared by every
+    caller of the same design.
+    """
 
     sections: np.ndarray  # shape (n_sections, 6), scipy sos layout
     design: FilterDesign
+    #: edge-padding length for :func:`apply_zero_phase`, see _settling_samples
+    settling_samples: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sos = np.atleast_2d(np.asarray(self.sections, dtype=float))
         sos.setflags(write=False)
         object.__setattr__(self, "sections", sos)
         # stability: poles of each biquad strictly inside the unit circle
+        r_max = 0.0
         for b0, b1, b2, a0, a1, a2 in sos:
             if not (abs(a2) < 1.0 and abs(a1) < 1.0 + a2):
                 raise ValueError("unstable second-order section")
+            r_max = max(r_max, float(np.max(np.abs(np.roots([a0, a1, a2])))))
+        object.__setattr__(self, "settling_samples",
+                           _settling_samples(r_max, self.design.order))
 
     def frequency_response(self, freqs_hz) -> np.ndarray:
         """Complex single-pass response at the given frequencies."""
@@ -77,12 +88,21 @@ def design_butterworth(kind: str, order: int, cutoffs_hz, fs_hz: float) -> Filte
     """Butterworth design via bilinear transform with frequency pre-warping.
 
     The -3 dB point of the single-pass magnitude response lands on each
-    cutoff (maximally flat passband).
+    cutoff (maximally flat passband).  Arguments are validated on every
+    call; the design itself is memoised on the normalised ``(kind, order,
+    cutoffs, fs)``, so repeated calls return the same immutable
+    coefficients.
     """
     if not (isinstance(order, (int, np.integer)) and order >= 1):
         raise InvalidOrder(f"order must be a positive integer, got {order!r}")
     cutoffs = tuple(float(c) for c in np.atleast_1d(cutoffs_hz))
     _check_cutoffs(kind, cutoffs, fs_hz)
+    return _butterworth(kind, int(order), cutoffs, float(fs_hz))
+
+
+@functools.lru_cache(maxsize=64)
+def _butterworth(kind: str, order: int, cutoffs: tuple[float, ...],
+                 fs_hz: float) -> FilterCoefficients:
     wn = cutoffs[0] if len(cutoffs) == 1 else list(cutoffs)
     sos = sps.butter(order, wn, btype=kind, fs=fs_hz, output="sos")
     return FilterCoefficients(sos, FilterDesign(kind, order, cutoffs, fs_hz))
@@ -104,18 +124,14 @@ def design_notch(f0_hz: float, q: float, fs_hz: float) -> FilterCoefficients:
     return FilterCoefficients(sos, FilterDesign("notch", 2, (f0_hz,), fs_hz))
 
 
-def _settling_samples(coeffs: FilterCoefficients, floor: float = 1e-4) -> int:
+def _settling_samples(r_max: float, order: int, floor: float = 1e-4) -> int:
     """Edge-padding length: samples until the slowest pole decays below floor.
 
     A fixed multiple of the order is far too short for resonant designs
     (e.g. a Q=30 notch rings for seconds), so the pad is sized from the
-    pole radii, with 3x order as a lower bound.
+    largest pole radius ``r_max``, with 3x order as a lower bound.
     """
-    r_max = 0.0
-    for _, _, _, a0, a1, a2 in coeffs.sections:
-        r = np.max(np.abs(np.roots([a0, a1, a2])))
-        r_max = max(r_max, float(r))
-    base = 3 * coeffs.design.order
+    base = 3 * order
     if not 0 < r_max < 1:
         return base
     return max(base, int(np.ceil(np.log(floor) / np.log(r_max))))
@@ -134,7 +150,7 @@ def apply_zero_phase(coeffs: FilterCoefficients, series: TimeSeries) -> TimeSeri
         )
     if not series.is_uniform():
         raise SampleRateMismatch("series must be uniformly sampled; resample first")
-    padlen = min(_settling_samples(coeffs), len(series) - 1)
+    padlen = min(coeffs.settling_samples, len(series) - 1)
     # scipy's cython path needs a writable buffer; series arrays are frozen
     filtered = sps.sosfiltfilt(np.array(coeffs.sections), np.array(series.values),
                                padtype="even", padlen=padlen)

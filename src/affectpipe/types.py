@@ -275,15 +275,20 @@ class FeatureMatrix:
     def subset_rows(self, indices) -> "FeatureMatrix":
         return FeatureMatrix(self.columns, tuple(self.rows[i] for i in indices))
 
-    def drop_incomplete_rows(self) -> tuple["FeatureMatrix", list[tuple[str, str, int]]]:
-        """Drop rows containing absent cells; returns (matrix, dropped keys)."""
+    def drop_incomplete_rows(self, with_kept: bool = False):
+        """Drop rows containing absent cells.
+
+        Returns (matrix, dropped keys), or with ``with_kept`` (matrix,
+        dropped keys, kept row indices) so aligned labels can follow.
+        """
         kept, dropped = [], []
-        for r in self.rows:
+        for i, r in enumerate(self.rows):
             if any(is_absent(v) for v in r.values):
                 dropped.append((r.subject_id, r.phase, r.window_index))
             else:
-                kept.append(r)
-        return FeatureMatrix(self.columns, tuple(kept)), dropped
+                kept.append(i)
+        matrix = self.subset_rows(kept)
+        return (matrix, dropped, kept) if with_kept else (matrix, dropped)
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,119 @@ def test_tree_separable_four_points_depth_1():
     assert np.mean(pred == y) == 1.0
 
 
+def _grow_tree_rowwise(X, y, classes, depth, max_depth):
+    """Reference: the split search one sorted position at a time."""
+    class_pos = {c: i for i, c in enumerate(classes)}
+    counts = np.bincount([class_pos[v] for v in y], minlength=classes.size).astype(float)
+    node = {"counts": counts}
+    if counts.max() == counts.sum() or (max_depth is not None and depth >= max_depth):
+        return node
+    parent_h = classification._entropy(counts)
+    best = None
+    n = y.size
+    for j in range(X.shape[1]):
+        order = np.argsort(X[:, j], kind="stable")
+        xs, ys = X[order, j], y[order]
+        left = np.zeros(classes.size)
+        right = counts.copy()
+        for i in range(n - 1):
+            c = class_pos[ys[i]]
+            left[c] += 1
+            right[c] -= 1
+            if xs[i + 1] == xs[i]:
+                continue
+            h = (((i + 1) / n) * classification._entropy(left)
+                 + ((n - i - 1) / n) * classification._entropy(right))
+            gain = parent_h - h
+            thr = 0.5 * (xs[i] + xs[i + 1])
+            if best is None or gain > best[0] + 1e-12:
+                best = (gain, j, thr)
+    if best is None or best[0] <= 1e-12:
+        return node
+    _, j, thr = best
+    mask = X[:, j] <= thr
+    node["feature"] = j
+    node["threshold"] = thr
+    node["left"] = _grow_tree_rowwise(X[mask], y[mask], classes, depth + 1, max_depth)
+    node["right"] = _grow_tree_rowwise(X[~mask], y[~mask], classes, depth + 1, max_depth)
+    return node
+
+
+def _tree_bits(node):
+    """Pre-order (feature, threshold bits, counts bits) of every node."""
+    out = [(node.get("feature"),
+            np.float64(node["threshold"]).tobytes() if "feature" in node else None,
+            node["counts"].tobytes())]
+    if "feature" in node:
+        out += _tree_bits(node["left"]) + _tree_bits(node["right"])
+    return out
+
+
+def _tree_data(kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind.startswith("classes-"):
+        k = int(kind.split("-")[1])
+        y = rng.integers(0, k, 90)
+        X = rng.normal(0.0, 1.0, (90, 4)) + 0.4 * y[:, None]
+    elif kind == "duplicates":
+        y = rng.integers(0, 3, 80)
+        X = rng.integers(0, 4, (80, 3)).astype(float) + (y[:, None] > 1)
+    elif kind == "tied-column":
+        y = rng.integers(0, 2, 60)
+        X = np.column_stack([np.full(60, 2.5), rng.normal(0.0, 1.0, 60) + y,
+                             np.full(60, -1.0)])
+    elif kind == "mirrored":
+        # f1 = -f0 reverses the sort order: every split of f0 reappears with
+        # left and right swapped, so their gains tie or differ by rounding
+        # only, well inside the 1e-12 tolerance; f2 and f3 are a permuted
+        # and a rounded copy of f0
+        y = rng.integers(0, 3, 70)
+        f0 = rng.normal(0.0, 1.0, 70) + y
+        X = np.column_stack([f0, -f0, f0[::-1], np.round(f0)])
+    else:
+        raise ValueError(kind)
+    return X, y
+
+
+@pytest.mark.parametrize("kind", ["classes-2", "classes-3", "classes-5",
+                                  "classes-9", "duplicates", "tied-column",
+                                  "mirrored"])
+@pytest.mark.parametrize("max_depth", [None, 0, 1, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_tree_bit_identical_to_rowwise_search(kind, max_depth, seed):
+    X, y = _tree_data(kind, seed)
+    classes = np.unique(y)
+    got = classification._grow_tree(X, y, classes, 0, max_depth)
+    want = _grow_tree_rowwise(X, y, classes, 0, max_depth)
+    assert _tree_bits(got) == _tree_bits(want)
+    assert type(got.get("threshold")) is type(want.get("threshold"))
+
+
+@pytest.mark.parametrize("n_classes", [2, 3, 5, 7, 8, 9, 12])
+def test_entropies_bit_identical_to_entropy(n_classes):
+    rng = np.random.default_rng(n_classes)
+    counts = rng.integers(0, 40, (500, n_classes))
+    counts[rng.random(counts.shape) < 0.3] = 0  # zero classes among the rest
+    counts[:, 0] += 1  # no empty rows
+    counts[:5] = 0
+    counts[:5, :1] = 7  # pure rows
+    want = np.array([classification._entropy(row.astype(float)) for row in counts])
+    assert classification._entropies(counts).tobytes() == want.tobytes()
+
+
+def test_tree_keeps_first_split_within_tolerance(monkeypatch):
+    # gains 0.5, 0.5 + 2e-12 and 0.5 + 2.5e-12 at the three split points
+    # of one column: the sequential rule keeps the second (the third is not
+    # 1e-12 above it), where an argmax would take the third
+    gains = np.array([0.5, 0.5 + 2e-12, 0.5 + 2.5e-12])
+    monkeypatch.setattr(classification, "_entropy", lambda counts: 1.0)
+    monkeypatch.setattr(classification, "_entropies", lambda counts: 1.0 - gains)
+    X = np.array([[0.0], [1.0], [2.0], [3.0]])
+    tree = classification._grow_tree(X, np.array([0, 1, 0, 1]),
+                                     np.array([0, 1]), 0, 1)
+    assert tree["threshold"] == 1.5
+
+
 def test_single_class_rejected():
     with pytest.raises(SingleClass):
         fit(KNN(1), np.zeros((4, 2)), np.zeros(4, dtype=int))

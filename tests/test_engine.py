@@ -23,6 +23,7 @@ from affectpipe import (
     ecg_eda_catalog,
     synth_dataset,
 )
+from affectpipe.features import FeatureCatalogEntry
 from affectpipe.engine import BUNDLE, FEATURES, LABELED, NONE, OUTPUT
 from affectpipe.errors import (
     EmptyDataset,
@@ -31,6 +32,8 @@ from affectpipe.errors import (
     MissingStage,
     PreprocessingFailed,
     StageExecutionError,
+    TooFewSamples,
+    UnmappedPhase,
 )
 
 KNN3 = ClassifierSpec("knn3", "KNN", {"k_neighbors": 3})
@@ -161,6 +164,54 @@ def test_failing_preprocess_chain_reports_stage_1(dataset_root):
     cause = e.value.__cause__
     assert isinstance(cause, PreprocessingFailed)
     assert {m for _, _, m, _ in cause.failures} == {"EDA"}
+
+
+def test_misspelled_feature_name_fails_at_feature_extractor(dataset_root):
+    stages = _stages(dataset_root)
+    stages[2] = FeatureExtractor(
+        [FeatureCatalogEntry("hrv", "ECG", "hrv_time",
+                             features=("hr_mean_bpm", "rmsdd_s"))],
+        WindowingPolicy(60.0, 30.0))
+    p = build_pipeline(PipelineSpec(tuple(stages)))
+    with pytest.raises(StageExecutionError) as e:
+        p.run()
+    assert e.value.stage_index == 2
+    assert isinstance(e.value.__cause__, ValueError)
+    assert "'hrv'" in str(e.value) and "rmsdd_s" in str(e.value)
+
+
+def test_failed_run_keeps_its_record(dataset_root):
+    stages = _stages(dataset_root)
+    stages[3] = LabelGenerator(LabelRule("phase-map",
+                                         {"phase_to_class": {"rest": 0}}))
+    p = build_pipeline(PipelineSpec(tuple(stages)))
+    with pytest.raises(StageExecutionError) as e:
+        p.run()
+    assert e.value.stage_index == 3
+    assert isinstance(e.value.__cause__, UnmappedPhase)
+    assert p.last_reports["excluded_subjects"] == []
+    assert "dropped_rows" not in p.last_reports
+
+
+def test_incomplete_rows_dropped_with_labels_aligned(dataset_root):
+    def mean_except_s1(window, params):
+        if window.subject_id == "S1":
+            raise TooFewSamples("window rejected for the test")
+        return {"mean": float(np.mean(window.values))}
+
+    stages = _stages(dataset_root)
+    stages[2] = FeatureExtractor(
+        [FeatureCatalogEntry("eda", "EDA", mean_except_s1, features=("mean",)),
+         FeatureCatalogEntry("ecg", "ECG", "ecg_stats", features=("std",))],
+        WindowingPolicy(60.0, 30.0), calculate_average=False)
+    stages[-1] = Classification(Classification.MODE_TRAIN, [KNN3])
+    p = build_pipeline(PipelineSpec(tuple(stages)))
+    out = p.run()
+    # 120 s series, 60/30 s windows: 3 windows per (subject, phase)
+    assert p.last_reports["dropped_rows"] == [
+        ("S1", phase, k) for phase in ("rest", "stress") for k in range(3)]
+    np.testing.assert_array_equal(out.y_true.to_array(), ([0] * 3 + [1] * 3) * 3)
+    assert len(out.y_pred["knn3"]) == 18
 
 
 def test_determinism_bit_identical(dataset_root):

@@ -20,6 +20,7 @@ from affectpipe import (
     segment,
     statistical_features,
 )
+from affectpipe import features
 from affectpipe.features import FeatureCatalogEntry
 from affectpipe.errors import (
     DegenerateSpectrum,
@@ -41,7 +42,7 @@ from affectpipe.synth import (
     synth_emg,
     synth_resp,
 )
-from affectpipe.types import is_absent
+from affectpipe.types import ABSENT, FeatureMatrix, FeatureRow, is_absent
 
 from conftest import make_series, sine_series
 
@@ -268,6 +269,72 @@ def test_scr_below_threshold_ignored():
     assert out["scr_count"] == 0.0
 
 
+def _scr_events_rowwise(phasic, min_amplitude_us=0.01,
+                        smooth_cutoff_hz=features.SCR_SMOOTH_CUTOFF_HZ):
+    """Reference: the per-peak onset search, one find_peaks per peak."""
+    if smooth_cutoff_hz and phasic.sample_rate_hz > 2.5 * smooth_cutoff_hz:
+        lp = features.design_butterworth("lowpass", 2, smooth_cutoff_hz,
+                                         phasic.sample_rate_hz)
+        phasic = features.apply_zero_phase(lp, phasic)
+    x = np.asarray(phasic.values, dtype=float)
+    duration_min = phasic.duration_s / 60.0
+    peaks, _ = sps.find_peaks(x)
+    amplitudes = []
+    for p in peaks:
+        before = x[:p]
+        troughs, _ = sps.find_peaks(-before)
+        onset_level = x[troughs[-1]] if troughs.size else before.min() if before.size else x[p]
+        rise = x[p] - onset_level
+        if rise >= min_amplitude_us:
+            amplitudes.append(rise)
+    count = len(amplitudes)
+    return {
+        "scr_count": float(count),
+        "scr_rate_per_min": count / duration_min if duration_min > 0 else 0.0,
+        "scr_mean_amplitude_us": float(np.mean(amplitudes)) if amplitudes else 0.0,
+    }
+
+
+def _scr_cases():
+    rng = np.random.default_rng(4)
+    eda, _ = synth_eda(EdaSpec(scr_times_s=(6.0, 15.0, 21.0, 33.0, 47.0),
+                               scr_amplitudes_us=(0.5, 0.2, 0.05, 0.8, 0.3)),
+                       60.0, seed=2)
+    phasic = decompose_eda(eda).phasic
+    noisy = phasic.with_values(np.asarray(phasic.values)
+                               + rng.normal(0.0, 0.02, len(phasic)))
+    quantised = noisy.with_values(np.round(np.asarray(noisy.values) * 40) / 40)
+    steps = make_series(rng.integers(0, 4, 3000).astype(float), 32.0,
+                        modality_name="EDA")
+    return {"smooth": phasic, "noisy": noisy, "quantised": quantised,
+            "integer-steps": steps}
+
+
+@pytest.mark.parametrize("case", ["smooth", "noisy", "quantised", "integer-steps"])
+@pytest.mark.parametrize("smooth_cutoff_hz", [features.SCR_SMOOTH_CUTOFF_HZ, 0])
+@pytest.mark.parametrize("min_amplitude_us", [0.0, 0.01, 0.1])
+def test_scr_events_match_per_peak_search(case, smooth_cutoff_hz, min_amplitude_us):
+    phasic = _scr_cases()[case]
+    got = scr_events(phasic, min_amplitude_us, smooth_cutoff_hz)
+    want = _scr_events_rowwise(phasic, min_amplitude_us, smooth_cutoff_hz)
+    assert got == want
+
+
+def test_scr_onset_ignores_trough_plateau_ending_before_peak():
+    # the plateau at samples 3-4 ends at p - 1 for the peak at p = 5, so
+    # find_peaks on the prefix x[:5] cannot see it: the onset is the
+    # trough at sample 1 (level 2), a rise of 1, not 2
+    x = np.array([5.0, 2.0, 4.0, 1.0, 1.0, 3.0, 0.0, 0.5, 0.2])
+    s = make_series(x, 1.0, modality_name="EDA")
+    got = scr_events(s, 0.0, smooth_cutoff_hz=0)
+    assert got == _scr_events_rowwise(s, 0.0, smooth_cutoff_hz=0)
+    # peaks at 2 (rise 4 - 2) and 5 (rise 3 - 2); for the peak at 7 the dip
+    # at sample 6 ends at p - 1 too, so its onset is the plateau (level 1)
+    # and the rise of -0.5 does not count
+    assert got["scr_count"] == 2.0
+    assert got["scr_mean_amplitude_us"] == 1.5
+
+
 # --- statistics ---
 
 def test_stats_hand_example():
@@ -436,3 +503,112 @@ def test_extract_stress_features_move_as_expected():
             > by_phase["rest"][cols["hrv_time.hr_mean_bpm"]])
     assert (by_phase["stress"][cols["eda_scr.scr_rate_per_min"]]
             > by_phase["rest"][cols["eda_scr.scr_rate_per_min"]])
+
+
+def _extract_features_per_entry(bundle, policy, catalog, calculate_average=False):
+    """Reference: segment per catalog entry and run each computation alone."""
+    columns = [f"{e.name}.{f}" for e in catalog for f in e.features]
+    rows = []
+    for subject in bundle.subjects():
+        for phase in bundle.phases_for(subject):
+            per_entry = []
+            for entry in catalog:
+                windows = segment(bundle.find(subject, phase, entry.modality), policy)
+                fn = features._resolve(entry)
+                values = []
+                for w in windows:
+                    try:
+                        computed = fn(w, entry.parameters)
+                        values.append(tuple(computed[n] for n in entry.features))
+                    except Exception:
+                        values.append(tuple(ABSENT for _ in entry.features))
+                per_entry.append(values)
+            n_windows = min(len(v) for v in per_entry)
+            window_rows = [tuple(v for values in per_entry for v in values[k])
+                           for k in range(n_windows)]
+            if calculate_average:
+                stacked = np.array(window_rows, dtype=float)
+                with np.errstate(invalid="ignore"):
+                    means = np.nanmean(stacked, axis=0)
+                means = [ABSENT if np.isnan(m) else float(m) for m in means]
+                rows.append(FeatureRow(subject, phase, 0, tuple(means)))
+            else:
+                rows.extend(FeatureRow(subject, phase, k, vals)
+                            for k, vals in enumerate(window_rows))
+    return FeatureMatrix(tuple(columns), tuple(rows))
+
+
+def _bits(matrix):
+    return [(r.subject_id, r.phase, r.window_index,
+             np.asarray(r.values, dtype=float).tobytes()) for r in matrix.rows]
+
+
+@pytest.mark.parametrize("calculate_average", [False, True])
+# S3's HRV columns are absent in every window, so their mean is empty
+@pytest.mark.filterwarnings("ignore:Mean of empty slice:RuntimeWarning")
+def test_extract_bit_identical_to_per_entry_loop(calculate_average):
+    bundle = _stress_bundle()
+    flat = make_series(np.zeros(250 * 180), 250.0, subject="S3", phase="rest")
+    eda = make_series(np.linspace(1.0, 2.0, 32 * 180), 32.0,
+                      modality_name="EDA", subject="S3", phase="rest")
+    bundle = SubjectBundle({**{s: bundle.series_for(s) for s in bundle.subjects()},
+                            "S3": [flat, eda]})
+    policy = WindowingPolicy(60.0, 30.0)
+    got = extract_features(bundle, policy, ecg_eda_catalog(), calculate_average)
+    want = _extract_features_per_entry(bundle, policy, ecg_eda_catalog(),
+                                       calculate_average)
+    assert got.columns == want.columns
+    assert _bits(got) == _bits(want)
+    # the flat ECG fails R-peak detection: both HRV entries are absent there
+    s3 = [r for r in got.rows if r.subject_id == "S3"]
+    hrv = [j for j, c in enumerate(got.columns) if c.startswith("hrv_")]
+    assert s3 and all(is_absent(r.values[j]) for r in s3 for j in hrv)
+
+
+def test_extract_detects_r_peaks_once_per_ecg_window(monkeypatch):
+    calls = []
+    original = features.detect_r_peaks
+
+    def counting(ecg):
+        calls.append(ecg)
+        return original(ecg)
+
+    monkeypatch.setattr(features, "detect_r_peaks", counting)
+    m = extract_features(_stress_bundle(), WindowingPolicy(60.0, 30.0),
+                         ecg_eda_catalog())
+    # 2 subjects x 2 phases x 5 windows, shared by hrv_time and hrv_freq
+    assert len(m) == 20
+    assert len(calls) == 20
+
+
+def test_extract_undeclared_feature_name_names_the_entry():
+    catalog = [FeatureCatalogEntry("hrv", "ECG", "hrv_time",
+                                   features=("hr_mean_bpm", "rmsdd_s"))]
+    with pytest.raises(ValueError, match=r"'hrv'.*rmsdd_s"):
+        extract_features(_stress_bundle(subjects=("S1",)),
+                         WindowingPolicy(60.0, 30.0), catalog)
+
+
+def test_extract_custom_callable_keeps_window_params_contract():
+    seen = []
+
+    def peak_to_peak(window, params):
+        seen.append((len(window), params))
+        return {"ptp": float(np.ptp(window.values)) * params["scale"]}
+
+    catalog = [FeatureCatalogEntry("ptp", "EDA", peak_to_peak, {"scale": 2.0},
+                                   features=("ptp",))]
+    m = extract_features(_stress_bundle(subjects=("S1",)),
+                         WindowingPolicy(60.0, 30.0), catalog)
+    assert len(m) == 10 and len(seen) == 10
+    assert all(params == {"scale": 2.0} for _, params in seen)
+
+
+def test_extract_non_signal_error_propagates():
+    def broken(window, params):
+        raise RuntimeError("bug in a custom computation")
+
+    catalog = [FeatureCatalogEntry("broken", "EDA", broken, features=("x",))]
+    with pytest.raises(RuntimeError, match="bug in a custom"):
+        extract_features(_stress_bundle(subjects=("S1",)),
+                         WindowingPolicy(60.0, 30.0), catalog)

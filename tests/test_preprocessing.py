@@ -13,6 +13,7 @@ from affectpipe import (
     preprocess,
     resample_series,
 )
+from affectpipe.preprocessing import FilterDesign
 from affectpipe.errors import CutoffOutOfRange, InvalidOrder, SampleRateMismatch
 from affectpipe.synth import EcgSpec, synth_ecg
 
@@ -46,6 +47,52 @@ def test_invalid_order_rejected():
 def test_bandpass_needs_two_ordered_cutoffs():
     with pytest.raises(CutoffOutOfRange):
         design_butterworth("bandpass", 2, (0.35, 0.1), 700.0)
+
+
+@pytest.mark.parametrize("args, error", [
+    (("lowpass", 0, 5.0, 700.0), InvalidOrder),
+    (("lowpass", 2.0, 5.0, 700.0), InvalidOrder),
+    (("lowpass", 4, 400.0, 700.0), CutoffOutOfRange),
+    (("bandpass", 2, (15.0, 5.0), 700.0), CutoffOutOfRange),
+    (("wobble", 2, 5.0, 700.0), CutoffOutOfRange),
+])
+def test_bad_design_raises_on_every_call(args, error):
+    for _ in range(3):
+        with pytest.raises(error):
+            design_butterworth(*args)
+
+
+def test_design_memo_normalises_arguments():
+    a = design_butterworth("bandpass", 2, (5, 15), 250)
+    b = design_butterworth("bandpass", np.int64(2), [5.0, 15.0], 250.0)
+    assert a is b
+    assert a.design == FilterDesign("bandpass", 2, (5.0, 15.0), 250.0)
+    assert type(a.design.order) is int and type(a.design.fs_hz) is float
+    c = design_butterworth("lowpass", 2, np.float64(5.0), 250.0)
+    assert c is design_butterworth("lowpass", 2, (5.0,), 250)
+    assert c is not a
+
+
+def test_design_sections_are_read_only():
+    c = design_butterworth("lowpass", 4, 5.0, 700.0)
+    with pytest.raises(ValueError):
+        c.sections[0, 0] = 1.0
+    assert np.array_equal(c.sections,
+                          design_butterworth("lowpass", 4, 5.0, 700.0).sections)
+
+
+@pytest.mark.parametrize("coeffs", [
+    design_butterworth("lowpass", 4, 5.0, 700.0),
+    design_butterworth("highpass", 2, 0.5, 250.0),
+    design_butterworth("bandpass", 2, (0.1, 0.35), 32.0),
+    design_butterworth("lowpass", 8, 100.0, 700.0),
+    design_notch(50.0, 30.0, 700.0),
+])
+def test_settling_samples_from_pole_radii(coeffs):
+    # reference: the largest pole radius over the sections' denominators
+    r = max(float(np.max(np.abs(np.roots(sec[3:])))) for sec in coeffs.sections)
+    want = max(3 * coeffs.design.order, int(np.ceil(np.log(1e-4) / np.log(r))))
+    assert coeffs.settling_samples == want
 
 
 def test_sections_are_stable():

@@ -102,6 +102,18 @@ def test_matrix_drop_incomplete_rows():
     assert dropped == [("S1", "rest", 1)]
 
 
+def test_matrix_drop_incomplete_rows_with_kept_indices():
+    rows = [FeatureRow("S1", "rest", 0, (float("nan"), 2.0)),
+            FeatureRow("S1", "rest", 1, (1.0, 2.0)),
+            FeatureRow("S1", "rest", 2, (1.0, float("nan"))),
+            FeatureRow("S1", "rest", 3, (3.0, 4.0))]
+    m, dropped, kept = FeatureMatrix(("a", "b"), rows).drop_incomplete_rows(
+        with_kept=True)
+    assert kept == [1, 3]
+    assert m.rows == (rows[1], rows[3])
+    assert dropped == [("S1", "rest", 0), ("S1", "rest", 2)]
+
+
 def test_label_vector_requires_class_names():
     with pytest.raises(ValueError):
         LabelVector((0, 1), {0: "rest"})
