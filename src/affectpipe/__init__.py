@@ -57,7 +57,6 @@ from .labels import (
     SelfReport,
     attach_labels,
     generate_phase_labels,
-    one_hot_encode,
     sequential_forward_selection,
     stai_dynamic_threshold,
     suds_fixed_threshold,
@@ -91,7 +90,6 @@ from .synth import (
 )
 from .types import (
     FeatureMatrix,
-    FeatureRow,
     LabelVector,
     Modality,
     SubjectBundle,

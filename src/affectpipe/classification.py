@@ -312,16 +312,12 @@ def make_folds(strategy: CVStrategy, rows: FeatureMatrix):
     """
     n = len(rows)
     if strategy.kind == "loso":
-        subjects = rows.subject_ids()
-        distinct = sorted(set(subjects))
+        subjects = rows.subject_ids
+        distinct = sorted(set(subjects.tolist()))
         if len(distinct) < 2:
             raise TooFewSubjects("LOSO needs at least 2 distinct subjects")
-        folds = []
-        for s in distinct:
-            test = np.asarray([i for i, sub in enumerate(subjects) if sub == s])
-            train = np.asarray([i for i, sub in enumerate(subjects) if sub != s])
-            folds.append((train, test))
-        return folds
+        return [(np.flatnonzero(subjects != s), np.flatnonzero(subjects == s))
+                for s in distinct]
     if strategy.kind == "kfold":
         k = strategy.folds
         if k < 2 or k > n:

@@ -8,7 +8,6 @@ tags and consecutive components must be compatible.
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,7 +21,7 @@ from .errors import (
     StageExecutionError,
 )
 from .features import FeatureCatalogEntry, WindowingPolicy, extract_features
-from .labels import LabelRule, attach_labels, load_reports, one_hot_encode, sequential_forward_selection
+from .labels import LabelRule, attach_labels, load_reports, sequential_forward_selection
 from .types import FeatureMatrix, LabelVector, SubjectBundle
 
 # payload tags threaded between stages
@@ -34,7 +33,6 @@ NONE, BUNDLE, FEATURES, LABELED, OUTPUT = (
 class RunContext:
     seed: int = 0
     strict: bool = False
-    checkpoint_dir: Path | None = None
     reports: dict = field(default_factory=dict)
 
 
@@ -102,15 +100,11 @@ class LabelGenerator(Component):
     input_type = FEATURES
     output_type = LABELED
 
-    def __init__(self, label_generation_method: LabelRule, reports_loader=None):
+    def __init__(self, label_generation_method: LabelRule):
         self.rule = label_generation_method
-        # callable ctx -> list[SelfReport]; defaults to reading the
-        # per-subject report files found during the dataset scan
-        self.reports_loader = reports_loader
 
     def _reports(self, ctx):
-        if self.reports_loader is not None:
-            return self.reports_loader(ctx)
+        """The per-subject report files found during the dataset scan."""
         index: DatasetIndex | None = ctx.reports.get("dataset_index")
         if index is None:
             return None
@@ -148,7 +142,6 @@ class FeatureSelector(Component):
 
     def run(self, payload, ctx):
         matrix, labels = payload
-        matrix = one_hot_encode(matrix)
         selected = sequential_forward_selection(
             matrix, labels, self.scorer, self.k, self.cv_folds, seed=ctx.seed)
         ctx.reports["selected_features"] = list(selected.columns)
@@ -186,8 +179,7 @@ class Classification(Component):
     def run(self, payload, ctx):
         matrix, labels = payload
         # rows with absent cells are dropped, with labels kept aligned
-        matrix, dropped, kept = one_hot_encode(matrix).drop_incomplete_rows(
-            with_kept=True)
+        matrix, dropped, kept = matrix.drop_incomplete_rows(with_kept=True)
         ctx.reports["dropped_rows"] = dropped
         if dropped:
             labels = labels.subset(kept)
@@ -224,7 +216,6 @@ class PipelineSpec:
     stages: tuple[Component, ...]
     seed: int = 0
     strict: bool = False
-    checkpoint_dir: Path | None = None
 
 
 class Pipeline:
@@ -235,8 +226,7 @@ class Pipeline:
         self.stages = list(spec.stages)
 
     def run(self) -> PipelineOutput:
-        ctx = RunContext(seed=self.spec.seed, strict=self.spec.strict,
-                         checkpoint_dir=self.spec.checkpoint_dir)
+        ctx = RunContext(seed=self.spec.seed, strict=self.spec.strict)
         payload = None
         try:
             for i, stage in enumerate(self.stages):
@@ -244,10 +234,6 @@ class Pipeline:
                     payload = stage.run(payload, ctx)
                 except Exception as exc:
                     raise StageExecutionError(i, stage.kind, exc) from exc
-                if ctx.checkpoint_dir is not None:
-                    ctx.checkpoint_dir.mkdir(parents=True, exist_ok=True)
-                    with (ctx.checkpoint_dir / f"stage_{i}_{stage.kind}.pkl").open("wb") as fh:
-                        pickle.dump(payload, fh)
         finally:
             # a failed run keeps the record of the stages that did run
             self.last_reports = ctx.reports

@@ -6,6 +6,7 @@ fixed set of named columns, and rows are keyed by (subject, phase, window).
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +24,7 @@ from .errors import (
     TooFewSamples,
 )
 from .preprocessing import apply_zero_phase, design_butterworth
-from .types import ABSENT, FeatureMatrix, FeatureRow, SubjectBundle, TimeSeries
+from .types import ABSENT, FeatureMatrix, SubjectBundle, TimeSeries
 
 #: Conventional wearable-HRV band edges in Hz (config-overridable).
 DEFAULT_HRV_BANDS = {
@@ -641,6 +642,11 @@ def extract_features(bundle: SubjectBundle,
     later, before classification.  Any other error propagates, and so does
     a ValueError when a computation returns no value for a declared
     ``features`` name.
+
+    A computation may return text tags instead of numbers: such a column
+    is one-hot encoded into ``name=tag`` indicator columns that follow the
+    numeric columns (averaged, they become the share of windows with the
+    tag).  A column mixing numbers and text raises a ValueError.
     """
     if not catalog:
         raise ValueError("feature catalog is empty")
@@ -649,7 +655,7 @@ def extract_features(bundle: SubjectBundle,
         for feat in _entry_feature_names(entry):
             columns.append(f"{entry.name}.{feat}")
 
-    rows = []
+    keys, cells = [], []  # one (subject, phase, window) key and raw row per window
     for subject in bundle.subjects():
         for phase in bundle.phases_for(subject):
             cuts = {}  # modality name -> _SeriesWindows
@@ -670,19 +676,45 @@ def extract_features(bundle: SubjectBundle,
                 per_entry.append(values)
                 count = len(values)
                 n_windows = count if n_windows is None else min(n_windows, count)
-            if not n_windows:
-                continue
-            window_rows = [
-                tuple(v for values in per_entry for v in values[k])
-                for k in range(n_windows)
-            ]
-            if calculate_average:
-                stacked = np.array(window_rows, dtype=float)
-                with np.errstate(invalid="ignore"):
-                    means = np.nanmean(stacked, axis=0)
-                means = [ABSENT if np.isnan(m) else float(m) for m in means]
-                rows.append(FeatureRow(subject, phase, 0, tuple(means)))
-            else:
-                for k, vals in enumerate(window_rows):
-                    rows.append(FeatureRow(subject, phase, k, vals))
-    return FeatureMatrix(tuple(columns), tuple(rows))
+            for k in range(n_windows):
+                keys.append((subject, phase, k))
+                cells.append(tuple(v for values in per_entry for v in values[k]))
+    columns, values = _encode(columns, cells)
+    if calculate_average:
+        starts = [i for i, key in enumerate(keys) if key[2] == 0]
+        with warnings.catch_warnings():
+            # a column absent in every window of a (subject, phase) has no mean
+            warnings.filterwarnings("ignore", "Mean of empty slice", RuntimeWarning)
+            means = [np.nanmean(values[a:b], axis=0)
+                     for a, b in zip(starts, starts[1:] + [len(keys)])]
+        values = np.array(means).reshape(len(starts), len(columns))
+        values[np.isnan(values)] = ABSENT
+        keys = [keys[i] for i in starts]
+    return FeatureMatrix(columns, [key[0] for key in keys], [key[1] for key in keys],
+                         [key[2] for key in keys], values)
+
+
+def _encode(names: list[str], cells: list[tuple]) -> tuple[list[str], np.ndarray]:
+    """Columns and float array of raw per-window cells.
+
+    Numeric columns keep their order and come first.  Each text column then
+    expands into ``name=tag`` indicator columns, in column order with its
+    tags sorted; an absent cell gives absent indicators.
+    """
+    numeric, encoded = [], []  # (column name, cells)
+    for j, name in enumerate(names):
+        column = [row[j] for row in cells]
+        tags = sorted({v for v in column if isinstance(v, str)})
+        if not tags:
+            numeric.append((name, column))
+            continue
+        if any(not isinstance(v, str) and v == v for v in column):
+            raise ValueError(f"column {name!r} mixes numbers and text")
+        encoded += [(f"{name}={tag}", [ABSENT if v != v else float(v == tag)
+                                       for v in column])
+                    for tag in tags]
+    layout = numeric + encoded
+    values = np.empty((len(cells), len(layout)))
+    for j, (_, column) in enumerate(layout):
+        values[:, j] = column
+    return [name for name, _ in layout], values

@@ -1,6 +1,5 @@
 """Label generation from phases or questionnaire self-reports, plus the
-optional feature-selection helpers (one-hot encoding, sequential forward
-selection)."""
+optional sequential forward feature selection."""
 
 from __future__ import annotations
 
@@ -57,12 +56,12 @@ def load_reports(path, subject_id: str) -> list[SelfReport]:
 
 def generate_phase_labels(matrix: FeatureMatrix,
                           phase_to_class: dict[str, int]) -> LabelVector:
-    """label[i] = phase_to_class[row_i.phase]."""
+    """label[i] = phase_to_class[matrix.phases[i]]."""
     labels = []
-    for row in matrix.rows:
-        if row.phase not in phase_to_class:
-            raise UnmappedPhase(row.phase)
-        labels.append(int(phase_to_class[row.phase]))
+    for phase in matrix.phases.tolist():
+        if phase not in phase_to_class:
+            raise UnmappedPhase(phase)
+        labels.append(int(phase_to_class[phase]))
     # merged classes keep a combined name
     names = {}
     for phase, c in sorted(phase_to_class.items()):
@@ -106,6 +105,7 @@ def attach_labels(matrix: FeatureMatrix, rule: LabelRule,
                   strict: bool = False):
     """Produce one label per row; rows without a resolvable label are dropped.
 
+    A ``custom`` rule's ``fn(matrix)`` returns one class id per row.
     Returns (matrix, labels, dropped_row_keys).
     """
     if rule.kind == "phase-map":
@@ -114,9 +114,11 @@ def attach_labels(matrix: FeatureMatrix, rule: LabelRule,
 
     if rule.kind == "custom":
         fn = rule.parameters["fn"]
-        labels = [int(fn(row)) for row in matrix.rows]
+        labels = [int(c) for c in fn(matrix)]
         names = rule.parameters.get("class_names") or {c: str(c) for c in set(labels)}
-        return matrix, LabelVector(tuple(labels), names), []
+        vector = LabelVector(tuple(labels), names)
+        vector.check_against(matrix)
+        return matrix, vector, []
 
     if rule.kind in ("fixed-threshold", "dynamic-threshold"):
         if reports is None:
@@ -124,13 +126,14 @@ def attach_labels(matrix: FeatureMatrix, rule: LabelRule,
         table = (suds_fixed_threshold(reports) if rule.kind == "fixed-threshold"
                  else stai_dynamic_threshold(reports))
         kept, labels, dropped = [], [], []
-        for i, row in enumerate(matrix.rows):
-            key = (row.subject_id, row.phase)
-            if key in table:
+        keys = zip(matrix.subject_ids.tolist(), matrix.phases.tolist(),
+                   matrix.window_indices.tolist())
+        for i, (subject, phase, window) in enumerate(keys):
+            if (subject, phase) in table:
                 kept.append(i)
-                labels.append(table[key])
+                labels.append(table[(subject, phase)])
             else:
-                dropped.append((row.subject_id, row.phase, row.window_index))
+                dropped.append((subject, phase, window))
         if dropped and strict:
             raise MissingReport(f"rows without self-reports: {dropped}")
         return (matrix.subset_rows(kept),
@@ -143,36 +146,6 @@ def attach_labels(matrix: FeatureMatrix, rule: LabelRule,
 # ---------------------------------------------------------------------------
 # Feature selection
 # ---------------------------------------------------------------------------
-
-def one_hot_encode(matrix: FeatureMatrix) -> FeatureMatrix:
-    """Expand each categorical column into ``col=value`` indicator columns.
-
-    Numeric columns keep their original order and come first; encoded
-    groups follow in original-column order.  An all-numeric matrix is
-    returned unchanged.
-    """
-    cats = matrix.categorical_columns()
-    if not cats:
-        return matrix
-    cat_idx = {matrix.column_index(c) for c in (set(cats))}
-    numeric_cols = [(j, name) for j, name in enumerate(matrix.columns) if j not in cat_idx]
-    encodings = []  # (source col index, value) in column order
-    for name in matrix.columns:
-        j = matrix.column_index(name)
-        if j not in cat_idx:
-            continue
-        values = sorted({row.values[j] for row in matrix.rows})
-        for v in values:
-            encodings.append((j, v))
-    columns = [name for _, name in numeric_cols]
-    columns += [f"{matrix.columns[j]}={v}" for j, v in encodings]
-    rows = []
-    for row in matrix.rows:
-        vals = [row.values[j] for j, _ in numeric_cols]
-        vals += [1.0 if row.values[j] == v else 0.0 for j, v in encodings]
-        rows.append(type(row)(row.subject_id, row.phase, row.window_index, tuple(vals)))
-    return FeatureMatrix(tuple(columns), tuple(rows))
-
 
 def _stratified_folds(y: np.ndarray, n_folds: int, seed: int):
     """Round-robin deal per class after a seeded shuffle."""
@@ -203,11 +176,12 @@ def sequential_forward_selection(matrix: FeatureMatrix, labels: LabelVector,
     the lower column index.  ``scorer`` is a ClassifierSpec (see
     :mod:`affectpipe.classification`) or anything with fit/predict.
     """
-    from .classification import fit as fit_model, predict  # local, avoids cycle
+    # local, avoids cycle
+    from .classification import ClassifierSpec, fit as fit_model, predict
 
     labels.check_against(matrix)
-    if not matrix.is_numeric():
-        raise ValueError("one-hot encode categorical columns before selection")
+    if not isinstance(scorer, ClassifierSpec):
+        scorer = ClassifierSpec(type(scorer).__name__, "custom", {"handle": scorer})
     n_cols = len(matrix.columns)
     if k >= n_cols:
         raise KTooLarge(f"k={k} must be below column count {n_cols}")
@@ -220,9 +194,7 @@ def sequential_forward_selection(matrix: FeatureMatrix, labels: LabelVector,
         for train, test in folds:
             if train.size == 0 or test.size == 0:
                 continue
-            model = fit_model(scorer, X[np.ix_(train, col_indices)],
-                              LabelVector(tuple(y[train]),
-                                          {c: str(c) for c in set(y)}))
+            model = fit_model(scorer, X[np.ix_(train, col_indices)], y[train])
             pred, _ = predict(model, X[np.ix_(test, col_indices)])
             accs.append(float(np.mean(pred == y[test])))
         return float(np.mean(accs)) if accs else 0.0

@@ -183,97 +183,72 @@ class SubjectBundle:
         return len(self.entries)
 
 
-#: Sentinel stored in a FeatureRow when a window failed extraction.
+#: Value stored in a FeatureMatrix cell when a window failed extraction.
 ABSENT = float("nan")
-
-
-def is_absent(value) -> bool:
-    return isinstance(value, float) and value != value
-
-
-@dataclass(frozen=True)
-class FeatureRow:
-    subject_id: str
-    phase: str
-    window_index: int
-    values: tuple
-
-    def __post_init__(self):
-        if self.window_index < 0:
-            raise ValueError("window_index must be nonnegative")
-        object.__setattr__(self, "values", tuple(self.values))
 
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Named feature columns over (subject, phase, window) rows.
+    """Named float feature columns over (subject, phase, window) rows.
 
-    Cells are floats or interned text tags; a column may not mix the two.
+    Row ``i`` is keyed by ``(subject_ids[i], phases[i], window_indices[i])``
+    and holds ``values[i]``, a row of the read-only ``(rows, columns)``
+    float64 array.  Absent cells (failed windows) are :data:`ABSENT` (NaN).
     """
 
     columns: tuple[str, ...]
-    rows: tuple[FeatureRow, ...]
+    subject_ids: np.ndarray
+    phases: np.ndarray
+    window_indices: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
         columns = tuple(self.columns)
-        rows = tuple(self.rows)
         object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "rows", rows)
+        for name, dtype in (("subject_ids", str), ("phases", str),
+                            ("window_indices", np.int64), ("values", float)):
+            arr = np.array(getattr(self, name), dtype=dtype, order="C")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         if len(set(columns)) != len(columns):
             raise ValueError("duplicate column names")
+        n = len(self.subject_ids)
+        if len(self.phases) != n or len(self.window_indices) != n:
+            raise ValueError("key arrays differ in length")
+        if self.values.shape != (n, len(columns)):
+            raise ValueError(f"values shape {self.values.shape} does not match "
+                             f"{n} rows x {len(columns)} columns")
+        if np.any(self.window_indices < 0):
+            raise ValueError("window_index must be nonnegative")
         keys = set()
-        kinds = [None] * len(columns)
-        for row in rows:
-            if len(row.values) != len(columns):
-                raise ValueError("row width does not match column count")
-            key = (row.subject_id, row.phase, row.window_index)
+        for key in self._keys(slice(None)):
             if key in keys:
                 raise ValueError(f"duplicate row key {key}")
             keys.add(key)
-            for j, v in enumerate(row.values):
-                if is_absent(v):
-                    continue
-                kind = "categorical" if isinstance(v, str) else "numeric"
-                if kinds[j] is None:
-                    kinds[j] = kind
-                elif kinds[j] != kind:
-                    raise ValueError(f"column {columns[j]!r} mixes numeric and categorical")
 
     def __len__(self):
-        return len(self.rows)
+        return len(self.subject_ids)
+
+    def _keys(self, rows) -> list[tuple[str, str, int]]:
+        return list(zip(self.subject_ids[rows].tolist(), self.phases[rows].tolist(),
+                        self.window_indices[rows].tolist()))
 
     def column_index(self, name: str) -> int:
         return self.columns.index(name)
 
-    def categorical_columns(self) -> list[str]:
-        cats = []
-        for j, name in enumerate(self.columns):
-            if any(isinstance(r.values[j], str) for r in self.rows):
-                cats.append(name)
-        return cats
-
-    def is_numeric(self) -> bool:
-        return not self.categorical_columns()
-
     def to_array(self) -> np.ndarray:
-        """Dense float array; raises if any column is categorical."""
-        if not self.is_numeric():
-            raise ValueError("matrix has categorical columns; one-hot encode first")
-        return np.array([r.values for r in self.rows], dtype=float)
-
-    def subject_ids(self) -> list[str]:
-        return [r.subject_id for r in self.rows]
+        """Writable copy of ``values``."""
+        return np.array(self.values)
 
     def subset_columns(self, names) -> "FeatureMatrix":
         idx = [self.column_index(n) for n in names]
-        rows = tuple(
-            FeatureRow(r.subject_id, r.phase, r.window_index, tuple(r.values[j] for j in idx))
-            for r in self.rows
-        )
-        return FeatureMatrix(tuple(names), rows)
+        return FeatureMatrix(tuple(names), self.subject_ids, self.phases,
+                             self.window_indices, self.values[:, idx])
 
     def subset_rows(self, indices) -> "FeatureMatrix":
-        return FeatureMatrix(self.columns, tuple(self.rows[i] for i in indices))
+        idx = np.asarray(indices, dtype=np.intp)
+        return FeatureMatrix(self.columns, self.subject_ids[idx], self.phases[idx],
+                             self.window_indices[idx], self.values[idx])
 
     def drop_incomplete_rows(self, with_kept: bool = False):
         """Drop rows containing absent cells.
@@ -281,13 +256,10 @@ class FeatureMatrix:
         Returns (matrix, dropped keys), or with ``with_kept`` (matrix,
         dropped keys, kept row indices) so aligned labels can follow.
         """
-        kept, dropped = [], []
-        for i, r in enumerate(self.rows):
-            if any(is_absent(v) for v in r.values):
-                dropped.append((r.subject_id, r.phase, r.window_index))
-            else:
-                kept.append(i)
+        incomplete = np.isnan(self.values).any(axis=1)
+        kept = np.flatnonzero(~incomplete).tolist()
         matrix = self.subset_rows(kept)
+        dropped = self._keys(incomplete)
         return (matrix, dropped, kept) if with_kept else (matrix, dropped)
 
 

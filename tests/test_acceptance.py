@@ -19,7 +19,6 @@ from affectpipe import (
     DatasetSpec,
     FeatureExtractor,
     FeatureMatrix,
-    FeatureRow,
     LabelGenerator,
     LabelRule,
     PipelineSpec,
@@ -148,9 +147,8 @@ def test_criterion_6_fold_laws():
         subjects = [f"P{rng.integers(n_subjects)}" for _ in range(n)]
         if len(set(subjects)) < 2:
             continue
-        rows = tuple(FeatureRow(subjects[i], "a", i, (float(i),))
-                     for i in range(n))
-        m = FeatureMatrix(("f",), rows)
+        m = FeatureMatrix(("f",), subjects, ["a"] * n, range(n),
+                          np.arange(n, dtype=float).reshape(n, 1))
         if cases % 2 == 0:
             folds = make_folds(CVStrategy("loso"), m)
             for train, test in folds:

@@ -6,7 +6,6 @@ from affectpipe import (
     ClassifierSpec,
     CVStrategy,
     FeatureMatrix,
-    FeatureRow,
     cross_validate,
     fit,
     make_folds,
@@ -36,8 +35,8 @@ def fm(X, subjects=None, phases=None):
     n = X.shape[0]
     subjects = subjects or [f"S{i}" for i in range(n)]
     phases = phases or ["a"] * n
-    rows = [FeatureRow(subjects[i], phases[i], i, tuple(X[i])) for i in range(n)]
-    return FeatureMatrix(tuple(f"f{j}" for j in range(X.shape[1])), tuple(rows))
+    return FeatureMatrix(tuple(f"f{j}" for j in range(X.shape[1])), subjects,
+                         phases, range(n), X)
 
 
 def lv(y):

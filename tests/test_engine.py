@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from affectpipe import (
     synth_dataset,
 )
 from affectpipe.features import FeatureCatalogEntry
-from affectpipe.engine import BUNDLE, FEATURES, LABELED, NONE, OUTPUT
+from affectpipe.engine import BUNDLE, FEATURES, LABELED, NONE, OUTPUT, RunContext
 from affectpipe.errors import (
     EmptyDataset,
     IncompatibleStages,
@@ -214,6 +215,34 @@ def test_incomplete_rows_dropped_with_labels_aligned(dataset_root):
     assert len(out.y_pred["knn3"]) == 18
 
 
+def test_absent_text_tag_row_is_dropped(dataset_root):
+    def posture(window, params):
+        if (window.subject_id, window.phase, round(window.timestamps[0])) == \
+                ("S2", "stress", 30):
+            raise TooFewSamples("window rejected for the test")
+        return {"posture": "sitting" if window.phase == "rest" else "standing"}
+
+    stages = _stages(dataset_root)
+    stages[2] = FeatureExtractor(
+        [FeatureCatalogEntry("eda", "EDA", posture, features=("posture",)),
+         FeatureCatalogEntry("ecg", "ECG", "ecg_stats", features=("std",))],
+        WindowingPolicy(60.0, 30.0), calculate_average=False)
+    stages[-1] = Classification(Classification.MODE_TRAIN, [KNN3])
+    ctx = RunContext()
+    matrix = stages[2].run(stages[1].run(stages[0].run(None, ctx), ctx), ctx)
+    assert matrix.columns == ("ecg.std", "eda.posture=sitting", "eda.posture=standing")
+    absent = np.isnan(matrix.values)
+    # 4 subjects x 2 phases x 3 windows; only the failed window's tags are absent
+    assert np.flatnonzero(absent.any(axis=1)).tolist() == [10]
+    assert (matrix.subject_ids[10], matrix.phases[10], matrix.window_indices[10]) == \
+        ("S2", "stress", 1)
+    assert absent[10].tolist() == [False, True, True]
+    p = build_pipeline(PipelineSpec(tuple(stages)))
+    out = p.run()
+    assert p.last_reports["dropped_rows"] == [("S2", "stress", 1)]
+    assert len(out.y_pred["knn3"]) == 23
+
+
 def test_determinism_bit_identical(dataset_root):
     runs = []
     for _ in range(2):
@@ -225,32 +254,31 @@ def test_determinism_bit_identical(dataset_root):
         np.testing.assert_array_equal(runs[0].y_pred[name], runs[1].y_pred[name])
 
 
-def test_stage_isolation_via_checkpoints(dataset_root, tmp_path):
+def _checkpointed(stage, checkpoints):
+    """Wrap ``stage.run`` to pickle each payload it returns."""
+    run = stage.run
+
+    def run_and_keep(payload, ctx):
+        out = run(payload, ctx)
+        checkpoints[stage.kind] = pickle.dumps(out)
+        return out
+
+    stage.run = run_and_keep
+    return stage
+
+
+def test_stage_isolation_via_checkpoints(dataset_root):
     """Swapping the classifier must not change any upstream payload."""
     payloads = []
-    for i, models in enumerate([[KNN3], [TREE]]):
-        stages = _stages(dataset_root)[:-1]
+    for models in ([KNN3], [TREE]):
+        checkpoints = {}
+        stages = [_checkpointed(s, checkpoints) for s in _stages(dataset_root)[:-1]]
         stages.append(Classification(2, models, cv=CVStrategy("kfold", 4)))
-        ckpt = tmp_path / f"run{i}"
-        p = build_pipeline(PipelineSpec(tuple(stages), checkpoint_dir=ckpt))
-        p.run()
-        payloads.append({f.name: f.read_bytes() for f in sorted(ckpt.iterdir())
-                         if "Classification" not in f.name})
-    assert payloads[0].keys() == payloads[1].keys()
-    for name in payloads[0]:
-        assert payloads[0][name] == payloads[1][name], name
-
-
-def test_checkpoints_written_per_stage(dataset_root, tmp_path):
-    ckpt = tmp_path / "ck"
-    p = build_pipeline(PipelineSpec(tuple(_stages(dataset_root)),
-                                    checkpoint_dir=ckpt))
-    p.run()
-    names = sorted(f.name for f in ckpt.iterdir())
-    assert names == [
-        "stage_0_Acquisition.pkl", "stage_1_Preprocessor.pkl",
-        "stage_2_FeatureExtractor.pkl", "stage_3_LabelGenerator.pkl",
-        "stage_4_Classification.pkl"]
+        build_pipeline(PipelineSpec(tuple(stages))).run()
+        payloads.append(checkpoints)
+    assert list(payloads[0]) == ["Acquisition", "Preprocessor",
+                                 "FeatureExtractor", "LabelGenerator"]
+    assert payloads[0] == payloads[1]
 
 
 def test_threshold_labels_read_reports_from_scan(dataset_root):

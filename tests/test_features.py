@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,7 +44,7 @@ from affectpipe.synth import (
     synth_emg,
     synth_resp,
 )
-from affectpipe.types import ABSENT, FeatureMatrix, FeatureRow, is_absent
+from affectpipe.types import ABSENT, FeatureMatrix
 
 from conftest import make_series, sine_series
 
@@ -436,7 +438,7 @@ def test_extract_average_row_count():
     m = extract_features(_stress_bundle(), WindowingPolicy(60.0, 30.0),
                          ecg_eda_catalog(), calculate_average=True)
     assert len(m) == 4
-    assert all(r.window_index == 0 for r in m.rows)
+    assert m.window_indices.tolist() == [0] * 4
 
 
 def test_extract_windowed_row_count():
@@ -470,11 +472,10 @@ def test_extract_invariant_to_subject_order():
     b = extract_features(swapped, WindowingPolicy(60.0, 30.0),
                          ecg_eda_catalog(), calculate_average=True)
     assert a.columns == b.columns
-    for row in a.rows:
-        other = next(r for r in b.rows if (r.subject_id, r.phase) ==
-                     (row.subject_id, row.phase))
-        np.testing.assert_allclose(np.asarray(row.values, float),
-                                   np.asarray(other.values, float))
+    for i in range(len(a)):
+        j = next(j for j in range(len(b)) if (b.subject_ids[j], b.phases[j]) ==
+                 (a.subject_ids[i], a.phases[i]))
+        np.testing.assert_allclose(a.values[i], b.values[j])
 
 
 def test_extract_failed_window_yields_absent_cells():
@@ -484,7 +485,7 @@ def test_extract_failed_window_yields_absent_cells():
                                    features=("hr_mean_bpm", "rmssd_s"))]
     m = extract_features(bundle, WindowingPolicy(60.0, 30.0), catalog)
     assert len(m) == 5
-    assert all(is_absent(v) for row in m.rows for v in row.values)
+    assert np.isnan(m.values).all()
 
 
 def test_extract_empty_catalog_rejected():
@@ -498,7 +499,7 @@ def test_extract_stress_features_move_as_expected():
                          WindowingPolicy(60.0, 30.0), ecg_eda_catalog(),
                          calculate_average=True)
     cols = {c: i for i, c in enumerate(m.columns)}
-    by_phase = {r.phase: r.values for r in m.rows}
+    by_phase = dict(zip(m.phases.tolist(), m.values))
     assert (by_phase["stress"][cols["hrv_time.hr_mean_bpm"]]
             > by_phase["rest"][cols["hrv_time.hr_mean_bpm"]])
     assert (by_phase["stress"][cols["eda_scr.scr_rate_per_min"]]
@@ -508,7 +509,7 @@ def test_extract_stress_features_move_as_expected():
 def _extract_features_per_entry(bundle, policy, catalog, calculate_average=False):
     """Reference: segment per catalog entry and run each computation alone."""
     columns = [f"{e.name}.{f}" for e in catalog for f in e.features]
-    rows = []
+    keys, rows = [], []
     for subject in bundle.subjects():
         for phase in bundle.phases_for(subject):
             per_entry = []
@@ -531,28 +532,35 @@ def _extract_features_per_entry(bundle, policy, catalog, calculate_average=False
                 with np.errstate(invalid="ignore"):
                     means = np.nanmean(stacked, axis=0)
                 means = [ABSENT if np.isnan(m) else float(m) for m in means]
-                rows.append(FeatureRow(subject, phase, 0, tuple(means)))
+                keys.append((subject, phase, 0))
+                rows.append(tuple(means))
             else:
-                rows.extend(FeatureRow(subject, phase, k, vals)
-                            for k, vals in enumerate(window_rows))
-    return FeatureMatrix(tuple(columns), tuple(rows))
+                keys.extend((subject, phase, k) for k in range(n_windows))
+                rows.extend(window_rows)
+    subjects, phases, windows = zip(*keys)
+    return FeatureMatrix(tuple(columns), subjects, phases, windows, rows)
 
 
 def _bits(matrix):
-    return [(r.subject_id, r.phase, r.window_index,
-             np.asarray(r.values, dtype=float).tobytes()) for r in matrix.rows]
+    return [(s, p, k, matrix.values[i].tobytes()) for i, (s, p, k) in enumerate(
+        zip(matrix.subject_ids, matrix.phases, matrix.window_indices))]
 
 
-@pytest.mark.parametrize("calculate_average", [False, True])
-# S3's HRV columns are absent in every window, so their mean is empty
-@pytest.mark.filterwarnings("ignore:Mean of empty slice:RuntimeWarning")
-def test_extract_bit_identical_to_per_entry_loop(calculate_average):
+def _bundle_with_flat_ecg():
+    """The stress bundle plus S3, whose flat ECG fails R-peak detection."""
     bundle = _stress_bundle()
     flat = make_series(np.zeros(250 * 180), 250.0, subject="S3", phase="rest")
     eda = make_series(np.linspace(1.0, 2.0, 32 * 180), 32.0,
                       modality_name="EDA", subject="S3", phase="rest")
-    bundle = SubjectBundle({**{s: bundle.series_for(s) for s in bundle.subjects()},
-                            "S3": [flat, eda]})
+    return SubjectBundle({**{s: bundle.series_for(s) for s in bundle.subjects()},
+                          "S3": [flat, eda]})
+
+
+@pytest.mark.parametrize("calculate_average", [False, True])
+# the reference averages S3's all-absent HRV columns, an empty mean
+@pytest.mark.filterwarnings("ignore:Mean of empty slice:RuntimeWarning")
+def test_extract_bit_identical_to_per_entry_loop(calculate_average):
+    bundle = _bundle_with_flat_ecg()
     policy = WindowingPolicy(60.0, 30.0)
     got = extract_features(bundle, policy, ecg_eda_catalog(), calculate_average)
     want = _extract_features_per_entry(bundle, policy, ecg_eda_catalog(),
@@ -560,9 +568,18 @@ def test_extract_bit_identical_to_per_entry_loop(calculate_average):
     assert got.columns == want.columns
     assert _bits(got) == _bits(want)
     # the flat ECG fails R-peak detection: both HRV entries are absent there
-    s3 = [r for r in got.rows if r.subject_id == "S3"]
+    s3 = got.subject_ids == "S3"
     hrv = [j for j, c in enumerate(got.columns) if c.startswith("hrv_")]
-    assert s3 and all(is_absent(r.values[j]) for r in s3 for j in hrv)
+    assert s3.any() and np.isnan(got.values[np.ix_(s3, hrv)]).all()
+
+
+def test_extract_average_of_all_absent_column_does_not_warn():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = extract_features(_bundle_with_flat_ecg(), WindowingPolicy(60.0, 30.0),
+                             ecg_eda_catalog(), calculate_average=True)
+    hrv = [j for j, c in enumerate(m.columns) if c.startswith("hrv_")]
+    assert np.isnan(m.values[m.subject_ids == "S3"][:, hrv]).all()
 
 
 def test_extract_detects_r_peaks_once_per_ecg_window(monkeypatch):

@@ -5,17 +5,19 @@ from hypothesis import assume, given, settings, strategies as st
 from affectpipe import (
     ClassifierSpec,
     FeatureMatrix,
-    FeatureRow,
     LabelRule,
     SelfReport,
+    SubjectBundle,
+    WindowingPolicy,
     attach_labels,
+    extract_features,
     generate_phase_labels,
-    one_hot_encode,
     sequential_forward_selection,
     stai_dynamic_threshold,
     suds_fixed_threshold,
 )
 from affectpipe.classification import fit as fit_model, predict
+from affectpipe.features import FeatureCatalogEntry
 from affectpipe.labels import _stratified_folds, load_reports
 from affectpipe.errors import (
     InsufficientReports,
@@ -26,10 +28,12 @@ from affectpipe.errors import (
 )
 from affectpipe.types import LabelVector
 
+from conftest import make_series
+
 
 def matrix_of(rows_spec, columns=("f",)):
-    rows = [FeatureRow(s, p, w, tuple(v)) for s, p, w, v in rows_spec]
-    return FeatureMatrix(tuple(columns), tuple(rows))
+    subjects, phases, windows, values = zip(*rows_spec)
+    return FeatureMatrix(tuple(columns), subjects, phases, windows, values)
 
 
 # --- phase labels ---
@@ -170,11 +174,13 @@ def test_attach_strict_escalates_missing_report():
 
 
 def test_attach_custom_rule_passthrough():
-    rule = LabelRule("custom", {"fn": lambda row: 1 if row.phase == "stress" else 0,
+    rule = LabelRule("custom", {"fn": lambda m: (m.phases == "stress").astype(int),
                                 "class_names": {0: "calm", 1: "stressed"}})
     m, lv, dropped = attach_labels(_four_row_matrix(), rule)
     assert lv.labels == (0, 1, 0, 1)
     assert dropped == []
+    with pytest.raises(ValueError, match="does not match row count"):
+        attach_labels(_four_row_matrix(), LabelRule("custom", {"fn": lambda m: [0]}))
 
 
 def test_load_reports_roundtrip(tmp_path):
@@ -186,36 +192,66 @@ def test_load_reports_roundtrip(tmp_path):
     assert reports[1].score == 75.0
 
 
-# --- one-hot encoding ---
+# --- text tags, one-hot encoded by extract_features ---
+
+def extract_cells(cells, names, calculate_average=False):
+    """extract_features over 1 s windows whose custom computation returns
+    ``cells[subject, phase][k]``, the raw values of window k, as ``names``."""
+    n_windows = len(next(iter(cells.values())))
+    series = {}
+    for subject, phase in cells:
+        series.setdefault(subject, []).append(
+            make_series(np.zeros(10 * n_windows), 10.0, subject=subject, phase=phase))
+
+    def raw(window, params):
+        k = int(round(window.timestamps[0]))
+        return dict(zip(names, cells[window.subject_id, window.phase][k]))
+
+    entry = FeatureCatalogEntry("raw", "ECG", raw, features=tuple(names))
+    return extract_features(SubjectBundle(series), WindowingPolicy(1.0, 1.0),
+                            [entry], calculate_average)
+
 
 def test_one_hot_binary_column():
-    m = matrix_of([("S1", "a", 0, [1.0, "chest"]), ("S1", "b", 0, [2.0, "wrist"]),
-                   ("S2", "a", 0, [3.0, "chest"])], columns=("f", "device"))
-    enc = one_hot_encode(m)
-    assert enc.columns == ("f", "device=chest", "device=wrist")
-    for row in enc.rows:
-        assert row.values[1] + row.values[2] == 1.0
+    # tags are sorted, not taken in order of appearance
+    enc = extract_cells({("S1", "a"): [(1.0, "wrist")], ("S1", "b"): [(2.0, "chest")],
+                         ("S2", "a"): [(3.0, "wrist")]}, ("f", "device"))
+    assert enc.columns == ("raw.f", "raw.device=chest", "raw.device=wrist")
+    np.testing.assert_array_equal(enc.values, [[1.0, 0.0, 1.0], [2.0, 1.0, 0.0],
+                                               [3.0, 0.0, 1.0]])
 
 
 def test_one_hot_identity_on_numeric():
-    m = _four_row_matrix()
-    assert one_hot_encode(m) is m
+    cells = {("S1", "a"): [(1.0, 2), (3.0, 4)], ("S2", "a"): [(5.0, 6), (7.0, 8)]}
+    enc = extract_cells(cells, ("f", "g"))
+    assert enc.columns == ("raw.f", "raw.g")
+    np.testing.assert_array_equal(enc.values, [[1, 2], [3, 4], [5, 6], [7, 8]])
 
 
 def test_one_hot_degenerate_single_value():
-    m = matrix_of([("S1", "a", 0, ["x"]), ("S1", "b", 0, ["x"])],
-                  columns=("tag",))
-    enc = one_hot_encode(m)
-    assert enc.columns == ("tag=x",)
-    assert all(row.values == (1.0,) for row in enc.rows)
+    enc = extract_cells({("S1", "a"): [("x",)], ("S1", "b"): [("x",)]}, ("tag",))
+    assert enc.columns == ("raw.tag=x",)
+    np.testing.assert_array_equal(enc.values, [[1.0], [1.0]])
 
 
 def test_one_hot_numerics_first_then_encodings():
-    m = matrix_of([("S1", "a", 0, ["u", 1.0, "x", 2.0]),
-                   ("S1", "b", 0, ["v", 3.0, "y", 4.0])],
-                  columns=("c0", "c1", "c2", "c3"))
-    enc = one_hot_encode(m)
-    assert enc.columns == ("c1", "c3", "c0=u", "c0=v", "c2=x", "c2=y")
+    enc = extract_cells({("S1", "a"): [("u", 1.0, "x", 2.0)],
+                         ("S1", "b"): [("v", 3.0, "y", 4.0)]},
+                        ("c0", "c1", "c2", "c3"))
+    assert enc.columns == ("raw.c1", "raw.c3", "raw.c0=u", "raw.c0=v",
+                           "raw.c2=x", "raw.c2=y")
+
+
+def test_one_hot_rejects_mixed_column():
+    with pytest.raises(ValueError, match="'raw.tag' mixes numbers and text"):
+        extract_cells({("S1", "a"): [("x",)], ("S1", "b"): [(1.0,)]}, ("tag",))
+
+
+def test_one_hot_average_is_share_of_windows():
+    enc = extract_cells({("S1", "a"): [("x",), ("y",), ("x",), ("x",)]}, ("tag",),
+                        calculate_average=True)
+    assert enc.columns == ("raw.tag=x", "raw.tag=y")
+    np.testing.assert_array_equal(enc.values, [[0.75, 0.25]])
 
 
 # --- sequential forward selection ---
@@ -234,8 +270,8 @@ def _sfs_fixture(seed=0):
         1 - y + rng.normal(0, 0.5, n),      # informative, inverted
         rng.normal(0, 1, n),                # pure noise
     ])
-    rows = [FeatureRow("S1", "a", i, tuple(cols[i])) for i in range(n)]
-    m = FeatureMatrix(("c0", "c1", "c2", "c3", "c4"), tuple(rows))
+    m = FeatureMatrix(("c0", "c1", "c2", "c3", "c4"), ["S1"] * n, ["a"] * n,
+                      range(n), cols)
     lv = LabelVector(tuple(y), {0: "low", 1: "high"})
     return m, lv
 
@@ -285,12 +321,21 @@ def test_sfs_deterministic():
     assert a.columns == b.columns
 
 
-def test_sfs_rejects_categorical():
-    m = matrix_of([("S1", "a", 0, ["x"]), ("S1", "b", 0, ["y"])],
-                  columns=("tag",))
-    lv = LabelVector((0, 1), {0: "a", 1: "b"})
-    with pytest.raises(ValueError):
-        sequential_forward_selection(m, lv, KNN1, k=1)
+class _Majority:
+    """A bare fit/predict handle, not a ClassifierSpec."""
+
+    def fit(self, X, y):
+        self.label = np.bincount(y).argmax()
+
+    def predict(self, X):
+        return np.full(len(X), self.label)
+
+
+def test_sfs_accepts_bare_handle_scorer():
+    m, lv = _sfs_fixture()
+    out = sequential_forward_selection(m, lv, _Majority(), k=2)
+    # every column scores the same, so ties keep the lowest indices
+    assert out.columns == ("c0", "c1")
 
 
 def test_stratified_folds_partition():
