@@ -53,23 +53,26 @@ class CVStrategy:
 
 @dataclass(frozen=True)
 class FittedModel:
+    """An estimator fitted on z-scored rows, plus the training mean ``mu``
+    and standard deviation ``sigma`` that :func:`predict` z-scores with."""
+
     spec: ClassifierSpec
     classes: np.ndarray
-    n_features: int
+    mu: np.ndarray
+    sigma: np.ndarray
     state: dict
 
 
 def _as_array(X) -> np.ndarray:
-    if isinstance(X, FeatureMatrix):
-        return X.to_array()
-    X = np.asarray(X, dtype=float)
+    X = X.to_array() if isinstance(X, FeatureMatrix) else np.asarray(X, dtype=float)
     if not np.all(np.isfinite(X)):
         raise NonNumericFeature("feature matrix contains non-finite values")
     return X
 
 
 def fit(spec: ClassifierSpec, X, y: LabelVector | np.ndarray) -> FittedModel:
-    """Train one model; deterministic given identical inputs."""
+    """Train one model on rows z-scored with their column mean and standard
+    deviation (0 counts as 1); deterministic given identical inputs."""
     X = _as_array(X)
     y = y.to_array() if isinstance(y, LabelVector) else np.asarray(y, dtype=int)
     if X.shape[0] != y.size:
@@ -77,66 +80,76 @@ def fit(spec: ClassifierSpec, X, y: LabelVector | np.ndarray) -> FittedModel:
     classes = np.unique(y)
     if classes.size < 2:
         raise SingleClass("training labels contain a single class")
+    mu = X.mean(axis=0)
+    sigma = X.std(axis=0)
+    sigma = np.where(sigma > 0, sigma, 1.0)
+    return _fit_scaled(spec, classes, mu, sigma, (X - mu) / sigma, y)
+
+
+def _fit_scaled(spec, classes, mu, sigma, Z, y) -> FittedModel:
+    """Fit ``spec`` on rows ``Z`` already z-scored with ``mu``/``sigma``."""
     hp = spec.hyperparameters
     algo = spec.algorithm
-
     if algo == "KNN":
         k = int(hp.get("k_neighbors", 5))
         if k < 1:
             raise ValueError(f"k_neighbors must be at least 1, got {k}")
-        state = {"X": X.copy(), "y": y.copy(), "k": k}
+        state = {"X": Z, "y": y.copy(), "k": k}
     elif algo == "DecisionTree":
-        tree = _grow_tree(X, y, classes, depth=0,
+        tree = _grow_tree(Z, y, classes, depth=0,
                           max_depth=hp.get("max_depth"))
         state = {"tree": tree}
     elif algo == "LDA":
-        state = _fit_lda(X, y, classes)
+        state = _fit_lda(Z, y, classes)
     elif algo == "LogisticRegression":
-        state = _fit_logistic(X, y, classes,
+        state = _fit_logistic(Z, y, classes,
                               iters=int(hp.get("iterations", LOGISTIC_ITERS)),
                               step=float(hp.get("step", LOGISTIC_STEP)))
     elif algo == "AveragingEnsemble":
-        members = [fit(m, X, y) for m in hp["members"]]
-        state = {"members": members}
+        # members share the ensemble's scaler
+        state = {"members": [_fit_scaled(m, classes, mu, sigma, Z, y)
+                             for m in hp["members"]]}
     elif algo == "custom":
         handle = copy.deepcopy(hp["handle"])
-        handle.fit(X, y)
+        handle.fit(Z, y)
         state = {"handle": handle}
     else:
         raise ValueError(f"unknown algorithm {algo!r}")
-    return FittedModel(spec, classes, X.shape[1], state)
+    return FittedModel(spec, classes, mu, sigma, state)
 
 
 def predict(model: FittedModel, X) -> tuple[np.ndarray, np.ndarray | None]:
     """Labels plus per-class probability scores (columns follow
-    ``model.classes``), or ``scores=None`` when the algorithm has none."""
+    ``model.classes``), or ``scores=None`` when the algorithm has none,
+    for the rows of ``X`` z-scored with the model's training statistics."""
     X = _as_array(X)
-    if X.shape[1] != model.n_features:
+    if X.shape[1] != model.mu.size:
         raise SchemaMismatch(
-            f"model trained on {model.n_features} columns, got {X.shape[1]}"
+            f"model trained on {model.mu.size} columns, got {X.shape[1]}"
         )
+    return _predict_scaled(model, (X - model.mu) / model.sigma)
+
+
+def _predict_scaled(model: FittedModel, Z: np.ndarray):
     algo = model.spec.algorithm
     if algo == "KNN":
-        scores = _knn_scores(model, X)
+        scores = _knn_scores(model, Z)
     elif algo == "DecisionTree":
         scores = np.array([_tree_scores(model.state["tree"], row, model.classes)
-                           for row in X])
+                           for row in Z])
     elif algo == "LDA":
-        scores = _lda_scores(model.state, X)
+        scores = _lda_scores(model.state, Z)
     elif algo == "LogisticRegression":
-        scores = _logistic_scores(model.state, X)
+        scores = _logistic_scores(model.state, Z)
     elif algo == "AveragingEnsemble":
-        member_scores = []
-        for m in model.state["members"]:
-            _, s = predict(m, X)
-            member_scores.append(s)
-        scores = np.mean(member_scores, axis=0)
+        scores = np.mean([_predict_scaled(m, Z)[1] for m in model.state["members"]],
+                         axis=0)
     elif algo == "custom":
         handle = model.state["handle"]
-        labels = np.asarray(handle.predict(X), dtype=int)
+        labels = np.asarray(handle.predict(Z), dtype=int)
         scores = None
         if hasattr(handle, "predict_proba"):
-            scores = np.asarray(handle.predict_proba(X), dtype=float)
+            scores = np.asarray(handle.predict_proba(Z), dtype=float)
         return labels, scores
     else:
         raise ValueError(f"unknown algorithm {algo!r}")
@@ -271,10 +284,7 @@ def _lda_scores(state, X):
 
 # --- logistic regression ---
 
-def _fit_logistic(X, y, classes, iters, step):
-    mu, sigma = X.mean(axis=0), X.std(axis=0)
-    sigma = np.where(sigma > 0, sigma, 1.0)
-    Z = (X - mu) / sigma
+def _fit_logistic(Z, y, classes, iters, step):
     n = Z.shape[0]
     Y = np.zeros((n, classes.size))
     for i, c in enumerate(classes):
@@ -284,11 +294,10 @@ def _fit_logistic(X, y, classes, iters, step):
     for _ in range(iters):
         P = _softmax(Zb @ W)
         W -= step * (Zb.T @ (P - Y)) / n
-    return {"W": W, "mu": mu, "sigma": sigma}
+    return {"W": W}
 
 
-def _logistic_scores(state, X):
-    Z = (X - state["mu"]) / state["sigma"]
+def _logistic_scores(state, Z):
     Zb = np.hstack([Z, np.ones((Z.shape[0], 1))])
     return _softmax(Zb @ state["W"])
 
@@ -423,9 +432,12 @@ def cross_validate(specs, X: FeatureMatrix, y: LabelVector,
                    strategy: CVStrategy):
     """Fit/predict every spec on every fold and aggregate the metrics.
 
-    Features are z-score standardized with train-fold statistics only.
-    Returns (report, artifacts) where artifacts carries fitted models and
-    the concatenated y_true / per-model y_pred / per-model scores in fold
+    :func:`fit` sees only the raw training rows of a fold, so each model
+    z-scores with that fold's training statistics and keeps them: passed
+    back through :func:`predict` on the fold's test rows, a model in
+    ``fitted_models`` reproduces the fold's predictions.  Returns
+    (report, artifacts) where artifacts carries fitted models and the
+    concatenated y_true / per-model y_pred / per-model scores in fold
     order.
     """
     y.check_against(X)
@@ -442,13 +454,8 @@ def cross_validate(specs, X: FeatureMatrix, y: LabelVector,
         fold_metrics = []
         fitted[spec.name] = []
         for train, test in folds:
-            mu = Xa[train].mean(axis=0)
-            sigma = Xa[train].std(axis=0)
-            sigma = np.where(sigma > 0, sigma, 1.0)
-            Xtr = (Xa[train] - mu) / sigma
-            Xte = (Xa[test] - mu) / sigma
-            model = fit(spec, Xtr, ya[train])
-            pred, scores = predict(model, Xte)
+            model = fit(spec, Xa[train], ya[train])
+            pred, scores = predict(model, Xa[test])
             fitted[spec.name].append(model)
             y_pred_all[spec.name].append(pred)
             scores_all[spec.name].append(scores)

@@ -190,25 +190,22 @@ class Classification(Component):
             report, artifacts = cross_validate(self.models, matrix, labels, cv)
             return PipelineOutput(
                 fitted_models=artifacts["fitted_models"],
-                y_true=LabelVector(tuple(artifacts["y_true"]), labels.class_names),
+                y_true=LabelVector(artifacts["y_true"], labels.class_names),
                 y_pred=artifacts["y_pred"],
                 scores=artifacts["scores"],
                 report=report,
             )
+        X = matrix.to_array()
         if self.mode == self.MODE_TRAIN:
-            fitted, y_pred, scores = {}, {}, {}
-            for spec in self.models:
-                model = fit(spec, matrix, labels)
-                fitted[spec.name] = model
-                y_pred[spec.name], scores[spec.name] = predict(model, matrix.to_array())
-            return PipelineOutput(fitted, labels, y_pred, scores, report=None)
-        if self.mode == self.MODE_TEST:
-            y_pred, scores = {}, {}
-            for name, model in self.pretrained.items():
-                y_pred[name], scores[name] = predict(model, matrix.to_array())
-            return PipelineOutput(dict(self.pretrained), labels, y_pred, scores,
-                                  report=None)
-        raise ValueError(f"unknown classification mode {self.mode}")
+            models = {spec.name: fit(spec, X, labels) for spec in self.models}
+        elif self.mode == self.MODE_TEST:
+            models = dict(self.pretrained)
+        else:
+            raise ValueError(f"unknown classification mode {self.mode}")
+        y_pred, scores = {}, {}
+        for name, model in models.items():
+            y_pred[name], scores[name] = predict(model, X)
+        return PipelineOutput(models, labels, y_pred, scores, report=None)
 
 
 @dataclass(frozen=True)

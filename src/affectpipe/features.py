@@ -493,18 +493,10 @@ def _hrv_freq(rr: RRSeries, window: TimeSeries, params):
     return hrv_freq_features(rr, bands, min_span_s=min_span)
 
 
-#: Computations of a window's inter-beat series, as ``fn(rr, window,
-#: params)``.  :func:`extract_features` detects each window's R-peaks once
-#: and hands the result to every entry naming one of these.
-_RR_COMPUTATIONS = {"hrv_time": _hrv_time, "hrv_freq": _hrv_freq}
-
-
-def _compute_hrv_time(window: TimeSeries, params):
-    return _hrv_time(rr_from_ecg(window), window, params)
-
-
-def _compute_hrv_freq(window: TimeSeries, params):
-    return _hrv_freq(rr_from_ecg(window), window, params)
+#: The registered computations of a window's inter-beat series, called as
+#: ``fn(rr, window, params)`` (the other COMPUTATIONS as ``fn(window,
+#: params)``): :func:`extract_features` detects each window's R-peaks once.
+_RR_COMPUTATIONS = (_hrv_time, _hrv_freq)
 
 
 def _compute_eda_decomposed(window: TimeSeries, params):
@@ -530,8 +522,8 @@ def _compute_emg(window: TimeSeries, params):
 
 COMPUTATIONS = {
     "ecg_stats": _compute_stats,
-    "hrv_time": _compute_hrv_time,
-    "hrv_freq": _compute_hrv_freq,
+    "hrv_time": _hrv_time,
+    "hrv_freq": _hrv_freq,
     "eda_stats": _compute_stats,
     "eda_decomposition": _compute_eda_decomposed,
     "statistics": _compute_stats,
@@ -602,13 +594,12 @@ class _SeriesWindows:
 def _entry_values(entry: FeatureCatalogEntry, cut: _SeriesWindows) -> list[tuple]:
     """One value tuple per window; absent cells where the window failed."""
     names = _entry_feature_names(entry)
-    from_rr = (_RR_COMPUTATIONS.get(entry.computation)
-               if isinstance(entry.computation, str) else None)
     fn = _resolve(entry)
+    from_rr = fn in _RR_COMPUTATIONS
     values = []
     for k, w in enumerate(cut.windows):
         try:
-            computed = (from_rr(cut.rr(k), w, entry.parameters) if from_rr
+            computed = (fn(cut.rr(k), w, entry.parameters) if from_rr
                         else fn(w, entry.parameters))
         except AffectPipeError:
             values.append((ABSENT,) * len(names))

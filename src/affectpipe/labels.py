@@ -67,7 +67,7 @@ def generate_phase_labels(matrix: FeatureMatrix,
     for phase, c in sorted(phase_to_class.items()):
         c = int(c)
         names[c] = phase if c not in names else f"{names[c]}|{phase}"
-    return LabelVector(tuple(labels), names)
+    return LabelVector(labels, names)
 
 
 def suds_fixed_threshold(reports: list[SelfReport]) -> dict[tuple[str, str], int]:
@@ -114,9 +114,10 @@ def attach_labels(matrix: FeatureMatrix, rule: LabelRule,
 
     if rule.kind == "custom":
         fn = rule.parameters["fn"]
-        labels = [int(c) for c in fn(matrix)]
-        names = rule.parameters.get("class_names") or {c: str(c) for c in set(labels)}
-        vector = LabelVector(tuple(labels), names)
+        labels = np.array(fn(matrix), dtype=np.int64)
+        names = (rule.parameters.get("class_names")
+                 or {c: str(c) for c in np.unique(labels).tolist()})
+        vector = LabelVector(labels, names)
         vector.check_against(matrix)
         return matrix, vector, []
 
@@ -125,19 +126,14 @@ def attach_labels(matrix: FeatureMatrix, rule: LabelRule,
             raise MissingReport("threshold rules need self-reports")
         table = (suds_fixed_threshold(reports) if rule.kind == "fixed-threshold"
                  else stai_dynamic_threshold(reports))
-        kept, labels, dropped = [], [], []
-        keys = zip(matrix.subject_ids.tolist(), matrix.phases.tolist(),
-                   matrix.window_indices.tolist())
-        for i, (subject, phase, window) in enumerate(keys):
-            if (subject, phase) in table:
-                kept.append(i)
-                labels.append(table[(subject, phase)])
-            else:
-                dropped.append((subject, phase, window))
+        pairs = list(zip(matrix.subject_ids.tolist(), matrix.phases.tolist()))
+        found = np.array([pair in table for pair in pairs], dtype=bool)
+        dropped = matrix._keys(~found)
         if dropped and strict:
             raise MissingReport(f"rows without self-reports: {dropped}")
-        return (matrix.subset_rows(kept),
-                LabelVector(tuple(labels), dict(_BINARY_NAMES)),
+        return (matrix.subset_rows(np.flatnonzero(found)),
+                LabelVector([table[pair] for pair in pairs if pair in table],
+                            dict(_BINARY_NAMES)),
                 dropped)
 
     raise ValueError(f"unknown label rule kind {rule.kind!r}")

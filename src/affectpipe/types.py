@@ -265,24 +265,29 @@ class FeatureMatrix:
 
 @dataclass(frozen=True)
 class LabelVector:
-    """Integer class ids aligned one-to-one with FeatureMatrix rows."""
+    """Integer class ids aligned one-to-one with FeatureMatrix rows, held as
+    one read-only int64 array."""
 
-    labels: tuple[int, ...]
+    labels: np.ndarray
     class_names: dict[int, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        labels = tuple(int(x) for x in self.labels)
+        labels = np.array(self.labels, dtype=np.int64)
+        if labels.ndim != 1:
+            raise ValueError("labels must be one-dimensional")
+        labels.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "class_names", dict(self.class_names))
-        missing = sorted(set(labels) - set(self.class_names))
+        missing = sorted(set(np.unique(labels).tolist()) - set(self.class_names))
         if missing:
             raise ValueError(f"labels without class names: {missing}")
 
     def __len__(self):
-        return len(self.labels)
+        return self.labels.size
 
     def to_array(self) -> np.ndarray:
-        return np.asarray(self.labels, dtype=int)
+        """Writable copy of ``labels``."""
+        return np.array(self.labels)
 
     def check_against(self, matrix: FeatureMatrix):
         if len(self) != len(matrix):
@@ -291,4 +296,5 @@ class LabelVector:
             )
 
     def subset(self, indices) -> "LabelVector":
-        return LabelVector(tuple(self.labels[i] for i in indices), self.class_names)
+        return LabelVector(self.labels[np.asarray(indices, dtype=np.intp)],
+                           self.class_names)

@@ -16,6 +16,7 @@ from affectpipe import (
 from affectpipe.errors import (
     AUCUndefined,
     LengthMismatch,
+    NonNumericFeature,
     SchemaMismatch,
     SingleClass,
     TooFewRows,
@@ -47,10 +48,12 @@ def lv(y):
 # --- fit / predict ---
 
 def test_knn_stores_training_set_verbatim():
-    X = np.random.default_rng(0).normal(0, 1, (12, 3))
+    X = np.random.default_rng(0).normal([5.0, -2.0, 0.0], [3.0, 0.1, 1.0], (12, 3))
     y = np.array([0, 1] * 6)
     model = fit(KNN(9), X, y)
-    np.testing.assert_array_equal(model.state["X"], X)
+    np.testing.assert_array_equal(model.mu, X.mean(axis=0))
+    np.testing.assert_array_equal(model.sigma, X.std(axis=0))
+    np.testing.assert_array_equal(model.state["X"], (X - model.mu) / model.sigma)
     np.testing.assert_array_equal(model.state["y"], y)
     assert model.state["k"] == 9
 
@@ -257,18 +260,39 @@ def test_knn_block_scores_bit_identical_to_rowwise(p):
                 assert got.tobytes() == want.tobytes(), (p, n_classes, k)
 
 
+def test_knn_block_scores_bit_identical_on_exact_distance_ties():
+    # a hand-built state keeps raw rows that permute one vector, so against
+    # a constant query every distance ties in exact arithmetic and only the
+    # summation order's rounding ranks the neighbours
+    rng = np.random.default_rng(0)
+    for p in (3, 8, 11):
+        X = rng.permuted(np.tile(rng.normal(0, 1, p), (120, 1)), axis=1)
+        Q = np.repeat(rng.normal(0, 1, (300, 1)), p, axis=1)
+        y = np.arange(120) % 3
+        for k in (1, 4, 9):
+            model = classification.FittedModel(
+                KNN(k), np.arange(3), np.zeros(p), np.ones(p),
+                {"X": X, "y": y, "k": k})
+            got = classification._knn_scores(model, Q)
+            assert got.tobytes() == _knn_scores_rowwise(model, Q).tobytes(), (p, k)
+
+
 def test_knn_brute_force_oracle():
     rng = np.random.default_rng(42)
     X = rng.normal(0, 1, (150, 4))
     y = rng.integers(0, 3, 150)
     y[:3] = [0, 1, 2]  # guarantee all classes
-    Q = rng.normal(0, 1, (50, 4))
+    X = X * [1.0, 10.0, 0.1, 3.0] + [0.0, 5.0, -1.0, 2.0]  # unequal column scales
+    Q = rng.normal(0, 1, (50, 4)) * [1.0, 10.0, 0.1, 3.0] + [0.0, 5.0, -1.0, 2.0]
+    # the oracle z-scores with the training statistics
+    mu, sigma = X.mean(axis=0), X.std(axis=0)
+    Xz, Qz = (X - mu) / sigma, (Q - mu) / sigma
     for k in (1, 3, 7):
         model = fit(KNN(k), X, y)
         pred, _ = predict(model, Q)
         classes = np.unique(y)
-        for qi, q in enumerate(Q):
-            dist = [(float(np.sqrt(np.sum((X[i] - q) ** 2))), i)
+        for qi, q in enumerate(Qz):
+            dist = [(float(np.sqrt(np.sum((Xz[i] - q) ** 2))), i)
                     for i in range(X.shape[0])]
             neighbors = [i for _, i in sorted(dist)[:k]]
             votes = {c: sum(1 for i in neighbors if y[i] == c) for c in classes}
@@ -332,6 +356,60 @@ def test_custom_handle_contract():
     pred, scores = predict(model, np.zeros((3, 1)))
     np.testing.assert_array_equal(pred, [1, 1, 1])
     assert scores is None
+
+
+def test_fit_and_predict_reject_non_finite_feature_matrix():
+    X = np.arange(12.0).reshape(6, 2)
+    y = np.array([0, 1] * 3)
+    for bad in (np.nan, np.inf):
+        Xbad = X.copy()
+        Xbad[2, 1] = bad
+        with pytest.raises(NonNumericFeature):
+            fit(KNN(1), fm(Xbad), y)
+        with pytest.raises(NonNumericFeature):
+            predict(fit(KNN(1), fm(X), y), fm(Xbad))
+
+
+def test_constant_column_scales_by_one():
+    X = np.column_stack([np.arange(6.0), np.full(6, 4.0)])
+    model = fit(LDA, X, np.array([0, 0, 0, 1, 1, 1]))
+    np.testing.assert_array_equal(model.mu, [2.5, 4.0])
+    assert model.sigma[1] == 1.0
+
+
+def test_custom_handle_receives_z_scored_rows():
+    seen = []
+
+    class Recorder:
+        def fit(self, X, y):
+            seen.append(X.copy())
+
+        def predict(self, X):
+            seen.append(X.copy())
+            return np.zeros(X.shape[0], dtype=int)
+
+    rng = np.random.default_rng(3)
+    X = rng.normal([10.0, -4.0], [5.0, 0.01], (20, 2))
+    Q = rng.normal([10.0, -4.0], [5.0, 0.01], (4, 2))
+    model = fit(ClassifierSpec("rec", "custom", {"handle": Recorder()}), X,
+                np.array([0, 1] * 10))
+    predict(model, Q)
+    mu, sigma = X.mean(axis=0), X.std(axis=0)
+    np.testing.assert_array_equal(seen[0], (X - mu) / sigma)
+    np.testing.assert_array_equal(seen[1], (Q - mu) / sigma)
+
+
+def test_ensemble_members_share_one_scaler():
+    rng = np.random.default_rng(9)
+    X = rng.normal([3.0, 0.0, -8.0], [2.0, 0.5, 4.0], (30, 3))
+    y = np.array([0, 1] * 15)
+    model = fit(ClassifierSpec("ens", "AveragingEnsemble",
+                               {"members": [KNN(3), LDA]}), X, y)
+    knn = model.state["members"][0]
+    for member in model.state["members"]:
+        assert member.mu is model.mu and member.sigma is model.sigma
+    # the member holds the rows z-scored once, bit for bit
+    assert knn.state["X"].tobytes() == ((X - model.mu) / model.sigma).tobytes()
 
 
 def test_ensemble_scores_are_member_mean():

@@ -20,8 +20,12 @@ from affectpipe import (
     SignalAcquisition,
     SignalPreprocessor,
     WindowingPolicy,
+    FeatureMatrix,
+    LabelVector,
     build_pipeline,
+    cross_validate,
     ecg_eda_catalog,
+    make_folds,
     synth_dataset,
 )
 from affectpipe.features import FeatureCatalogEntry
@@ -307,3 +311,52 @@ def test_training_mode_returns_fitted_models(dataset_root):
     assert set(out.fitted_models) == {"knn3", "tree"}
     for name in out.y_pred:
         assert len(out.y_pred[name]) == len(out.y_true.labels)
+
+
+LDA = ClassifierSpec("lda", "LDA")
+LOGIT = ClassifierSpec("logit", "LogisticRegression")
+ENSEMBLE = ClassifierSpec("ens", "AveragingEnsemble", {"members": [KNN3, LDA]})
+
+
+def _scaled_payload():
+    """60 rows of 4 subjects, columns on very different scales and offsets."""
+    rng = np.random.default_rng(21)
+    y = np.tile([0, 1, 2], 20)
+    X = (rng.normal(0.0, 1.0, (60, 3)) + 0.8 * y[:, None]) \
+        * [1.0, 40.0, 0.02] + [0.0, -300.0, 7.0]
+    subjects = [f"S{i % 4}" for i in range(60)]
+    matrix = FeatureMatrix(("a", "b", "c"), subjects, ["p"] * 60, range(60), X)
+    return matrix, LabelVector(y, {0: "x", 1: "y", 2: "z"})
+
+
+def test_cv_models_reproduce_fold_predictions_through_test_mode():
+    matrix, labels = _scaled_payload()
+    specs = [KNN3, TREE, LDA, LOGIT, ENSEMBLE]
+    cv = CVStrategy("loso")
+    _, artifacts = cross_validate(specs, matrix, labels, cv)
+    folds = make_folds(cv, matrix)
+    for spec in specs:
+        preds = []
+        for model, (_, test) in zip(artifacts["fitted_models"][spec.name], folds):
+            stage = Classification(Classification.MODE_TEST, [],
+                                   pretrained={spec.name: model})
+            out = stage.run((matrix.subset_rows(test), labels.subset(test)),
+                            RunContext())
+            preds.append(out.y_pred[spec.name])
+        np.testing.assert_array_equal(np.concatenate(preds),
+                                      artifacts["y_pred"][spec.name])
+
+
+def test_train_mode_models_reproduce_through_test_mode():
+    matrix, labels = _scaled_payload()
+    trained = Classification(Classification.MODE_TRAIN,
+                             [KNN3, TREE, LDA, LOGIT, ENSEMBLE]).run(
+        (matrix, labels), RunContext())
+    tested = Classification(Classification.MODE_TEST, [],
+                            pretrained=trained.fitted_models).run(
+        (matrix, labels), RunContext())
+    assert list(tested.y_pred) == ["knn3", "tree", "lda", "logit", "ens"]
+    for name, model in trained.fitted_models.items():
+        np.testing.assert_array_equal(model.mu, matrix.values.mean(axis=0))
+        np.testing.assert_array_equal(tested.y_pred[name], trained.y_pred[name])
+        np.testing.assert_array_equal(tested.scores[name], trained.scores[name])

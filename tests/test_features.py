@@ -488,6 +488,13 @@ def test_extract_failed_window_yields_absent_cells():
     assert np.isnan(m.values).all()
 
 
+def test_extract_unknown_computation_rejected():
+    entry = FeatureCatalogEntry("x", "ECG", "hrv_spectrum", features=("a",))
+    with pytest.raises(ValueError, match="unknown computation 'hrv_spectrum'"):
+        extract_features(_stress_bundle(subjects=("S1",)),
+                         WindowingPolicy(60.0, 30.0), [entry])
+
+
 def test_extract_empty_catalog_rejected():
     with pytest.raises(ValueError):
         extract_features(_stress_bundle(subjects=("S1",)),
@@ -519,7 +526,10 @@ def _extract_features_per_entry(bundle, policy, catalog, calculate_average=False
                 values = []
                 for w in windows:
                     try:
-                        computed = fn(w, entry.parameters)
+                        if fn in features._RR_COMPUTATIONS:  # R-peaks per entry
+                            computed = fn(features.rr_from_ecg(w), w, entry.parameters)
+                        else:
+                            computed = fn(w, entry.parameters)
                         values.append(tuple(computed[n] for n in entry.features))
                     except Exception:
                         values.append(tuple(ABSENT for _ in entry.features))

@@ -42,7 +42,7 @@ def test_phase_map_three_class():
     m = matrix_of([("S1", "baseline", 0, [1.0]), ("S1", "stress", 0, [2.0]),
                    ("S1", "amusement", 0, [3.0])])
     lv = generate_phase_labels(m, {"baseline": 0, "stress": 1, "amusement": 2})
-    assert lv.labels == (0, 1, 2)
+    assert lv.labels.tolist() == [0, 1, 2]
     assert lv.class_names[2] == "amusement"
 
 
@@ -50,7 +50,7 @@ def test_phase_map_binary_merge():
     m = matrix_of([("S1", "baseline", 0, [1.0]), ("S1", "amusement", 0, [2.0]),
                    ("S1", "stress", 0, [3.0])])
     lv = generate_phase_labels(m, {"baseline": 0, "amusement": 0, "stress": 1})
-    assert lv.labels == (0, 0, 1)
+    assert lv.labels.tolist() == [0, 0, 1]
     assert set(lv.class_names) == {0, 1}
     assert "baseline" in lv.class_names[0] and "amusement" in lv.class_names[0]
 
@@ -177,7 +177,7 @@ def test_attach_custom_rule_passthrough():
     rule = LabelRule("custom", {"fn": lambda m: (m.phases == "stress").astype(int),
                                 "class_names": {0: "calm", 1: "stressed"}})
     m, lv, dropped = attach_labels(_four_row_matrix(), rule)
-    assert lv.labels == (0, 1, 0, 1)
+    assert lv.labels.tolist() == [0, 1, 0, 1]
     assert dropped == []
     with pytest.raises(ValueError, match="does not match row count"):
         attach_labels(_four_row_matrix(), LabelRule("custom", {"fn": lambda m: [0]}))

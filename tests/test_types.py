@@ -161,3 +161,16 @@ def test_label_vector_checks_row_count():
     lv = LabelVector((0, 1), {0: "rest", 1: "stress"})
     with pytest.raises(ValueError):
         lv.check_against(m)
+
+
+def test_label_vector_is_read_only_int64_array():
+    given_labels = np.array([2, 0, 1, 0])
+    lv = LabelVector(given_labels, {0: "a", 1: "b", 2: "c"})
+    assert lv.labels.dtype == np.int64 and not lv.labels.flags.writeable
+    assert given_labels.flags.writeable  # the caller's array is copied
+    assert lv.subset([3, 0]).labels.tolist() == [0, 2]
+    copy = lv.to_array()
+    copy[0] = 1
+    assert lv.labels.tolist() == [2, 0, 1, 0]
+    with pytest.raises(ValueError):
+        LabelVector([[0, 1]], {0: "a", 1: "b"})
