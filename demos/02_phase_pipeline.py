@@ -30,41 +30,44 @@ from affectpipe import (
 
 
 def main():
-    root = Path(tempfile.mkdtemp(prefix="affectpipe-demo-"))
-    spec = DatasetSpec(n_subjects=6,
-                       phases=("rest", "amusement", "stress"),
-                       modalities=("ECG", "EDA"),
-                       duration_s=180.0,
-                       seed=3)
-    synth_dataset(spec, root)
-    print(f"dataset: {spec.n_subjects} subjects x {len(spec.phases)} phases "
-          f"x {len(spec.modalities)} modalities under {root}")
+    # the dataset lives only as long as the demo
+    with tempfile.TemporaryDirectory(prefix="affectpipe-demo-") as tmp:
+        root = Path(tmp)
+        spec = DatasetSpec(n_subjects=6,
+                           phases=("rest", "amusement", "stress"),
+                           modalities=("ECG", "EDA"),
+                           duration_s=180.0,
+                           seed=3)
+        synth_dataset(spec, root)
+        print(f"dataset: {spec.n_subjects} subjects x {len(spec.phases)} phases "
+              f"x {len(spec.modalities)} modalities under {root}")
 
-    stages = (
-        SignalAcquisition(signal_types=["ECG", "EDA"], source_folder=root),
-        SignalPreprocessor(),  # per-modality default denoising chains
-        FeatureExtractor(ecg_eda_catalog(),
-                         WindowingPolicy(window_s=60.0, step_s=30.0),
-                         calculate_average=False),
-        LabelGenerator(LabelRule("phase-map", {
-            "phase_to_class": {"rest": 0, "amusement": 1, "stress": 2},
-        })),
-        Classification(Classification.MODE_CROSS_VALIDATE,
-                       [ClassifierSpec("knn9", "KNN", {"k_neighbors": 9}),
-                        ClassifierSpec("dt", "DecisionTree",
-                                       {"criterion": "entropy"})],
-                       cv=CVStrategy("loso")),
-    )
-    pipeline = build_pipeline(PipelineSpec(stages=stages, seed=0))
-    output = pipeline.run()
+        stages = (
+            SignalAcquisition(signal_types=["ECG", "EDA"], source_folder=root),
+            SignalPreprocessor(),  # per-modality default denoising chains
+            FeatureExtractor(ecg_eda_catalog(),
+                             WindowingPolicy(window_s=60.0, step_s=30.0),
+                             calculate_average=False),
+            LabelGenerator(LabelRule("phase-map", {
+                "phase_to_class": {"rest": 0, "amusement": 1, "stress": 2},
+            })),
+            Classification(Classification.MODE_CROSS_VALIDATE,
+                           [ClassifierSpec("knn9", "KNN", {"k_neighbors": 9}),
+                            ClassifierSpec("dt", "DecisionTree",
+                                           {"criterion": "entropy"})],
+                           cv=CVStrategy("loso")),
+        )
+        pipeline = build_pipeline(PipelineSpec(stages=stages, seed=0))
+        output = pipeline.run()
 
-    report = output.report
-    print(f"\nleave-one-subject-out, {len(next(iter(report.per_model.values()))['folds'])} folds:")
-    for model in sorted(report.per_model):
-        agg = report.per_model[model]["aggregate"]
-        line = "  ".join(f"{m}={mean:.3f}±{std:.3f}"
-                         for m, (mean, std) in sorted(agg.items()))
-        print(f"  {model:8s} {line}")
+        report = output.report
+        n_folds = len(next(iter(report.per_model.values()))["folds"])
+        print(f"\nleave-one-subject-out, {n_folds} folds:")
+        for model in sorted(report.per_model):
+            agg = report.per_model[model]["aggregate"]
+            line = "  ".join(f"{m}={mean:.3f}±{std:.3f}"
+                             for m, (mean, std) in sorted(agg.items()))
+            print(f"  {model:8s} {line}")
 
 
 if __name__ == "__main__":

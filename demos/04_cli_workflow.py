@@ -23,27 +23,33 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def main():
-    work = Path(tempfile.mkdtemp(prefix="affectpipe-cli-demo-"))
-    # the run config addresses the dataset as data/binary relative to cwd
-    os.chdir(work)
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory(prefix="affectpipe-cli-demo-") as tmp:
+        work = Path(tmp)
+        # the run config addresses the dataset as data/binary relative to cwd
+        os.chdir(work)
+        try:
+            print("== synth ==")
+            rc = cmd_synth(str(CONFIGS / "synth-binary.yaml"),
+                           str(work / "data/binary"))
+            assert rc == 0, f"synth exited {rc}"
 
-    print("== synth ==")
-    rc = cmd_synth(str(CONFIGS / "synth-binary.yaml"), str(work / "data/binary"))
-    assert rc == 0, f"synth exited {rc}"
+            print("\n== validate ==")
+            rc = cmd_validate(str(work / "data/binary"))
+            assert rc == 0, f"validate exited {rc}"
 
-    print("\n== validate ==")
-    rc = cmd_validate(str(work / "data/binary"))
-    assert rc == 0, f"validate exited {rc}"
+            print("\n== run ==")
+            rc = cmd_run(str(CONFIGS / "questionnaire-kfold.yaml"),
+                         out_dir=str(work / "out"))
+            assert rc == 0, f"run exited {rc}"
 
-    print("\n== run ==")
-    rc = cmd_run(str(CONFIGS / "questionnaire-kfold.yaml"),
-                 out_dir=str(work / "out"))
-    assert rc == 0, f"run exited {rc}"
-
-    print("\n== report.csv (first 10 lines) ==")
-    lines = (work / "out" / "report.csv").read_text().splitlines()
-    print("\n".join(lines[:10]))
-    print(f"... {len(lines) - 10} more rows")
+            print("\n== report.csv (first 10 lines) ==")
+            lines = (work / "out" / "report.csv").read_text().splitlines()
+            print("\n".join(lines[:10]))
+            print(f"... {len(lines) - 10} more rows")
+        finally:
+            # leave the directory before it is removed
+            os.chdir(home)
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ optionally predict_proba).
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -54,13 +54,18 @@ class CVStrategy:
 @dataclass(frozen=True)
 class FittedModel:
     """An estimator fitted on z-scored rows, plus the training mean ``mu``
-    and standard deviation ``sigma`` that :func:`predict` z-scores with."""
+    and standard deviation ``sigma`` that :func:`predict` z-scores with.
+
+    ``columns`` names the training columns when the model was fitted on a
+    :class:`FeatureMatrix`, and is ``None`` for a bare array.
+    """
 
     spec: ClassifierSpec
     classes: np.ndarray
     mu: np.ndarray
     sigma: np.ndarray
     state: dict
+    columns: tuple[str, ...] | None = None
 
 
 def _as_array(X) -> np.ndarray:
@@ -73,6 +78,7 @@ def _as_array(X) -> np.ndarray:
 def fit(spec: ClassifierSpec, X, y: LabelVector | np.ndarray) -> FittedModel:
     """Train one model on rows z-scored with their column mean and standard
     deviation (0 counts as 1); deterministic given identical inputs."""
+    columns = X.columns if isinstance(X, FeatureMatrix) else None
     X = _as_array(X)
     y = y.to_array() if isinstance(y, LabelVector) else np.asarray(y, dtype=int)
     if X.shape[0] != y.size:
@@ -80,10 +86,17 @@ def fit(spec: ClassifierSpec, X, y: LabelVector | np.ndarray) -> FittedModel:
     classes = np.unique(y)
     if classes.size < 2:
         raise SingleClass("training labels contain a single class")
+    mu, sigma = _zscore_stats(X)
+    model = _fit_scaled(spec, classes, mu, sigma, (X - mu) / sigma, y)
+    return model if columns is None else replace(model, columns=columns)
+
+
+def _zscore_stats(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column mean and standard deviation of ``X``, a zero deviation counted
+    as 1: the statistics :func:`fit` z-scores a model's rows with."""
     mu = X.mean(axis=0)
     sigma = X.std(axis=0)
-    sigma = np.where(sigma > 0, sigma, 1.0)
-    return _fit_scaled(spec, classes, mu, sigma, (X - mu) / sigma, y)
+    return mu, np.where(sigma > 0, sigma, 1.0)
 
 
 def _fit_scaled(spec, classes, mu, sigma, Z, y) -> FittedModel:
@@ -91,10 +104,7 @@ def _fit_scaled(spec, classes, mu, sigma, Z, y) -> FittedModel:
     hp = spec.hyperparameters
     algo = spec.algorithm
     if algo == "KNN":
-        k = int(hp.get("k_neighbors", 5))
-        if k < 1:
-            raise ValueError(f"k_neighbors must be at least 1, got {k}")
-        state = {"X": Z, "y": y.copy(), "k": k}
+        state = {"X": Z, "y": y.copy(), "k": _knn_neighbors(spec)}
     elif algo == "DecisionTree":
         tree = _grow_tree(Z, y, classes, depth=0,
                           max_depth=hp.get("max_depth"))
@@ -121,7 +131,15 @@ def _fit_scaled(spec, classes, mu, sigma, Z, y) -> FittedModel:
 def predict(model: FittedModel, X) -> tuple[np.ndarray, np.ndarray | None]:
     """Labels plus per-class probability scores (columns follow
     ``model.classes``), or ``scores=None`` when the algorithm has none,
-    for the rows of ``X`` z-scored with the model's training statistics."""
+    for the rows of ``X`` z-scored with the model's training statistics.
+
+    A :class:`FeatureMatrix` must carry the model's column names in the
+    training order when the model recorded them."""
+    if (isinstance(X, FeatureMatrix) and model.columns is not None
+            and X.columns != model.columns):
+        raise SchemaMismatch(
+            f"model trained on columns {list(model.columns)}, got {list(X.columns)}"
+        )
     X = _as_array(X)
     if X.shape[1] != model.mu.size:
         raise SchemaMismatch(
@@ -160,29 +178,57 @@ def _predict_scaled(model: FittedModel, Z: np.ndarray):
 
 # --- KNN ---
 
+def _knn_neighbors(spec: ClassifierSpec) -> int:
+    """The ``k_neighbors`` of a KNN spec (default 5), at least 1."""
+    k = int(spec.hyperparameters.get("k_neighbors", 5))
+    if k < 1:
+        raise ValueError(f"k_neighbors must be at least 1, got {k}")
+    return k
+
+
 def _knn_scores(model: FittedModel, X: np.ndarray) -> np.ndarray:
     train, y, k = model.state["X"], model.state["y"], model.state["k"]
     k = min(k, train.shape[0])
-    onehot = (y[:, None] == model.classes[None, :]).astype(float)
-    # entry c is 1/k added c times in sequence, as a per-neighbour vote loop
-    # would sum it
-    vote = np.concatenate(([0.0], np.cumsum(np.full(k, 1.0 / k))))
     scores = np.empty((X.shape[0], model.classes.size))
     block = max(1, KNN_BLOCK_BYTES // (train.itemsize * max(train.size, 1)))
     for start in range(0, X.shape[0], block):
         q = X[start:start + block]
         d = np.sqrt(np.sum((train[None] - q[:, None]) ** 2, axis=-1))
-        # the k nearest, distance ties broken on the lower training-row
-        # index: every row closer than the k-th distance, then rows at
-        # exactly that distance in index order until k are chosen
-        kth = np.partition(d, k - 1, axis=1)[:, k - 1:k]
-        closer = d < kth
-        at_kth = d == kth
-        room = k - closer.sum(axis=1, keepdims=True)
-        chosen = closer | (at_kth & (np.cumsum(at_kth, axis=1) <= room))
-        counts = (chosen @ onehot).astype(int)
-        scores[start:start + block] = vote[counts]
+        scores[start:start + block] = _knn_vote(d, y, model.classes, k)
     return scores
+
+
+def _knn_vote(d: np.ndarray, y: np.ndarray, classes: np.ndarray,
+             k: int) -> np.ndarray:
+    """Per-class vote shares of the ``k`` nearest training rows, for each
+    row of the (queries, training rows) distance matrix ``d``.
+
+    The k nearest are every row closer than the k-th distance, then rows at
+    exactly that distance in index order until k are chosen, so distance
+    ties break on the lower training-row index.  ``k`` is at most the
+    number of training rows.
+    """
+    if k == 1:
+        # argmin returns the first minimum: the nearest row, lowest index
+        # on ties; its class gets the whole vote
+        return (y[np.argmin(d, axis=1), None] == classes[None, :]).astype(float)
+    onehot = (y[:, None] == classes[None, :]).astype(float)
+    kth = np.partition(d, k - 1, axis=1)[:, k - 1:k]
+    chosen = d <= kth
+    # only rows with more than k rows at or below the k-th distance need
+    # the index order among the rows at exactly that distance
+    tied = np.flatnonzero(chosen.sum(axis=1) > k)
+    if tied.size:
+        dt, kt = d[tied], kth[tied]
+        closer = dt < kt
+        at_kth = dt == kt
+        room = k - closer.sum(axis=1, keepdims=True)
+        chosen[tied] = closer | (at_kth & (np.cumsum(at_kth, axis=1) <= room))
+    counts = (chosen @ onehot).astype(int)
+    # entry c is 1/k added c times in sequence, as a per-neighbour vote loop
+    # would sum it
+    vote = np.concatenate(([0.0], np.cumsum(np.full(k, 1.0 / k))))
+    return vote[counts]
 
 
 # --- decision tree ---
@@ -454,7 +500,7 @@ def cross_validate(specs, X: FeatureMatrix, y: LabelVector,
         fold_metrics = []
         fitted[spec.name] = []
         for train, test in folds:
-            model = fit(spec, Xa[train], ya[train])
+            model = replace(fit(spec, Xa[train], ya[train]), columns=X.columns)
             pred, scores = predict(model, Xa[test])
             fitted[spec.name].append(model)
             y_pred_all[spec.name].append(pred)

@@ -195,16 +195,16 @@ class Classification(Component):
                 scores=artifacts["scores"],
                 report=report,
             )
-        X = matrix.to_array()
+        # models keep the column names and predict checks them
         if self.mode == self.MODE_TRAIN:
-            models = {spec.name: fit(spec, X, labels) for spec in self.models}
+            models = {spec.name: fit(spec, matrix, labels) for spec in self.models}
         elif self.mode == self.MODE_TEST:
             models = dict(self.pretrained)
         else:
             raise ValueError(f"unknown classification mode {self.mode}")
         y_pred, scores = {}, {}
         for name, model in models.items():
-            y_pred[name], scores[name] = predict(model, X)
+            y_pred[name], scores[name] = predict(model, matrix)
         return PipelineOutput(models, labels, y_pred, scores, report=None)
 
 

@@ -105,22 +105,11 @@ def segment(series: TimeSeries, policy: WindowingPolicy) -> list[TimeSeries]:
     windows = []
     start = 0
     while start + win <= n:
-        windows.append(_slice_series(series, start, start + win))
+        windows.append(series.window(start, start + win))
         start += step
     if not policy.drop_incomplete and start < n and n - start >= 2:
-        windows.append(_slice_series(series, start, n))
+        windows.append(series.window(start, n))
     return windows
-
-
-def _slice_series(series: TimeSeries, a: int, b: int) -> TimeSeries:
-    return TimeSeries(
-        subject_id=series.subject_id,
-        phase=series.phase,
-        modality=series.modality,
-        timestamps=series.timestamps[a:b],
-        values=series.values[a:b],
-        sample_rate_hz=series.sample_rate_hz,
-    )
 
 
 # ---------------------------------------------------------------------------

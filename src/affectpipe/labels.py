@@ -9,10 +9,20 @@ from pathlib import Path
 
 import numpy as np
 
+from .classification import (
+    ClassifierSpec,
+    _as_array,
+    _knn_neighbors,
+    _knn_vote,
+    _zscore_stats,
+    fit,
+    predict,
+)
 from .errors import (
     InsufficientReports,
     KTooLarge,
     MissingReport,
+    SingleClass,
     UnmappedPhase,
     WrongQuestionnaire,
 )
@@ -172,37 +182,120 @@ def sequential_forward_selection(matrix: FeatureMatrix, labels: LabelVector,
     the lower column index.  ``scorer`` is a ClassifierSpec (see
     :mod:`affectpipe.classification`) or anything with fit/predict.
     """
-    # local, avoids cycle
-    from .classification import ClassifierSpec, fit as fit_model, predict
-
     labels.check_against(matrix)
     if not isinstance(scorer, ClassifierSpec):
         scorer = ClassifierSpec(type(scorer).__name__, "custom", {"handle": scorer})
     n_cols = len(matrix.columns)
     if k >= n_cols:
         raise KTooLarge(f"k={k} must be below column count {n_cols}")
-    X = matrix.to_array()
     y = labels.to_array()
     folds = _stratified_folds(y, min(cv_folds, y.size), seed)
+    selected, _ = _forward_selection(scorer, matrix.to_array(), y, k, folds)
+    return matrix.subset_columns([matrix.columns[j] for j in selected])
 
+
+#: numpy sums fewer than 8 terms in sequence, so below this many columns a
+#: running sum of per-column squared differences is the distance a KNN fit
+#: on those columns computes, bit for bit
+_RUNNING_SUM_TERMS = 8
+
+
+def _forward_selection(scorer, X, y, k, folds):
+    """Column indices chosen greedily, plus one dict per step mapping each
+    candidate column to its mean CV accuracy.
+
+    A KNN scorer scores sets of fewer than :data:`_RUNNING_SUM_TERMS`
+    columns from per-fold cached columns (see :class:`_KnnFolds`); larger
+    sets and other scorers fit and predict every candidate on every fold.
+    """
     def cv_accuracy(col_indices):
         accs = []
         for train, test in folds:
             if train.size == 0 or test.size == 0:
                 continue
-            model = fit_model(scorer, X[np.ix_(train, col_indices)], y[train])
+            model = fit(scorer, X[np.ix_(train, col_indices)], y[train])
             pred, _ = predict(model, X[np.ix_(test, col_indices)])
             accs.append(float(np.mean(pred == y[test])))
         return float(np.mean(accs)) if accs else 0.0
 
+    knn = None
     selected: list[int] = []
-    remaining = list(range(n_cols))
+    remaining = list(range(X.shape[1]))
+    steps = []
     for _ in range(k):
-        best_j, best_score = None, -1.0
-        for j in remaining:
-            score = cv_accuracy(selected + [j])
-            if score > best_score:
-                best_j, best_score = j, score
-        selected.append(best_j)
-        remaining.remove(best_j)
-    return matrix.subset_columns([matrix.columns[j] for j in selected])
+        if scorer.algorithm == "KNN" and len(selected) + 1 < _RUNNING_SUM_TERMS:
+            knn = knn or _KnnFolds(scorer, X, y, folds)
+            scores = knn.step_scores(selected, remaining)
+        else:
+            scores = [cv_accuracy(selected + [j]) for j in remaining]
+        steps.append(dict(zip(remaining, scores)))
+        # argmax takes the first maximum: ties keep the lower column index
+        best = remaining[int(np.argmax(scores))]
+        selected.append(best)
+        remaining.remove(best)
+    return selected, steps
+
+
+class _KnnFolds:
+    """The CV folds of a KNN scorer, cached for scoring whole SFS steps.
+
+    Per fold the train and test columns are z-scored once, in two versions:
+    with each column's own statistics, as a fit on that column alone
+    computes them, and with the statistics of all columns.  numpy sums one
+    column contiguously, pairwise, but sums a column of a 2-or-more-column
+    block row by row, which can differ in the last bits; across blocks of 2
+    or more columns a column's statistics do not depend on the others.  A
+    step then keeps the running sum of squared differences over the
+    selected columns, adds one column per candidate and feeds the square
+    root to the same neighbour vote as :func:`predict`: every score equals
+    a fit/predict on ``selected + [candidate]``.
+    """
+
+    def __init__(self, spec, X, y, folds):
+        k = _knn_neighbors(spec)
+        self.folds = []
+        for train, test in folds:
+            if train.size == 0 or test.size == 0:
+                continue
+            Xtr, Xte = _as_array(X[train]), _as_array(X[test])
+            classes = np.unique(y[train])
+            if classes.size < 2:
+                raise SingleClass("training labels contain a single class")
+            alone = [_zscore_stats(Xtr[:, [j]]) for j in range(X.shape[1])]
+            mu1 = np.concatenate([mu for mu, _ in alone])
+            sigma1 = np.concatenate([sigma for _, sigma in alone])
+            mu, sigma = _zscore_stats(Xtr)
+            # columns as rows, so each column is one contiguous vector
+            self.folds.append({
+                "alone": (((Xtr - mu1) / sigma1).T.copy(),
+                          ((Xte - mu1) / sigma1).T.copy()),
+                "joint": (((Xtr - mu) / sigma).T.copy(),
+                          ((Xte - mu) / sigma).T.copy()),
+                "y_train": y[train], "y_test": y[test], "classes": classes,
+                "k": min(k, train.size),
+            })
+
+    def step_scores(self, selected, candidates) -> list[float]:
+        """Mean CV accuracy of ``selected + [j]`` for each candidate ``j``."""
+        accs = np.empty((len(candidates), len(self.folds)))
+        for f, fold in enumerate(self.folds):
+            train, test = fold["joint" if selected else "alone"]
+            total = None
+            for c in selected:
+                term = _squared_differences(train[c], test[c])
+                total = term if total is None else np.add(total, term, out=total)
+            for i, j in enumerate(candidates):
+                d = _squared_differences(train[j], test[j])
+                if total is not None:
+                    np.add(total, d, out=d)
+                np.sqrt(d, out=d)
+                scores = _knn_vote(d, fold["y_train"], fold["classes"], fold["k"])
+                pred = fold["classes"][np.argmax(scores, axis=1)]
+                accs[i, f] = np.mean(pred == fold["y_test"])
+        return [float(np.mean(a)) if a.size else 0.0 for a in accs]
+
+
+def _squared_differences(train_col, test_col):
+    """(test rows, train rows) block of (train - test) ** 2 for one column."""
+    d = np.subtract(train_col[None, :], test_col[:, None])
+    return np.square(d, out=d)

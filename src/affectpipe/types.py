@@ -107,6 +107,21 @@ class TimeSeries:
             sample_rate_hz=self.sample_rate_hz,
         )
 
+    def window(self, start: int, stop: int) -> "TimeSeries":
+        """Samples ``start:stop``, 2 or more, as a series of their own.
+
+        A contiguous run of 2 or more samples of a valid series is valid, so
+        unlike the constructor this does not validate again; the arrays are
+        read-only views.
+        """
+        if not 0 <= start <= stop - 2 <= len(self) - 2:
+            raise ValueError(f"window {start}:{stop} of a {len(self)}-sample "
+                             "series must hold 2 or more of its samples")
+        window = object.__new__(TimeSeries)
+        vars(window).update(vars(self), timestamps=self.timestamps[start:stop],
+                            values=self.values[start:stop])
+        return window
+
 
 def validate_time_series(series) -> ValidationResult:
     """Check every TimeSeries invariant; violations are data, not faults.

@@ -277,6 +277,27 @@ def test_knn_block_scores_bit_identical_on_exact_distance_ties():
             assert got.tobytes() == _knn_scores_rowwise(model, Q).tobytes(), (p, k)
 
 
+def test_knn_vote_on_hand_built_distances_matches_rowwise():
+    # training points on a line at repeated integers, queries at integers:
+    # every distance |x - q| is exact, and many tie at the k-th distance
+    train = np.array([0.0, 1, 1, 2, 3, 3, 3, 5, 5, 6])
+    queries = np.array([0.0, 1, 2, 3, 4, 5, 6, 7])
+    y = np.array([0, 1, 2, 0, 1, 2, 0, 1, 0, 2])
+    classes = np.arange(3)
+    d = np.abs(train[None, :] - queries[:, None])
+    for k in (1, 2, 3, 4, 7, 10):
+        kth = np.sort(d, axis=1)[:, k - 1:k]
+        over = (d <= kth).sum(axis=1) > k
+        if 1 < k < train.size:
+            # rows whose ties exceed the free places, and rows without
+            assert over.any() and not over.all(), k
+        model = classification.FittedModel(KNN(k), classes, np.zeros(1), np.ones(1),
+                                           {"X": train[:, None], "y": y, "k": k})
+        want = _knn_scores_rowwise(model, queries[:, None])
+        got = classification._knn_vote(d, y, classes, k)
+        assert got.tobytes() == want.tobytes(), k
+
+
 def test_knn_brute_force_oracle():
     rng = np.random.default_rng(42)
     X = rng.normal(0, 1, (150, 4))
@@ -340,6 +361,21 @@ def test_schema_mismatch():
                 np.array([0, 1, 0, 1]))
     with pytest.raises(SchemaMismatch):
         predict(model, np.zeros((2, 2)))
+
+
+def test_model_fitted_on_matrix_checks_column_names_and_order():
+    X = np.arange(12.0).reshape(4, 3) ** 2
+    y = np.array([0, 1, 0, 1])
+    model = fit(KNN(1), fm(X), y)
+    assert model.columns == ("f0", "f1", "f2")
+    assert fit(KNN(1), X, y).columns is None
+    np.testing.assert_array_equal(predict(model, fm(X))[0], y)
+    np.testing.assert_array_equal(predict(model, X)[0], y)  # a bare array has no names
+    for columns in (("f2", "f1", "f0"), ("f0", "f1", "g2")):
+        renamed = FeatureMatrix(columns, [f"S{i}" for i in range(4)], ["a"] * 4,
+                                range(4), X)
+        with pytest.raises(SchemaMismatch, match="columns"):
+            predict(model, renamed)
 
 
 def test_custom_handle_contract():
@@ -572,6 +608,8 @@ def test_cv_loso_no_subject_leakage():
     report, artifacts = cross_validate([KNN(3)], m, labels, CVStrategy("loso"))
     assert len(report.per_model["knn3"]["folds"]) == 4
     assert artifacts["y_true"].size == len(m)
+    assert all(model.columns == m.columns
+               for model in artifacts["fitted_models"]["knn3"])
 
 
 def test_cv_deterministic():

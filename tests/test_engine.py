@@ -36,6 +36,7 @@ from affectpipe.errors import (
     MisorderedStage,
     MissingStage,
     PreprocessingFailed,
+    SchemaMismatch,
     StageExecutionError,
     TooFewSamples,
     UnmappedPhase,
@@ -360,3 +361,15 @@ def test_train_mode_models_reproduce_through_test_mode():
         np.testing.assert_array_equal(model.mu, matrix.values.mean(axis=0))
         np.testing.assert_array_equal(tested.y_pred[name], trained.y_pred[name])
         np.testing.assert_array_equal(tested.scores[name], trained.scores[name])
+
+
+def test_test_mode_rejects_reordered_columns():
+    matrix, labels = _scaled_payload()
+    trained = Classification(Classification.MODE_TRAIN, [KNN3]).run(
+        (matrix, labels), RunContext())
+    assert trained.fitted_models["knn3"].columns == ("a", "b", "c")
+    reversed_matrix = matrix.subset_columns(("c", "b", "a"))
+    tested = Classification(Classification.MODE_TEST, [],
+                            pretrained=trained.fitted_models)
+    with pytest.raises(SchemaMismatch, match="columns"):
+        tested.run((reversed_matrix, labels), RunContext())

@@ -16,13 +16,16 @@ from affectpipe import (
     stai_dynamic_threshold,
     suds_fixed_threshold,
 )
+from affectpipe import labels as labels_module
 from affectpipe.classification import fit as fit_model, predict
 from affectpipe.features import FeatureCatalogEntry
-from affectpipe.labels import _stratified_folds, load_reports
+from affectpipe.labels import _forward_selection, _stratified_folds, load_reports
 from affectpipe.errors import (
     InsufficientReports,
     KTooLarge,
     MissingReport,
+    NonNumericFeature,
+    SingleClass,
     UnmappedPhase,
     WrongQuestionnaire,
 )
@@ -336,6 +339,112 @@ def test_sfs_accepts_bare_handle_scorer():
     out = sequential_forward_selection(m, lv, _Majority(), k=2)
     # every column scores the same, so ties keep the lowest indices
     assert out.columns == ("c0", "c1")
+
+
+# --- cached KNN scoring of SFS steps ---
+
+
+def _greedy_reference(scorer, X, y, k, folds):
+    """Greedy selection with one fit/predict per candidate set and fold:
+    the selected indices and each step's {candidate: mean accuracy}."""
+    selected, steps = [], []
+    for _ in range(k):
+        scores = {}
+        for j in (j for j in range(X.shape[1]) if j not in selected):
+            cols = selected + [j]
+            accs = []
+            for train, test in folds:
+                model = fit_model(scorer, X[np.ix_(train, cols)], y[train])
+                pred, _ = predict(model, X[np.ix_(test, cols)])
+                accs.append(float(np.mean(pred == y[test])))
+            scores[j] = float(np.mean(accs))
+        steps.append(scores)
+        selected.append(max(scores, key=lambda j: (scores[j], -j)))
+    return selected, steps
+
+
+def _selection_data(kind, n_rows, n_cols, seed):
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, 2, n_rows)
+    if kind == "null":  # labels carry no signal
+        X = rng.normal(0, 1, (n_rows, n_cols)) * rng.uniform(0.1, 50, n_cols)
+    elif kind == "integer":  # few distinct values, so distance ties everywhere
+        X = rng.integers(0, 4, (n_rows, n_cols)) + 0.5 * y[:, None]
+    else:
+        X = rng.normal(0, 1, (n_rows, n_cols)) + rng.uniform(0, 1, n_cols) * y[:, None]
+    # offsets and scales that make every z-scoring round differently
+    X = X * rng.uniform(0.5, 30, n_cols) + rng.uniform(-100, 100, n_cols)
+    return X, y
+
+
+def _assert_matches_reference(scorer, X, y, k, seed=0):
+    folds = _stratified_folds(y, 5, seed)
+    got = _forward_selection(scorer, X, y, k, folds)
+    assert got == _greedy_reference(scorer, X, y, k, folds)
+
+
+@pytest.mark.parametrize("kind", ["normal", "integer", "null"])
+@pytest.mark.parametrize("k_neighbors", [1, 4, 9])
+def test_cached_knn_sfs_matches_fit_predict(kind, k_neighbors, monkeypatch):
+    X, y = _selection_data(kind, 97, 6, seed=k_neighbors)
+    scorer = ClassifierSpec("knn", "KNN", {"k_neighbors": k_neighbors})
+    _assert_matches_reference(scorer, X, y, k=4)
+    # below 8 columns the cached path makes no fit or predict call
+    calls = []
+    monkeypatch.setattr(labels_module, "fit",
+                        lambda *a: calls.append(a) or fit_model(*a))
+    _forward_selection(scorer, X, y, 4, _stratified_folds(y, 5, 0))
+    assert calls == []
+
+
+@pytest.mark.parametrize("n_cols, k", [(4, 3), (10, 9)])
+@pytest.mark.parametrize("seed", range(3))
+def test_cached_knn_sfs_rounds_like_fit_to_the_last_bit(seed, n_cols, k):
+    # every column is an affine map of one lattice, so all columns z-score
+    # to the same vector in exact arithmetic; even lattice points train and
+    # odd ones test (then the reverse), so every query sits midway between
+    # two training values and only rounding picks its nearest row.  That
+    # exposes the z-scoring (a one-column fit reduces its column pairwise, a
+    # wider fit row by row) and, from 8 columns on, numpy's pairwise
+    # distance sum
+    rng = np.random.default_rng(seed)
+    lattice = np.arange(400) % 40
+    X = lattice[:, None] * rng.uniform(0.5, 30, n_cols) + rng.uniform(-100, 100, n_cols)
+    y = rng.integers(0, 2, 400)
+    even, odd = np.flatnonzero(lattice % 2 == 0), np.flatnonzero(lattice % 2 == 1)
+    folds = [(even, odd), (odd, even)]
+    got = _forward_selection(KNN1, X, y, k, folds)
+    assert got == _greedy_reference(KNN1, X, y, k, folds)
+
+
+def test_cached_knn_sfs_falls_back_from_eight_columns():
+    X, y = _selection_data("normal", 50, 10, seed=8)
+    _assert_matches_reference(ClassifierSpec("knn", "KNN", {"k_neighbors": 9}),
+                              X, y, k=9)
+
+
+@pytest.mark.parametrize("scorer", [
+    ClassifierSpec("tree", "DecisionTree", {"max_depth": 2}),
+    ClassifierSpec("majority", "custom", {"handle": _Majority()}),
+])
+def test_non_knn_scorers_keep_fit_predict(scorer):
+    X, y = _selection_data("normal", 40, 4, seed=3)
+    _assert_matches_reference(scorer, X, y, k=2)
+
+
+def test_cached_knn_sfs_raises_fit_errors():
+    m, lv = _sfs_fixture()
+    values = m.to_array()
+    values[7, 3] = np.nan
+    bad = FeatureMatrix(m.columns, m.subject_ids, m.phases, m.window_indices, values)
+    with pytest.raises(NonNumericFeature):
+        sequential_forward_selection(bad, lv, KNN1, k=2)
+    with pytest.raises(SingleClass):
+        sequential_forward_selection(m, LabelVector((0,) * 39 + (1,), {0: "l", 1: "h"}),
+                                     KNN1, k=2)
+    with pytest.raises(ValueError, match="k_neighbors"):
+        sequential_forward_selection(
+            m, lv, ClassifierSpec("knn0", "KNN", {"k_neighbors": 0}), k=2)
 
 
 def test_stratified_folds_partition():

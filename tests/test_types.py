@@ -48,6 +48,25 @@ def test_series_arrays_are_immutable():
         s.values[0] = 9.0
 
 
+def test_window_is_a_read_only_view_built_without_revalidation(monkeypatch):
+    s = TimeSeries("S1", "rest", Modality("ECG"), np.arange(6) * 0.004,
+                   [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 250)
+    from affectpipe import types
+    monkeypatch.setattr(types, "validate_time_series",
+                        lambda series: pytest.fail("window re-validated"))
+    w = s.window(1, 4)
+    assert (w.subject_id, w.phase, w.modality, w.sample_rate_hz) == \
+        ("S1", "rest", Modality("ECG"), 250)
+    assert np.shares_memory(w.values, s.values)
+    np.testing.assert_array_equal(w.timestamps, s.timestamps[1:4])
+    np.testing.assert_array_equal(w.values, [2.0, 3.0, 4.0])
+    with pytest.raises(ValueError):
+        w.values[0] = 9.0
+    for start, stop in ((2, 3), (-1, 3), (4, 7), (3, 2)):
+        with pytest.raises(ValueError, match="2 or more"):
+            s.window(start, stop)
+
+
 def _series(subject, phase="rest", modality="ECG"):
     return TimeSeries(subject, phase, Modality(modality),
                       [0.0, 1.0, 2.0], [0.0, 1.0, 0.0], 1.0)
