@@ -20,6 +20,7 @@ from .config import build_pipeline_spec, load_config, load_dataset_spec
 from .engine import PipelineSpec, build_pipeline
 from .errors import (
     AffectPipeError,
+    CatalogError,
     ConfigError,
     EmptyDataset,
     IncompatibleStages,
@@ -96,7 +97,8 @@ def cmd_run(config_file: str, seed: int | None = None, strict: bool = False,
     try:
         spec = build_pipeline_spec(doc)
         pipeline = build_pipeline(spec)
-    except (ConfigError, MissingStage, MisorderedStage, IncompatibleStages) as exc:
+    except (ConfigError, CatalogError, MissingStage, MisorderedStage,
+            IncompatibleStages) as exc:
         print(f"pipeline build error: {exc}", file=out)
         return 3
     try:

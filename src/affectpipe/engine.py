@@ -20,7 +20,7 @@ from .errors import (
     MissingStage,
     StageExecutionError,
 )
-from .features import FeatureCatalogEntry, WindowingPolicy, extract_features
+from .features import FeatureCatalogEntry, WindowingPolicy, check_catalog, extract_features
 from .labels import LabelRule, attach_labels, load_reports, sequential_forward_selection
 from .types import FeatureMatrix, LabelVector, SubjectBundle
 
@@ -87,6 +87,7 @@ class FeatureExtractor(Component):
     def __init__(self, feature_extraction_methods, windowing: WindowingPolicy,
                  calculate_average: bool = True):
         self.catalog = list(feature_extraction_methods)
+        check_catalog(self.catalog)  # CatalogError before anything runs
         self.windowing = windowing
         self.calculate_average = calculate_average
 

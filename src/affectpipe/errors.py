@@ -98,6 +98,10 @@ class PreprocessingFailed(AffectPipeError):
 
 # --- feature extraction ---
 
+class CatalogError(AffectPipeError, ValueError):
+    """A feature catalog that cannot run: found when the extractor is built."""
+
+
 class SeriesTooShort(AffectPipeError):
     pass
 

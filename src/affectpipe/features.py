@@ -7,6 +7,7 @@ fixed set of named columns, and rows are keyed by (subject, phase, window).
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,6 +16,7 @@ from scipy.interpolate import CubicSpline
 
 from .errors import (
     AffectPipeError,
+    CatalogError,
     DegenerateSpectrum,
     NoBeatsDetected,
     NoBreathsDetected,
@@ -90,6 +92,11 @@ def segment(series: TimeSeries, policy: WindowingPolicy) -> list[TimeSeries]:
     Window k spans [k*step, k*step + window) relative to the series start;
     with ``drop_incomplete`` the count is floor((T - window)/step) + 1.
     """
+    return [series.window(start, stop) for start, stop in _window_bounds(series, policy)]
+
+
+def _window_bounds(series: TimeSeries, policy: WindowingPolicy) -> list[tuple[int, int]]:
+    """Sample bounds ``(start, stop)`` of each window :func:`segment` cuts."""
     fs = series.sample_rate_hz
     n = len(series)
     win = int(round(policy.window_s * fs))
@@ -102,14 +109,11 @@ def segment(series: TimeSeries, policy: WindowingPolicy) -> list[TimeSeries]:
                 f"series of {n / fs:.1f} s shorter than {policy.window_s} s window"
             )
         win = n
-    windows = []
-    start = 0
-    while start + win <= n:
-        windows.append(series.window(start, start + win))
-        start += step
+    bounds = [(start, start + win) for start in range(0, n - win + 1, step)]
+    start = len(bounds) * step
     if not policy.drop_incomplete and start < n and n - start >= 2:
-        windows.append(series.window(start, n))
-    return windows
+        bounds.append((start, n))
+    return bounds
 
 
 # ---------------------------------------------------------------------------
@@ -171,11 +175,6 @@ def detect_r_peaks(ecg: TimeSeries) -> np.ndarray:
     if len(keep) < 2:
         raise NoBeatsDetected("fewer than 2 beats after refinement")
     return np.asarray(keep, dtype=int)
-
-
-def rr_from_ecg(ecg: TimeSeries) -> RRSeries:
-    peaks = detect_r_peaks(ecg)
-    return RRSeries.from_beat_times(ecg.timestamps[peaks])
 
 
 def hrv_time_features(rr: RRSeries) -> dict[str, float]:
@@ -285,10 +284,7 @@ def scr_events(phasic: TimeSeries, min_amplitude_us: float = 0.01,
     zero-phase lowpass (default 1 Hz, well above SCR bandwidth) first; pass
     ``smooth_cutoff_hz=0`` to disable.
     """
-    if smooth_cutoff_hz and phasic.sample_rate_hz > 2.5 * smooth_cutoff_hz:
-        lp = design_butterworth("lowpass", 2, smooth_cutoff_hz,
-                                phasic.sample_rate_hz)
-        phasic = apply_zero_phase(lp, phasic)
+    phasic = _smooth(phasic, smooth_cutoff_hz)
     x = np.asarray(phasic.values, dtype=float)
     duration_min = phasic.duration_s / 60.0
     peaks, _ = sps.find_peaks(x)
@@ -313,6 +309,15 @@ def scr_events(phasic: TimeSeries, min_amplitude_us: float = 0.01,
     }
 
 
+def _smooth(phasic: TimeSeries, cutoff_hz: float) -> TimeSeries:
+    """The zero-phase lowpass of :func:`scr_events`; a no-op for a cutoff of
+    0 or one too close to the Nyquist rate."""
+    if cutoff_hz and phasic.sample_rate_hz > 2.5 * cutoff_hz:
+        lp = design_butterworth("lowpass", 2, cutoff_hz, phasic.sample_rate_hz)
+        phasic = apply_zero_phase(lp, phasic)
+    return phasic
+
+
 # ---------------------------------------------------------------------------
 # Generic statistics
 # ---------------------------------------------------------------------------
@@ -327,16 +332,20 @@ def statistical_features(values, timestamps=None) -> dict[str, float]:
     if x.size < 2:
         raise TooFewSamples("need at least 2 samples")
     t = np.arange(x.size, dtype=float) if timestamps is None else np.asarray(timestamps, float)
+    # one pass over the deviations, summed as np.var and np.std sum them
+    mean = x.mean()
+    d = x - mean
+    var = (d * d).sum() / x.size
     tc = t - t.mean()
     denom = np.dot(tc, tc)
-    slope = float(np.dot(tc, x - x.mean()) / denom) if denom > 0 else 0.0
+    slope = float(np.dot(tc, d) / denom) if denom > 0 else 0.0
     return {
-        "mean": float(np.mean(x)),
+        "mean": float(mean),
         "median": float(np.median(x)),
-        "std": float(np.std(x)),
-        "var": float(np.var(x)),
-        "min": float(np.min(x)),
-        "max": float(np.max(x)),
+        "std": float(np.sqrt(var)),
+        "var": float(var),
+        "min": float(x.min()),
+        "max": float(x.max()),
         "slope": slope,
     }
 
@@ -464,6 +473,64 @@ class FeatureCatalogEntry:
     features: tuple[str, ...] | None = None
 
 
+class _SeriesWindows:
+    """One preprocessed series, the sample bounds of its windows and the
+    windows themselves, for one (subject, phase, modality).
+
+    Per series, each at most once and only when an entry needs it: R-peak
+    detection, and the EDA tonic/phasic split plus the SCR smoothing of the
+    phasic part.  Per window, slices of those results: the series beats
+    inside the window's bounds as an :class:`RRSeries` (memoised, so
+    ``hrv_time`` and ``hrv_freq`` share it), and ``TimeSeries.window``
+    slices of tonic, phasic and smoothed phasic.  A result that failed with
+    an :class:`~affectpipe.errors.AffectPipeError` is kept and raised again
+    for every window that asks for it.
+    """
+
+    def __init__(self, series: TimeSeries, policy: WindowingPolicy):
+        self.series = series
+        self.bounds = _window_bounds(series, policy)
+        self.windows = segment(series, policy)  # the same bounds, cut
+        self._results = {}  # "beats", "eda" or ("rr", k) -> result or error
+
+    def _once(self, key, compute):
+        if key not in self._results:
+            try:
+                self._results[key] = compute()
+            except AffectPipeError as exc:
+                self._results[key] = exc
+        result = self._results[key]
+        if isinstance(result, AffectPipeError):
+            raise result
+        return result
+
+    def rr(self, k: int) -> RRSeries:
+        """Window k's inter-beat series, from the series beats in its bounds."""
+        return self._once(("rr", k), lambda: self._window_rr(k))
+
+    def _window_rr(self, k: int) -> RRSeries:
+        peaks = self._once("beats", lambda: detect_r_peaks(self.series))
+        start, stop = self.bounds[k]
+        inside = peaks[np.searchsorted(peaks, start):np.searchsorted(peaks, stop)]
+        if inside.size < 2:
+            raise NoBeatsDetected(f"fewer than 2 beats in window {k}")
+        return RRSeries.from_beat_times(self.series.timestamps[inside])
+
+    def eda(self, k: int) -> tuple[TimeSeries, TimeSeries, TimeSeries]:
+        """Window k's slices of tonic, phasic and smoothed phasic."""
+        parts = self._once("eda", self._decompose)
+        start, stop = self.bounds[k]
+        return tuple(part.window(start, stop) for part in parts)
+
+    def _decompose(self):
+        decomp = decompose_eda(self.series)
+        return decomp.tonic, decomp.phasic, _smooth(decomp.phasic, SCR_SMOOTH_CUTOFF_HZ)
+
+
+#: Names :func:`statistical_features` returns.
+STAT_FEATURES = ("mean", "median", "std", "var", "min", "max", "slope")
+
+
 def _compute_stats(window: TimeSeries, params):
     return statistical_features(window.values, window.timestamps)
 
@@ -472,32 +539,34 @@ def _hrv_time(rr: RRSeries, window: TimeSeries, params):
     return hrv_time_features(rr)
 
 
-def _hrv_freq(rr: RRSeries, window: TimeSeries, params):
+def _hrv_bands(params) -> dict[str, tuple[float, float]]:
     bands = params.get("bands")
-    if bands is not None:
-        bands = {k: tuple(v) for k, v in bands.items()}
+    return {k: tuple(v) for k, v in bands.items()} if bands else dict(DEFAULT_HRV_BANDS)
+
+
+def _hrv_freq(rr: RRSeries, window: TimeSeries, params):
     # windows trim a little span off either end, so the default minimum is
     # relaxed to 3/4 of the window length
     min_span = params.get("min_span_s", 0.75 * window.duration_s)
-    return hrv_freq_features(rr, bands, min_span_s=min_span)
+    return hrv_freq_features(rr, _hrv_bands(params), min_span_s=min_span)
 
 
-#: The registered computations of a window's inter-beat series, called as
-#: ``fn(rr, window, params)`` (the other COMPUTATIONS as ``fn(window,
-#: params)``): :func:`extract_features` detects each window's R-peaks once.
-_RR_COMPUTATIONS = (_hrv_time, _hrv_freq)
+def _hrv_freq_names(params) -> tuple[str, ...]:
+    bands = _hrv_bands(params)
+    ratio = ("lf_hf_ratio",) if "lf" in bands and "hf" in bands else ()
+    return tuple(f"{name}_power" for name in bands) + ratio
 
 
-def _compute_eda_decomposed(window: TimeSeries, params):
-    decomp = decompose_eda(window)
-    out = {"scl_mean_us": float(np.mean(decomp.tonic.values)),
-           "scl_std_us": float(np.std(decomp.tonic.values)),
-           "scl_slope": statistical_features(decomp.tonic.values,
-                                             decomp.tonic.timestamps)["slope"]}
-    out.update(scr_events(decomp.phasic, params.get("min_amplitude_us", 0.01)))
-    out["phasic_mean_us"] = float(np.mean(decomp.phasic.values))
-    out["phasic_std_us"] = float(np.std(decomp.phasic.values))
-    out["phasic_max_us"] = float(np.max(decomp.phasic.values))
+def _compute_eda_decomposed(parts, window: TimeSeries, params):
+    tonic, phasic, smoothed = parts
+    out = {"scl_mean_us": float(np.mean(tonic.values)),
+           "scl_std_us": float(np.std(tonic.values)),
+           "scl_slope": statistical_features(tonic.values, tonic.timestamps)["slope"]}
+    out.update(scr_events(smoothed, params.get("min_amplitude_us", 0.01),
+                          smooth_cutoff_hz=0))
+    out["phasic_mean_us"] = float(np.mean(phasic.values))
+    out["phasic_std_us"] = float(np.std(phasic.values))
+    out["phasic_max_us"] = float(np.max(phasic.values))
     return out
 
 
@@ -509,34 +578,94 @@ def _compute_emg(window: TimeSeries, params):
     return emg_features(window)
 
 
+@dataclass(frozen=True)
+class _Computation:
+    """A registered computation and the feature names it returns.
+
+    ``fn`` is called as ``fn(window, params)``, or, when ``part`` names a
+    :class:`_SeriesWindows` method, as ``fn(part_k, window, params)`` with
+    ``part_k`` window k's slice of a series-level result.  ``names`` is a
+    tuple, or a function of the entry parameters giving one.
+    """
+
+    fn: Callable
+    names: tuple[str, ...] | Callable[[dict], tuple[str, ...]] | None
+    part: str | None = None
+
+    def declared(self, params) -> tuple[str, ...]:
+        return self.names(params) if callable(self.names) else self.names
+
+
+_STATS = _Computation(_compute_stats, STAT_FEATURES)
+
 COMPUTATIONS = {
-    "ecg_stats": _compute_stats,
-    "hrv_time": _hrv_time,
-    "hrv_freq": _hrv_freq,
-    "eda_stats": _compute_stats,
-    "eda_decomposition": _compute_eda_decomposed,
-    "statistics": _compute_stats,
-    "resp": _compute_resp,
-    "emg": _compute_emg,
+    "ecg_stats": _STATS,
+    "hrv_time": _Computation(_hrv_time, (
+        "hr_mean_bpm", "hr_std_bpm", "rmssd_s", "sdnn_s", "rr_mean_s",
+        "rr_median_s", "rr_std_s", "rr_var_s2"), part="rr"),
+    "hrv_freq": _Computation(_hrv_freq, _hrv_freq_names, part="rr"),
+    "eda_stats": _STATS,
+    "eda_decomposition": _Computation(_compute_eda_decomposed, (
+        "scl_mean_us", "scl_std_us", "scl_slope", "scr_count",
+        "scr_rate_per_min", "scr_mean_amplitude_us", "phasic_mean_us",
+        "phasic_std_us", "phasic_max_us"), part="eda"),
+    "statistics": _STATS,
+    "resp": _Computation(_compute_resp, (
+        "inhale_mean_s", "exhale_mean_s", "breath_rate_per_min", "maxima_mean",
+        "maxima_std", "minima_mean", "minima_std", "inhale_exhale_ratio")),
+    "emg": _Computation(_compute_emg, (
+        tuple(f"a_{k}" for k in STAT_FEATURES)
+        + tuple(f"a_band_{j}_energy" for j in range(EMG_N_BANDS))
+        + ("b_peak_count", "b_peak_mean", "b_peak_std", "b_peak_max")
+        + tuple(f"b_{k}" for k in STAT_FEATURES))),
 }
 
 
 def _entry_feature_names(entry: FeatureCatalogEntry) -> list[str]:
     if entry.features is not None:
         return list(entry.features)
-    raise ValueError(
+    raise CatalogError(
         f"catalog entry {entry.name!r} must declare its feature list "
         "so the column schema is known up front"
     )
 
 
-def _resolve(entry: FeatureCatalogEntry):
+def _resolve(entry: FeatureCatalogEntry) -> _Computation:
+    """The entry's registered computation; a custom callable declares no names."""
     if callable(entry.computation):
-        return entry.computation
+        return _Computation(entry.computation, None)
     try:
         return COMPUTATIONS[entry.computation]
     except KeyError:
-        raise ValueError(f"unknown computation {entry.computation!r}") from None
+        raise CatalogError(f"unknown computation {entry.computation!r}") from None
+
+
+def _undeclared(entry: FeatureCatalogEntry, returned) -> CatalogError:
+    missing = [name for name in entry.features if name not in returned]
+    return CatalogError(
+        f"catalog entry {entry.name!r} declares features {missing} "
+        f"that computation {entry.computation!r} does not return "
+        f"(it returns {sorted(returned)})"
+    )
+
+
+def check_catalog(catalog: list[FeatureCatalogEntry]):
+    """Reject a catalog before any window is computed.
+
+    Raises :class:`~affectpipe.errors.CatalogError`, naming the entry, for
+    an empty catalog, an entry without a ``features`` list, an unknown
+    computation, or a ``features`` name its registered computation does not
+    declare.  Names of a custom callable are checked per window instead.
+    """
+    if not catalog:
+        raise CatalogError("feature catalog is empty")
+    for entry in catalog:
+        names = _entry_feature_names(entry)
+        computation = _resolve(entry)
+        if computation.names is not None:
+            declared = computation.declared(entry.parameters)
+            if not set(names) <= set(declared):
+                raise _undeclared(entry, declared)
 
 
 def ecg_eda_catalog() -> list[FeatureCatalogEntry]:
@@ -560,46 +689,21 @@ def ecg_eda_catalog() -> list[FeatureCatalogEntry]:
     ]
 
 
-class _SeriesWindows:
-    """One series cut into windows once, with R-peaks found at most once
-    per window.  :func:`extract_features` keeps these for one
-    (subject, phase) and then drops them."""
-
-    def __init__(self, series: TimeSeries, policy: WindowingPolicy):
-        self.windows = segment(series, policy)
-        self._rr = [None] * len(self.windows)  # RRSeries or the error raised
-
-    def rr(self, k: int) -> RRSeries:
-        if self._rr[k] is None:
-            try:
-                self._rr[k] = rr_from_ecg(self.windows[k])
-            except AffectPipeError as exc:
-                self._rr[k] = exc
-        if isinstance(self._rr[k], AffectPipeError):
-            raise self._rr[k]
-        return self._rr[k]
-
-
 def _entry_values(entry: FeatureCatalogEntry, cut: _SeriesWindows) -> list[tuple]:
     """One value tuple per window; absent cells where the window failed."""
     names = _entry_feature_names(entry)
-    fn = _resolve(entry)
-    from_rr = fn in _RR_COMPUTATIONS
+    computation = _resolve(entry)
+    fn = computation.fn
+    part = getattr(cut, computation.part) if computation.part else None
     values = []
     for k, w in enumerate(cut.windows):
         try:
-            computed = (fn(cut.rr(k), w, entry.parameters) if from_rr
-                        else fn(w, entry.parameters))
+            computed = fn(part(k), w, entry.parameters) if part else fn(w, entry.parameters)
         except AffectPipeError:
             values.append((ABSENT,) * len(names))
             continue
-        missing = [name for name in names if name not in computed]
-        if missing:
-            raise ValueError(
-                f"catalog entry {entry.name!r} declares features {missing} "
-                f"that computation {entry.computation!r} does not return "
-                f"(it returns {sorted(computed)})"
-            )
+        if not all(name in computed for name in names):
+            raise _undeclared(entry, computed)
         values.append(tuple(computed[name] for name in names))
     return values
 
@@ -610,26 +714,32 @@ def extract_features(bundle: SubjectBundle,
                      calculate_average: bool = False) -> FeatureMatrix:
     """Segment every series, run the catalog per window, fuse by columns.
 
-    Each (subject, phase, modality) series is segmented once and its
-    windows are shared by all of that modality's entries; the HRV entries
-    also share one R-peak detection per window.
+    The catalog is checked first (:func:`check_catalog`).  Each (subject,
+    phase, modality) series is segmented once and its windows are shared
+    by all of that modality's entries.  Signal work whose result does not
+    depend on the window runs once per series: R-peak detection for
+    ``hrv_time`` and ``hrv_freq``, and the EDA tonic/phasic split with the
+    SCR smoothing for ``eda_decomposition``.  Each window then takes its
+    slice: the series beats inside its bounds, or its samples of tonic,
+    phasic and smoothed phasic.  Everything else (statistics, RESP, EMG,
+    custom callables) runs on the window itself.
 
     With ``calculate_average`` the per-window feature time series collapses
     to one mean row per (subject, phase) with window_index 0.  A window
     whose computation raises an :class:`~affectpipe.errors.AffectPipeError`
     (the signal-quality errors such as NoBeatsDetected, TooFewBeats or
-    SampleRateTooLow) contributes absent cells; such rows are dropped
-    later, before classification.  Any other error propagates, and so does
-    a ValueError when a computation returns no value for a declared
-    ``features`` name.
+    SampleRateTooLow) contributes absent cells; so does every window of a
+    series whose R-peak detection or EDA split failed.  Such rows are
+    dropped later, before classification.  Any other error propagates, and
+    so does a CatalogError (a ValueError) when a custom computation returns
+    no value for a declared ``features`` name.
 
     A computation may return text tags instead of numbers: such a column
     is one-hot encoded into ``name=tag`` indicator columns that follow the
     numeric columns (averaged, they become the share of windows with the
     tag).  A column mixing numbers and text raises a ValueError.
     """
-    if not catalog:
-        raise ValueError("feature catalog is empty")
+    check_catalog(catalog)
     columns = []
     for entry in catalog:
         for feat in _entry_feature_names(entry):

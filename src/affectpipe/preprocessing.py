@@ -46,6 +46,8 @@ class FilterCoefficients:
     design: FilterDesign
     #: edge-padding length for :func:`apply_zero_phase`, see _settling_samples
     settling_samples: int = field(init=False, repr=False, compare=False)
+    #: read-only step-response initial state of each section (``sosfilt_zi``)
+    zi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sos = np.atleast_2d(np.asarray(self.sections, dtype=float))
@@ -59,6 +61,9 @@ class FilterCoefficients:
             r_max = max(r_max, float(np.max(np.abs(np.roots([a0, a1, a2])))))
         object.__setattr__(self, "settling_samples",
                            _settling_samples(r_max, self.design.order))
+        zi = sps.sosfilt_zi(sos)
+        zi.setflags(write=False)
+        object.__setattr__(self, "zi", zi)
 
     def frequency_response(self, freqs_hz) -> np.ndarray:
         """Complex single-pass response at the given frequencies."""
@@ -113,12 +118,18 @@ def design_notch(f0_hz: float, q: float, fs_hz: float) -> FilterCoefficients:
 
     ``q`` describes the effective zero-phase bandwidth: after the
     forward-backward pass, attenuation at f0 +/- f0/(2q) stays within 3 dB.
-    The single-pass design is therefore made twice as narrow.
+    The single-pass design is therefore made twice as narrow.  Memoised like
+    :func:`design_butterworth`.
     """
     if not 0 < f0_hz < fs_hz / 2.0:
         raise CutoffOutOfRange(f"notch frequency {f0_hz} Hz >= Nyquist at fs={fs_hz}")
     if q <= 0:
         raise CutoffOutOfRange("q must be positive")
+    return _notch(float(f0_hz), float(q), float(fs_hz))
+
+
+@functools.lru_cache(maxsize=16)
+def _notch(f0_hz: float, q: float, fs_hz: float) -> FilterCoefficients:
     b, a = sps.iirnotch(f0_hz, 2.0 * q, fs=fs_hz)
     sos = sps.tf2sos(b, a)
     return FilterCoefficients(sos, FilterDesign("notch", 2, (f0_hz,), fs_hz))
@@ -141,7 +152,9 @@ def apply_zero_phase(coeffs: FilterCoefficients, series: TimeSeries) -> TimeSeri
     """Forward-backward filtering with reflected edge padding.
 
     Output length equals input length and the group delay is zero by
-    construction.
+    construction.  The result is bit-identical to scipy's
+    ``sosfiltfilt(..., padtype="even", padlen=...)``, whose steps this
+    repeats with the stored ``coeffs.zi`` instead of solving it per call.
     """
     fs = coeffs.design.fs_hz
     if abs(series.sample_rate_hz - fs) > 1e-9 * fs:
@@ -150,11 +163,15 @@ def apply_zero_phase(coeffs: FilterCoefficients, series: TimeSeries) -> TimeSeri
         )
     if not series.is_uniform():
         raise SampleRateMismatch("series must be uniformly sampled; resample first")
-    padlen = min(coeffs.settling_samples, len(series) - 1)
-    # scipy's cython path needs a writable buffer; series arrays are frozen
-    filtered = sps.sosfiltfilt(np.array(coeffs.sections), np.array(series.values),
-                               padtype="even", padlen=padlen)
-    return series.with_values(filtered)
+    n = len(series)
+    padlen = min(coeffs.settling_samples, n - 1)
+    x = series.values
+    ext = np.concatenate((x[padlen:0:-1], x, x[-2:-(padlen + 2):-1]))
+    # scipy's cython path needs writable sections; the stored ones are frozen
+    sos = np.array(coeffs.sections)
+    y, _ = sps.sosfilt(sos, ext, zi=coeffs.zi * ext[0])
+    y, _ = sps.sosfilt(sos, y[::-1], zi=coeffs.zi * y[-1])
+    return series.with_values(y[::-1][padlen:padlen + n])
 
 
 def notch_powerline(series: TimeSeries, f0_hz: float = 50.0, q: float = 30.0) -> TimeSeries:

@@ -97,15 +97,18 @@ class TimeSeries:
         return bool(np.all(np.abs(deltas - expected) <= UNIFORM_RTOL * expected))
 
     def with_values(self, values) -> "TimeSeries":
-        """Same grid and identity, new sample values (filtering result)."""
-        return TimeSeries(
-            subject_id=self.subject_id,
-            phase=self.phase,
-            modality=self.modality,
-            timestamps=self.timestamps,
-            values=values,
-            sample_rate_hz=self.sample_rate_hz,
-        )
+        """Same grid and identity, new sample values (filtering result).
+
+        The grid is this series' own, already validated, so like
+        :meth:`window` this does not validate again; it only checks that
+        there is one value per timestamp.
+        """
+        values = _frozen_array(values)
+        if values.shape != self.timestamps.shape:
+            raise ValidationFailed([Violation("timestamps/values length mismatch")])
+        series = object.__new__(TimeSeries)
+        vars(series).update(vars(self), values=values)
+        return series
 
     def window(self, start: int, stop: int) -> "TimeSeries":
         """Samples ``start:stop``, 2 or more, as a series of their own.

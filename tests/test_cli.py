@@ -160,6 +160,21 @@ def test_run_missing_classification_exit_3(dataset_root, tmp_path, capsys):
     assert "Classification" in capsys.readouterr().out
 
 
+def test_run_undeclared_feature_name_exit_3_before_acquisition(tmp_path, capsys):
+    # the dataset root does not exist: reading it would fail at run time
+    # (exit 4), so exit 3 shows the catalog was rejected before Acquisition
+    text = run_config(tmp_path / "no-such-dataset").replace(
+        "features: default-ecg-eda",
+        "features:\n"
+        "  - {name: hrv, modality: ECG, computation: hrv_time,\n"
+        "     features: [hr_mean_bpm, rmsdd_s]}")
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text, encoding="utf-8")
+    assert cmd_run(str(cfg)) == 3
+    out = capsys.readouterr().out
+    assert "pipeline build error" in out and "'hrv'" in out and "rmsdd_s" in out
+
+
 def test_run_window_longer_than_recording_exit_4(dataset_root, tmp_path, capsys):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(run_config(dataset_root, window=600.0), encoding="utf-8")

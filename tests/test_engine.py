@@ -31,6 +31,7 @@ from affectpipe import (
 from affectpipe.features import FeatureCatalogEntry
 from affectpipe.engine import BUNDLE, FEATURES, LABELED, NONE, OUTPUT, RunContext
 from affectpipe.errors import (
+    CatalogError,
     EmptyDataset,
     IncompatibleStages,
     MisorderedStage,
@@ -173,16 +174,13 @@ def test_failing_preprocess_chain_reports_stage_1(dataset_root):
 
 
 def test_misspelled_feature_name_fails_at_feature_extractor(dataset_root):
-    stages = _stages(dataset_root)
-    stages[2] = FeatureExtractor(
-        [FeatureCatalogEntry("hrv", "ECG", "hrv_time",
-                             features=("hr_mean_bpm", "rmsdd_s"))],
-        WindowingPolicy(60.0, 30.0))
-    p = build_pipeline(PipelineSpec(tuple(stages)))
-    with pytest.raises(StageExecutionError) as e:
-        p.run()
-    assert e.value.stage_index == 2
-    assert isinstance(e.value.__cause__, ValueError)
+    # building the stage checks the names, before any stage runs
+    with pytest.raises(CatalogError) as e:
+        FeatureExtractor(
+            [FeatureCatalogEntry("hrv", "ECG", "hrv_time",
+                                 features=("hr_mean_bpm", "rmsdd_s"))],
+            WindowingPolicy(60.0, 30.0))
+    assert isinstance(e.value, ValueError)
     assert "'hrv'" in str(e.value) and "rmsdd_s" in str(e.value)
 
 

@@ -25,6 +25,7 @@ from affectpipe import (
 from affectpipe import features
 from affectpipe.features import FeatureCatalogEntry
 from affectpipe.errors import (
+    CatalogError,
     DegenerateSpectrum,
     NoBeatsDetected,
     NoBreathsDetected,
@@ -368,6 +369,46 @@ def test_stats_slope_normal_equation_oracle():
     assert out["slope"] == pytest.approx(slope_oracle, rel=1e-9, abs=1e-12)
 
 
+def _statistical_features_reference(values, timestamps=None):
+    """Reference: one numpy reduction per statistic."""
+    x = np.asarray(values, dtype=float)
+    t = np.arange(x.size, dtype=float) if timestamps is None else np.asarray(timestamps, float)
+    tc = t - t.mean()
+    denom = np.dot(tc, tc)
+    slope = float(np.dot(tc, x - x.mean()) / denom) if denom > 0 else 0.0
+    return {
+        "mean": float(np.mean(x)),
+        "median": float(np.median(x)),
+        "std": float(np.std(x)),
+        "var": float(np.var(x)),
+        "min": float(np.min(x)),
+        "max": float(np.max(x)),
+        "slope": slope,
+    }
+
+
+def _stats_cases():
+    rng = np.random.default_rng(11)
+    t = np.arange(3000) / 32.0
+    return {
+        "random": (rng.normal(3.0, 0.7, 3000), t),
+        "constant": (np.full(500, 4.2), t[:500]),
+        "integer-valued": (rng.integers(-5, 6, 1001).astype(float), t[:1001]),
+        "two-sample": (np.array([0.1, 0.3]), np.array([0.0, 0.5])),
+        "no-timestamps": (rng.normal(0.0, 1e-3, 777) + 1e3, None),
+    }
+
+
+@pytest.mark.parametrize("case", list(_stats_cases()))
+def test_stats_bit_identical_to_one_reduction_per_statistic(case):
+    values, timestamps = _stats_cases()[case]
+    got = statistical_features(values, timestamps)
+    want = _statistical_features_reference(values, timestamps)
+    assert list(got) == list(want)
+    assert np.array(list(got.values())).tobytes() == \
+        np.array(list(want.values())).tobytes()
+
+
 # --- RESP ---
 
 def test_resp_rate_matches_truth():
@@ -514,22 +555,53 @@ def test_extract_stress_features_move_as_expected():
 
 
 def _extract_features_per_entry(bundle, policy, catalog, calculate_average=False):
-    """Reference: segment per catalog entry and run each computation alone."""
+    """Reference: segment per catalog entry and run each computation alone.
+
+    Statistics run on each window.  An HRV entry detects R-peaks on the
+    whole series and gives each window the beats inside its bounds; an EDA
+    decomposition entry decomposes and smooths the whole series and gives
+    each window its slices.
+    """
     columns = [f"{e.name}.{f}" for e in catalog for f in e.features]
     keys, rows = [], []
     for subject in bundle.subjects():
         for phase in bundle.phases_for(subject):
             per_entry = []
             for entry in catalog:
-                windows = segment(bundle.find(subject, phase, entry.modality), policy)
-                fn = features._resolve(entry)
+                series = bundle.find(subject, phase, entry.modality)
+                windows = segment(series, policy)
+                win = int(round(policy.window_s * series.sample_rate_hz))
+                step = int(round(policy.step_s * series.sample_rate_hz))
+                computation = features._resolve(entry)
+                whole, failed = None, False
+                try:
+                    if computation.part == "rr":
+                        whole = detect_r_peaks(series)
+                    elif computation.part == "eda":
+                        decomp = decompose_eda(series)
+                        lp = features.design_butterworth(
+                            "lowpass", 2, features.SCR_SMOOTH_CUTOFF_HZ,
+                            series.sample_rate_hz)
+                        whole = (decomp.tonic, decomp.phasic,
+                                 features.apply_zero_phase(lp, decomp.phasic))
+                except Exception:
+                    failed = True
                 values = []
-                for w in windows:
+                for k, w in enumerate(windows):
+                    start, stop = k * step, k * step + win
                     try:
-                        if fn in features._RR_COMPUTATIONS:  # R-peaks per entry
-                            computed = fn(features.rr_from_ecg(w), w, entry.parameters)
-                        else:
-                            computed = fn(w, entry.parameters)
+                        if failed:
+                            raise NoBeatsDetected("series-level step failed")
+                        if computation.part == "rr":
+                            beats = whole[(whole >= start) & (whole < stop)]
+                            if beats.size < 2:
+                                raise NoBeatsDetected("fewer than 2 beats")
+                            part = RRSeries.from_beat_times(series.timestamps[beats])
+                        elif computation.part == "eda":
+                            part = tuple(s.window(start, stop) for s in whole)
+                        computed = (computation.fn(part, w, entry.parameters)
+                                    if computation.part
+                                    else computation.fn(w, entry.parameters))
                         values.append(tuple(computed[n] for n in entry.features))
                     except Exception:
                         values.append(tuple(ABSENT for _ in entry.features))
@@ -592,7 +664,7 @@ def test_extract_average_of_all_absent_column_does_not_warn():
     assert np.isnan(m.values[m.subject_ids == "S3"][:, hrv]).all()
 
 
-def test_extract_detects_r_peaks_once_per_ecg_window(monkeypatch):
+def test_extract_detects_r_peaks_once_per_ecg_series(monkeypatch):
     calls = []
     original = features.detect_r_peaks
 
@@ -601,17 +673,160 @@ def test_extract_detects_r_peaks_once_per_ecg_window(monkeypatch):
         return original(ecg)
 
     monkeypatch.setattr(features, "detect_r_peaks", counting)
-    m = extract_features(_stress_bundle(), WindowingPolicy(60.0, 30.0),
-                         ecg_eda_catalog())
-    # 2 subjects x 2 phases x 5 windows, shared by hrv_time and hrv_freq
+    bundle = _stress_bundle()
+    m = extract_features(bundle, WindowingPolicy(60.0, 30.0), ecg_eda_catalog())
+    # 2 subjects x 2 phases x 5 windows, one detection per whole ECG series,
+    # shared by hrv_time and hrv_freq
     assert len(m) == 20
-    assert len(calls) == 20
+    assert len(calls) == 4
+    assert all(len(ecg) == len(bundle.find(ecg.subject_id, ecg.phase, "ECG"))
+               for ecg in calls)
+
+
+def _ecg_with_flat_tail():
+    """A 180 s ECG whose last 80 s are flat: its last window holds no beat."""
+    ecg, _ = synth_ecg(EcgSpec(hr_bpm=72.0, hrv_rmssd_target_s=0.04,
+                               noise_snr_db=30.0), 180.0, seed=6)
+    values = np.array(ecg.values)
+    values[int(100 * ecg.sample_rate_hz):] = 0.0
+    return ecg.with_values(values)
+
+
+@pytest.mark.parametrize("flat_tail", [False, True])
+def test_window_beats_are_the_series_beats_inside_its_bounds(flat_tail):
+    ecg = _ecg_with_flat_tail() if flat_tail else _stress_bundle().find("S1", "rest", "ECG")
+    cut = features._SeriesWindows(ecg, WindowingPolicy(60.0, 30.0))
+    beat_times = ecg.timestamps[detect_r_peaks(ecg)]
+    for k, w in enumerate(cut.windows):
+        inside = beat_times[(beat_times >= w.timestamps[0])
+                            & (beat_times <= w.timestamps[-1])]
+        if inside.size < 2:
+            with pytest.raises(NoBeatsDetected):
+                cut.rr(k)
+            continue
+        rr = cut.rr(k)
+        assert rr.beat_times_s.tobytes() == inside.tobytes()
+        assert cut.rr(k) is rr  # one RRSeries per window, shared by the entries
+    assert [len(w) for w in cut.windows] == [b - a for a, b in cut.bounds]
+    if flat_tail:  # windows from 120 s on are flat
+        with pytest.raises(NoBeatsDetected):
+            cut.rr(4)
+
+
+def test_extract_window_without_beats_yields_absent_hrv_cells():
+    ecg = _ecg_with_flat_tail()
+    catalog = [FeatureCatalogEntry("hrv", "ECG", "hrv_time",
+                                   features=("hr_mean_bpm",)),
+               FeatureCatalogEntry("ecg", "ECG", "ecg_stats", features=("std",))]
+    m = extract_features(SubjectBundle({ecg.subject_id: [ecg]}),
+                         WindowingPolicy(60.0, 30.0), catalog)
+    absent = np.isnan(m.values)
+    # the window from 90 s holds the beats of 90-100 s; the one from 120 s none
+    assert absent[:, 0].tolist() == [False, False, False, False, True]
+    assert not absent[:, 1].any()
+
+
+def test_series_level_failure_is_computed_once(monkeypatch):
+    calls = []
+
+    def failing(ecg):
+        calls.append(ecg)
+        raise NoBeatsDetected("no QRS energy above the noise floor")
+
+    monkeypatch.setattr(features, "detect_r_peaks", failing)
+    m = extract_features(_stress_bundle(subjects=("S1",)),
+                         WindowingPolicy(60.0, 30.0), ecg_eda_catalog())
+    hrv = [j for j, c in enumerate(m.columns) if c.startswith("hrv_")]
+    assert np.isnan(m.values[:, hrv]).all()
+    assert not np.isnan(np.delete(m.values, hrv, axis=1)).any()
+    assert len(calls) == 2  # one per ECG series, not one per window
+
+
+def test_eda_windows_slice_the_series_decomposition():
+    eda = _stress_bundle(subjects=("S1",)).find("S1", "stress", "EDA")
+    cut = features._SeriesWindows(eda, WindowingPolicy(60.0, 30.0))
+    decomp = decompose_eda(eda)
+    for k, (start, stop) in enumerate(cut.bounds):
+        tonic, phasic, smoothed = cut.eda(k)
+        assert tonic.values.tobytes() == decomp.tonic.values[start:stop].tobytes()
+        assert phasic.values.tobytes() == decomp.phasic.values[start:stop].tobytes()
+        assert len(smoothed) == stop - start
+        np.testing.assert_array_equal(smoothed.timestamps, eda.timestamps[start:stop])
 
 
 def test_extract_undeclared_feature_name_names_the_entry():
     catalog = [FeatureCatalogEntry("hrv", "ECG", "hrv_time",
                                    features=("hr_mean_bpm", "rmsdd_s"))]
     with pytest.raises(ValueError, match=r"'hrv'.*rmsdd_s"):
+        extract_features(_stress_bundle(subjects=("S1",)),
+                         WindowingPolicy(60.0, 30.0), catalog)
+
+
+def _registered_outputs():
+    """Each registered computation run on one window of a fitting series."""
+    ecg, _ = synth_ecg(EcgSpec(hr_bpm=70.0, noise_snr_db=30.0), 90.0, seed=1)
+    eda, _ = synth_eda(EdaSpec(scr_times_s=(20.0, 50.0),
+                               scr_amplitudes_us=(0.5, 0.5)), 90.0, seed=1)
+    resp, _ = synth_resp(RespSpec(breaths_per_min=15.0), 90.0)
+    emg, _ = synth_emg(EmgSpec(), 90.0, seed=1)
+    inputs = {"ecg_stats": ecg, "hrv_time": ecg, "hrv_freq": ecg,
+              "eda_stats": eda, "eda_decomposition": eda, "statistics": eda,
+              "resp": resp, "emg": emg}
+    for name, computation in features.COMPUTATIONS.items():
+        cut = features._SeriesWindows(inputs[name], WindowingPolicy(80.0, 10.0))
+        window = cut.windows[0]
+        if computation.part:
+            returned = computation.fn(getattr(cut, computation.part)(0), window, {})
+        else:
+            returned = computation.fn(window, {})
+        yield name, computation, returned
+
+
+def test_registered_computations_declare_what_they_return():
+    names = set()
+    for name, computation, returned in _registered_outputs():
+        assert tuple(returned) == computation.declared({}), name
+        names.add(name)
+    assert names == set(features.COMPUTATIONS)
+
+
+def test_hrv_freq_declares_the_names_of_its_bands():
+    declared = features.COMPUTATIONS["hrv_freq"].declared
+    assert declared({}) == ("ulf_power", "lf_power", "hf_power", "uhf_power",
+                            "lf_hf_ratio")
+    assert declared({"bands": {"lf": [0.04, 0.15], "vlf": [0.0, 0.04]}}) == \
+        ("lf_power", "vlf_power")
+    entry = FeatureCatalogEntry(
+        "hrv", "ECG", "hrv_freq",
+        parameters={"bands": {"lf": (0.04, 0.15), "hf": (0.15, 0.4),
+                              "vlf": (0.0, 0.04)}},
+        features=("vlf_power", "lf_hf_ratio"))
+    features.check_catalog([entry])
+    with pytest.raises(CatalogError, match=r"'hrv'.*uhf_power"):
+        features.check_catalog([FeatureCatalogEntry(
+            "hrv", "ECG", "hrv_freq", entry.parameters, features=("uhf_power",))])
+
+
+@pytest.mark.parametrize("entry, message", [
+    (FeatureCatalogEntry("x", "ECG", "hrv_time"), "'x' must declare"),
+    (FeatureCatalogEntry("x", "ECG", "hrv_spectrum", features=("a",)),
+     "unknown computation 'hrv_spectrum'"),
+    (FeatureCatalogEntry("scr", "EDA", "eda_decomposition",
+                         features=("scr_rate",)), r"'scr'.*\['scr_rate'\]"),
+])
+def test_check_catalog_rejects_before_any_window(entry, message, monkeypatch):
+    monkeypatch.setattr(features, "_SeriesWindows",
+                        lambda *a: pytest.fail("a window was cut"))
+    with pytest.raises(CatalogError, match=message):
+        extract_features(_stress_bundle(subjects=("S1",)),
+                         WindowingPolicy(60.0, 30.0), [entry])
+
+
+def test_custom_callable_names_are_checked_per_window():
+    catalog = [FeatureCatalogEntry("ptp", "EDA", lambda w, p: {"ptp": 1.0},
+                                   features=("ptp", "range"))]
+    features.check_catalog(catalog)  # nothing to check before it runs
+    with pytest.raises(CatalogError, match=r"'ptp'.*\['range'\]"):
         extract_features(_stress_bundle(subjects=("S1",)),
                          WindowingPolicy(60.0, 30.0), catalog)
 

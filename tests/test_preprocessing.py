@@ -95,6 +95,50 @@ def test_settling_samples_from_pole_radii(coeffs):
     assert coeffs.settling_samples == want
 
 
+# every design the package ships: the default chains, the feature kernels
+# (R-peak bandpass, EDA tonic and SCR lowpasses, EMG groups) and the
+# resampler's order-8 anti-alias lowpass
+SHIPPED_DESIGNS = [
+    ("highpass", 2, 0.5, 700.0), ("lowpass", 4, 5.0, 32.0),
+    ("highpass", 4, 10.0, 1000.0), ("bandpass", 2, (0.1, 0.35), 32.0),
+    ("bandpass", 2, (5.0, 15.0), 700.0), ("lowpass", 2, 0.05, 32.0),
+    ("lowpass", 2, 1.0, 32.0), ("lowpass", 4, 50.0, 1000.0),
+    ("lowpass", 8, 0.45 * 100.0, 700.0), ("notch", 50.0, 30.0, 700.0),
+]
+
+
+def _shipped(kind, *args):
+    return design_notch(*args) if kind == "notch" else design_butterworth(kind, *args)
+
+
+@pytest.mark.parametrize("design", SHIPPED_DESIGNS, ids=lambda d: f"{d[0]}-{d[1]}")
+def test_zero_phase_is_bit_identical_to_sosfiltfilt(design):
+    from scipy import signal as sps
+    coeffs = _shipped(*design)
+    rng = np.random.default_rng(3)
+    settling = coeffs.settling_samples
+    for n in (2, settling, settling + 1, 45_000):
+        s = make_series(rng.normal(size=n), coeffs.design.fs_hz)
+        want = sps.sosfiltfilt(np.array(coeffs.sections), np.array(s.values),
+                               padtype="even", padlen=min(settling, n - 1))
+        assert apply_zero_phase(coeffs, s).values.tobytes() == want.tobytes(), n
+
+
+def test_initial_state_is_stored_read_only():
+    from scipy import signal as sps
+    c = design_notch(50.0, 30.0, 700.0)
+    np.testing.assert_array_equal(c.zi, sps.sosfilt_zi(np.array(c.sections)))
+    with pytest.raises(ValueError):
+        c.zi[0, 0] = 1.0
+
+
+def test_notch_memo_normalises_arguments():
+    a = design_notch(50, 30, 700)
+    assert a is design_notch(50.0, np.float64(30.0), 700.0)
+    assert a.design == FilterDesign("notch", 2, (50.0,), 700.0)
+    assert a is not design_notch(60.0, 30.0, 700.0)
+
+
 def test_sections_are_stable():
     for kind, order, cut, fs in [
         ("lowpass", 4, 5.0, 700.0), ("highpass", 2, 0.5, 700.0),

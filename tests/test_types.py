@@ -67,6 +67,25 @@ def test_window_is_a_read_only_view_built_without_revalidation(monkeypatch):
             s.window(start, stop)
 
 
+def test_with_values_shares_the_grid_without_revalidation(monkeypatch):
+    s = TimeSeries("S1", "rest", Modality("ECG"), np.arange(4) * 0.004,
+                   [1.0, 2.0, 3.0, 4.0], 250)
+    from affectpipe import types
+    monkeypatch.setattr(types, "validate_time_series",
+                        lambda series: pytest.fail("with_values re-validated"))
+    f = s.with_values(np.array([4, 3, 2, 1]))  # integers become float64
+    assert (f.subject_id, f.phase, f.modality, f.sample_rate_hz) == \
+        ("S1", "rest", Modality("ECG"), 250)
+    assert f.timestamps is s.timestamps
+    assert f.values.dtype == np.float64
+    np.testing.assert_array_equal(f.values, [4.0, 3.0, 2.0, 1.0])
+    with pytest.raises(ValueError):
+        f.values[0] = 9.0
+    for values in ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0, 5.0]):
+        with pytest.raises(ValidationFailed, match="length mismatch"):
+            s.with_values(values)
+
+
 def _series(subject, phase="rest", modality="ECG"):
     return TimeSeries(subject, phase, Modality(modality),
                       [0.0, 1.0, 2.0], [0.0, 1.0, 0.0], 1.0)
