@@ -33,7 +33,8 @@ from .errors import (
 )
 from .types import Modality, SubjectBundle, TimeSeries
 
-#: Rows formatted per write by write_csv_signal (bounds the text buffer).
+#: Rows formatted by one format call and one write in write_csv_signal
+#: (bounds the text buffer).
 WRITE_CHUNK_ROWS = 65536
 
 
@@ -206,7 +207,13 @@ def _parse_rows(reader, t_col: int, v_col: int):
 
 
 def write_csv_signal(series: TimeSeries, path, precision: int = 12):
-    """Serialize back to the CSV contract (inverse of load, up to formatting)."""
+    """Serialize back to the CSV contract (inverse of load, up to formatting).
+
+    Each chunk of ``WRITE_CHUNK_ROWS`` rows is one ``%`` format call: the
+    row template repeated once per row, applied to the chunk's timestamps
+    and values interleaved, so every cell gets the same ``%.{precision}g``
+    spec on the same float, in file order.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     row = f"%.{precision}g,%.{precision}g\n"
@@ -215,9 +222,9 @@ def write_csv_signal(series: TimeSeries, path, precision: int = 12):
             ["timestamp", series.modality.name])
         for start in range(0, len(series), WRITE_CHUNK_ROWS):
             stop = start + WRITE_CHUNK_ROWS
-            fh.write("".join([
-                row % tv for tv in zip(series.timestamps[start:stop].tolist(),
-                                       series.values[start:stop].tolist())]))
+            cells = np.column_stack((series.timestamps[start:stop],
+                                     series.values[start:stop])).ravel().tolist()
+            fh.write(row * (len(cells) // 2) % tuple(cells))
 
 
 @dataclass(frozen=True)

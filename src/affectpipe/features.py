@@ -336,9 +336,6 @@ def statistical_features(values, timestamps=None) -> dict[str, float]:
     mean = x.mean()
     d = x - mean
     var = (d * d).sum() / x.size
-    tc = t - t.mean()
-    denom = np.dot(tc, tc)
-    slope = float(np.dot(tc, d) / denom) if denom > 0 else 0.0
     return {
         "mean": float(mean),
         "median": float(np.median(x)),
@@ -346,8 +343,15 @@ def statistical_features(values, timestamps=None) -> dict[str, float]:
         "var": float(var),
         "min": float(x.min()),
         "max": float(x.max()),
-        "slope": slope,
+        "slope": _slope(d, t),
     }
+
+
+def _slope(d, t) -> float:
+    """Least-squares slope of ``d`` (samples minus their mean) against ``t``."""
+    tc = t - t.mean()
+    denom = np.dot(tc, tc)
+    return float(np.dot(tc, d) / denom) if denom > 0 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -559,9 +563,10 @@ def _hrv_freq_names(params) -> tuple[str, ...]:
 
 def _compute_eda_decomposed(parts, window: TimeSeries, params):
     tonic, phasic, smoothed = parts
-    out = {"scl_mean_us": float(np.mean(tonic.values)),
+    scl_mean = tonic.values.mean()
+    out = {"scl_mean_us": float(scl_mean),
            "scl_std_us": float(np.std(tonic.values)),
-           "scl_slope": statistical_features(tonic.values, tonic.timestamps)["slope"]}
+           "scl_slope": _slope(tonic.values - scl_mean, tonic.timestamps)}
     out.update(scr_events(smoothed, params.get("min_amplitude_us", 0.01),
                           smooth_cutoff_hz=0))
     out["phasic_mean_us"] = float(np.mean(phasic.values))

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from affectpipe import (
     Modality,
@@ -209,6 +210,44 @@ def test_write_bytes_match_rowwise_writer(tmp_path, monkeypatch, precision):
     write_csv_signal(series, tmp_path / "new.csv", precision)
     _rowwise_write(series, tmp_path / "old.csv", precision)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+_CHUNK = 5
+_FINITE_BITS = 0x7FF0000000000000  # bit patterns below this are finite, >= +0.0
+_SPECIAL_BITS = [int(np.array(v).view(np.uint64)) for v in
+                 (0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                  2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1e16)]
+
+
+def _floats(bits):
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
+@st.composite
+def _written_series(draw):
+    n = draw(st.sampled_from([2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK - 1,
+                              2 * _CHUNK, 2 * _CHUNK + 1, 3 * _CHUNK]))
+    value_bits = st.one_of(st.integers(0, 2**64 - 1), st.sampled_from(_SPECIAL_BITS))
+    values = _floats(draw(st.lists(value_bits, min_size=n, max_size=n)))
+    # signed bit magnitudes, distinct and sorted, map to strictly increasing
+    # finite timestamps (subnormals and both signs included)
+    keys = sorted(draw(st.lists(st.integers(-_FINITE_BITS + 1, _FINITE_BITS - 1),
+                                min_size=n, max_size=n, unique=True)))
+    magnitudes = _floats([abs(k) for k in keys])
+    timestamps = np.where(np.array(keys) < 0, -magnitudes, magnitudes)
+    return TimeSeries("S1", "rest", Modality("ECG"), timestamps, values, 250.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(series=_written_series(), precision=st.integers(1, 17))
+def test_write_bytes_match_rowwise_writer_on_any_float(tmp_path_factory, series,
+                                                       precision):
+    tmp = tmp_path_factory.mktemp("write")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(acquisition, "WRITE_CHUNK_ROWS", _CHUNK)
+        write_csv_signal(series, tmp / "new.csv", precision)
+    _rowwise_write(series, tmp / "old.csv", precision)
+    assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
 
 
 def _fixture(tmp_path, subjects=("S1", "S2"), phases=("rest", "stress"),

@@ -754,6 +754,19 @@ def test_eda_windows_slice_the_series_decomposition():
         np.testing.assert_array_equal(smoothed.timestamps, eda.timestamps[start:stop])
 
 
+def test_scl_slope_matches_statistical_features_slope():
+    eda = _stress_bundle(subjects=("S1",)).find("S1", "stress", "EDA")
+    cut = features._SeriesWindows(eda, WindowingPolicy(60.0, 30.0))
+    assert cut.bounds
+    for k in range(len(cut.bounds)):
+        parts = cut.eda(k)
+        tonic = parts[0]
+        out = features._compute_eda_decomposed(parts, cut.windows[k], {})
+        expected = statistical_features(tonic.values, tonic.timestamps)
+        assert out["scl_slope"] == expected["slope"]
+        assert out["scl_mean_us"] == expected["mean"]
+
+
 def test_extract_undeclared_feature_name_names_the_entry():
     catalog = [FeatureCatalogEntry("hrv", "ECG", "hrv_time",
                                    features=("hr_mean_bpm", "rmsdd_s"))]

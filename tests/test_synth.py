@@ -19,7 +19,7 @@ from affectpipe import (
     synth_temp,
     validate_time_series,
 )
-from affectpipe.synth import TempSpec, synth_emg, EmgSpec
+from affectpipe.synth import TempSpec, _qrs_train, synth_emg, EmgSpec
 from affectpipe.errors import InvalidRate, SCROutOfRange
 
 
@@ -46,6 +46,40 @@ def test_ecg_snr0_detection_stress_test():
     peaks = detect_r_peaks(ecg)
     n_true = len(truth.beat_times_s)
     assert abs(peaks.size - n_true) <= 0.05 * n_true
+
+
+def _beatwise_qrs_train(t, beat_times):
+    """The original per-beat QRS loop, kept as the byte reference."""
+    x = np.zeros_like(t)
+    width = 0.02
+    for bt in beat_times:
+        lo = np.searchsorted(t, bt - 5 * width)
+        hi = np.searchsorted(t, bt + 5 * width)
+        x[lo:hi] += np.exp(-0.5 * ((t[lo:hi] - bt) / width) ** 2)
+    return x
+
+
+@pytest.mark.parametrize("fs, hr, rmssd", [
+    (250.0, 65.0, 0.05), (700.0, 90.0, 0.025), (32.0, 40.0, 0.0),
+    (100.0, 200.0, 0.01), (250.0, 120.0, 0.12), (700.0, 30.0, 0.3),
+])
+def test_ecg_values_match_beatwise_loop(fs, hr, rmssd):
+    ecg, truth = synth_ecg(EcgSpec(hr_bpm=hr, hrv_rmssd_target_s=rmssd,
+                                   noise_snr_db=None, fs_hz=fs), 45.0, seed=7)
+    expected = _beatwise_qrs_train(ecg.timestamps, np.asarray(truth.beat_times_s))
+    assert ecg.values.tobytes() == expected.tobytes()
+
+
+def test_qrs_train_overlapping_windows_add_in_beat_order():
+    t = np.arange(2000) / 700.0
+    # windows reach 0.1 s each side: neighbours 0.013-0.15 s apart overlap,
+    # the first and last windows are clipped at the grid's ends
+    beats = np.array([0.0, 0.05, 0.063, 0.2, 0.35, 0.36, 0.37, 1.5,
+                      2.8, 2.85, 2.857])
+    x = _qrs_train(t, beats)
+    assert x.tobytes() == _beatwise_qrs_train(t, beats).tobytes()
+    # a sample inside three windows: an order-sensitive sum was exercised
+    assert np.count_nonzero((np.abs(t[:, None] - beats) < 0.1).sum(axis=1) >= 3)
 
 
 def test_ecg_invalid_rate():
