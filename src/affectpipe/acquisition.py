@@ -34,7 +34,7 @@ from .errors import (
 from .types import Modality, SubjectBundle, TimeSeries
 
 #: Rows formatted by one format call and one write in write_csv_signal
-#: (bounds the text buffer).
+#: (bounds the text buffer), and so rows per timestamp row template.
 WRITE_CHUNK_ROWS = 65536
 
 
@@ -206,25 +206,43 @@ def _parse_rows(reader, t_col: int, v_col: int):
     return timestamps, values
 
 
-def write_csv_signal(series: TimeSeries, path, precision: int = 12):
+def write_csv_signal(series: TimeSeries, path, precision: int = 12, *,
+                     grids: dict | None = None):
     """Serialize back to the CSV contract (inverse of load, up to formatting).
 
-    Each chunk of ``WRITE_CHUNK_ROWS`` rows is one ``%`` format call: the
-    row template repeated once per row, applied to the chunk's timestamps
-    and values interleaved, so every cell gets the same ``%.{precision}g``
-    spec on the same float, in file order.
+    Each chunk of ``WRITE_CHUNK_ROWS`` rows is one ``%`` format call over the
+    chunk's values alone, applied to a row template whose timestamps are
+    already text (``"0,%.12g\\n0.004,%.12g\\n..."``).  Every cell gets the
+    same ``%.{precision}g`` spec on the same float, in file order, and
+    ``%g`` output never holds a ``%``, so the bytes are those of formatting
+    each row on its own.
+
+    ``grids`` memoises the templates of each timestamp grid, so files that
+    share a grid format its timestamps once.  It belongs to the caller, who
+    passes one dict to every write that may share grids and drops it after;
+    ``None`` uses a fresh dict.  Grids are compared bit for bit (``-0.0``
+    and ``0.0`` format differently), together with the chunk size and
+    precision the templates were made for.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    row = f"%.{precision}g,%.{precision}g\n"
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(
-            ["timestamp", series.modality.name])
-        for start in range(0, len(series), WRITE_CHUNK_ROWS):
-            stop = start + WRITE_CHUNK_ROWS
-            cells = np.column_stack((series.timestamps[start:stop],
-                                     series.values[start:stop])).ravel().tolist()
-            fh.write(row * (len(cells) // 2) % tuple(cells))
+    starts = range(0, len(series), WRITE_CHUNK_ROWS)
+    ts = series.timestamps
+    key = (WRITE_CHUNK_ROWS, precision, ts.tobytes())
+    grids = {} if grids is None else grids
+    if key not in grids:
+        row = f"%.{precision}g,%%.{precision}g\n"
+        grids[key] = tuple(row * len(chunk) % tuple(chunk.tolist())
+                           for chunk in (ts[s:s + WRITE_CHUNK_ROWS] for s in starts))
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerow(
+                ["timestamp", series.modality.name])
+            for start, template in zip(starts, grids[key]):
+                values = series.values[start:start + WRITE_CHUNK_ROWS]
+                fh.write(template % tuple(values.tolist()))
+    except OSError as exc:
+        raise IOFailure(f"cannot write {path}: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .acquisition import SignalRegistry, write_csv_signal
-from .errors import InvalidRate, IOFailure, SCROutOfRange
+from .errors import ConfigError, InvalidRate, IOFailure, SCROutOfRange
 from .types import Modality, TimeSeries
 
 _REGISTRY = SignalRegistry.default()
@@ -232,6 +232,17 @@ class DatasetSpec:
     ecg_fs_hz: float = 250.0
     eda_fs_hz: float = 32.0
 
+    def __post_init__(self):
+        # checked here, before synth_dataset creates any directory
+        unknown = [p for p in self.phases if p not in PHASE_RECIPES]
+        if unknown:
+            raise ConfigError(f"unknown phases {unknown}; "
+                              f"known: {sorted(PHASE_RECIPES)}")
+        unknown = [m for m in self.modalities if m not in SYNTH_MODALITIES]
+        if unknown:
+            raise ConfigError(f"no generator for modalities {unknown}; "
+                              f"known: {list(SYNTH_MODALITIES)}")
+
 
 def synth_dataset(spec: DatasetSpec, root) -> dict:
     """Write a conforming dataset tree under ``root``.
@@ -240,19 +251,21 @@ def synth_dataset(spec: DatasetSpec, root) -> dict:
     ``{subject}_reports.csv`` with SUDS and STAI scores consistent with
     the injected class, and a root-level ``manifest.csv`` of ground-truth
     values (``subject,phase,modality,key,value``).
+
+    Every directory and file it cannot create or write raises
+    :class:`IOFailure`.
     """
     root = Path(root)
-    try:
-        root.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IOFailure(str(exc)) from exc
+    _mkdir(root)
+    # timestamp row templates shared by the files of this call only
+    grids = {}
     # deterministic per-record seeds independent of PYTHONHASHSEED
     rng = np.random.default_rng(spec.seed)
     manifest_rows = []
     for si in range(spec.n_subjects):
         subject = f"S{si + 1}"
         subject_dir = root / subject
-        subject_dir.mkdir(exist_ok=True)
+        _mkdir(subject_dir)
         report_rows = []
         # per-subject physiological offsets so subjects are not clones
         hr_offset = float(rng.normal(0.0, 3.0))
@@ -263,7 +276,8 @@ def synth_dataset(spec: DatasetSpec, root) -> dict:
                 seed = int(rng.integers(2 ** 31))
                 series, truth = _synth_one(spec, subject, phase, modality,
                                            recipe, hr_offset, scl_offset, seed)
-                write_csv_signal(series, subject_dir / f"{subject}_{phase}_{modality}.csv")
+                write_csv_signal(series, subject_dir / f"{subject}_{phase}_{modality}.csv",
+                                 grids=grids)
                 for key, value in _truth_items(truth):
                     manifest_rows.append((subject, phase, modality, key, value))
             suds = recipe["suds"] + float(rng.normal(0.0, 3.0))
@@ -271,18 +285,30 @@ def synth_dataset(spec: DatasetSpec, root) -> dict:
             report_rows.append((phase, "STAI",
                                 round(recipe["stai"] + float(rng.normal(0.0, 2.0)), 2)))
             manifest_rows.append((subject, phase, "-", "class", recipe["class"]))
-        with (subject_dir / f"{subject}_reports.csv").open("w", newline="",
-                                                           encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["phase", "questionnaire", "score"])
-            writer.writerows(report_rows)
+        _write_rows(subject_dir / f"{subject}_reports.csv",
+                    ["phase", "questionnaire", "score"], report_rows)
     manifest_path = root / "manifest.csv"
-    with manifest_path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["subject", "phase", "modality", "key", "value"])
-        writer.writerows(manifest_rows)
+    _write_rows(manifest_path, ["subject", "phase", "modality", "key", "value"],
+                manifest_rows)
     return {"root": root, "manifest": manifest_path,
             "n_files": spec.n_subjects * len(spec.phases) * len(spec.modalities)}
+
+
+def _mkdir(path: Path):
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IOFailure(str(exc)) from exc
+
+
+def _write_rows(path: Path, header, rows):
+    try:
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise IOFailure(f"cannot write {path}: {exc}") from exc
 
 
 def _truth_items(truth: GroundTruth):
@@ -294,6 +320,10 @@ def _truth_items(truth: GroundTruth):
     if truth.breath_count:
         items.append(("breath_count", truth.breath_count))
     return items
+
+
+#: The modalities _synth_one generates.
+SYNTH_MODALITIES = ("ECG", "EDA", "RESP", "EMG", "TEMP")
 
 
 def _synth_one(spec, subject, phase, modality, recipe, hr_offset, scl_offset, seed):

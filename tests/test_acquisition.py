@@ -212,6 +212,50 @@ def test_write_bytes_match_rowwise_writer(tmp_path, monkeypatch, precision):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
+def test_write_shared_grids_match_rowwise_writer(tmp_path, monkeypatch):
+    # one memo across grids whose zero timestamps differ only in sign, and
+    # across two precisions and two chunk sizes of one grid: each write
+    # keeps its own bytes
+    grids = {}
+    values = np.array([0.25, -1.5, 1e-300])
+    cases = [([-0.0, 0.5, 1.0], 12, 2), ([0.0, 0.5, 1.0], 12, 2),
+             ([0.0, 0.5, 1.0], 1, 2), ([0.0, 0.5, 1.0], 1, 3),
+             ([-0.0, 0.5, 1.0], 12, 2)]
+    for i, (timestamps, precision, chunk) in enumerate(cases):
+        monkeypatch.setattr(acquisition, "WRITE_CHUNK_ROWS", chunk)
+        series = TimeSeries("S1", "rest", Modality("ECG"), timestamps, values, 2.0)
+        write_csv_signal(series, tmp_path / f"new{i}.csv", precision, grids=grids)
+        _rowwise_write(series, tmp_path / f"old{i}.csv", precision)
+        assert (tmp_path / f"new{i}.csv").read_bytes() == \
+            (tmp_path / f"old{i}.csv").read_bytes()
+    assert len(grids) == 4
+
+
+def test_synth_dataset_bytes_match_rowwise_writer(tmp_path, monkeypatch):
+    # chunks small enough that every file spans several, with ECG and EDA
+    # files alternating through one synth_dataset call's memo
+    from affectpipe import synth
+    written = []
+
+    def recording_write(series, path, *args, **kwargs):
+        written.append((series, path, kwargs["grids"]))
+        return write_csv_signal(series, path, *args, **kwargs)
+
+    monkeypatch.setattr(acquisition, "WRITE_CHUNK_ROWS", 97)
+    monkeypatch.setattr(synth, "write_csv_signal", recording_write)
+    synth.synth_dataset(synth.DatasetSpec(n_subjects=2, duration_s=30.0, seed=4),
+                        tmp_path / "ds")
+    assert [p.name for _, p, _ in written][:4] == [
+        "S1_rest_ECG.csv", "S1_rest_EDA.csv", "S1_stress_ECG.csv", "S1_stress_EDA.csv"]
+    assert len(written) == 8
+    assert len({id(grids) for _, _, grids in written}) == 1
+    assert len(written[0][2]) == 2  # one ECG grid, one EDA grid
+    for series, path, _ in written:
+        assert len(series) > 3 * 97
+        _rowwise_write(series, tmp_path / "old.csv")
+        assert path.read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 _CHUNK = 5
 _FINITE_BITS = 0x7FF0000000000000  # bit patterns below this are finite, >= +0.0
 _SPECIAL_BITS = [int(np.array(v).view(np.uint64)) for v in

@@ -94,6 +94,33 @@ def test_synth_unknown_field_exit_2(tmp_path):
     assert cmd_synth(str(spec), str(tmp_path / "out")) == 2
 
 
+@pytest.mark.parametrize("field", ["phases: [rest, boredom]",
+                                   "modalities: [ECG, PPG]"])
+def test_synth_unknown_phase_or_modality_exit_2(tmp_path, capsys, field):
+    spec = tmp_path / "bad.yaml"
+    spec.write_text(f"n_subjects: 2\n{field}\nduration_s: 30.0\n", encoding="utf-8")
+    assert cmd_synth(str(spec), str(tmp_path / "out")) == 2
+    assert "spec error" in capsys.readouterr().out
+    assert not (tmp_path / "out").exists()
+
+
+def test_synth_file_in_place_of_subject_dir_exit_1(tmp_path, capsys):
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(SPEC_YAML, encoding="utf-8")
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "S1").write_text("", encoding="utf-8")
+    assert cmd_synth(str(spec), str(tmp_path / "out")) == 1
+    assert "I/O failure" in capsys.readouterr().out
+
+
+def test_synth_dir_in_place_of_signal_file_exit_1(tmp_path, capsys):
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(SPEC_YAML, encoding="utf-8")
+    (tmp_path / "out" / "S1" / "S1_rest_ECG.csv").mkdir(parents=True)
+    assert cmd_synth(str(spec), str(tmp_path / "out")) == 1
+    assert "I/O failure" in capsys.readouterr().out
+
+
 def test_synth_deterministic_trees(tmp_path):
     spec = tmp_path / "spec.yaml"
     spec.write_text(SPEC_YAML, encoding="utf-8")
