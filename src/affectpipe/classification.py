@@ -48,7 +48,6 @@ class ClassifierSpec:
 class CVStrategy:
     kind: str  # kfold | loso
     folds: int = 5
-    shuffle_seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -358,12 +357,12 @@ def _softmax(z):
 # Cross-validation
 # ---------------------------------------------------------------------------
 
-def make_folds(strategy: CVStrategy, rows: FeatureMatrix):
-    """(train indices, test indices) pairs.
+def make_folds(strategy: CVStrategy, rows: FeatureMatrix, seed: int = 0):
+    """(train indices, test indices) pairs, none of them empty.
 
     LOSO yields one fold per distinct subject (test fold = exactly that
-    subject's rows); k-fold shuffles with the strategy seed and splits into
-    folds whose sizes differ by at most one.
+    subject's rows); k-fold shuffles with ``seed`` and splits into folds
+    whose sizes differ by at most one.
     """
     n = len(rows)
     if strategy.kind == "loso":
@@ -377,7 +376,7 @@ def make_folds(strategy: CVStrategy, rows: FeatureMatrix):
         k = strategy.folds
         if k < 2 or k > n:
             raise TooFewRows(f"cannot make {k} folds from {n} rows")
-        rng = np.random.default_rng(strategy.shuffle_seed)
+        rng = np.random.default_rng(seed)
         order = rng.permutation(n)
         chunks = np.array_split(order, k)
         folds = []
@@ -475,8 +474,9 @@ class EvaluationReport:
 
 
 def cross_validate(specs, X: FeatureMatrix, y: LabelVector,
-                   strategy: CVStrategy):
-    """Fit/predict every spec on every fold and aggregate the metrics.
+                   strategy: CVStrategy, seed: int = 0):
+    """Fit/predict every spec on every fold of ``make_folds(strategy, X,
+    seed)`` and aggregate the metrics.
 
     :func:`fit` sees only the raw training rows of a fold, so each model
     z-scores with that fold's training statistics and keeps them: passed
@@ -489,7 +489,7 @@ def cross_validate(specs, X: FeatureMatrix, y: LabelVector,
     y.check_against(X)
     Xa = X.to_array()
     ya = y.to_array()
-    folds = make_folds(strategy, X)
+    folds = make_folds(strategy, X, seed)
     classes = np.unique(ya)
     per_model = {}
     fitted = {}

@@ -91,7 +91,6 @@ def cmd_run(config_file: str, seed: int | None = None, strict: bool = False,
         return 2
     if seed is not None:
         doc["seed"] = seed
-        doc.setdefault("cv", {})["shuffle_seed"] = seed
     if strict:
         doc["strict"] = True
     try:

@@ -78,9 +78,19 @@ def validate_config(doc: dict):
         algo = _require(c, "algorithm", "classifier entry")
         if algo not in KNOWN_ALGORITHMS:
             raise ConfigError(f"unknown classifier algorithm {algo!r}")
+    selector = doc.get("selector")
+    if selector:
+        folds = selector.get("cv_folds", 5)
+        if isinstance(folds, bool) or not isinstance(folds, int) or folds < 2:
+            raise ConfigError(
+                f"selector.cv_folds must be an integer of at least 2, got {folds!r}")
     cv = doc.get("cv", {})
     if cv.get("kind", "kfold") not in ("kfold", "loso"):
         raise ConfigError("cv.kind must be kfold or loso")
+    if "shuffle_seed" in cv:
+        # an old config must not silently get other folds
+        raise ConfigError("cv.shuffle_seed is not a config key: the top-level "
+                          "'seed' (or run --seed) shuffles every k-fold split")
 
 
 def _build_catalog(features_doc) -> list[FeatureCatalogEntry]:
@@ -147,8 +157,7 @@ def build_pipeline_spec(doc: dict) -> PipelineSpec:
               for c in doc.get("classifiers") or []]
     if models:
         strategy = CVStrategy(cv_doc.get("kind", "kfold"),
-                              int(cv_doc.get("folds", 5)),
-                              int(cv_doc.get("shuffle_seed", seed)))
+                              int(cv_doc.get("folds", 5)))
         stages.append(Classification(Classification.MODE_CROSS_VALIDATE, models,
                                      cv=strategy))
     return PipelineSpec(tuple(stages), seed=seed,
@@ -171,14 +180,9 @@ def load_dataset_spec(path) -> DatasetSpec:
     if unknown:
         raise ConfigError(f"unknown dataset spec fields: {sorted(unknown)}")
     for tuple_field in ("phases", "modalities"):
-        if tuple_field in doc:
+        if isinstance(doc.get(tuple_field), list):
             doc[tuple_field] = tuple(doc[tuple_field])
-    spec = DatasetSpec(**doc)
-    if spec.duration_s <= 0:
-        raise ConfigError("duration_s must be positive")
-    if spec.n_subjects <= 0:
-        raise ConfigError("n_subjects must be positive")
-    return spec
+    return DatasetSpec(**doc)
 
 
 def _label_rule(labels_doc) -> LabelRule:

@@ -85,7 +85,7 @@ class FeatureExtractor(Component):
     output_type = FEATURES
 
     def __init__(self, feature_extraction_methods, windowing: WindowingPolicy,
-                 calculate_average: bool = True):
+                 calculate_average: bool = False):
         self.catalog = list(feature_extraction_methods)
         check_catalog(self.catalog)  # CatalogError before anything runs
         self.windowing = windowing
@@ -185,10 +185,9 @@ class Classification(Component):
         if dropped:
             labels = labels.subset(kept)
         if self.mode == self.MODE_CROSS_VALIDATE:
-            cv = self.cv or CVStrategy("kfold", 5, ctx.seed)
-            if cv.kind == "kfold" and cv.shuffle_seed == 0 and ctx.seed:
-                cv = CVStrategy(cv.kind, cv.folds, ctx.seed)
-            report, artifacts = cross_validate(self.models, matrix, labels, cv)
+            report, artifacts = cross_validate(
+                self.models, matrix, labels, self.cv or CVStrategy("kfold"),
+                ctx.seed)
             return PipelineOutput(
                 fitted_models=artifacts["fitted_models"],
                 y_true=LabelVector(artifacts["y_true"], labels.class_names),

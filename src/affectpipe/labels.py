@@ -11,11 +11,13 @@ import numpy as np
 
 from .classification import (
     ClassifierSpec,
+    CVStrategy,
     _as_array,
     _knn_neighbors,
     _knn_vote,
     _zscore_stats,
     fit,
+    make_folds,
     predict,
 )
 from .errors import (
@@ -153,34 +155,17 @@ def attach_labels(matrix: FeatureMatrix, rule: LabelRule,
 # Feature selection
 # ---------------------------------------------------------------------------
 
-def _stratified_folds(y: np.ndarray, n_folds: int, seed: int):
-    """Round-robin deal per class after a seeded shuffle."""
-    rng = np.random.default_rng(seed)
-    folds = [[] for _ in range(n_folds)]
-    counter = 0
-    for cls in np.unique(y):
-        idx = np.flatnonzero(y == cls)
-        rng.shuffle(idx)
-        for i in idx:
-            folds[counter % n_folds].append(int(i))
-            counter += 1
-    out = []
-    all_idx = set(range(y.size))
-    for test in folds:
-        train = sorted(all_idx - set(test))
-        out.append((np.asarray(train), np.asarray(sorted(test))))
-    return out
-
-
 def sequential_forward_selection(matrix: FeatureMatrix, labels: LabelVector,
                                  scorer, k: int, cv_folds: int = 5,
                                  seed: int = 0) -> FeatureMatrix:
     """Greedy wrapper selection of ``k`` columns.
 
-    At each step the candidate column maximizing mean stratified-CV
-    accuracy of ``scorer`` on selected + candidate is added; ties break on
-    the lower column index.  ``scorer`` is a ClassifierSpec (see
-    :mod:`affectpipe.classification`) or anything with fit/predict.
+    At each step the candidate column maximizing mean k-fold CV accuracy
+    of ``scorer`` on selected + candidate is added; ties break on the lower
+    column index.  The folds are the ``min(cv_folds, rows)`` k-fold folds
+    :func:`make_folds` shuffles with ``seed``.  ``scorer`` is a
+    ClassifierSpec (see :mod:`affectpipe.classification`) or anything with
+    fit/predict.
     """
     labels.check_against(matrix)
     if not isinstance(scorer, ClassifierSpec):
@@ -189,7 +174,7 @@ def sequential_forward_selection(matrix: FeatureMatrix, labels: LabelVector,
     if k >= n_cols:
         raise KTooLarge(f"k={k} must be below column count {n_cols}")
     y = labels.to_array()
-    folds = _stratified_folds(y, min(cv_folds, y.size), seed)
+    folds = make_folds(CVStrategy("kfold", min(cv_folds, y.size)), matrix, seed)
     selected, _ = _forward_selection(scorer, matrix.to_array(), y, k, folds)
     return matrix.subset_columns([matrix.columns[j] for j in selected])
 
@@ -211,12 +196,10 @@ def _forward_selection(scorer, X, y, k, folds):
     def cv_accuracy(col_indices):
         accs = []
         for train, test in folds:
-            if train.size == 0 or test.size == 0:
-                continue
             model = fit(scorer, X[np.ix_(train, col_indices)], y[train])
             pred, _ = predict(model, X[np.ix_(test, col_indices)])
             accs.append(float(np.mean(pred == y[test])))
-        return float(np.mean(accs)) if accs else 0.0
+        return float(np.mean(accs))
 
     knn = None
     selected: list[int] = []
@@ -255,8 +238,6 @@ class _KnnFolds:
         k = _knn_neighbors(spec)
         self.folds = []
         for train, test in folds:
-            if train.size == 0 or test.size == 0:
-                continue
             Xtr, Xte = _as_array(X[train]), _as_array(X[test])
             classes = np.unique(y[train])
             if classes.size < 2:
@@ -292,7 +273,7 @@ class _KnnFolds:
                 scores = _knn_vote(d, fold["y_train"], fold["classes"], fold["k"])
                 pred = fold["classes"][np.argmax(scores, axis=1)]
                 accs[i, f] = np.mean(pred == fold["y_test"])
-        return [float(np.mean(a)) if a.size else 0.0 for a in accs]
+        return [float(np.mean(a)) for a in accs]
 
 
 def _squared_differences(train_col, test_col):

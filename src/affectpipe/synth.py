@@ -9,7 +9,8 @@ manifest and per-subject self-report files.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -216,6 +217,11 @@ PHASE_RECIPES = {
 }
 
 
+#: The shortest recording synth_dataset makes: EDA draws its SCR onsets
+#: from [5, duration_s - 20) s.
+MIN_DURATION_S = 25.0
+
+
 @dataclass(frozen=True)
 class DatasetSpec:
     """Declarative description of a synthetic dataset."""
@@ -234,6 +240,30 @@ class DatasetSpec:
 
     def __post_init__(self):
         # checked here, before synth_dataset creates any directory
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in ("phases", "modalities"):
+                ok = (isinstance(value, tuple) and len(value) > 0
+                      and all(isinstance(v, str) for v in value))
+                want = "a non-empty list of names"
+            elif f.name in ("n_subjects", "seed"):
+                ok = isinstance(value, Integral)
+                want = "an integer"
+            else:
+                ok = isinstance(value, Real)
+                want = "a number"
+            if not ok or isinstance(value, bool):
+                raise ConfigError(f"{f.name} must be {want}, got {value!r}")
+        for name in ("phases", "modalities"):
+            names = getattr(self, name)
+            repeated = sorted({v for v in names if names.count(v) > 1})
+            if repeated:
+                raise ConfigError(f"{name} repeats {repeated}")
+        if self.n_subjects <= 0:
+            raise ConfigError("n_subjects must be positive")
+        if not self.duration_s >= MIN_DURATION_S:  # NaN fails too
+            raise ConfigError(f"duration_s must be at least {MIN_DURATION_S:g}, "
+                              f"got {self.duration_s!r}")
         unknown = [p for p in self.phases if p not in PHASE_RECIPES]
         if unknown:
             raise ConfigError(f"unknown phases {unknown}; "

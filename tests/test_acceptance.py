@@ -157,7 +157,7 @@ def test_criterion_6_fold_laws():
                             & {subjects[i] for i in train})
         else:
             k = int(rng.integers(2, min(n, 8) + 1))
-            folds = make_folds(CVStrategy("kfold", k, int(rng.integers(1 << 16))), m)
+            folds = make_folds(CVStrategy("kfold", k), m, int(rng.integers(1 << 16)))
             sizes = [len(test) for _, test in folds]
             assert max(sizes) - min(sizes) <= 1
         all_test = sorted(i for _, test in folds for i in test)
@@ -227,7 +227,7 @@ def test_criterion_8_end_to_end(binary_root, tmp_path_factory):
     t0 = time.perf_counter()
     binary_map = {"rest": 0, "stress": 1}
     p = build_pipeline(PipelineSpec(_pipeline_stages(
-        binary_root, binary_map, CVStrategy("kfold", 5, shuffle_seed=0))))
+        binary_root, binary_map, CVStrategy("kfold", 5))))
     out = p.run()
     ok = False
     for entry in out.report.per_model.values():
@@ -262,7 +262,7 @@ def test_criterion_10_determinism(binary_root, tmp_path):
     for i in range(2):
         p = build_pipeline(PipelineSpec(_pipeline_stages(
             binary_root, {"rest": 0, "stress": 1},
-            CVStrategy("kfold", 5, shuffle_seed=42)), seed=42))
+            CVStrategy("kfold", 5)), seed=42))
         out = p.run()
         path = tmp_path / f"report_{i}.csv"
         write_report_csv(out.report, path)

@@ -483,7 +483,7 @@ def test_loso_15_subjects():
 
 def test_kfold_even_split():
     m = fm(np.arange(10, dtype=float).reshape(10, 1))
-    folds = make_folds(CVStrategy("kfold", folds=5, shuffle_seed=1), m)
+    folds = make_folds(CVStrategy("kfold", folds=5), m, seed=1)
     assert len(folds) == 5
     assert all(len(test) == 2 for _, test in folds)
 
@@ -506,7 +506,7 @@ def test_kfold_partition_laws(n, k, seed):
     if k > n:
         return
     m = fm(np.arange(n, dtype=float).reshape(n, 1))
-    folds = make_folds(CVStrategy("kfold", folds=k, shuffle_seed=seed), m)
+    folds = make_folds(CVStrategy("kfold", folds=k), m, seed)
     sizes = [len(test) for _, test in folds]
     assert max(sizes) - min(sizes) <= 1
     all_test = sorted(i for _, test in folds for i in test)
@@ -586,7 +586,7 @@ def _separable(n_per=20, seed=12):
 def test_cv_separable_all_models_perfect():
     m, labels = _separable()
     report, _ = cross_validate([KNN(3), TREE, LDA, LOGIT], m, labels,
-                               CVStrategy("kfold", folds=5, shuffle_seed=0))
+                               CVStrategy("kfold", folds=5))
     for name, entry in report.per_model.items():
         for fold in entry["folds"]:
             assert fold["accuracy"] == 1.0, name
@@ -598,7 +598,7 @@ def test_cv_shuffled_labels_at_chance():
     y = np.array([0, 1] * 100)
     rng.shuffle(y)
     report, _ = cross_validate([KNN(5)], fm(X), lv(y),
-                               CVStrategy("kfold", folds=5, shuffle_seed=0))
+                               CVStrategy("kfold", folds=5))
     mean_acc = report.per_model["knn5"]["aggregate"]["accuracy"][0]
     assert mean_acc == pytest.approx(0.5, abs=0.1)
 
@@ -614,17 +614,17 @@ def test_cv_loso_no_subject_leakage():
 
 def test_cv_deterministic():
     m, labels = _separable(seed=14)
-    strat = CVStrategy("kfold", folds=4, shuffle_seed=3)
+    strat = CVStrategy("kfold", folds=4)
     specs = [KNN(3), LOGIT]
-    a, _ = cross_validate(specs, m, labels, strat)
-    b, _ = cross_validate(specs, m, labels, strat)
+    a, _ = cross_validate(specs, m, labels, strat, seed=3)
+    b, _ = cross_validate(specs, m, labels, strat, seed=3)
     assert a.to_records() == b.to_records()
 
 
 def test_cv_report_records_shape():
     m, labels = _separable()
     report, _ = cross_validate([KNN(3)], m, labels,
-                               CVStrategy("kfold", folds=5, shuffle_seed=0))
+                               CVStrategy("kfold", folds=5))
     records = report.to_records()
     models = {r[0] for r in records}
     assert models == {"knn3"}

@@ -104,6 +104,23 @@ def test_synth_unknown_phase_or_modality_exit_2(tmp_path, capsys, field):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("field, message", [
+    ("duration_s: 20.0", "duration_s must be at least 25"),
+    ("phases: 5", "phases must be"),
+    ('n_subjects: "3"', "n_subjects must be an integer"),
+    ("phases: [rest, rest]", "phases repeats"),
+    ("modalities: [ECG, ECG]", "modalities repeats"),
+], ids=["short-eda", "phases-int", "subjects-str", "repeated-phase",
+        "repeated-modality"])
+def test_synth_bad_spec_field_exit_2_before_writing(tmp_path, capsys, field, message):
+    spec = tmp_path / "bad.yaml"
+    spec.write_text(f"n_subjects: 1\nduration_s: 30.0\n{field}\n", encoding="utf-8")
+    assert cmd_synth(str(spec), str(tmp_path / "out")) == 2
+    out = capsys.readouterr().out
+    assert "spec error" in out and message in out
+    assert not (tmp_path / "out").exists()
+
+
 def test_synth_file_in_place_of_subject_dir_exit_1(tmp_path, capsys):
     spec = tmp_path / "spec.yaml"
     spec.write_text(SPEC_YAML, encoding="utf-8")
@@ -170,6 +187,47 @@ def test_run_deterministic_reports(dataset_root, tmp_path):
         assert cmd_run(str(cfg), seed=21, out_dir=str(tmp_path / d)) == 0
         outs.append((tmp_path / d / "report.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_run_seed_flag_equals_config_seed(dataset_root, tmp_path):
+    # one weak feature, so the scores depend on which rows share a fold
+    text = run_config(dataset_root).replace(
+        "features: default-ecg-eda",
+        "features:\n"
+        "  - {name: ecg, modality: ECG, computation: ecg_stats, features: [slope]}")
+    reports = {}
+    for name, config_seed, flag in (("config", 21, None), ("flag", 0, 21),
+                                    ("other", 0, None)):
+        cfg = tmp_path / f"{name}.yaml"
+        cfg.write_text(text.replace("seed: 11", f"seed: {config_seed}"),
+                       encoding="utf-8")
+        assert cmd_run(str(cfg), seed=flag, out_dir=str(tmp_path / name)) == 0
+        reports[name] = (tmp_path / name / "report.csv").read_bytes()
+    assert reports["config"] == reports["flag"]
+    # the seed reaches the k-fold split
+    assert reports["other"] != reports["config"]
+
+
+def test_run_shuffle_seed_key_exit_2(dataset_root, tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(run_config(dataset_root, folds="folds: 3\n  shuffle_seed: 4"),
+                   encoding="utf-8")
+    assert cmd_run(str(cfg), out_dir=str(tmp_path / "out")) == 2
+    out = capsys.readouterr().out
+    assert "shuffle_seed" in out and "'seed'" in out
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cv_folds", [1, 0])
+def test_run_selector_below_two_folds_exit_2(dataset_root, tmp_path, capsys, cv_folds):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(run_config(dataset_root) + f"""\
+selector:
+  k: 2
+  cv_folds: {cv_folds}
+""", encoding="utf-8")
+    assert cmd_run(str(cfg), out_dir=str(tmp_path / "out")) == 2
+    assert "selector.cv_folds" in capsys.readouterr().out
 
 
 def test_run_config_error_exit_2(tmp_path):

@@ -54,7 +54,7 @@ def dataset_root(tmp_path_factory):
     return root
 
 
-def _stages(root, with_selector=False, mode=2, strict=False, seed=0):
+def _stages(root, with_selector=False, mode=2):
     stages = [
         SignalAcquisition(["ECG", "EDA"], root),
         SignalPreprocessor(),
@@ -66,7 +66,7 @@ def _stages(root, with_selector=False, mode=2, strict=False, seed=0):
     if with_selector:
         stages.append(FeatureSelector(k=4, scorer=KNN3, cv_folds=3))
     stages.append(Classification(mode, [KNN3, TREE],
-                                 cv=CVStrategy("kfold", 4, shuffle_seed=seed)))
+                                 cv=CVStrategy("kfold", 4)))
     return stages
 
 
@@ -246,10 +246,34 @@ def test_absent_text_tag_row_is_dropped(dataset_root):
     assert len(out.y_pred["knn3"]) == 23
 
 
+def test_feature_extractor_defaults_to_per_window_rows(dataset_root):
+    ctx = RunContext()
+    stages = _stages(dataset_root)
+    bundle = stages[1].run(stages[0].run(None, ctx), ctx)
+    matrix = FeatureExtractor(ecg_eda_catalog(), WindowingPolicy(60.0, 30.0)).run(
+        bundle, ctx)
+    # 4 subjects x 2 phases x 3 windows, not one averaged row per phase
+    assert len(matrix) == 24
+    assert sorted(set(matrix.window_indices.tolist())) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_cross_validation_folds_follow_the_run_seed(seed):
+    matrix, labels = _scaled_payload()
+    cv = CVStrategy("kfold", 4)
+    out = Classification(Classification.MODE_CROSS_VALIDATE, [KNN3], cv=cv).run(
+        (matrix, labels), RunContext(seed=seed))
+    # y_true is concatenated in fold order
+    order = np.concatenate([test for _, test in make_folds(cv, matrix, seed)])
+    np.testing.assert_array_equal(out.y_true.labels, labels.labels[order])
+    expected, _ = cross_validate([KNN3], matrix, labels, cv, seed)
+    assert out.report.to_records() == expected.to_records()
+
+
 def test_determinism_bit_identical(dataset_root):
     runs = []
     for _ in range(2):
-        p = build_pipeline(PipelineSpec(tuple(_stages(dataset_root, seed=7)),
+        p = build_pipeline(PipelineSpec(tuple(_stages(dataset_root)),
                                         seed=7))
         runs.append(p.run())
     assert runs[0].report.to_records() == runs[1].report.to_records()

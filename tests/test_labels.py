@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from affectpipe import (
     ClassifierSpec,
+    CVStrategy,
     FeatureMatrix,
     LabelRule,
     SelfReport,
@@ -12,6 +13,7 @@ from affectpipe import (
     attach_labels,
     extract_features,
     generate_phase_labels,
+    make_folds,
     sequential_forward_selection,
     stai_dynamic_threshold,
     suds_fixed_threshold,
@@ -19,13 +21,14 @@ from affectpipe import (
 from affectpipe import labels as labels_module
 from affectpipe.classification import fit as fit_model, predict
 from affectpipe.features import FeatureCatalogEntry
-from affectpipe.labels import _forward_selection, _stratified_folds, load_reports
+from affectpipe.labels import _forward_selection, load_reports
 from affectpipe.errors import (
     InsufficientReports,
     KTooLarge,
     MissingReport,
     NonNumericFeature,
     SingleClass,
+    TooFewRows,
     UnmappedPhase,
     WrongQuestionnaire,
 )
@@ -292,7 +295,7 @@ def test_sfs_matches_greedy_oracle():
     # independent greedy replay over the same published fold protocol
     X = m.to_array()
     y = lv.to_array()
-    folds = _stratified_folds(y, 5, 0)
+    folds = make_folds(CVStrategy("kfold", 5), m, 0)
 
     def acc(col_idx):
         scores = []
@@ -378,7 +381,7 @@ def _selection_data(kind, n_rows, n_cols, seed):
 
 
 def _assert_matches_reference(scorer, X, y, k, seed=0):
-    folds = _stratified_folds(y, 5, seed)
+    folds = make_folds(CVStrategy("kfold", 5), X, seed)
     got = _forward_selection(scorer, X, y, k, folds)
     assert got == _greedy_reference(scorer, X, y, k, folds)
 
@@ -393,7 +396,7 @@ def test_cached_knn_sfs_matches_fit_predict(kind, k_neighbors, monkeypatch):
     calls = []
     monkeypatch.setattr(labels_module, "fit",
                         lambda *a: calls.append(a) or fit_model(*a))
-    _forward_selection(scorer, X, y, 4, _stratified_folds(y, 5, 0))
+    _forward_selection(scorer, X, y, 4, make_folds(CVStrategy("kfold", 5), X))
     assert calls == []
 
 
@@ -447,11 +450,20 @@ def test_cached_knn_sfs_raises_fit_errors():
             m, lv, ClassifierSpec("knn0", "KNN", {"k_neighbors": 0}), k=2)
 
 
-def test_stratified_folds_partition():
-    y = np.array([0] * 13 + [1] * 17)
-    folds = _stratified_folds(y, 5, 3)
-    all_test = sorted(i for _, test in folds for i in test)
-    assert all_test == list(range(30))
-    for train, test in folds:
-        assert set(train) | set(test) == set(range(30))
-        assert not set(train) & set(test)
+def test_sfs_folds_are_the_evaluation_folds(monkeypatch):
+    m, lv = _sfs_fixture()
+    seen = []
+    monkeypatch.setattr(labels_module, "_forward_selection",
+                        lambda scorer, X, y, k, folds: seen.append(folds) or ([0], []))
+    sequential_forward_selection(m, lv, KNN1, k=1, cv_folds=4, seed=9)
+    expected = make_folds(CVStrategy("kfold", 4), m, 9)
+    assert len(seen[0]) == len(expected)
+    for (train, test), (e_train, e_test) in zip(seen[0], expected):
+        assert np.array_equal(train, e_train) and np.array_equal(test, e_test)
+
+
+@pytest.mark.parametrize("cv_folds", [1, 0])
+def test_sfs_rejects_fewer_than_two_folds(cv_folds):
+    m, lv = _sfs_fixture()
+    with pytest.raises(TooFewRows):
+        sequential_forward_selection(m, lv, KNN1, k=1, cv_folds=cv_folds)

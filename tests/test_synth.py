@@ -20,7 +20,7 @@ from affectpipe import (
     validate_time_series,
 )
 from affectpipe.synth import TempSpec, _qrs_train, synth_emg, EmgSpec
-from affectpipe.errors import InvalidRate, SCROutOfRange
+from affectpipe.errors import ConfigError, InvalidRate, SCROutOfRange
 
 
 # --- ECG generator ---
@@ -202,3 +202,26 @@ def test_dataset_deterministic(tmp_path):
     assert files_a == files_b
     for rel in files_a:
         assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"duration_s": 20.0}, "duration_s must be at least 25"),
+    ({"phases": 5}, "phases must be"),
+    ({"phases": ()}, "phases must be"),
+    ({"n_subjects": "3"}, "n_subjects must be an integer"),
+    ({"n_subjects": 0}, "n_subjects must be positive"),
+    ({"seed": 1.5}, "seed must be an integer"),
+    ({"ecg_fs_hz": "250"}, "ecg_fs_hz must be a number"),
+    ({"phases": ("rest", "rest")}, "phases repeats"),
+    ({"modalities": ("ECG", "ECG")}, "modalities repeats"),
+])
+def test_dataset_spec_rejects_bad_fields(fields, message):
+    with pytest.raises(ConfigError, match=message):
+        DatasetSpec(**fields)
+
+
+def test_dataset_spec_shortest_duration_synthesizes_every_modality(tmp_path):
+    spec = DatasetSpec(n_subjects=1, modalities=("ECG", "EDA", "RESP", "EMG", "TEMP"),
+                       duration_s=25.0)
+    info = synth_dataset(spec, tmp_path)
+    assert info["n_files"] == len(list(tmp_path.glob("S1/S1_*_*.csv"))) == 10
