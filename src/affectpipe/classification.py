@@ -9,6 +9,13 @@ regularized pooled covariance, softmax logistic regression trained by
 batch gradient descent, and an equal-weight score-averaging ensemble.
 Anything else plugs in through the custom handle contract (fit/predict,
 optionally predict_proba).
+
+Each reduction has one summation order, whatever the number of columns or
+classes: a column's z-score mean and standard deviation reduce that column
+alone as one contiguous vector, a KNN squared distance adds the columns'
+squared differences in column order, and a tree entropy adds its class
+terms in class order.  So a statistic or distance over a set of columns
+never depends on the columns beside them.
 """
 
 from __future__ import annotations
@@ -32,8 +39,8 @@ from .types import FeatureMatrix, LabelVector
 LDA_RIDGE = 1e-6
 LOGISTIC_ITERS = 500
 LOGISTIC_STEP = 0.1
-#: Byte cap on the (queries, training rows, features) difference block
-#: that _knn_scores materialises at once.
+#: Byte cap on the (queries, training rows) distance block that
+#: _knn_scores materialises at once.
 KNN_BLOCK_BYTES = 256 * 1024
 
 
@@ -92,9 +99,12 @@ def fit(spec: ClassifierSpec, X, y: LabelVector | np.ndarray) -> FittedModel:
 
 def _zscore_stats(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Column mean and standard deviation of ``X``, a zero deviation counted
-    as 1: the statistics :func:`fit` z-scores a model's rows with."""
-    mu = X.mean(axis=0)
-    sigma = X.std(axis=0)
+    as 1: the statistics :func:`fit` z-scores a model's rows with.
+
+    Each column is reduced alone, as one contiguous vector."""
+    cols = X.T.copy()
+    mu = cols.mean(axis=1)
+    sigma = cols.std(axis=1)
     return mu, np.where(sigma > 0, sigma, 1.0)
 
 
@@ -189,12 +199,29 @@ def _knn_scores(model: FittedModel, X: np.ndarray) -> np.ndarray:
     train, y, k = model.state["X"], model.state["y"], model.state["k"]
     k = min(k, train.shape[0])
     scores = np.empty((X.shape[0], model.classes.size))
-    block = max(1, KNN_BLOCK_BYTES // (train.itemsize * max(train.size, 1)))
+    train_cols, query_cols = train.T.copy(), X.T.copy()
+    block = max(1, KNN_BLOCK_BYTES // (train.itemsize * max(train.shape[0], 1)))
     for start in range(0, X.shape[0], block):
-        q = X[start:start + block]
-        d = np.sqrt(np.sum((train[None] - q[:, None]) ** 2, axis=-1))
-        scores[start:start + block] = _knn_vote(d, y, model.classes, k)
+        d = _squared_distances(train_cols, query_cols[:, start:start + block])
+        scores[start:start + block] = _knn_vote(np.sqrt(d, out=d), y,
+                                                model.classes, k)
     return scores
+
+
+def _squared_distances(train_cols: np.ndarray, query_cols: np.ndarray) -> np.ndarray:
+    """(query rows, training rows) squared Euclidean distances.
+
+    Both arguments hold one column per row (column-major copies of the
+    rows); each column's ``(train - query) ** 2`` is added in column order.
+    """
+    total = None
+    for t, q in zip(train_cols, query_cols):
+        d = np.subtract(t[None, :], q[:, None])
+        np.square(d, out=d)
+        total = d if total is None else np.add(total, d, out=total)
+    if total is None:
+        return np.zeros((query_cols.shape[1], train_cols.shape[1]))
+    return total
 
 
 def _knn_vote(d: np.ndarray, y: np.ndarray, classes: np.ndarray,
@@ -233,30 +260,20 @@ def _knn_vote(d: np.ndarray, y: np.ndarray, classes: np.ndarray,
 # --- decision tree ---
 
 def _entropy(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts[counts > 0] / total
-    return float(-np.sum(p * np.log2(p)))
+    """Entropy in bits of one non-empty class count vector."""
+    return float(_entropies(counts[None, :])[0])
 
 
 def _entropies(counts: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`_entropy` of an integer count matrix, bit for bit.
-
-    numpy sums fewer than 8 terms in sequence, so adding the classes one by
-    one (a zero count adds +0.0) matches ``np.sum`` over the non-zero terms;
-    the rare rows with 8 or more non-zero classes go through ``_entropy``.
-    """
+    """Entropy in bits of each row of a count matrix with no empty row,
+    its class terms added in class order (a zero count adds +0.0)."""
     present = counts > 0
     p = counts / counts.sum(axis=1, keepdims=True)
     terms = np.where(present, p * np.log2(np.where(present, p, 1.0)), 0.0)
     total = np.zeros(counts.shape[0])
     for c in range(counts.shape[1]):
         total += terms[:, c]
-    out = -total
-    for r in np.flatnonzero(present.sum(axis=1) >= 8):
-        out[r] = _entropy(counts[r].astype(float))
-    return out
+    return -total
 
 
 def _grow_tree(X, y, classes, depth, max_depth):

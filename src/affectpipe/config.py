@@ -80,17 +80,20 @@ def validate_config(doc: dict):
             raise ConfigError(f"unknown classifier algorithm {algo!r}")
     selector = doc.get("selector")
     if selector:
-        folds = selector.get("cv_folds", 5)
-        if isinstance(folds, bool) or not isinstance(folds, int) or folds < 2:
-            raise ConfigError(
-                f"selector.cv_folds must be an integer of at least 2, got {folds!r}")
+        _require_fold_count(selector.get("cv_folds", 5), "selector.cv_folds")
     cv = doc.get("cv", {})
     if cv.get("kind", "kfold") not in ("kfold", "loso"):
         raise ConfigError("cv.kind must be kfold or loso")
+    _require_fold_count(cv.get("folds", 5), "cv.folds")
     if "shuffle_seed" in cv:
         # an old config must not silently get other folds
         raise ConfigError("cv.shuffle_seed is not a config key: the top-level "
                           "'seed' (or run --seed) shuffles every k-fold split")
+
+
+def _require_fold_count(folds, key):
+    if isinstance(folds, bool) or not isinstance(folds, int) or folds < 2:
+        raise ConfigError(f"{key} must be an integer of at least 2, got {folds!r}")
 
 
 def _build_catalog(features_doc) -> list[FeatureCatalogEntry]:
@@ -151,13 +154,12 @@ def build_pipeline_spec(doc: dict) -> PipelineSpec:
                                 scorer_doc["algorithm"],
                                 scorer_doc.get("hyperparameters", {}))
         stages.append(FeatureSelector(int(selector["k"]), scorer,
-                                      int(selector.get("cv_folds", 5))))
+                                      selector.get("cv_folds", 5)))
     models = [ClassifierSpec(c.get("name", c["algorithm"]), c["algorithm"],
                              c.get("hyperparameters", {}))
               for c in doc.get("classifiers") or []]
     if models:
-        strategy = CVStrategy(cv_doc.get("kind", "kfold"),
-                              int(cv_doc.get("folds", 5)))
+        strategy = CVStrategy(cv_doc.get("kind", "kfold"), cv_doc.get("folds", 5))
         stages.append(Classification(Classification.MODE_CROSS_VALIDATE, models,
                                      cv=strategy))
     return PipelineSpec(tuple(stages), seed=seed,

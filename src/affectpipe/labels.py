@@ -15,6 +15,7 @@ from .classification import (
     _as_array,
     _knn_neighbors,
     _knn_vote,
+    _squared_distances,
     _zscore_stats,
     fit,
     make_folds,
@@ -179,19 +180,13 @@ def sequential_forward_selection(matrix: FeatureMatrix, labels: LabelVector,
     return matrix.subset_columns([matrix.columns[j] for j in selected])
 
 
-#: numpy sums fewer than 8 terms in sequence, so below this many columns a
-#: running sum of per-column squared differences is the distance a KNN fit
-#: on those columns computes, bit for bit
-_RUNNING_SUM_TERMS = 8
-
-
 def _forward_selection(scorer, X, y, k, folds):
     """Column indices chosen greedily, plus one dict per step mapping each
     candidate column to its mean CV accuracy.
 
-    A KNN scorer scores sets of fewer than :data:`_RUNNING_SUM_TERMS`
-    columns from per-fold cached columns (see :class:`_KnnFolds`); larger
-    sets and other scorers fit and predict every candidate on every fold.
+    A KNN scorer scores every step from per-fold cached columns (see
+    :class:`_KnnFolds`); other scorers fit and predict every candidate on
+    every fold.
     """
     def cv_accuracy(col_indices):
         accs = []
@@ -201,13 +196,12 @@ def _forward_selection(scorer, X, y, k, folds):
             accs.append(float(np.mean(pred == y[test])))
         return float(np.mean(accs))
 
-    knn = None
+    knn = _KnnFolds(scorer, X, y, folds) if scorer.algorithm == "KNN" else None
     selected: list[int] = []
     remaining = list(range(X.shape[1]))
     steps = []
     for _ in range(k):
-        if scorer.algorithm == "KNN" and len(selected) + 1 < _RUNNING_SUM_TERMS:
-            knn = knn or _KnnFolds(scorer, X, y, folds)
+        if knn is not None:
             scores = knn.step_scores(selected, remaining)
         else:
             scores = [cv_accuracy(selected + [j]) for j in remaining]
@@ -222,16 +216,12 @@ def _forward_selection(scorer, X, y, k, folds):
 class _KnnFolds:
     """The CV folds of a KNN scorer, cached for scoring whole SFS steps.
 
-    Per fold the train and test columns are z-scored once, in two versions:
-    with each column's own statistics, as a fit on that column alone
-    computes them, and with the statistics of all columns.  numpy sums one
-    column contiguously, pairwise, but sums a column of a 2-or-more-column
-    block row by row, which can differ in the last bits; across blocks of 2
-    or more columns a column's statistics do not depend on the others.  A
-    step then keeps the running sum of squared differences over the
-    selected columns, adds one column per candidate and feeds the square
-    root to the same neighbour vote as :func:`predict`: every score equals
-    a fit/predict on ``selected + [candidate]``.
+    Per fold the train and test rows are z-scored once with the training
+    statistics and stored column-major.  A column's statistics and squared
+    differences do not depend on the columns beside it, so a step sums the
+    selected columns' distances once, adds each candidate's column and feeds
+    the square root to the same neighbour vote as :func:`predict`: every
+    score equals a fit/predict on ``selected + [candidate]``.
     """
 
     def __init__(self, spec, X, y, folds):
@@ -242,16 +232,10 @@ class _KnnFolds:
             classes = np.unique(y[train])
             if classes.size < 2:
                 raise SingleClass("training labels contain a single class")
-            alone = [_zscore_stats(Xtr[:, [j]]) for j in range(X.shape[1])]
-            mu1 = np.concatenate([mu for mu, _ in alone])
-            sigma1 = np.concatenate([sigma for _, sigma in alone])
             mu, sigma = _zscore_stats(Xtr)
-            # columns as rows, so each column is one contiguous vector
             self.folds.append({
-                "alone": (((Xtr - mu1) / sigma1).T.copy(),
-                          ((Xte - mu1) / sigma1).T.copy()),
-                "joint": (((Xtr - mu) / sigma).T.copy(),
-                          ((Xte - mu) / sigma).T.copy()),
+                "train": ((Xtr - mu) / sigma).T.copy(),
+                "test": ((Xte - mu) / sigma).T.copy(),
                 "y_train": y[train], "y_test": y[test], "classes": classes,
                 "k": min(k, train.size),
             })
@@ -260,23 +244,12 @@ class _KnnFolds:
         """Mean CV accuracy of ``selected + [j]`` for each candidate ``j``."""
         accs = np.empty((len(candidates), len(self.folds)))
         for f, fold in enumerate(self.folds):
-            train, test = fold["joint" if selected else "alone"]
-            total = None
-            for c in selected:
-                term = _squared_differences(train[c], test[c])
-                total = term if total is None else np.add(total, term, out=total)
+            train, test = fold["train"], fold["test"]
+            total = _squared_distances(train[selected], test[selected])
             for i, j in enumerate(candidates):
-                d = _squared_differences(train[j], test[j])
-                if total is not None:
-                    np.add(total, d, out=d)
-                np.sqrt(d, out=d)
+                d = _squared_distances(train[j:j + 1], test[j:j + 1])
+                np.sqrt(np.add(total, d, out=d), out=d)
                 scores = _knn_vote(d, fold["y_train"], fold["classes"], fold["k"])
                 pred = fold["classes"][np.argmax(scores, axis=1)]
                 accs[i, f] = np.mean(pred == fold["y_test"])
         return [float(np.mean(a)) for a in accs]
-
-
-def _squared_differences(train_col, test_col):
-    """(test rows, train rows) block of (train - test) ** 2 for one column."""
-    d = np.subtract(train_col[None, :], test_col[:, None])
-    return np.square(d, out=d)

@@ -183,8 +183,9 @@ def notch_powerline(series: TimeSeries, f0_hz: float = 50.0, q: float = 30.0) ->
 def resample_series(series: TimeSeries, target_fs_hz: float) -> TimeSeries:
     """Resample onto a uniform grid at ``target_fs_hz`` spanning [t0, tN].
 
-    Values come from linear interpolation; when downsampling, an anti-alias
-    lowpass at 0.45x the target rate is applied first.
+    Values come from linear interpolation; when downsampling a uniform
+    series, an anti-alias lowpass at 0.45x the target rate is applied first
+    through :func:`apply_zero_phase`.
     """
     if target_fs_hz <= 0:
         raise CutoffOutOfRange("target sample rate must be positive")
@@ -193,7 +194,7 @@ def resample_series(series: TimeSeries, target_fs_hz: float) -> TimeSeries:
     if target_fs_hz < series.sample_rate_hz and series.is_uniform():
         aa = design_butterworth("lowpass", 8, ANTIALIAS_FRACTION * target_fs_hz,
                                 series.sample_rate_hz)
-        x = sps.sosfiltfilt(np.array(aa.sections), np.array(x))
+        x = apply_zero_phase(aa, series).values
     n = int(np.floor((t[-1] - t[0]) * target_fs_hz)) + 1
     grid = t[0] + np.arange(n) / target_fs_hz
     resampled = np.interp(grid, t, x)

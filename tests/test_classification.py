@@ -58,6 +58,26 @@ def test_knn_stores_training_set_verbatim():
     assert model.state["k"] == 9
 
 
+def _column_stats(X):
+    """Reference z-score statistics: each column's mean and standard
+    deviation reduced alone, as a 1-D contiguous vector."""
+    cols = [np.ascontiguousarray(X[:, j]) for j in range(X.shape[1])]
+    return np.array([c.mean() for c in cols]), np.array([c.std() for c in cols])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_zscore_stats_of_a_column_ignore_its_neighbours(seed):
+    rng = np.random.default_rng(seed)
+    for width in range(1, 13):
+        X = rng.normal(0, 1, (97, width)) * rng.uniform(0.5, 30, width) \
+            + rng.uniform(-100, 100, width)
+        mu, sigma = classification._zscore_stats(X)
+        for j in range(width):
+            mu_j, sigma_j = classification._zscore_stats(X[:, [j]])
+            assert mu[j:j + 1].tobytes() == mu_j.tobytes(), (width, j)
+            assert sigma[j:j + 1].tobytes() == sigma_j.tobytes(), (width, j)
+
+
 def test_tree_separable_four_points_depth_1():
     X = np.array([[0.0], [1.0], [10.0], [11.0]])
     y = np.array([0, 0, 1, 1])
@@ -165,8 +185,18 @@ def test_entropies_bit_identical_to_entropy(n_classes):
     counts[:, 0] += 1  # no empty rows
     counts[:5] = 0
     counts[:5, :1] = 7  # pure rows
-    want = np.array([classification._entropy(row.astype(float)) for row in counts])
+    want = []
+    for row in counts:
+        # the class terms added one at a time, in class order
+        h = 0.0
+        for c in row[row > 0]:
+            p = c / row.sum()
+            h += p * np.log2(p)
+        want.append(-h)
+    want = np.array(want)
     assert classification._entropies(counts).tobytes() == want.tobytes()
+    got = np.array([classification._entropy(row.astype(float)) for row in counts])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_tree_keeps_first_split_within_tolerance(monkeypatch):
@@ -219,20 +249,24 @@ def test_knn_vote_tie_breaks_to_smallest_class():
 
 
 def _knn_scores_rowwise(model, X):
-    """The original per-query KNN scorer, kept as the bit-exact reference."""
+    """Per-query KNN scorer, kept as the bit-exact reference: each query's
+    squared differences are added column by column, in column order."""
     train, y, k = model.state["X"], model.state["y"], model.state["k"]
     k = min(k, train.shape[0])
     scores = np.zeros((X.shape[0], model.classes.size))
     class_pos = {c: i for i, c in enumerate(model.classes)}
     for i, q in enumerate(X):
-        d = np.sqrt(np.sum((train - q) ** 2, axis=1))
+        d2 = np.zeros(train.shape[0])
+        for j in range(train.shape[1]):
+            d2 += (train[:, j] - q[j]) ** 2
+        d = np.sqrt(d2)
         order = np.lexsort((np.arange(d.size), d))[:k]
         for j in order:
             scores[i, class_pos[y[j]]] += 1.0 / k
     return scores
 
 
-@pytest.mark.parametrize("p", range(1, 13))  # numpy's row sum turns pairwise at 8
+@pytest.mark.parametrize("p", range(1, 13))  # numpy's own sums turn pairwise at 8
 def test_knn_block_scores_bit_identical_to_rowwise(p):
     rng = np.random.default_rng(p)
     n_train, n_query = 120, 300
@@ -430,7 +464,7 @@ def test_custom_handle_receives_z_scored_rows():
     model = fit(ClassifierSpec("rec", "custom", {"handle": Recorder()}), X,
                 np.array([0, 1] * 10))
     predict(model, Q)
-    mu, sigma = X.mean(axis=0), X.std(axis=0)
+    mu, sigma = _column_stats(X)
     np.testing.assert_array_equal(seen[0], (X - mu) / sigma)
     np.testing.assert_array_equal(seen[1], (Q - mu) / sigma)
 

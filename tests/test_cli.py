@@ -14,7 +14,14 @@ seed: 5
 """
 
 
-def run_config(root, cv="kfold", folds="folds: 3", labels=None, window=60.0):
+#: one weak feature, so the scores depend on which rows share a fold (with
+#: the default catalog every fold of knn9 and dt scores 1.0 on this set)
+WEAK_FEATURE = ("features:\n"
+                "  - {name: ecg, modality: ECG, computation: ecg_stats, features: [slope]}")
+
+
+def run_config(root, cv="kfold", folds="folds: 3", labels=None, window=60.0,
+               features="features: default-ecg-eda"):
     labels = labels or 'kind: phase-map\n  phase_to_class: {rest: 0, stress: 1}'
     return f"""\
 seed: 11
@@ -25,7 +32,7 @@ windowing:
   window_s: {window}
   step_s: 30.0
   calculate_average: false
-features: default-ecg-eda
+{features}
 labels:
   {labels}
 cv:
@@ -181,7 +188,7 @@ def test_run_loso_without_code_changes(dataset_root, tmp_path):
 
 def test_run_deterministic_reports(dataset_root, tmp_path):
     cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(run_config(dataset_root), encoding="utf-8")
+    cfg.write_text(run_config(dataset_root, features=WEAK_FEATURE), encoding="utf-8")
     outs = []
     for d in ("o1", "o2"):
         assert cmd_run(str(cfg), seed=21, out_dir=str(tmp_path / d)) == 0
@@ -190,11 +197,7 @@ def test_run_deterministic_reports(dataset_root, tmp_path):
 
 
 def test_run_seed_flag_equals_config_seed(dataset_root, tmp_path):
-    # one weak feature, so the scores depend on which rows share a fold
-    text = run_config(dataset_root).replace(
-        "features: default-ecg-eda",
-        "features:\n"
-        "  - {name: ecg, modality: ECG, computation: ecg_stats, features: [slope]}")
+    text = run_config(dataset_root, features=WEAK_FEATURE)
     reports = {}
     for name, config_seed, flag in (("config", 21, None), ("flag", 0, 21),
                                     ("other", 0, None)):
@@ -230,6 +233,18 @@ selector:
     assert "selector.cv_folds" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("folds", ["1", '"3"', "true"])
+def test_run_eval_folds_not_an_integer_of_two_exit_2(tmp_path, capsys, folds):
+    # the dataset root does not exist: reading it would exit 4, so exit 2
+    # shows the fold count was rejected before any I/O
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(run_config(tmp_path / "no-such-dataset", folds=f"folds: {folds}"),
+                   encoding="utf-8")
+    assert cmd_run(str(cfg), out_dir=str(tmp_path / "out")) == 2
+    assert "cv.folds" in capsys.readouterr().out
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_config_error_exit_2(tmp_path):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("windowing: {window_s: 60}\n", encoding="utf-8")
@@ -248,11 +263,10 @@ def test_run_missing_classification_exit_3(dataset_root, tmp_path, capsys):
 def test_run_undeclared_feature_name_exit_3_before_acquisition(tmp_path, capsys):
     # the dataset root does not exist: reading it would fail at run time
     # (exit 4), so exit 3 shows the catalog was rejected before Acquisition
-    text = run_config(tmp_path / "no-such-dataset").replace(
-        "features: default-ecg-eda",
+    text = run_config(tmp_path / "no-such-dataset", features=(
         "features:\n"
         "  - {name: hrv, modality: ECG, computation: hrv_time,\n"
-        "     features: [hr_mean_bpm, rmsdd_s]}")
+        "     features: [hr_mean_bpm, rmsdd_s]}"))
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(text, encoding="utf-8")
     assert cmd_run(str(cfg)) == 3

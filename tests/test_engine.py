@@ -380,7 +380,9 @@ def test_train_mode_models_reproduce_through_test_mode():
         (matrix, labels), RunContext())
     assert list(tested.y_pred) == ["knn3", "tree", "lda", "logit", "ens"]
     for name, model in trained.fitted_models.items():
-        np.testing.assert_array_equal(model.mu, matrix.values.mean(axis=0))
+        # each column's mean reduced alone, as a contiguous vector
+        np.testing.assert_array_equal(
+            model.mu, [np.ascontiguousarray(c).mean() for c in matrix.values.T])
         np.testing.assert_array_equal(tested.y_pred[name], trained.y_pred[name])
         np.testing.assert_array_equal(tested.scores[name], trained.scores[name])
 

@@ -389,14 +389,16 @@ def _assert_matches_reference(scorer, X, y, k, seed=0):
 @pytest.mark.parametrize("kind", ["normal", "integer", "null"])
 @pytest.mark.parametrize("k_neighbors", [1, 4, 9])
 def test_cached_knn_sfs_matches_fit_predict(kind, k_neighbors, monkeypatch):
-    X, y = _selection_data(kind, 97, 6, seed=k_neighbors)
     scorer = ClassifierSpec("knn", "KNN", {"k_neighbors": k_neighbors})
-    _assert_matches_reference(scorer, X, y, k=4)
-    # below 8 columns the cached path makes no fit or predict call
     calls = []
     monkeypatch.setattr(labels_module, "fit",
                         lambda *a: calls.append(a) or fit_model(*a))
-    _forward_selection(scorer, X, y, 4, make_folds(CVStrategy("kfold", 5), X))
+    # the wide case scores sets of 8 or more columns, where numpy's own
+    # sums turn pairwise
+    for n_rows, n_cols, k in ((97, 6, 4), (50, 10, 9)):
+        X, y = _selection_data(kind, n_rows, n_cols, seed=k_neighbors)
+        _assert_matches_reference(scorer, X, y, k=k)
+    # the cached path makes no fit or predict call at any set size
     assert calls == []
 
 
@@ -407,9 +409,9 @@ def test_cached_knn_sfs_rounds_like_fit_to_the_last_bit(seed, n_cols, k):
     # to the same vector in exact arithmetic; even lattice points train and
     # odd ones test (then the reverse), so every query sits midway between
     # two training values and only rounding picks its nearest row.  That
-    # exposes the z-scoring (a one-column fit reduces its column pairwise, a
-    # wider fit row by row) and, from 8 columns on, numpy's pairwise
-    # distance sum
+    # exposes any z-scoring or distance sum whose rounding depends on the
+    # other columns, as numpy's own reductions would (row by row across 2
+    # or more columns, pairwise from 8 terms)
     rng = np.random.default_rng(seed)
     lattice = np.arange(400) % 40
     X = lattice[:, None] * rng.uniform(0.5, 30, n_cols) + rng.uniform(-100, 100, n_cols)
@@ -420,10 +422,17 @@ def test_cached_knn_sfs_rounds_like_fit_to_the_last_bit(seed, n_cols, k):
     assert got == _greedy_reference(KNN1, X, y, k, folds)
 
 
-def test_cached_knn_sfs_falls_back_from_eight_columns():
+def test_cached_knn_sfs_falls_back_from_eight_columns(monkeypatch):
+    # sets of 8 or more columns once fell back to fit/predict; the cached
+    # path now scores them too, and still matches the reference
     X, y = _selection_data("normal", 50, 10, seed=8)
-    _assert_matches_reference(ClassifierSpec("knn", "KNN", {"k_neighbors": 9}),
-                              X, y, k=9)
+    scorer = ClassifierSpec("knn", "KNN", {"k_neighbors": 9})
+    _assert_matches_reference(scorer, X, y, k=9)
+    calls = []
+    monkeypatch.setattr(labels_module, "fit",
+                        lambda *a: calls.append(a) or fit_model(*a))
+    _forward_selection(scorer, X, y, 9, make_folds(CVStrategy("kfold", 5), X))
+    assert calls == []
 
 
 @pytest.mark.parametrize("scorer", [

@@ -253,6 +253,14 @@ def test_downsample_grid_deltas():
     np.testing.assert_allclose(np.diff(out.timestamps), 0.004, rtol=1e-9)
 
 
+def test_downsample_filters_through_apply_zero_phase():
+    s = sine_series(1.0, 700.0, 10.0)
+    out = resample_series(s, 250.0)
+    aa = design_butterworth("lowpass", 8, 0.45 * 250.0, 700.0)
+    want = np.interp(out.timestamps, s.timestamps, apply_zero_phase(aa, s).values)
+    assert np.asarray(out.values).tobytes() == want.tobytes()
+
+
 def test_resample_identity():
     s = sine_series(1.0, 250.0, 10.0)
     out = resample_series(s, 250.0)
