@@ -5,7 +5,7 @@ Exit codes
 ----------
 validate:  0 ok, 1 I/O failure, 2 violations found
 synth:     0 ok, 1 I/O failure, 2 spec error
-run:       0 ok, 2 config error, 3 pipeline build error, 4 runtime error
+run:       0 ok, 1 I/O failure, 2 config error, 3 pipeline build error, 4 runtime error
 """
 
 from __future__ import annotations
@@ -86,18 +86,15 @@ def cmd_run(config_file: str, seed: int | None = None, strict: bool = False,
     out = out or sys.stdout
     try:
         doc = load_config(config_file)
+        if seed is not None:
+            doc["seed"] = seed
+        if strict:
+            doc["strict"] = True
+        pipeline = build_pipeline(build_pipeline_spec(doc))
     except ConfigError as exc:
         print(f"config error: {exc}", file=out)
         return 2
-    if seed is not None:
-        doc["seed"] = seed
-    if strict:
-        doc["strict"] = True
-    try:
-        spec = build_pipeline_spec(doc)
-        pipeline = build_pipeline(spec)
-    except (ConfigError, CatalogError, MissingStage, MisorderedStage,
-            IncompatibleStages) as exc:
+    except (CatalogError, MissingStage, MisorderedStage, IncompatibleStages) as exc:
         print(f"pipeline build error: {exc}", file=out)
         return 3
     try:
@@ -107,17 +104,21 @@ def cmd_run(config_file: str, seed: int | None = None, strict: bool = False,
         return 4
     report = output.report
     print(report.format_table(), file=out)
-    target = Path(out_dir or doc.get("output_dir", "."))
-    target.mkdir(parents=True, exist_ok=True)
-    write_report_csv(report, target / "report.csv")
-    (target / "report.txt").write_text(report.format_table() + "\n",
-                                       encoding="utf-8")
+    target = Path(out_dir or ".")
     reports = pipeline.last_reports
-    _write_keys_csv(target / "dropped_rows.csv",
-                    ["subject", "phase", "window_index"],
-                    reports.get("dropped_rows", []))
-    _write_keys_csv(target / "excluded_subjects.csv", ["subject"],
-                    [(s,) for s in reports.get("excluded_subjects", [])])
+    try:
+        target.mkdir(parents=True, exist_ok=True)
+        write_report_csv(report, target / "report.csv")
+        (target / "report.txt").write_text(report.format_table() + "\n",
+                                           encoding="utf-8")
+        _write_keys_csv(target / "dropped_rows.csv",
+                        ["subject", "phase", "window_index"],
+                        reports.get("dropped_rows", []))
+        _write_keys_csv(target / "excluded_subjects.csv", ["subject"],
+                        [(s,) for s in reports.get("excluded_subjects", [])])
+    except OSError as exc:
+        print(f"I/O failure: {exc}", file=out)
+        return 1
     print(f"reports written to {target}", file=out)
     return 0
 

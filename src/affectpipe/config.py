@@ -1,11 +1,12 @@
 """Declarative pipeline configuration.
 
-A YAML config maps one-to-one onto a PipelineSpec; it is schema-checked
-before any I/O happens.
+A YAML run config maps one-to-one onto a PipelineSpec: build_pipeline_spec,
+its only reader, reads and checks each key once, before any I/O happens.
 """
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import yaml
@@ -28,168 +29,180 @@ from .synth import DatasetSpec
 
 KNOWN_ALGORITHMS = ("KNN", "DecisionTree", "LDA", "LogisticRegression",
                     "AveragingEnsemble")
+_REQUIRED = object()
 
 
-def _require(mapping, key, context):
-    if key not in mapping:
-        raise ConfigError(f"missing {key!r} in {context}")
-    return mapping[key]
+# a check is (predicate, what a value must be); type() keeps bools out of ints
+_POSITIVE = (lambda v: type(v) in (int, float) and 0 < v < math.inf, "a finite positive number")
+_FLAG = (lambda v: type(v) is bool, "true or false")
+_LIST = (lambda v: type(v) is list, "a list")
+_NAMES = (lambda v: type(v) is list and v and all(type(n) is str for n in v),
+          "a non-empty list of names")
 
 
-def load_config(path) -> dict:
-    path = Path(path)
+def _at_least(floor):
+    return lambda v: type(v) is int and v >= floor, f"an integer of at least {floor}"
+
+
+def _one_of(*choices):
+    return lambda v: v in choices, f"one of {', '.join(choices)}"
+
+
+class _Section:
+    """One mapping of a run config at dotted key ``path``.  Each key is read
+    once, a null value reads as absent, and :meth:`done` rejects the keys
+    nothing read."""
+
+    def __init__(self, doc, path):
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{path or 'config root'} must be a mapping, got {doc!r}")
+        self.doc, self.path, self.read = doc, path, set()
+
+    def key(self, name) -> str:
+        return f"{self.path}.{name}" if self.path else str(name)
+
+    def get(self, name, default=_REQUIRED, check=None):
+        self.read.add(name)
+        value = self.doc.get(name)
+        if value is None:
+            if default is _REQUIRED:
+                raise ConfigError(f"missing {self.key(name)!r}")
+            return default
+        if check and not check[0](value):
+            raise ConfigError(f"{self.key(name)} must be {check[1]}, got {value!r}")
+        return value
+
+    def section(self, name, optional=False) -> _Section:
+        return _Section(self.get(name, {} if optional else _REQUIRED), self.key(name))
+
+    def done(self):
+        unknown = sorted(self.key(name) for name in set(self.doc) - self.read)
+        if unknown:
+            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+
+
+def _read_yaml(path, what) -> dict:
     try:
-        doc = yaml.safe_load(path.read_text(encoding="utf-8"))
+        doc = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     except yaml.YAMLError as exc:
-        raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
+        raise ConfigError(f"{what} {path} is not valid YAML: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ConfigError("config root must be a mapping")
-    validate_config(doc)
+        raise ConfigError(f"{what} root must be a mapping")
     return doc
 
 
-def validate_config(doc: dict):
-    dataset = _require(doc, "dataset", "config")
-    _require(dataset, "root", "dataset")
-    types = _require(dataset, "signal_types", "dataset")
-    if not isinstance(types, list) or not types:
-        raise ConfigError("dataset.signal_types must be a non-empty list")
-    windowing = _require(doc, "windowing", "config")
-    for key in ("window_s", "step_s"):
-        v = _require(windowing, key, "windowing")
-        if not isinstance(v, (int, float)) or v <= 0:
-            raise ConfigError(f"windowing.{key} must be a positive number")
-    if windowing["step_s"] > windowing["window_s"]:
-        raise ConfigError("windowing.step_s may not exceed windowing.window_s")
-    labels = _require(doc, "labels", "config")
-    kind = _require(labels, "kind", "labels")
-    if kind not in ("phase-map", "fixed-threshold", "dynamic-threshold"):
-        raise ConfigError(f"labels.kind {kind!r} not recognized")
-    if kind == "phase-map":
-        _require(labels, "phase_to_class", "labels")
-    # a missing/empty classifiers list is legal here; the pipeline builder
-    # reports it as MissingStage("Classification")
-    classifiers = doc.get("classifiers") or []
-    if not isinstance(classifiers, list):
-        raise ConfigError("classifiers must be a list")
-    for c in classifiers:
-        algo = _require(c, "algorithm", "classifier entry")
-        if algo not in KNOWN_ALGORITHMS:
-            raise ConfigError(f"unknown classifier algorithm {algo!r}")
-    selector = doc.get("selector")
-    if selector:
-        _require_fold_count(selector.get("cv_folds", 5), "selector.cv_folds")
-    cv = doc.get("cv", {})
-    if cv.get("kind", "kfold") not in ("kfold", "loso"):
-        raise ConfigError("cv.kind must be kfold or loso")
-    _require_fold_count(cv.get("folds", 5), "cv.folds")
-    if "shuffle_seed" in cv:
-        # an old config must not silently get other folds
-        raise ConfigError("cv.shuffle_seed is not a config key: the top-level "
-                          "'seed' (or run --seed) shuffles every k-fold split")
+def load_config(path) -> dict:
+    return _read_yaml(path, "config")
 
 
-def _require_fold_count(folds, key):
-    if isinstance(folds, bool) or not isinstance(folds, int) or folds < 2:
-        raise ConfigError(f"{key} must be an integer of at least 2, got {folds!r}")
+def _classifier(doc, path) -> ClassifierSpec:
+    entry = _Section(doc, path)
+    algorithm = entry.get("algorithm", check=_one_of(*KNOWN_ALGORITHMS))
+    spec = ClassifierSpec(entry.get("name", algorithm), algorithm,
+                          entry.section("hyperparameters", optional=True).doc)
+    entry.done()
+    return spec
 
 
 def _build_catalog(features_doc) -> list[FeatureCatalogEntry]:
-    if features_doc in (None, "default-ecg-eda"):
+    if features_doc == "default-ecg-eda":
         return ecg_eda_catalog()
-    if isinstance(features_doc, list):
-        entries = []
-        for item in features_doc:
-            entries.append(FeatureCatalogEntry(
-                name=_require(item, "name", "feature entry"),
-                modality=_require(item, "modality", "feature entry"),
-                computation=_require(item, "computation", "feature entry"),
-                parameters=item.get("parameters", {}),
-                features=tuple(item["features"]) if item.get("features") else None,
-            ))
-        return entries
-    raise ConfigError("features must be 'default-ecg-eda' or a list of entries")
+    entries = []
+    for i, item in enumerate(features_doc):
+        entry = _Section(item, f"features[{i}]")
+        names = entry.get("features", (), _LIST)
+        entries.append(FeatureCatalogEntry(
+            entry.get("name"), entry.get("modality"), entry.get("computation"),
+            entry.section("parameters", optional=True).doc, tuple(names) or None))
+        entry.done()
+    return entries
 
 
-def _build_chains(chains_doc) -> dict[str, PreprocessChain]:
-    chains = {}
-    for modality, steps in (chains_doc or {}).items():
+def _build_chains(chains: _Section) -> dict[str, PreprocessChain]:
+    built = {}
+    for modality in chains.doc:
         parsed = []
-        for step in steps:
-            op = _require(step, "op", f"chain for {modality}")
+        for i, step in enumerate(chains.get(modality, check=_LIST)):
+            step = _Section(step, f"{chains.key(modality)}[{i}]")
             params = {k: tuple(v) if isinstance(v, list) else v
-                      for k, v in step.items() if k != "op"}
-            parsed.append(PreprocessStep(op, params))
-        chains[modality.upper()] = PreprocessChain(tuple(parsed))
-    return chains
+                      for k, v in step.doc.items() if k != "op"}
+            parsed.append(PreprocessStep(step.get("op"), params))
+        built[str(modality).upper()] = PreprocessChain(tuple(parsed))
+    return built
+
+
+def _label_rule(labels: _Section) -> LabelRule:
+    kind = labels.get("kind", check=_one_of("phase-map", "fixed-threshold",
+                                            "dynamic-threshold"))
+    if kind != "phase-map":
+        return LabelRule(kind, {})
+    classes = labels.section("phase_to_class")
+    return LabelRule("phase-map", {"phase_to_class": {
+        str(phase): classes.get(phase, check=_at_least(0)) for phase in classes.doc}})
 
 
 def build_pipeline_spec(doc: dict) -> PipelineSpec:
-    """Translate a validated config document into an executable spec."""
-    seed = int(doc.get("seed", 0))
-    dataset = doc["dataset"]
-    pre = doc.get("preprocessing", {})
-    windowing = doc["windowing"]
-    labels_doc = doc["labels"]
-    cv_doc = doc.get("cv", {})
+    """Check a run-config document and translate it into an executable spec.
 
-    stages = [
-        SignalAcquisition(dataset["signal_types"], dataset["root"]),
-        SignalPreprocessor(_build_chains(pre.get("chains")),
-                           pre.get("resample_rate_hz")),
-        FeatureExtractor(
-            _build_catalog(doc.get("features")),
-            WindowingPolicy(float(windowing["window_s"]),
-                            float(windowing["step_s"]),
-                            windowing.get("drop_incomplete", True)),
-            calculate_average=windowing.get("calculate_average", False)),
-        LabelGenerator(_label_rule(labels_doc)),
-    ]
-    selector = doc.get("selector")
-    if selector:
-        scorer_doc = selector.get("scorer", {"algorithm": "KNN"})
-        scorer = ClassifierSpec(scorer_doc.get("name", scorer_doc["algorithm"]),
-                                scorer_doc["algorithm"],
-                                scorer_doc.get("hyperparameters", {}))
-        stages.append(FeatureSelector(int(selector["k"]), scorer,
-                                      selector.get("cv_folds", 5)))
-    models = [ClassifierSpec(c.get("name", c["algorithm"]), c["algorithm"],
-                             c.get("hyperparameters", {}))
-              for c in doc.get("classifiers") or []]
+    Raises ConfigError naming the dotted key of the first missing, unknown
+    or ill-typed key before the feature catalog is checked (CatalogError).
+    """
+    root = _Section(doc, "")
+    seed = root.get("seed", 0, _at_least(0))
+    dataset = root.section("dataset")
+    stages = [SignalAcquisition(dataset.get("signal_types", check=_NAMES),
+                                dataset.get("root", check=(lambda v: type(v) is str, "a path")))]
+    dataset.done()
+    pre = root.section("preprocessing", optional=True)
+    stages.append(SignalPreprocessor(_build_chains(pre.section("chains", optional=True)),
+                                     pre.get("resample_rate_hz", None, _POSITIVE)))
+    pre.done()
+    windowing = root.section("windowing")
+    window_s, step_s = (float(windowing.get(k, check=_POSITIVE)) for k in ("window_s", "step_s"))
+    if step_s > window_s:
+        raise ConfigError("windowing.step_s may not exceed windowing.window_s")
+    policy = WindowingPolicy(window_s, step_s, windowing.get("drop_incomplete", True, _FLAG))
+    calculate_average = windowing.get("calculate_average", False, _FLAG)
+    windowing.done()
+    catalog = _build_catalog(root.get("features", "default-ecg-eda", (
+        lambda v: v == "default-ecg-eda" or type(v) is list,
+        "'default-ecg-eda' or a list of entries")))
+    labels = root.section("labels")
+    labeller = LabelGenerator(_label_rule(labels))
+    labels.done()
+    selector = root.section("selector", optional=True)
+    selection = [FeatureSelector(
+        selector.get("k", check=_at_least(1)),
+        _classifier(selector.get("scorer", {"algorithm": "KNN"}), "selector.scorer"),
+        selector.get("cv_folds", 5, _at_least(2)))] if selector.doc else []
+    selector.done()
+    models = [_classifier(c, f"classifiers[{i}]")
+              for i, c in enumerate(root.get("classifiers", [], _LIST))]
+    cv = root.section("cv", optional=True)
+    if "shuffle_seed" in cv.doc:  # an old config must not silently get other folds
+        raise ConfigError("cv.shuffle_seed is not a config key: the top-level "
+                          "'seed' (or run --seed) shuffles every k-fold split")
+    strategy = CVStrategy(cv.get("kind", "kfold", _one_of("kfold", "loso")),
+                          cv.get("folds", 5, _at_least(2)))
+    cv.done()
+    strict = root.get("strict", False, _FLAG)
+    root.done()
+    stages += [FeatureExtractor(catalog, policy, calculate_average=calculate_average),
+               labeller, *selection]
     if models:
-        strategy = CVStrategy(cv_doc.get("kind", "kfold"), cv_doc.get("folds", 5))
-        stages.append(Classification(Classification.MODE_CROSS_VALIDATE, models,
-                                     cv=strategy))
-    return PipelineSpec(tuple(stages), seed=seed,
-                        strict=bool(doc.get("strict", False)))
+        stages.append(Classification(Classification.MODE_CROSS_VALIDATE, models, cv=strategy))
+    return PipelineSpec(tuple(stages), seed=seed, strict=strict)
 
 
 def load_dataset_spec(path) -> DatasetSpec:
     """Parse a synthetic-dataset spec file (YAML onto DatasetSpec fields)."""
-    path = Path(path)
-    try:
-        doc = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read spec {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"spec {path} is not valid YAML: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("dataset spec root must be a mapping")
-    known = set(DatasetSpec.__dataclass_fields__)
-    unknown = set(doc) - known
+    doc = _read_yaml(path, "dataset spec")
+    unknown = set(doc) - set(DatasetSpec.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"unknown dataset spec fields: {sorted(unknown)}")
     for tuple_field in ("phases", "modalities"):
         if isinstance(doc.get(tuple_field), list):
             doc[tuple_field] = tuple(doc[tuple_field])
     return DatasetSpec(**doc)
-
-
-def _label_rule(labels_doc) -> LabelRule:
-    kind = labels_doc["kind"]
-    if kind == "phase-map":
-        mapping = {str(k): int(v) for k, v in labels_doc["phase_to_class"].items()}
-        return LabelRule("phase-map", {"phase_to_class": mapping})
-    return LabelRule(kind, {})

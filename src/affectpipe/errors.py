@@ -153,7 +153,7 @@ class MissingReport(AffectPipeError):
 
 
 class KTooLarge(AffectPipeError):
-    pass
+    """A selection ``k`` outside 1 to column count - 1 (below 1 as well)."""
 
 
 # --- classification / evaluation ---

@@ -47,7 +47,7 @@ class WindowingPolicy:
     drop_incomplete: bool = True
 
     def __post_init__(self):
-        if self.window_s <= 0 or self.step_s <= 0:
+        if not self.window_s > 0 or not self.step_s > 0:  # NaN fails too
             raise ValueError("window_s and step_s must be positive")
         if self.step_s > self.window_s:
             raise ValueError("step_s may not exceed window_s (windows must tile)")
@@ -714,7 +714,7 @@ def _entry_values(entry: FeatureCatalogEntry, cut: _SeriesWindows) -> list[tuple
 
 
 def extract_features(bundle: SubjectBundle,
-                     policies: dict[str, WindowingPolicy] | WindowingPolicy,
+                     policy: WindowingPolicy,
                      catalog: list[FeatureCatalogEntry],
                      calculate_average: bool = False) -> FeatureMatrix:
     """Segment every series, run the catalog per window, fuse by columns.
@@ -764,8 +764,6 @@ def extract_features(bundle: SubjectBundle,
                             f"modality {entry.modality!r} missing for "
                             f"{subject}/{phase}"
                         )
-                    policy = (policies if isinstance(policies, WindowingPolicy)
-                              else policies[entry.modality])
                     cuts[entry.modality] = _SeriesWindows(series, policy)
                 values = _entry_values(entry, cuts[entry.modality])
                 per_entry.append(values)

@@ -166,14 +166,14 @@ def sequential_forward_selection(matrix: FeatureMatrix, labels: LabelVector,
     column index.  The folds are the ``min(cv_folds, rows)`` k-fold folds
     :func:`make_folds` shuffles with ``seed``.  ``scorer`` is a
     ClassifierSpec (see :mod:`affectpipe.classification`) or anything with
-    fit/predict.
+    fit/predict.  Raises KTooLarge unless 1 <= k < column count.
     """
     labels.check_against(matrix)
     if not isinstance(scorer, ClassifierSpec):
         scorer = ClassifierSpec(type(scorer).__name__, "custom", {"handle": scorer})
     n_cols = len(matrix.columns)
-    if k >= n_cols:
-        raise KTooLarge(f"k={k} must be below column count {n_cols}")
+    if not 1 <= k < n_cols:
+        raise KTooLarge(f"k={k} must be at least 1 and below column count {n_cols}")
     y = labels.to_array()
     folds = make_folds(CVStrategy("kfold", min(cv_folds, y.size)), matrix, seed)
     selected, _ = _forward_selection(scorer, matrix.to_array(), y, k, folds)

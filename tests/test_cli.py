@@ -245,6 +245,77 @@ def test_run_eval_folds_not_an_integer_of_two_exit_2(tmp_path, capsys, folds):
     assert not (tmp_path / "out").exists()
 
 
+CV_BLOCK = "cv:\n  kind: kfold\n  folds: 3\n"
+
+
+def _replace(old, new):
+    return lambda text: text.replace(old, new, 1)
+
+
+def _append(extra):
+    return lambda text: text + extra
+
+
+@pytest.mark.parametrize("edit, key", [
+    pytest.param(_replace(CV_BLOCK, "cv: [1]\n"), "cv", id="cv-list"),
+    pytest.param(_append("selector: 3\n"), "selector", id="selector-int"),
+    pytest.param(_append("selector: {cv_folds: 3}\n"), "selector.k", id="selector-no-k"),
+    pytest.param(_append("selector: {k: five}\n"), "selector.k", id="k-text"),
+    pytest.param(_append("selector: {k: 0}\n"), "selector.k", id="k-0"),
+    pytest.param(_append("selector: {k: -1}\n"), "selector.k", id="k-negative"),
+    pytest.param(_append("selector: {k: 1, scorer: {name: s}}\n"),
+                 "selector.scorer.algorithm", id="scorer-no-algorithm"),
+    pytest.param(_append("selector: {k: 1, scorer: {algorithm: SVM}}\n"),
+                 "selector.scorer.algorithm", id="scorer-unknown-algorithm"),
+    pytest.param(_replace("seed: 11", "seed: abc"), "seed", id="seed-text"),
+    pytest.param(_replace("seed: 11", "seed: true"), "seed", id="seed-bool"),
+    pytest.param(_replace("rest: 0", "rest: x"), "labels.phase_to_class.rest",
+                 id="class-text"),
+    pytest.param(_append("preprocessing: [1]\n"), "preprocessing", id="preprocessing-list"),
+    pytest.param(_append("preprocessing:\n  chains:\n    ECG:\n      - {order: 2}\n"),
+                 "preprocessing.chains.ECG[0].op", id="chain-step-no-op"),
+    pytest.param(_replace("window_s: 60.0", "window_s: .nan"), "windowing.window_s",
+                 id="window-nan"),
+    pytest.param(_replace("window_s: 60.0", "window_s: .inf"), "windowing.window_s",
+                 id="window-inf"),
+    pytest.param(_replace("calculate_average: false", "calculate_average: no-way"),
+                 "windowing.calculate_average", id="flag-text"),
+    pytest.param(_replace(CV_BLOCK, "cv: {fold: 3}\n"), "cv.fold", id="cv-typo"),
+    pytest.param(_replace("classifiers:", "classifer:"), "classifer", id="classifiers-typo"),
+    pytest.param(_replace("features: default-ecg-eda", "features: 5"), "features",
+                 id="features-int"),
+])
+def test_run_bad_config_exit_2_before_io(tmp_path, capsys, edit, key):
+    # the dataset root does not exist: reading it would exit 4, so exit 2
+    # shows the config was rejected before any I/O
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(edit(run_config(tmp_path / "no-such-dataset")), encoding="utf-8")
+    assert cmd_run(str(cfg), out_dir=str(tmp_path / "out")) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("config error:") and key in out
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_null_sections_read_as_absent(dataset_root, tmp_path):
+    text = run_config(dataset_root, features=WEAK_FEATURE)
+    reports = []
+    for name, cv in (("absent", ""), ("null", "cv:\nselector:\n")):
+        cfg = tmp_path / f"{name}.yaml"
+        cfg.write_text(text.replace(CV_BLOCK, cv), encoding="utf-8")
+        assert cmd_run(str(cfg), out_dir=str(tmp_path / name)) == 0
+        reports.append((tmp_path / name / "report.csv").read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_run_output_path_is_a_file_exit_1(dataset_root, tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(run_config(dataset_root), encoding="utf-8")
+    blocker = tmp_path / "out"
+    blocker.write_text("", encoding="utf-8")
+    assert cmd_run(str(cfg), out_dir=str(blocker)) == 1
+    assert "I/O failure" in capsys.readouterr().out
+
+
 def test_run_config_error_exit_2(tmp_path):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("windowing: {window_s: 60}\n", encoding="utf-8")

@@ -73,6 +73,12 @@ def test_policy_rejects_step_above_window():
         WindowingPolicy(30.0, 60.0)
 
 
+@pytest.mark.parametrize("window_s, step_s", [(float("nan"), 30.0), (60.0, float("nan"))])
+def test_policy_rejects_nan_durations(window_s, step_s):
+    with pytest.raises(ValueError, match="positive"):
+        WindowingPolicy(window_s, step_s)
+
+
 @given(st.integers(600, 2500), st.integers(10, 600))
 @settings(max_examples=40, deadline=None)
 def test_segment_count_law(n, step_samples):

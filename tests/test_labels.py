@@ -320,6 +320,14 @@ def test_sfs_k_too_large():
         sequential_forward_selection(m, lv, KNN1, k=5)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_sfs_rejects_k_below_one(k):
+    # k < 1 used to return a matrix of zero columns
+    m, lv = _sfs_fixture()
+    with pytest.raises(KTooLarge, match="at least 1"):
+        sequential_forward_selection(m, lv, KNN1, k=k)
+
+
 def test_sfs_deterministic():
     m, lv = _sfs_fixture()
     a = sequential_forward_selection(m, lv, KNN1, k=3, seed=7)
