@@ -200,12 +200,18 @@ def _knn_scores(model: FittedModel, X: np.ndarray) -> np.ndarray:
     k = min(k, train.shape[0])
     scores = np.empty((X.shape[0], model.classes.size))
     train_cols, query_cols = train.T.copy(), X.T.copy()
-    block = max(1, KNN_BLOCK_BYTES // (train.itemsize * max(train.shape[0], 1)))
+    block = _knn_block_rows(train.shape[0])
     for start in range(0, X.shape[0], block):
         d = _squared_distances(train_cols, query_cols[:, start:start + block])
         scores[start:start + block] = _knn_vote(np.sqrt(d, out=d), y,
                                                 model.classes, k)
     return scores
+
+
+def _knn_block_rows(n_train: int) -> int:
+    """Query rows per distance block: a (rows, ``n_train``) float64 block
+    stays within :data:`KNN_BLOCK_BYTES`."""
+    return max(1, KNN_BLOCK_BYTES // (8 * max(n_train, 1)))
 
 
 def _squared_distances(train_cols: np.ndarray, query_cols: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import yaml
 
+from .acquisition import SignalRegistry
 from .classification import ClassifierSpec, CVStrategy
 from .engine import (
     Classification,
@@ -24,11 +25,9 @@ from .engine import (
 from .errors import ConfigError
 from .features import FeatureCatalogEntry, WindowingPolicy, ecg_eda_catalog
 from .labels import LabelRule
-from .preprocessing import PreprocessChain, PreprocessStep
+from .preprocessing import STEP_OPS, PreprocessChain, PreprocessStep
 from .synth import DatasetSpec
 
-KNOWN_ALGORITHMS = ("KNN", "DecisionTree", "LDA", "LogisticRegression",
-                    "AveragingEnsemble")
 _REQUIRED = object()
 
 
@@ -46,6 +45,19 @@ def _at_least(floor):
 
 def _one_of(*choices):
     return lambda v: v in choices, f"one of {', '.join(choices)}"
+
+
+#: The optional hyperparameters ``classification.fit`` reads, per
+#: algorithm; an ensemble's required ``members`` are read apart.
+_HYPERPARAMETERS = {
+    "KNN": {"k_neighbors": _at_least(1)},
+    "DecisionTree": {"criterion": _one_of("entropy"), "max_depth": _at_least(1)},
+    "LDA": {},
+    "LogisticRegression": {"iterations": _at_least(1), "step": _POSITIVE},
+    "AveragingEnsemble": {},
+}
+KNOWN_ALGORITHMS = tuple(_HYPERPARAMETERS)
+_MEMBERS = (lambda v: type(v) is list and v, "a non-empty list of classifier entries")
 
 
 class _Section:
@@ -100,10 +112,23 @@ def load_config(path) -> dict:
 def _classifier(doc, path) -> ClassifierSpec:
     entry = _Section(doc, path)
     algorithm = entry.get("algorithm", check=_one_of(*KNOWN_ALGORITHMS))
-    spec = ClassifierSpec(entry.get("name", algorithm), algorithm,
-                          entry.section("hyperparameters", optional=True).doc)
+    hp = entry.section("hyperparameters", optional=True)
+    params = {name: value for name, check in _HYPERPARAMETERS[algorithm].items()
+              if (value := hp.get(name, None, check)) is not None}
+    if algorithm == "AveragingEnsemble":
+        params["members"] = [_classifier(m, f"{hp.key('members')}[{i}]")
+                             for i, m in enumerate(hp.get("members", check=_MEMBERS))]
+    hp.done()
+    spec = ClassifierSpec(entry.get("name", algorithm), algorithm, params)
     entry.done()
     return spec
+
+
+def _modality(registry: SignalRegistry, name, key):
+    if registry.lookup(str(name)) is None:
+        raise ConfigError(f"{key}: {name!r} is not a known modality "
+                          f"({', '.join(registry.names())})")
+    return name
 
 
 def _build_catalog(features_doc) -> list[FeatureCatalogEntry]:
@@ -120,15 +145,16 @@ def _build_catalog(features_doc) -> list[FeatureCatalogEntry]:
     return entries
 
 
-def _build_chains(chains: _Section) -> dict[str, PreprocessChain]:
+def _build_chains(chains: _Section, registry: SignalRegistry) -> dict[str, PreprocessChain]:
     built = {}
     for modality in chains.doc:
+        _modality(registry, modality, chains.key(modality))
         parsed = []
         for i, step in enumerate(chains.get(modality, check=_LIST)):
             step = _Section(step, f"{chains.key(modality)}[{i}]")
             params = {k: tuple(v) if isinstance(v, list) else v
                       for k, v in step.doc.items() if k != "op"}
-            parsed.append(PreprocessStep(step.get("op"), params))
+            parsed.append(PreprocessStep(step.get("op", check=_one_of(*STEP_OPS)), params))
         built[str(modality).upper()] = PreprocessChain(tuple(parsed))
     return built
 
@@ -151,12 +177,16 @@ def build_pipeline_spec(doc: dict) -> PipelineSpec:
     """
     root = _Section(doc, "")
     seed = root.get("seed", 0, _at_least(0))
+    registry = SignalRegistry.default()
     dataset = root.section("dataset")
-    stages = [SignalAcquisition(dataset.get("signal_types", check=_NAMES),
-                                dataset.get("root", check=(lambda v: type(v) is str, "a path")))]
+    signal_types = [_modality(registry, name, f"dataset.signal_types[{i}]")
+                    for i, name in enumerate(dataset.get("signal_types", check=_NAMES))]
+    stages = [SignalAcquisition(signal_types,
+                                dataset.get("root", check=(lambda v: type(v) is str, "a path")),
+                                registry)]
     dataset.done()
     pre = root.section("preprocessing", optional=True)
-    stages.append(SignalPreprocessor(_build_chains(pre.section("chains", optional=True)),
+    stages.append(SignalPreprocessor(_build_chains(pre.section("chains", optional=True), registry),
                                      pre.get("resample_rate_hz", None, _POSITIVE)))
     pre.done()
     windowing = root.section("windowing")

@@ -11,6 +11,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal as sps
 from scipy.interpolate import CubicSpline
 
@@ -97,6 +98,14 @@ def segment(series: TimeSeries, policy: WindowingPolicy) -> list[TimeSeries]:
 
 def _window_bounds(series: TimeSeries, policy: WindowingPolicy) -> list[tuple[int, int]]:
     """Sample bounds ``(start, stop)`` of each window :func:`segment` cuts."""
+    win, step, count, tail = _window_grid(series, policy)
+    return [(k * step, k * step + win) for k in range(count)] + ([tail] if tail else [])
+
+
+def _window_grid(series: TimeSeries, policy: WindowingPolicy):
+    """``(win, step, count, tail)``: the :func:`segment` windows are ``count``
+    windows of ``win`` samples every ``step`` samples from the first sample,
+    then the bounds ``tail`` of a short last window, or None."""
     fs = series.sample_rate_hz
     n = len(series)
     win = int(round(policy.window_s * fs))
@@ -109,11 +118,10 @@ def _window_bounds(series: TimeSeries, policy: WindowingPolicy) -> list[tuple[in
                 f"series of {n / fs:.1f} s shorter than {policy.window_s} s window"
             )
         win = n
-    bounds = [(start, start + win) for start in range(0, n - win + 1, step)]
-    start = len(bounds) * step
-    if not policy.drop_incomplete and start < n and n - start >= 2:
-        bounds.append((start, n))
-    return bounds
+    count = (n - win) // step + 1
+    start = count * step
+    tail = (start, n) if not policy.drop_incomplete and n - start >= 2 else None
+    return win, step, count, tail
 
 
 # ---------------------------------------------------------------------------
@@ -322,36 +330,69 @@ def _smooth(phasic: TimeSeries, cutoff_hz: float) -> TimeSeries:
 # Generic statistics
 # ---------------------------------------------------------------------------
 
+#: Names :func:`statistical_features` returns.
+STAT_FEATURES = ("mean", "median", "std", "var", "min", "max", "slope")
+#: Byte cap on the (windows, samples) block of samples that
+#: :func:`_window_statistics` reduces at once (``np.median`` copies it).
+STATS_BLOCK_BYTES = 256 * 1024
+
+
 def statistical_features(values, timestamps=None) -> dict[str, float]:
     """mean / median / population std & var / min / max / least-squares slope.
 
     Slope is against time in seconds (1/s units); with no timestamps a
-    1 Hz grid is assumed.
+    1 Hz grid is assumed.  This is the one-row case of
+    :func:`_window_statistics`.
     """
     x = np.asarray(values, dtype=float)
     if x.size < 2:
         raise TooFewSamples("need at least 2 samples")
     t = np.arange(x.size, dtype=float) if timestamps is None else np.asarray(timestamps, float)
-    # one pass over the deviations, summed as np.var and np.std sum them
-    mean = x.mean()
-    d = x - mean
-    var = (d * d).sum() / x.size
-    return {
-        "mean": float(mean),
-        "median": float(np.median(x)),
-        "std": float(np.sqrt(var)),
-        "var": float(var),
-        "min": float(x.min()),
-        "max": float(x.max()),
-        "slope": _slope(d, t),
-    }
+    stats = _window_statistics(x[None, :], t[None, :], STAT_FEATURES)
+    return {name: float(stats[name][0]) for name in STAT_FEATURES}
+
+
+def _window_statistics(X, T, names) -> dict[str, np.ndarray]:
+    """The statistics ``names`` (of :data:`STAT_FEATURES`) of each row of
+    the (windows, samples) arrays ``X`` of samples and ``T`` of their times.
+
+    Each row reduces along the last axis exactly as its 1-D reductions
+    would: the variance sums the squared deviations from the mean as np.var
+    does, and each row's slope is one dot product.  The result may hold
+    statistics beyond ``names``.
+    """
+    wanted = set(names)
+    out = {"mean": X.mean(axis=1)}
+    if wanted & {"std", "var", "slope"}:
+        d = X - out["mean"][:, None]
+        if wanted & {"std", "var"}:
+            out["var"] = (d * d).sum(axis=1) / X.shape[1]
+            out["std"] = np.sqrt(out["var"])
+        if "slope" in wanted:
+            out["slope"] = _slopes(d, T)
+    if "median" in wanted:
+        out["median"] = np.median(X, axis=1)
+    if "min" in wanted:
+        out["min"] = X.min(axis=1)
+    if "max" in wanted:
+        out["max"] = X.max(axis=1)
+    return out
+
+
+def _slopes(d, t) -> np.ndarray:
+    """Least-squares slope of each row of ``d`` (samples minus their row
+    mean) against the same row of ``t``."""
+    tc = t - t.mean(axis=1)[:, None]
+    out = np.empty(d.shape[0])
+    for i, (tc_i, d_i) in enumerate(zip(tc, d)):
+        denom = np.dot(tc_i, tc_i)
+        out[i] = np.dot(tc_i, d_i) / denom if denom > 0 else 0.0
+    return out
 
 
 def _slope(d, t) -> float:
     """Least-squares slope of ``d`` (samples minus their mean) against ``t``."""
-    tc = t - t.mean()
-    denom = np.dot(tc, tc)
-    return float(np.dot(tc, d) / denom) if denom > 0 else 0.0
+    return float(_slopes(d[None, :], t[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +534,7 @@ class _SeriesWindows:
 
     def __init__(self, series: TimeSeries, policy: WindowingPolicy):
         self.series = series
+        self.grid = _window_grid(series, policy)
         self.bounds = _window_bounds(series, policy)
         self.windows = segment(series, policy)  # the same bounds, cut
         self._results = {}  # "beats", "eda" or ("rr", k) -> result or error
@@ -531,12 +573,26 @@ class _SeriesWindows:
         return decomp.tonic, decomp.phasic, _smooth(decomp.phasic, SCR_SMOOTH_CUTOFF_HZ)
 
 
-#: Names :func:`statistical_features` returns.
-STAT_FEATURES = ("mean", "median", "std", "var", "min", "max", "slope")
-
-
 def _compute_stats(window: TimeSeries, params):
     return statistical_features(window.values, window.timestamps)
+
+
+def _series_stats(cut: _SeriesWindows, names) -> list[tuple]:
+    """Every window's statistics ``names``, as :func:`_compute_stats` gives
+    them.  The full-length windows are rows of one strided (windows,
+    samples) view, reduced in blocks of :data:`STATS_BLOCK_BYTES`; a short
+    last window is a block of its own."""
+    win, step, count, tail = cut.grid
+    samples, times = cut.series.values, cut.series.timestamps
+    X = sliding_window_view(samples, win)[::step]
+    T = sliding_window_view(times, win)[::step]
+    rows = max(1, STATS_BLOCK_BYTES // (X.itemsize * win))
+    blocks = [(X[i:i + rows], T[i:i + rows]) for i in range(0, count, rows)]
+    if tail:
+        blocks.append((samples[None, slice(*tail)], times[None, slice(*tail)]))
+    stats = [_window_statistics(x, t, names) for x, t in blocks]
+    columns = [np.concatenate([block[name] for block in stats]).tolist() for name in names]
+    return list(zip(*columns))
 
 
 def _hrv_time(rr: RRSeries, window: TimeSeries, params):
@@ -590,18 +646,21 @@ class _Computation:
     ``fn`` is called as ``fn(window, params)``, or, when ``part`` names a
     :class:`_SeriesWindows` method, as ``fn(part_k, window, params)`` with
     ``part_k`` window k's slice of a series-level result.  ``names`` is a
-    tuple, or a function of the entry parameters giving one.
+    tuple, or a function of the entry parameters giving one.  When set,
+    ``series`` replaces the per-window calls: ``series(cut, names)`` gives
+    every window's values of the entry's ``names``, equal to ``fn``'s.
     """
 
     fn: Callable
     names: tuple[str, ...] | Callable[[dict], tuple[str, ...]] | None
     part: str | None = None
+    series: Callable | None = None
 
     def declared(self, params) -> tuple[str, ...]:
         return self.names(params) if callable(self.names) else self.names
 
 
-_STATS = _Computation(_compute_stats, STAT_FEATURES)
+_STATS = _Computation(_compute_stats, STAT_FEATURES, series=_series_stats)
 
 COMPUTATIONS = {
     "ecg_stats": _STATS,
@@ -698,6 +757,8 @@ def _entry_values(entry: FeatureCatalogEntry, cut: _SeriesWindows) -> list[tuple
     """One value tuple per window; absent cells where the window failed."""
     names = _entry_feature_names(entry)
     computation = _resolve(entry)
+    if computation.series:
+        return computation.series(cut, names)
     fn = computation.fn
     part = getattr(cut, computation.part) if computation.part else None
     values = []

@@ -13,6 +13,7 @@ from .classification import (
     ClassifierSpec,
     CVStrategy,
     _as_array,
+    _knn_block_rows,
     _knn_neighbors,
     _knn_vote,
     _squared_distances,
@@ -241,15 +242,26 @@ class _KnnFolds:
             })
 
     def step_scores(self, selected, candidates) -> list[float]:
-        """Mean CV accuracy of ``selected + [j]`` for each candidate ``j``."""
+        """Mean CV accuracy of ``selected + [j]`` for each candidate ``j``.
+
+        A fold's test rows are scored in blocks whose (rows, training rows)
+        distances fit :data:`~affectpipe.classification.KNN_BLOCK_BYTES`, so
+        every candidate reuses a block's summed selected columns while they
+        are still in cache.  A fold's accuracy is its hits over its test rows.
+        """
         accs = np.empty((len(candidates), len(self.folds)))
         for f, fold in enumerate(self.folds):
-            train, test = fold["train"], fold["test"]
-            total = _squared_distances(train[selected], test[selected])
-            for i, j in enumerate(candidates):
-                d = _squared_distances(train[j:j + 1], test[j:j + 1])
-                np.sqrt(np.add(total, d, out=d), out=d)
-                scores = _knn_vote(d, fold["y_train"], fold["classes"], fold["k"])
-                pred = fold["classes"][np.argmax(scores, axis=1)]
-                accs[i, f] = np.mean(pred == fold["y_test"])
+            train, test, y_test = fold["train"], fold["test"], fold["y_test"]
+            hits = np.zeros(len(candidates), dtype=np.int64)
+            block = _knn_block_rows(train.shape[1])
+            for start in range(0, y_test.size, block):
+                rows = slice(start, start + block)
+                total = _squared_distances(train[selected], test[selected, rows])
+                for i, j in enumerate(candidates):
+                    d = _squared_distances(train[j:j + 1], test[j:j + 1, rows])
+                    np.sqrt(np.add(total, d, out=d), out=d)
+                    scores = _knn_vote(d, fold["y_train"], fold["classes"], fold["k"])
+                    pred = fold["classes"][np.argmax(scores, axis=1)]
+                    hits[i] += np.count_nonzero(pred == y_test[rows])
+            accs[:, f] = hits / y_test.size
         return [float(np.mean(a)) for a in accs]

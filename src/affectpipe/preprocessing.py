@@ -208,9 +208,13 @@ def resample_series(series: TimeSeries, target_fs_hz: float) -> TimeSeries:
     )
 
 
+#: The ops a :class:`PreprocessStep` may name.
+STEP_OPS = ("lowpass", "highpass", "bandpass", "bandstop", "notch", "resample")
+
+
 @dataclass(frozen=True)
 class PreprocessStep:
-    op: str  # lowpass | highpass | bandpass | bandstop | notch | resample
+    op: str  # one of STEP_OPS
     params: dict = field(default_factory=dict)
 
 

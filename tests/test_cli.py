@@ -248,6 +248,11 @@ def test_run_eval_folds_not_an_integer_of_two_exit_2(tmp_path, capsys, folds):
 CV_BLOCK = "cv:\n  kind: kfold\n  folds: 3\n"
 
 
+DT = "algorithm: DecisionTree\n    hyperparameters: "
+CHAIN = ("preprocessing:\n  chains:\n    {modality}:\n"
+         "      - {{op: {op}, order: 2, cutoffs_hz: [5.0]}}\n")
+
+
 def _replace(old, new):
     return lambda text: text.replace(old, new, 1)
 
@@ -284,6 +289,36 @@ def _append(extra):
     pytest.param(_replace("classifiers:", "classifer:"), "classifer", id="classifiers-typo"),
     pytest.param(_replace("features: default-ecg-eda", "features: 5"), "features",
                  id="features-int"),
+    pytest.param(_replace("algorithm: DecisionTree\n", DT + "{criterion: gini2}\n"),
+                 "classifiers[1].hyperparameters.criterion", id="criterion-unknown"),
+    pytest.param(_replace("algorithm: DecisionTree\n", DT + "{max_dept: 3}\n"),
+                 "classifiers[1].hyperparameters.max_dept", id="hyperparameter-typo"),
+    pytest.param(_replace("algorithm: DecisionTree\n", DT + "{max_depth: 0}\n"),
+                 "classifiers[1].hyperparameters.max_depth", id="max-depth-0"),
+    pytest.param(_replace("{k_neighbors: 9}", "{k_neighbors: 0}"),
+                 "classifiers[0].hyperparameters.k_neighbors", id="k-neighbors-0"),
+    pytest.param(_append("selector: {k: 1, scorer: {algorithm: KNN, "
+                         "hyperparameters: {k: 3}}}\n"),
+                 "selector.scorer.hyperparameters.k", id="scorer-hyperparameter-typo"),
+    pytest.param(_append("  - {algorithm: LogisticRegression, hyperparameters: {step: 0}}\n"),
+                 "classifiers[2].hyperparameters.step", id="logistic-step-0"),
+    pytest.param(_append("  - {algorithm: LogisticRegression, "
+                         "hyperparameters: {iterations: 0}}\n"),
+                 "classifiers[2].hyperparameters.iterations", id="logistic-iterations-0"),
+    pytest.param(_append("  - {algorithm: LDA, hyperparameters: {ridge: 1}}\n"),
+                 "classifiers[2].hyperparameters.ridge", id="lda-hyperparameter"),
+    pytest.param(_append("  - {algorithm: AveragingEnsemble}\n"),
+                 "classifiers[2].hyperparameters.members", id="ensemble-no-members"),
+    pytest.param(_append("  - {algorithm: AveragingEnsemble, hyperparameters: "
+                         "{members: [{algorithm: SVM}]}}\n"),
+                 "classifiers[2].hyperparameters.members[0].algorithm",
+                 id="ensemble-member-unknown"),
+    pytest.param(_append(CHAIN.format(modality="ECG", op="lowpas")),
+                 "preprocessing.chains.ECG[0].op", id="chain-op-typo"),
+    pytest.param(_append(CHAIN.format(modality="ECGX", op="lowpass")),
+                 "preprocessing.chains.ECGX", id="chain-unknown-modality"),
+    pytest.param(_replace("signal_types: [ECG, EDA]", "signal_types: [ECG, EDAX]"),
+                 "dataset.signal_types[1]", id="signal-type-unknown"),
 ])
 def test_run_bad_config_exit_2_before_io(tmp_path, capsys, edit, key):
     # the dataset root does not exist: reading it would exit 4, so exit 2
@@ -294,6 +329,21 @@ def test_run_bad_config_exit_2_before_io(tmp_path, capsys, edit, key):
     out = capsys.readouterr().out
     assert out.startswith("config error:") and key in out
     assert not (tmp_path / "out").exists()
+
+
+def test_run_accepts_every_documented_hyperparameter(dataset_root, tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(run_config(dataset_root).replace(
+        "algorithm: DecisionTree\n", DT + "{criterion: entropy, max_depth: 3}\n") + """\
+  - {name: lr, algorithm: LogisticRegression, hyperparameters: {iterations: 50, step: 0.5}}
+  - name: ens
+    algorithm: AveragingEnsemble
+    hyperparameters:
+      members: [{algorithm: LDA}, {algorithm: KNN, hyperparameters: {k_neighbors: 3}}]
+""", encoding="utf-8")
+    assert cmd_run(str(cfg), out_dir=str(tmp_path / "out")) == 0
+    rows = list(csv.DictReader((tmp_path / "out" / "report.csv").open(encoding="utf-8")))
+    assert {row["model"] for row in rows} == {"knn9", "dt", "lr", "ens"}
 
 
 def test_run_null_sections_read_as_absent(dataset_root, tmp_path):

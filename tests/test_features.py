@@ -415,6 +415,41 @@ def test_stats_bit_identical_to_one_reduction_per_statistic(case):
         np.array(list(want.values())).tobytes()
 
 
+def _stats_bundle():
+    """Two 25 Hz series (inexact timestamps) with drift and noise; the
+    first holds NaN samples in a middle window and in its short last one."""
+    rng = np.random.default_rng(5)
+    series = []
+    for phase, nan_at in (("rest", (1000, 3150)), ("stress", ())):
+        values = rng.normal(2.0, 0.3, 3200) + np.linspace(0.0, 1.5, 3200)
+        values[list(nan_at)] = np.nan
+        series.append(make_series(values, 25.0, modality_name="EDA", phase=phase))
+    return SubjectBundle({"S1": series})
+
+
+@pytest.mark.parametrize("block_windows", [1, 2, 1000])
+def test_extract_stats_in_blocks_equal_per_window_statistics(block_windows, monkeypatch):
+    # 10 s windows every 3 s with the short last window kept: 40 windows of
+    # 250 samples, then one of 200
+    policy = WindowingPolicy(10.0, 3.0, drop_incomplete=False)
+    monkeypatch.setattr(features, "STATS_BLOCK_BYTES", 8 * 250 * block_windows)
+    catalog = [
+        FeatureCatalogEntry("all", "EDA", "statistics", features=features.STAT_FEATURES),
+        FeatureCatalogEntry("some", "EDA", "eda_stats", features=("std", "mean")),
+    ]
+    bundle = _stats_bundle()
+    got = extract_features(bundle, policy, catalog)
+    windows = [w for series in bundle.series_for("S1") for w in segment(series, policy)]
+    assert [len(w) for w in windows] == ([250] * 40 + [200]) * 2
+    for reference in (statistical_features, _statistical_features_reference):
+        want = []
+        for w in windows:
+            stats = reference(w.values, w.timestamps)
+            want.append([stats[name] for entry in catalog for name in entry.features])
+        assert got.values.tobytes() == np.array(want).tobytes()
+    assert np.isnan(got.values).any() and not np.isnan(got.values).all()
+
+
 # --- RESP ---
 
 def test_resp_rate_matches_truth():

@@ -18,7 +18,7 @@ from affectpipe import (
     stai_dynamic_threshold,
     suds_fixed_threshold,
 )
-from affectpipe import labels as labels_module
+from affectpipe import classification, labels as labels_module
 from affectpipe.classification import fit as fit_model, predict
 from affectpipe.features import FeatureCatalogEntry
 from affectpipe.labels import _forward_selection, load_reports
@@ -408,6 +408,23 @@ def test_cached_knn_sfs_matches_fit_predict(kind, k_neighbors, monkeypatch):
         _assert_matches_reference(scorer, X, y, k=k)
     # the cached path makes no fit or predict call at any set size
     assert calls == []
+
+
+@pytest.mark.parametrize("kind", ["normal", "integer", "null"])
+@pytest.mark.parametrize("k_neighbors", [1, 4, 9])
+def test_cached_knn_sfs_in_ragged_blocks_matches_fit_predict(kind, k_neighbors,
+                                                             monkeypatch):
+    # 3 test rows per distance block: each fold's 19 or 20 test rows score
+    # in several blocks and a short last one
+    monkeypatch.setattr(classification, "KNN_BLOCK_BYTES", 8 * 78 * 3)
+    scorer = ClassifierSpec("knn", "KNN", {"k_neighbors": k_neighbors})
+    X, y = _selection_data(kind, 97, 6, seed=k_neighbors)
+    folds = make_folds(CVStrategy("kfold", 5), X, 0)
+    for train, test in folds:
+        block = classification._knn_block_rows(train.size)
+        assert 1 < block < test.size and test.size % block
+    assert _forward_selection(scorer, X, y, 4, folds) == \
+        _greedy_reference(scorer, X, y, 4, folds)
 
 
 @pytest.mark.parametrize("n_cols, k", [(4, 3), (10, 9)])
