@@ -120,14 +120,16 @@ class LabelGenerator(Component):
             reports = self._reports(ctx)
             if reports is not None:
                 # keep only the questionnaire the threshold rule consumes
-                wanted = self.rule.parameters.get(
-                    "questionnaire",
-                    "SUDS" if self.rule.kind == "fixed-threshold" else "STAI")
+                wanted = "SUDS" if self.rule.kind == "fixed-threshold" else "STAI"
                 reports = [r for r in reports
-                           if r.questionnaire.upper() == wanted.upper()] or None
-        matrix, labels, dropped = attach_labels(matrix, self.rule, reports,
-                                                strict=ctx.strict)
-        ctx.reports["rows_without_labels"] = dropped
+                           if r.questionnaire.upper() == wanted] or None
+        # rows with absent cells leave here, so every later stage sees the
+        # same complete, labeled rows
+        matrix, incomplete = matrix.drop_incomplete_rows()
+        matrix, labels, unlabeled = attach_labels(matrix, self.rule, reports,
+                                                  strict=ctx.strict)
+        ctx.reports["rows_without_labels"] = unlabeled
+        ctx.reports["dropped_rows"] = incomplete
         return matrix, labels
 
 
@@ -179,11 +181,6 @@ class Classification(Component):
 
     def run(self, payload, ctx):
         matrix, labels = payload
-        # rows with absent cells are dropped, with labels kept aligned
-        matrix, dropped, kept = matrix.drop_incomplete_rows(with_kept=True)
-        ctx.reports["dropped_rows"] = dropped
-        if dropped:
-            labels = labels.subset(kept)
         if self.mode == self.MODE_CROSS_VALIDATE:
             report, artifacts = cross_validate(
                 self.models, matrix, labels, self.cv or CVStrategy("kfold"),

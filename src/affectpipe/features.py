@@ -92,6 +92,8 @@ def segment(series: TimeSeries, policy: WindowingPolicy) -> list[TimeSeries]:
 
     Window k spans [k*step, k*step + window) relative to the series start;
     with ``drop_incomplete`` the count is floor((T - window)/step) + 1.
+    Without it, a short last window runs to the series end, and a series
+    shorter than one window is one window.
     """
     return [series.window(start, stop) for start, stop in _window_bounds(series, policy)]
 
@@ -117,7 +119,7 @@ def _window_grid(series: TimeSeries, policy: WindowingPolicy):
             raise SeriesTooShort(
                 f"series of {n / fs:.1f} s shorter than {policy.window_s} s window"
             )
-        win = n
+        return n, step, 1, None  # the whole series is the one window
     count = (n - win) // step + 1
     start = count * step
     tail = (start, n) if not policy.drop_incomplete and n - start >= 2 else None

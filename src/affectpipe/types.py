@@ -268,17 +268,10 @@ class FeatureMatrix:
         return FeatureMatrix(self.columns, self.subject_ids[idx], self.phases[idx],
                              self.window_indices[idx], self.values[idx])
 
-    def drop_incomplete_rows(self, with_kept: bool = False):
-        """Drop rows containing absent cells.
-
-        Returns (matrix, dropped keys), or with ``with_kept`` (matrix,
-        dropped keys, kept row indices) so aligned labels can follow.
-        """
+    def drop_incomplete_rows(self):
+        """Drop rows containing absent cells; returns (matrix, dropped keys)."""
         incomplete = np.isnan(self.values).any(axis=1)
-        kept = np.flatnonzero(~incomplete).tolist()
-        matrix = self.subset_rows(kept)
-        dropped = self._keys(incomplete)
-        return (matrix, dropped, kept) if with_kept else (matrix, dropped)
+        return self.subset_rows(np.flatnonzero(~incomplete)), self._keys(incomplete)
 
 
 @dataclass(frozen=True)

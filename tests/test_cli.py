@@ -175,6 +175,26 @@ def test_run_end_to_end(dataset_root, tmp_path, capsys):
     assert (out_dir / "excluded_subjects.csv").exists()
 
 
+def test_run_selector_with_a_failed_window_exit_0(dataset_root, tmp_path, capsys):
+    import shutil
+    data = tmp_path / "data"
+    shutil.copytree(dataset_root, data)
+    # a flat ECG fails R-peak detection in every window of S1's rest phase
+    victim = data / "S1" / "S1_rest_ECG.csv"
+    lines = victim.read_text(encoding="utf-8").splitlines()
+    victim.write_text("\n".join([lines[0]] + [line.split(",")[0] + ",0"
+                                             for line in lines[1:]]) + "\n",
+                      encoding="utf-8")
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(run_config(data) + "selector: {k: 5}\n", encoding="utf-8")
+    assert cmd_run(str(cfg), out_dir=str(tmp_path / "out")) == 0, capsys.readouterr().out
+    with (tmp_path / "out" / "dropped_rows.csv").open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    # 120 s series, 60/30 s windows: 3 windows
+    assert rows == [["subject", "phase", "window_index"]] + [
+        ["S1", "rest", str(k)] for k in range(3)]
+
+
 def test_run_loso_without_code_changes(dataset_root, tmp_path):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(run_config(dataset_root, cv="loso", folds=""),

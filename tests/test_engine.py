@@ -29,19 +29,31 @@ from affectpipe import (
     synth_dataset,
 )
 from affectpipe.features import FeatureCatalogEntry
-from affectpipe.engine import BUNDLE, FEATURES, LABELED, NONE, OUTPUT, RunContext
+from affectpipe.engine import (
+    BUNDLE,
+    FEATURES,
+    LABELED,
+    NONE,
+    OUTPUT,
+    Component,
+    RunContext,
+)
 from affectpipe.errors import (
     CatalogError,
     EmptyDataset,
     IncompatibleStages,
+    KTooLarge,
     MisorderedStage,
     MissingStage,
+    NonNumericFeature,
     PreprocessingFailed,
     SchemaMismatch,
     StageExecutionError,
     TooFewSamples,
     UnmappedPhase,
 )
+
+from test_features import _bundle_with_flat_ecg
 
 KNN3 = ClassifierSpec("knn3", "KNN", {"k_neighbors": 3})
 TREE = ClassifierSpec("tree", "DecisionTree")
@@ -246,6 +258,76 @@ def test_absent_text_tag_row_is_dropped(dataset_root):
     assert len(out.y_pred["knn3"]) == 23
 
 
+class _InMemoryAcquisition(Component):
+    """An Acquisition stage handing over a bundle built in memory."""
+
+    kind = "Acquisition"
+    input_type = NONE
+    output_type = BUNDLE
+
+    def __init__(self, bundle):
+        self.bundle = bundle
+
+    def run(self, payload, ctx):
+        return self.bundle
+
+
+@pytest.fixture(scope="module")
+def flat_ecg_bundle():
+    return _bundle_with_flat_ecg()
+
+
+#: S3's flat rest ECG fails R-peak detection in all five 60/30 s windows
+FLAT_ECG_ROWS = [("S3", "rest", k) for k in range(5)]
+
+
+def _flat_ecg_pipeline(bundle, selector=None, classification=None):
+    stages = [_InMemoryAcquisition(bundle), SignalPreprocessor(),
+              FeatureExtractor(ecg_eda_catalog(), WindowingPolicy(60.0, 30.0)),
+              LabelGenerator(LabelRule("phase-map",
+                                       {"phase_to_class": {"rest": 0, "stress": 1}}))]
+    stages += [selector] if selector else []
+    stages.append(classification or Classification(
+        Classification.MODE_CROSS_VALIDATE, [KNN3, TREE], cv=CVStrategy("kfold", 4)))
+    return build_pipeline(PipelineSpec(tuple(stages)))
+
+
+def test_selector_and_classifiers_see_the_same_complete_rows(flat_ecg_bundle):
+    for selector in (None, FeatureSelector(k=4, scorer=KNN3, cv_folds=3)):
+        p = _flat_ecg_pipeline(flat_ecg_bundle, selector)
+        out = p.run()
+        assert p.last_reports["dropped_rows"] == FLAT_ECG_ROWS
+        # S1 and S2: 2 phases x 5 windows each
+        assert len(out.y_true) == 20
+    assert len(p.last_reports["selected_features"]) == 4
+
+
+@pytest.mark.parametrize("selector, classification, failing, cause", [
+    (FeatureSelector(k=99, scorer=KNN3), None, "FeatureSelector", KTooLarge),
+    (FeatureSelector(k=4, scorer=KNN3, cv_folds=3),
+     Classification(7, [KNN3]), "Classification", ValueError),  # no mode 7
+], ids=["selector", "classification"])
+def test_failed_later_stage_keeps_dropped_rows(flat_ecg_bundle, selector,
+                                               classification, failing, cause):
+    p = _flat_ecg_pipeline(flat_ecg_bundle, selector, classification)
+    with pytest.raises(StageExecutionError) as e:
+        p.run()
+    assert e.value.kind == failing
+    assert isinstance(e.value.__cause__, cause)
+    assert p.last_reports["dropped_rows"] == FLAT_ECG_ROWS
+
+
+def test_classification_alone_rejects_absent_cells():
+    matrix, labels = _scaled_payload()
+    values = matrix.to_array()
+    values[5, 1] = np.nan
+    holed = FeatureMatrix(matrix.columns, matrix.subject_ids, matrix.phases,
+                          matrix.window_indices, values)
+    with pytest.raises(NonNumericFeature):
+        Classification(Classification.MODE_TRAIN, [KNN3]).run((holed, labels),
+                                                               RunContext())
+
+
 def test_feature_extractor_defaults_to_per_window_rows(dataset_root):
     ctx = RunContext()
     stages = _stages(dataset_root)
@@ -397,3 +479,33 @@ def test_test_mode_rejects_reordered_columns():
                             pretrained=trained.fitted_models)
     with pytest.raises(SchemaMismatch, match="columns"):
         tested.run((reversed_matrix, labels), RunContext())
+
+
+class _Majority:
+    def fit(self, X, y):
+        values, counts = np.unique(y, return_counts=True)
+        self.label = int(values[np.argmax(counts)])
+
+    def predict(self, X):
+        return np.full(X.shape[0], self.label)
+
+
+def test_models_given_as_a_dict_report_under_their_keys():
+    matrix, labels = _scaled_payload()
+    handle = _Majority()
+    cv = CVStrategy("kfold", 4)
+    stage = Classification(Classification.MODE_CROSS_VALIDATE,
+                           {"near": KNN3, "majority": handle}, cv=cv)
+    assert stage.models == [ClassifierSpec("near", "KNN", {"k_neighbors": 3}),
+                            ClassifierSpec("majority", "custom", {"handle": handle})]
+    out = stage.run((matrix, labels), RunContext())
+    assert set(out.report.per_model) == set(out.y_pred) == {"near", "majority"}
+    # the key renames the spec and nothing else
+    knn3 = Classification(Classification.MODE_CROSS_VALIDATE, [KNN3], cv=cv).run(
+        (matrix, labels), RunContext())
+    assert out.report.per_model["near"] == knn3.report.per_model["knn3"]
+    np.testing.assert_array_equal(out.y_pred["near"], knn3.y_pred["knn3"])
+    trained = Classification(Classification.MODE_TRAIN, {"majority": handle}).run(
+        (matrix, labels), RunContext())
+    assert list(trained.fitted_models) == ["majority"]
+    assert trained.fitted_models["majority"].spec.algorithm == "custom"

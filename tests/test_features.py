@@ -68,6 +68,24 @@ def test_segment_too_short_raises():
         segment(s, WindowingPolicy(60.0, 30.0))
 
 
+def test_segment_short_series_kept_whole_is_one_window():
+    # 50 s at 4 Hz, shorter than one 60 s window
+    s = make_series(np.arange(200.0), 4.0)
+    windows = segment(s, WindowingPolicy(60.0, 30.0, drop_incomplete=False))
+    assert len(windows) == 1
+    np.testing.assert_array_equal(windows[0].values, s.values)
+
+
+def test_extract_short_series_kept_whole_is_one_row():
+    s = make_series(np.sin(np.arange(200.0)), 4.0, modality_name="EDA")
+    entry = FeatureCatalogEntry("eda", "EDA", "eda_stats", features=("mean", "std"))
+    m = extract_features(SubjectBundle({"S1": [s]}),
+                         WindowingPolicy(60.0, 30.0, drop_incomplete=False), [entry])
+    stats = statistical_features(s.values, s.timestamps)
+    assert m.window_indices.tolist() == [0]
+    assert m.values.tolist() == [[stats["mean"], stats["std"]]]
+
+
 def test_policy_rejects_step_above_window():
     with pytest.raises(ValueError):
         WindowingPolicy(30.0, 60.0)

@@ -171,22 +171,13 @@ def test_matrix_subsets_index_the_stored_arrays():
 
 
 def test_matrix_drop_incomplete_rows():
-    m, dropped = _matrix(("a", "b"), [0, 1], [[1.0, 2.0], [float("nan"), 2.0]]
-                         ).drop_incomplete_rows()
-    assert len(m) == 1
-    assert dropped == [("S1", "rest", 1)]
-    assert [tuple(map(type, key)) for key in dropped] == [(str, str, int)]
-
-
-def test_matrix_drop_incomplete_rows_with_kept_indices():
     nan = float("nan")
     values = [[nan, 2.0], [1.0, 2.0], [1.0, nan], [3.0, 4.0]]
-    m, dropped, kept = _matrix(("a", "b"), [0, 1, 2, 3], values).drop_incomplete_rows(
-        with_kept=True)
-    assert kept == [1, 3]
+    m, dropped = _matrix(("a", "b"), [0, 1, 2, 3], values).drop_incomplete_rows()
     assert m.window_indices.tolist() == [1, 3]
     np.testing.assert_array_equal(m.values, [[1.0, 2.0], [3.0, 4.0]])
     assert dropped == [("S1", "rest", 0), ("S1", "rest", 2)]
+    assert [tuple(map(type, key)) for key in dropped] == [(str, str, int)] * 2
 
 
 def test_label_vector_requires_class_names():
