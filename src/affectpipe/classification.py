@@ -8,7 +8,8 @@ CART-style decision tree with entropy criterion, LDA with a ridge-
 regularized pooled covariance, softmax logistic regression trained by
 batch gradient descent, and an equal-weight score-averaging ensemble.
 Anything else plugs in through the custom handle contract (fit/predict,
-optionally predict_proba).
+optionally predict_proba).  The greedy forward feature search scores its
+candidate columns with these classifiers, a KNN scorer from cached folds.
 
 Each reduction has one summation order, whatever the number of columns or
 classes: a column's z-score mean and standard deviation reduce that column
@@ -81,10 +82,10 @@ def _as_array(X) -> np.ndarray:
     return X
 
 
-def fit(spec: ClassifierSpec, X, y: LabelVector | np.ndarray) -> FittedModel:
-    """Train one model on rows z-scored with their column mean and standard
-    deviation (0 counts as 1); deterministic given identical inputs."""
-    columns = X.columns if isinstance(X, FeatureMatrix) else None
+def _training_rows(X, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows, labels and sorted classes of a training set, checked as
+    :func:`fit` checks them: finite rows, one label per row, two or more
+    classes."""
     X = _as_array(X)
     y = y.to_array() if isinstance(y, LabelVector) else np.asarray(y, dtype=int)
     if X.shape[0] != y.size:
@@ -92,6 +93,14 @@ def fit(spec: ClassifierSpec, X, y: LabelVector | np.ndarray) -> FittedModel:
     classes = np.unique(y)
     if classes.size < 2:
         raise SingleClass("training labels contain a single class")
+    return X, y, classes
+
+
+def fit(spec: ClassifierSpec, X, y: LabelVector | np.ndarray) -> FittedModel:
+    """Train one model on rows z-scored with their column mean and standard
+    deviation (0 counts as 1); deterministic given identical inputs."""
+    columns = X.columns if isinstance(X, FeatureMatrix) else None
+    X, y, classes = _training_rows(X, y)
     mu, sigma = _zscore_stats(X)
     model = _fit_scaled(spec, classes, mu, sigma, (X - mu) / sigma, y)
     return model if columns is None else replace(model, columns=columns)
@@ -200,18 +209,18 @@ def _knn_scores(model: FittedModel, X: np.ndarray) -> np.ndarray:
     k = min(k, train.shape[0])
     scores = np.empty((X.shape[0], model.classes.size))
     train_cols, query_cols = train.T.copy(), X.T.copy()
-    block = _knn_block_rows(train.shape[0])
-    for start in range(0, X.shape[0], block):
-        d = _squared_distances(train_cols, query_cols[:, start:start + block])
-        scores[start:start + block] = _knn_vote(np.sqrt(d, out=d), y,
-                                                model.classes, k)
+    for rows in _query_blocks(train.shape[0], X.shape[0]):
+        d = _squared_distances(train_cols, query_cols[:, rows])
+        scores[rows] = _knn_vote(np.sqrt(d, out=d), y, model.classes, k)
     return scores
 
 
-def _knn_block_rows(n_train: int) -> int:
-    """Query rows per distance block: a (rows, ``n_train``) float64 block
-    stays within :data:`KNN_BLOCK_BYTES`."""
-    return max(1, KNN_BLOCK_BYTES // (8 * max(n_train, 1)))
+def _query_blocks(n_train: int, n_query: int) -> list[slice]:
+    """Consecutive slices over ``n_query`` query rows, each as long as a
+    (rows, ``n_train``) float64 distance block within
+    :data:`KNN_BLOCK_BYTES` allows; the last one may be shorter."""
+    block = max(1, KNN_BLOCK_BYTES // (8 * max(n_train, 1)))
+    return [slice(start, start + block) for start in range(0, n_query, block)]
 
 
 def _squared_distances(train_cols: np.ndarray, query_cols: np.ndarray) -> np.ndarray:
@@ -261,6 +270,92 @@ def _knn_vote(d: np.ndarray, y: np.ndarray, classes: np.ndarray,
     # would sum it
     vote = np.concatenate(([0.0], np.cumsum(np.full(k, 1.0 / k))))
     return vote[counts]
+
+
+# --- sequential forward selection ---
+
+def forward_selection(scorer: ClassifierSpec, X: np.ndarray, y: np.ndarray,
+                      k: int, folds) -> tuple[list[int], list[dict]]:
+    """Column indices chosen greedily, plus one dict per step mapping each
+    candidate column to its mean CV accuracy over ``folds``.
+
+    Each step adds the candidate whose ``selected + [candidate]`` scores
+    best; ties keep the lower column index.  A KNN scorer scores every step
+    from per-fold cached columns (see :class:`_KnnFolds`); other scorers fit
+    and predict every candidate on every fold.
+    """
+    def cv_accuracy(col_indices):
+        accs = []
+        for train, test in folds:
+            model = fit(scorer, X[np.ix_(train, col_indices)], y[train])
+            pred, _ = predict(model, X[np.ix_(test, col_indices)])
+            accs.append(float(np.mean(pred == y[test])))
+        return float(np.mean(accs))
+
+    knn = _KnnFolds(scorer, X, y, folds) if scorer.algorithm == "KNN" else None
+    selected: list[int] = []
+    remaining = list(range(X.shape[1]))
+    steps = []
+    for _ in range(k):
+        if knn is not None:
+            scores = knn.step_scores(selected, remaining)
+        else:
+            scores = [cv_accuracy(selected + [j]) for j in remaining]
+        steps.append(dict(zip(remaining, scores)))
+        # argmax takes the first maximum: ties keep the lower column index
+        best = remaining[int(np.argmax(scores))]
+        selected.append(best)
+        remaining.remove(best)
+    return selected, steps
+
+
+class _KnnFolds:
+    """The CV folds of a KNN scorer, cached for scoring whole selection steps.
+
+    Per fold the train and test rows are z-scored once with the training
+    statistics and stored column-major.  A column's statistics and squared
+    differences do not depend on the columns beside it, so a step sums the
+    selected columns' distances once, adds each candidate's column and feeds
+    the square root to the same neighbour vote as :func:`predict`: every
+    score equals a fit/predict on ``selected + [candidate]``.
+    """
+
+    def __init__(self, spec, X, y, folds):
+        k = _knn_neighbors(spec)
+        self.folds = []
+        for train, test in folds:
+            Xtr, y_train, classes = _training_rows(X[train], y[train])
+            Xte = _as_array(X[test])
+            mu, sigma = _zscore_stats(Xtr)
+            self.folds.append({
+                "train": ((Xtr - mu) / sigma).T.copy(),
+                "test": ((Xte - mu) / sigma).T.copy(),
+                "y_train": y_train, "y_test": y[test], "classes": classes,
+                "k": min(k, train.size),
+            })
+
+    def step_scores(self, selected, candidates) -> list[float]:
+        """Mean CV accuracy of ``selected + [j]`` for each candidate ``j``.
+
+        A fold's test rows are scored in the query blocks of
+        :func:`_knn_scores`, so every candidate reuses a block's summed
+        selected columns while they are still in cache.  A fold's accuracy
+        is its hits over its test rows.
+        """
+        accs = np.empty((len(candidates), len(self.folds)))
+        for f, fold in enumerate(self.folds):
+            train, test, y_test = fold["train"], fold["test"], fold["y_test"]
+            hits = np.zeros(len(candidates), dtype=np.int64)
+            for rows in _query_blocks(train.shape[1], y_test.size):
+                total = _squared_distances(train[selected], test[selected, rows])
+                for i, j in enumerate(candidates):
+                    d = _squared_distances(train[j:j + 1], test[j:j + 1, rows])
+                    np.sqrt(np.add(total, d, out=d), out=d)
+                    scores = _knn_vote(d, fold["y_train"], fold["classes"], fold["k"])
+                    pred = fold["classes"][np.argmax(scores, axis=1)]
+                    hits[i] += np.count_nonzero(pred == y_test[rows])
+            accs[:, f] = hits / y_test.size
+        return [float(np.mean(a)) for a in accs]
 
 
 # --- decision tree ---

@@ -33,6 +33,9 @@ NONE, BUNDLE, FEATURES, LABELED, OUTPUT = (
 class RunContext:
     seed: int = 0
     strict: bool = False
+    #: the dataset scan of the Acquisition stage
+    index: DatasetIndex | None = None
+    #: plain-data run record, kept as ``Pipeline.last_reports``
     reports: dict = field(default_factory=dict)
 
 
@@ -62,7 +65,7 @@ class SignalAcquisition(Component):
         result: AcquisitionResult = acquire(index, self.signal_types, strict=ctx.strict)
         ctx.reports["excluded_subjects"] = list(result.excluded_subjects)
         ctx.reports["skipped_files"] = [str(p) for p in result.skipped_files]
-        ctx.reports["dataset_index"] = index
+        ctx.index = index
         return result.bundle
 
 
@@ -104,25 +107,13 @@ class LabelGenerator(Component):
     def __init__(self, label_generation_method: LabelRule):
         self.rule = label_generation_method
 
-    def _reports(self, ctx):
-        """The per-subject report files found during the dataset scan."""
-        index: DatasetIndex | None = ctx.reports.get("dataset_index")
-        if index is None:
-            return None
-        reports = []
-        for subject, path in sorted(index.report_files.items()):
-            reports.extend(load_reports(path, subject))
-        return reports or None
-
     def run(self, matrix: FeatureMatrix, ctx):
         reports = None
-        if self.rule.kind in ("fixed-threshold", "dynamic-threshold"):
-            reports = self._reports(ctx)
-            if reports is not None:
-                # keep only the questionnaire the threshold rule consumes
-                wanted = "SUDS" if self.rule.kind == "fixed-threshold" else "STAI"
-                reports = [r for r in reports
-                           if r.questionnaire.upper() == wanted] or None
+        if (self.rule.kind in ("fixed-threshold", "dynamic-threshold")
+                and ctx.index is not None):
+            # the per-subject report files found during the dataset scan
+            reports = [r for subject, path in sorted(ctx.index.report_files.items())
+                       for r in load_reports(path, subject)]
         # rows with absent cells leave here, so every later stage sees the
         # same complete, labeled rows
         matrix, incomplete = matrix.drop_incomplete_rows()

@@ -844,6 +844,8 @@ def extract_features(bundle: SubjectBundle,
             means = [np.nanmean(values[a:b], axis=0)
                      for a, b in zip(starts, starts[1:] + [len(keys)])]
         values = np.array(means).reshape(len(starts), len(columns))
+        # not a no-op: the mean of an all-absent column is a NaN with its
+        # sign bit set; absent cells keep the one bit pattern of ABSENT
         values[np.isnan(values)] = ABSENT
         keys = [keys[i] for i in starts]
     return FeatureMatrix(columns, [key[0] for key in keys], [key[1] for key in keys],

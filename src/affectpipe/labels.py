@@ -9,24 +9,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .classification import (
-    ClassifierSpec,
-    CVStrategy,
-    _as_array,
-    _knn_block_rows,
-    _knn_neighbors,
-    _knn_vote,
-    _squared_distances,
-    _zscore_stats,
-    fit,
-    make_folds,
-    predict,
-)
+from .classification import ClassifierSpec, CVStrategy, forward_selection, make_folds
 from .errors import (
     InsufficientReports,
     KTooLarge,
     MissingReport,
-    SingleClass,
     UnmappedPhase,
     WrongQuestionnaire,
 )
@@ -112,6 +99,9 @@ def stai_dynamic_threshold(reports: list[SelfReport]) -> dict[tuple[str, str], i
 
 
 _BINARY_NAMES = {0: "low", 1: "high"}
+#: the questionnaire each threshold rule reads, and the rule itself
+_THRESHOLD_RULES = {"fixed-threshold": ("SUDS", suds_fixed_threshold),
+                    "dynamic-threshold": ("STAI", stai_dynamic_threshold)}
 
 
 def attach_labels(matrix: FeatureMatrix, rule: LabelRule,
@@ -119,7 +109,10 @@ def attach_labels(matrix: FeatureMatrix, rule: LabelRule,
                   strict: bool = False):
     """Produce one label per row; rows without a resolvable label are dropped.
 
-    A ``custom`` rule's ``fn(matrix)`` returns one class id per row.
+    A threshold rule reads only the ``reports`` of its own questionnaire
+    (SUDS for ``fixed-threshold``, STAI for ``dynamic-threshold``) and
+    raises MissingReport when there are none.  A ``custom`` rule's
+    ``fn(matrix)`` returns one class id per row.
     Returns (matrix, labels, dropped_row_keys).
     """
     if rule.kind == "phase-map":
@@ -135,11 +128,13 @@ def attach_labels(matrix: FeatureMatrix, rule: LabelRule,
         vector.check_against(matrix)
         return matrix, vector, []
 
-    if rule.kind in ("fixed-threshold", "dynamic-threshold"):
-        if reports is None:
-            raise MissingReport("threshold rules need self-reports")
-        table = (suds_fixed_threshold(reports) if rule.kind == "fixed-threshold"
-                 else stai_dynamic_threshold(reports))
+    if rule.kind in _THRESHOLD_RULES:
+        questionnaire, threshold = _THRESHOLD_RULES[rule.kind]
+        reports = [r for r in reports or ()
+                   if r.questionnaire.upper() == questionnaire]
+        if not reports:
+            raise MissingReport(f"{rule.kind} rule needs {questionnaire} self-reports")
+        table = threshold(reports)
         pairs = list(zip(matrix.subject_ids.tolist(), matrix.phases.tolist()))
         found = np.array([pair in table for pair in pairs], dtype=bool)
         dropped = matrix._keys(~found)
@@ -167,7 +162,8 @@ def sequential_forward_selection(matrix: FeatureMatrix, labels: LabelVector,
     column index.  The folds are the ``min(cv_folds, rows)`` k-fold folds
     :func:`make_folds` shuffles with ``seed``.  ``scorer`` is a
     ClassifierSpec (see :mod:`affectpipe.classification`) or anything with
-    fit/predict.  Raises KTooLarge unless 1 <= k < column count.
+    fit/predict.  Raises KTooLarge unless 1 <= k < column count.  The
+    search itself is :func:`affectpipe.classification.forward_selection`.
     """
     labels.check_against(matrix)
     if not isinstance(scorer, ClassifierSpec):
@@ -177,91 +173,6 @@ def sequential_forward_selection(matrix: FeatureMatrix, labels: LabelVector,
         raise KTooLarge(f"k={k} must be at least 1 and below column count {n_cols}")
     y = labels.to_array()
     folds = make_folds(CVStrategy("kfold", min(cv_folds, y.size)), matrix, seed)
-    selected, _ = _forward_selection(scorer, matrix.to_array(), y, k, folds)
+    selected, _ = forward_selection(scorer, matrix.to_array(), y, k, folds)
     return matrix.subset_columns([matrix.columns[j] for j in selected])
 
-
-def _forward_selection(scorer, X, y, k, folds):
-    """Column indices chosen greedily, plus one dict per step mapping each
-    candidate column to its mean CV accuracy.
-
-    A KNN scorer scores every step from per-fold cached columns (see
-    :class:`_KnnFolds`); other scorers fit and predict every candidate on
-    every fold.
-    """
-    def cv_accuracy(col_indices):
-        accs = []
-        for train, test in folds:
-            model = fit(scorer, X[np.ix_(train, col_indices)], y[train])
-            pred, _ = predict(model, X[np.ix_(test, col_indices)])
-            accs.append(float(np.mean(pred == y[test])))
-        return float(np.mean(accs))
-
-    knn = _KnnFolds(scorer, X, y, folds) if scorer.algorithm == "KNN" else None
-    selected: list[int] = []
-    remaining = list(range(X.shape[1]))
-    steps = []
-    for _ in range(k):
-        if knn is not None:
-            scores = knn.step_scores(selected, remaining)
-        else:
-            scores = [cv_accuracy(selected + [j]) for j in remaining]
-        steps.append(dict(zip(remaining, scores)))
-        # argmax takes the first maximum: ties keep the lower column index
-        best = remaining[int(np.argmax(scores))]
-        selected.append(best)
-        remaining.remove(best)
-    return selected, steps
-
-
-class _KnnFolds:
-    """The CV folds of a KNN scorer, cached for scoring whole SFS steps.
-
-    Per fold the train and test rows are z-scored once with the training
-    statistics and stored column-major.  A column's statistics and squared
-    differences do not depend on the columns beside it, so a step sums the
-    selected columns' distances once, adds each candidate's column and feeds
-    the square root to the same neighbour vote as :func:`predict`: every
-    score equals a fit/predict on ``selected + [candidate]``.
-    """
-
-    def __init__(self, spec, X, y, folds):
-        k = _knn_neighbors(spec)
-        self.folds = []
-        for train, test in folds:
-            Xtr, Xte = _as_array(X[train]), _as_array(X[test])
-            classes = np.unique(y[train])
-            if classes.size < 2:
-                raise SingleClass("training labels contain a single class")
-            mu, sigma = _zscore_stats(Xtr)
-            self.folds.append({
-                "train": ((Xtr - mu) / sigma).T.copy(),
-                "test": ((Xte - mu) / sigma).T.copy(),
-                "y_train": y[train], "y_test": y[test], "classes": classes,
-                "k": min(k, train.size),
-            })
-
-    def step_scores(self, selected, candidates) -> list[float]:
-        """Mean CV accuracy of ``selected + [j]`` for each candidate ``j``.
-
-        A fold's test rows are scored in blocks whose (rows, training rows)
-        distances fit :data:`~affectpipe.classification.KNN_BLOCK_BYTES`, so
-        every candidate reuses a block's summed selected columns while they
-        are still in cache.  A fold's accuracy is its hits over its test rows.
-        """
-        accs = np.empty((len(candidates), len(self.folds)))
-        for f, fold in enumerate(self.folds):
-            train, test, y_test = fold["train"], fold["test"], fold["y_test"]
-            hits = np.zeros(len(candidates), dtype=np.int64)
-            block = _knn_block_rows(train.shape[1])
-            for start in range(0, y_test.size, block):
-                rows = slice(start, start + block)
-                total = _squared_distances(train[selected], test[selected, rows])
-                for i, j in enumerate(candidates):
-                    d = _squared_distances(train[j:j + 1], test[j:j + 1, rows])
-                    np.sqrt(np.add(total, d, out=d), out=d)
-                    scores = _knn_vote(d, fold["y_train"], fold["classes"], fold["k"])
-                    pred = fold["classes"][np.argmax(scores, axis=1)]
-                    hits[i] += np.count_nonzero(pred == y_test[rows])
-            accs[:, f] = hits / y_test.size
-        return [float(np.mean(a)) for a in accs]

@@ -305,7 +305,3 @@ class LabelVector:
             raise ValueError(
                 f"label count {len(self)} does not match row count {len(matrix)}"
             )
-
-    def subset(self, indices) -> "LabelVector":
-        return LabelVector(self.labels[np.asarray(indices, dtype=np.intp)],
-                           self.class_names)

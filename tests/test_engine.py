@@ -1,4 +1,5 @@
 import itertools
+import json
 import pickle
 
 import numpy as np
@@ -400,6 +401,17 @@ def test_threshold_labels_read_reports_from_scan(dataset_root):
     assert p.last_reports["rows_without_labels"] == []
 
 
+def test_run_record_is_plain_data(dataset_root):
+    stages = _stages(dataset_root)
+    stages[3] = LabelGenerator(LabelRule("fixed-threshold"))
+    p = build_pipeline(PipelineSpec(tuple(stages)))
+    p.run()
+    record = json.loads(json.dumps(p.last_reports))
+    assert set(record) == {"excluded_subjects", "skipped_files",
+                           "rows_without_labels", "dropped_rows"}
+    assert record["rows_without_labels"] == []
+
+
 def test_selector_reports_chosen_features(dataset_root):
     p = build_pipeline(PipelineSpec(tuple(_stages(dataset_root,
                                                   with_selector=True))))
@@ -445,7 +457,8 @@ def test_cv_models_reproduce_fold_predictions_through_test_mode():
         for model, (_, test) in zip(artifacts["fitted_models"][spec.name], folds):
             stage = Classification(Classification.MODE_TEST, [],
                                    pretrained={spec.name: model})
-            out = stage.run((matrix.subset_rows(test), labels.subset(test)),
+            out = stage.run((matrix.subset_rows(test),
+                             LabelVector(labels.labels[test], labels.class_names)),
                             RunContext())
             preds.append(out.y_pred[spec.name])
         np.testing.assert_array_equal(np.concatenate(preds),

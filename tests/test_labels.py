@@ -19,9 +19,9 @@ from affectpipe import (
     suds_fixed_threshold,
 )
 from affectpipe import classification, labels as labels_module
-from affectpipe.classification import fit as fit_model, predict
+from affectpipe.classification import fit as fit_model, forward_selection, predict
 from affectpipe.features import FeatureCatalogEntry
-from affectpipe.labels import _forward_selection, load_reports
+from affectpipe.labels import load_reports
 from affectpipe.errors import (
     InsufficientReports,
     KTooLarge,
@@ -177,6 +177,22 @@ def test_attach_strict_escalates_missing_report():
     with pytest.raises(MissingReport):
         attach_labels(_four_row_matrix(), LabelRule("fixed-threshold"),
                       reports, strict=True)
+
+
+def test_attach_threshold_rules_read_their_own_questionnaire():
+    # SUDS rates each subject's rest phase high and stress low; STAI the reverse
+    suds = [SelfReport("S1", "rest", "SUDS", 80.0), SelfReport("S1", "stress", "SUDS", 20.0),
+            SelfReport("S2", "rest", "SUDS", 60.0), SelfReport("S2", "stress", "SUDS", 10.0)]
+    stai = [SelfReport("S1", "rest", "STAI", 30.0), SelfReport("S1", "stress", "STAI", 50.0),
+            SelfReport("S2", "rest", "STAI", 20.0), SelfReport("S2", "stress", "STAI", 40.0)]
+    _, fixed, _ = attach_labels(_four_row_matrix(), LabelRule("fixed-threshold"),
+                                suds + stai)
+    _, dynamic, _ = attach_labels(_four_row_matrix(), LabelRule("dynamic-threshold"),
+                                  stai + suds)
+    assert fixed.labels.tolist() == [1, 0, 1, 0]
+    assert dynamic.labels.tolist() == [0, 1, 0, 1]
+    with pytest.raises(MissingReport, match="STAI"):
+        attach_labels(_four_row_matrix(), LabelRule("dynamic-threshold"), suds)
 
 
 def test_attach_custom_rule_passthrough():
@@ -390,7 +406,7 @@ def _selection_data(kind, n_rows, n_cols, seed):
 
 def _assert_matches_reference(scorer, X, y, k, seed=0):
     folds = make_folds(CVStrategy("kfold", 5), X, seed)
-    got = _forward_selection(scorer, X, y, k, folds)
+    got = forward_selection(scorer, X, y, k, folds)
     assert got == _greedy_reference(scorer, X, y, k, folds)
 
 
@@ -399,7 +415,7 @@ def _assert_matches_reference(scorer, X, y, k, seed=0):
 def test_cached_knn_sfs_matches_fit_predict(kind, k_neighbors, monkeypatch):
     scorer = ClassifierSpec("knn", "KNN", {"k_neighbors": k_neighbors})
     calls = []
-    monkeypatch.setattr(labels_module, "fit",
+    monkeypatch.setattr(classification, "fit",
                         lambda *a: calls.append(a) or fit_model(*a))
     # the wide case scores sets of 8 or more columns, where numpy's own
     # sums turn pairwise
@@ -421,9 +437,10 @@ def test_cached_knn_sfs_in_ragged_blocks_matches_fit_predict(kind, k_neighbors,
     X, y = _selection_data(kind, 97, 6, seed=k_neighbors)
     folds = make_folds(CVStrategy("kfold", 5), X, 0)
     for train, test in folds:
-        block = classification._knn_block_rows(train.size)
-        assert 1 < block < test.size and test.size % block
-    assert _forward_selection(scorer, X, y, 4, folds) == \
+        sizes = [len(range(test.size)[rows])
+                 for rows in classification._query_blocks(train.size, test.size)]
+        assert sizes[0] > 1 and len(sizes) > 1 and sizes[-1] < sizes[0]
+    assert forward_selection(scorer, X, y, 4, folds) == \
         _greedy_reference(scorer, X, y, 4, folds)
 
 
@@ -443,7 +460,7 @@ def test_cached_knn_sfs_rounds_like_fit_to_the_last_bit(seed, n_cols, k):
     y = rng.integers(0, 2, 400)
     even, odd = np.flatnonzero(lattice % 2 == 0), np.flatnonzero(lattice % 2 == 1)
     folds = [(even, odd), (odd, even)]
-    got = _forward_selection(KNN1, X, y, k, folds)
+    got = forward_selection(KNN1, X, y, k, folds)
     assert got == _greedy_reference(KNN1, X, y, k, folds)
 
 
@@ -454,9 +471,9 @@ def test_cached_knn_sfs_falls_back_from_eight_columns(monkeypatch):
     scorer = ClassifierSpec("knn", "KNN", {"k_neighbors": 9})
     _assert_matches_reference(scorer, X, y, k=9)
     calls = []
-    monkeypatch.setattr(labels_module, "fit",
+    monkeypatch.setattr(classification, "fit",
                         lambda *a: calls.append(a) or fit_model(*a))
-    _forward_selection(scorer, X, y, 9, make_folds(CVStrategy("kfold", 5), X))
+    forward_selection(scorer, X, y, 9, make_folds(CVStrategy("kfold", 5), X))
     assert calls == []
 
 
@@ -487,7 +504,7 @@ def test_cached_knn_sfs_raises_fit_errors():
 def test_sfs_folds_are_the_evaluation_folds(monkeypatch):
     m, lv = _sfs_fixture()
     seen = []
-    monkeypatch.setattr(labels_module, "_forward_selection",
+    monkeypatch.setattr(labels_module, "forward_selection",
                         lambda scorer, X, y, k, folds: seen.append(folds) or ([0], []))
     sequential_forward_selection(m, lv, KNN1, k=1, cv_folds=4, seed=9)
     expected = make_folds(CVStrategy("kfold", 4), m, 9)

@@ -197,7 +197,7 @@ def test_label_vector_is_read_only_int64_array():
     lv = LabelVector(given_labels, {0: "a", 1: "b", 2: "c"})
     assert lv.labels.dtype == np.int64 and not lv.labels.flags.writeable
     assert given_labels.flags.writeable  # the caller's array is copied
-    assert lv.subset([3, 0]).labels.tolist() == [0, 2]
+    assert LabelVector(lv.labels[[3, 0]], lv.class_names).labels.tolist() == [0, 2]
     copy = lv.to_array()
     copy[0] = 1
     assert lv.labels.tolist() == [2, 0, 1, 0]
