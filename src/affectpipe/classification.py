@@ -43,6 +43,9 @@ LOGISTIC_STEP = 0.1
 #: Byte cap on the (queries, training rows) distance block that
 #: _knn_scores materialises at once.
 KNN_BLOCK_BYTES = 256 * 1024
+#: Training rows of least selected-column distance that a selection step
+#: scores each query against before it falls back to every row.
+KNN_NEAR_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -244,16 +247,21 @@ def _knn_vote(d: np.ndarray, y: np.ndarray, classes: np.ndarray,
     """Per-class vote shares of the ``k`` nearest training rows, for each
     row of the (queries, training rows) distance matrix ``d``.
 
-    The k nearest are every row closer than the k-th distance, then rows at
-    exactly that distance in index order until k are chosen, so distance
-    ties break on the lower training-row index.  ``k`` is at most the
-    number of training rows.
+    ``y`` labels the training rows: one vector shared by every row of
+    ``d``, or one row of labels per row of ``d`` when each query has its
+    own candidate rows.  The k nearest are every row closer than the k-th
+    distance, then rows at exactly that distance in column order until k
+    are chosen, so distance ties break on the lower column, which is the
+    lower training-row index when the columns are in index order.  ``k``
+    is at most the number of columns.
     """
     if k == 1:
         # argmin returns the first minimum: the nearest row, lowest index
         # on ties; its class gets the whole vote
-        return (y[np.argmin(d, axis=1), None] == classes[None, :]).astype(float)
-    onehot = (y[:, None] == classes[None, :]).astype(float)
+        nearest = np.broadcast_to(y, d.shape)[np.arange(d.shape[0]), np.argmin(d, axis=1)]
+        return (nearest[:, None] == classes[None, :]).astype(float)
+    # (training rows, classes), or (queries, columns, classes) for per-row labels
+    onehot = (y[..., None] == classes).astype(float)
     kth = np.partition(d, k - 1, axis=1)[:, k - 1:k]
     chosen = d <= kth
     # only rows with more than k rows at or below the k-th distance need
@@ -265,7 +273,7 @@ def _knn_vote(d: np.ndarray, y: np.ndarray, classes: np.ndarray,
         at_kth = dt == kt
         room = k - closer.sum(axis=1, keepdims=True)
         chosen[tied] = closer | (at_kth & (np.cumsum(at_kth, axis=1) <= room))
-    counts = (chosen @ onehot).astype(int)
+    counts = np.matmul(chosen[:, None, :], onehot)[:, 0].astype(int)
     # entry c is 1/k added c times in sequence, as a per-neighbour vote loop
     # would sum it
     vote = np.concatenate(([0.0], np.cumsum(np.full(k, 1.0 / k))))
@@ -318,6 +326,15 @@ class _KnnFolds:
     selected columns' distances once, adds each candidate's column and feeds
     the square root to the same neighbour vote as :func:`predict`: every
     score equals a fit/predict on ``selected + [candidate]``.
+
+    Once a column is selected, a query is first scored against its
+    :data:`KNN_NEAR_ROWS` training rows of least selected-column sum, kept
+    in index order.  Adding a candidate's square and taking the root never
+    lowers a row below the root of its sum, as rounding and the square
+    root are monotone, so every other row lies at least the root of the
+    next larger sum away.  A vote whose k-th nearest distance in the near
+    set is below that bound is the vote over all rows, ties included; any
+    other (candidate, query) pair is scored against every training row.
     """
 
     def __init__(self, spec, X, y, folds):
@@ -344,18 +361,60 @@ class _KnnFolds:
         """
         accs = np.empty((len(candidates), len(self.folds)))
         for f, fold in enumerate(self.folds):
-            train, test, y_test = fold["train"], fold["test"], fold["y_test"]
+            n_train, n_test = fold["train"].shape[1], fold["y_test"].size
+            near_rows = min(KNN_NEAR_ROWS, n_train - 1)
             hits = np.zeros(len(candidates), dtype=np.int64)
-            for rows in _query_blocks(train.shape[1], y_test.size):
-                total = _squared_distances(train[selected], test[selected, rows])
+            for rows in _query_blocks(n_train, n_test):
+                queries = np.arange(n_test)[rows]
+                total = _squared_distances(fold["train"][selected],
+                                           fold["test"][selected, rows])
+                if selected and near_rows >= fold["k"]:
+                    hit, full = _near_hits(fold, total, candidates, queries, near_rows)
+                else:
+                    hit = np.zeros(len(candidates), dtype=np.int64)
+                    full = np.ones((len(candidates), queries.size), dtype=bool)
                 for i, j in enumerate(candidates):
-                    d = _squared_distances(train[j:j + 1], test[j:j + 1, rows])
-                    np.sqrt(np.add(total, d, out=d), out=d)
-                    scores = _knn_vote(d, fold["y_train"], fold["classes"], fold["k"])
-                    pred = fold["classes"][np.argmax(scores, axis=1)]
-                    hits[i] += np.count_nonzero(pred == y_test[rows])
-            accs[:, f] = hits / y_test.size
+                    if full[i].any():
+                        hit[i] += _full_hits(fold, total[full[i]], j, queries[full[i]])
+                hits += hit
+            accs[:, f] = hits / n_test
         return [float(np.mean(a)) for a in accs]
+
+
+def _near_hits(fold, total, candidates, queries, near_rows):
+    """Hits of each candidate over the query rows ``queries`` whose vote
+    the near set decides, and the (candidates, queries) mask of the pairs
+    it cannot decide; ``total`` holds the queries' selected-column sums.
+    See :class:`_KnnFolds`."""
+    part = np.argpartition(total, near_rows, axis=1)
+    near = np.sort(part[:, :near_rows], axis=1)
+    bound = np.sqrt(np.take_along_axis(total, part[:, near_rows:near_rows + 1], axis=1))
+    cand = np.asarray(candidates)
+    # (candidates, queries, near rows): the same subtract, square, add and
+    # root as the full rows
+    d = np.subtract(fold["train"][cand[:, None, None], near[None]],
+                    fold["test"][cand[:, None], queries[None, :]][..., None])
+    np.square(d, out=d)
+    np.add(np.take_along_axis(total, near, axis=1), d, out=d)
+    np.sqrt(d, out=d)
+    d = d.reshape(-1, near_rows)
+    k, classes = fold["k"], fold["classes"]
+    kth = np.partition(d, k - 1, axis=1)[:, k - 1].reshape(cand.size, queries.size)
+    decided = kth < bound[:, 0]
+    scores = _knn_vote(d, np.tile(fold["y_train"][near], (cand.size, 1)), classes, k)
+    pred = classes[np.argmax(scores, axis=1)].reshape(decided.shape)
+    hits = np.count_nonzero(decided & (pred == fold["y_test"][queries]), axis=1)
+    return hits, ~decided
+
+
+def _full_hits(fold, total, j, queries) -> int:
+    """Hits of candidate ``j`` over the query rows ``queries``, each scored
+    against every training row; ``total`` holds their selected-column sums."""
+    d = _squared_distances(fold["train"][j:j + 1], fold["test"][j:j + 1, queries])
+    np.sqrt(np.add(total, d, out=d), out=d)
+    scores = _knn_vote(d, fold["y_train"], fold["classes"], fold["k"])
+    pred = fold["classes"][np.argmax(scores, axis=1)]
+    return np.count_nonzero(pred == fold["y_test"][queries])
 
 
 # --- decision tree ---

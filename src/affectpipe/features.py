@@ -335,7 +335,7 @@ def _smooth(phasic: TimeSeries, cutoff_hz: float) -> TimeSeries:
 #: Names :func:`statistical_features` returns.
 STAT_FEATURES = ("mean", "median", "std", "var", "min", "max", "slope")
 #: Byte cap on the (windows, samples) block of samples that
-#: :func:`_window_statistics` reduces at once (``np.median`` copies it).
+#: :func:`_window_statistics` reduces at once (its median partitions a copy).
 STATS_BLOCK_BYTES = 256 * 1024
 
 
@@ -373,11 +373,35 @@ def _window_statistics(X, T, names) -> dict[str, np.ndarray]:
         if "slope" in wanted:
             out["slope"] = _slopes(d, T)
     if "median" in wanted:
-        out["median"] = np.median(X, axis=1)
+        out["median"] = _medians(X)
     if "min" in wanted:
         out["min"] = X.min(axis=1)
     if "max" in wanted:
         out["max"] = X.max(axis=1)
+    return out
+
+
+def _medians(X) -> np.ndarray:
+    """``np.median(X, axis=1)`` from one single-index partition.
+
+    np.median partitions at both middle indices and at the last one (its
+    NaN check), and more than one index turns off numpy's vectorised
+    selection.  Partitioning at ``h = n // 2`` alone leaves the h-th order
+    statistic at ``h`` and the smaller ones before it, so an even row's
+    median is ``(max(P[:h]) + P[h]) / 2``, the add-then-halve of np.median's
+    mean.  A row holding NaN (then ``max(P[h:])`` is NaN) takes np.median's
+    own result, so its NaN payload is unchanged.  Only when the middle
+    values are zeros of both signs may the zero's sign differ from
+    np.median's, as each follows its own partition order.
+    """
+    n = X.shape[1]
+    h = n // 2
+    P = np.partition(X, h, axis=1)
+    mid = P[:, h]
+    out = mid.copy() if n % 2 else (P[:, :h].max(axis=1) + mid) / 2
+    nan = np.flatnonzero(np.isnan(P[:, h:].max(axis=1)))
+    if nan.size:
+        out[nan] = np.median(X[nan], axis=1)
     return out
 
 

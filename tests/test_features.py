@@ -433,6 +433,48 @@ def test_stats_bit_identical_to_one_reduction_per_statistic(case):
         np.array(list(want.values())).tobytes()
 
 
+def _nan(payload):
+    """A quiet NaN carrying ``payload`` in its low mantissa bits."""
+    return np.array([0x7FF8000000000000 | payload], dtype=np.uint64).view(float)[0]
+
+
+def _median_blocks():
+    """(windows, samples) blocks of every shape the window medians meet."""
+    rng = np.random.default_rng(17)
+    blocks = {}
+    for n in (2, 3, 7, 7500):
+        blocks[f"normal-{n}"] = rng.normal(0.0, 1.0, (5, n))
+        # few distinct values, so both middle values tie with their neighbours
+        blocks[f"ties-{n}"] = rng.integers(-2, 3, (5, n)).astype(float)
+        blocks[f"equal-{n}"] = np.full((3, n), 4.2)
+        nan = rng.integers(-2, 3, (4, n)).astype(float)
+        nan[0, 0] = _nan(0x123)              # at the start
+        nan[1, n // 2] = -_nan(0x45)         # in the middle, negative
+        nan[2, -1] = np.nan                  # at the end
+        nan[3, :] = np.where(np.arange(n) % 2, nan[3], _nan(0x6))  # every other
+        blocks[f"nan-{n}"] = nan
+    return blocks
+
+
+@pytest.mark.parametrize("case", list(_median_blocks()))
+def test_window_medians_bit_identical_to_np_median(case):
+    X = _median_blocks()[case]
+    got = features._medians(X)
+    assert got.tobytes() == np.median(X, axis=1).tobytes()
+    # a strided view of overlapping windows, as the extractor passes them
+    windows = np.lib.stride_tricks.sliding_window_view(X[0], max(1, X.shape[1] // 2))[::3]
+    assert features._medians(windows).tobytes() == np.median(windows, axis=1).tobytes()
+
+
+def test_window_medians_of_signed_zeros_equal_np_median():
+    # when the middle values are zeros of both signs, each median takes the
+    # sign of whichever zero its own partition leaves in the middle, so the
+    # results compare equal but may differ in their sign bit
+    for row in ([0.0, -0.0, -0.0, 1.0], [-0.0, 0.0, 2.0, -1.0], [0.0, -0.0, 0.0]):
+        X = np.array([row])
+        assert features._medians(X) == np.median(X, axis=1)
+
+
 def _stats_bundle():
     """Two 25 Hz series (inexact timestamps) with drift and noise; the
     first holds NaN samples in a middle window and in its short last one."""

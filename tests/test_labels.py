@@ -410,6 +410,19 @@ def _assert_matches_reference(scorer, X, y, k, seed=0):
     assert got == _greedy_reference(scorer, X, y, k, folds)
 
 
+#: Near-set sizes the cached search is checked at: 1, so most (candidate,
+#: query) pairs fall back to every training row; the default; and more than
+#: any fold's training rows, so the near set is all rows but one.
+NEAR_ROWS = (1, classification.KNN_NEAR_ROWS, 10**6)
+
+
+def _near_rows(monkeypatch):
+    """Each of :data:`NEAR_ROWS`, set as the search's near-set size."""
+    for near_rows in NEAR_ROWS:
+        monkeypatch.setattr(classification, "KNN_NEAR_ROWS", near_rows)
+        yield near_rows
+
+
 @pytest.mark.parametrize("kind", ["normal", "integer", "null"])
 @pytest.mark.parametrize("k_neighbors", [1, 4, 9])
 def test_cached_knn_sfs_matches_fit_predict(kind, k_neighbors, monkeypatch):
@@ -421,7 +434,8 @@ def test_cached_knn_sfs_matches_fit_predict(kind, k_neighbors, monkeypatch):
     # sums turn pairwise
     for n_rows, n_cols, k in ((97, 6, 4), (50, 10, 9)):
         X, y = _selection_data(kind, n_rows, n_cols, seed=k_neighbors)
-        _assert_matches_reference(scorer, X, y, k=k)
+        for _ in _near_rows(monkeypatch):
+            _assert_matches_reference(scorer, X, y, k=k)
     # the cached path makes no fit or predict call at any set size
     assert calls == []
 
@@ -440,13 +454,14 @@ def test_cached_knn_sfs_in_ragged_blocks_matches_fit_predict(kind, k_neighbors,
         sizes = [len(range(test.size)[rows])
                  for rows in classification._query_blocks(train.size, test.size)]
         assert sizes[0] > 1 and len(sizes) > 1 and sizes[-1] < sizes[0]
-    assert forward_selection(scorer, X, y, 4, folds) == \
-        _greedy_reference(scorer, X, y, 4, folds)
+    want = _greedy_reference(scorer, X, y, 4, folds)
+    for _ in _near_rows(monkeypatch):
+        assert forward_selection(scorer, X, y, 4, folds) == want
 
 
 @pytest.mark.parametrize("n_cols, k", [(4, 3), (10, 9)])
 @pytest.mark.parametrize("seed", range(3))
-def test_cached_knn_sfs_rounds_like_fit_to_the_last_bit(seed, n_cols, k):
+def test_cached_knn_sfs_rounds_like_fit_to_the_last_bit(seed, n_cols, k, monkeypatch):
     # every column is an affine map of one lattice, so all columns z-score
     # to the same vector in exact arithmetic; even lattice points train and
     # odd ones test (then the reverse), so every query sits midway between
@@ -460,8 +475,51 @@ def test_cached_knn_sfs_rounds_like_fit_to_the_last_bit(seed, n_cols, k):
     y = rng.integers(0, 2, 400)
     even, odd = np.flatnonzero(lattice % 2 == 0), np.flatnonzero(lattice % 2 == 1)
     folds = [(even, odd), (odd, even)]
-    got = forward_selection(KNN1, X, y, k, folds)
-    assert got == _greedy_reference(KNN1, X, y, k, folds)
+    want = _greedy_reference(KNN1, X, y, k, folds)
+    for _ in _near_rows(monkeypatch):
+        assert forward_selection(KNN1, X, y, k, folds) == want
+
+
+def _count_full_rows(monkeypatch) -> list[int]:
+    """The number of query rows of each (candidate, query block) that the
+    search scores against every training row, appended as it runs."""
+    full_rows = []
+    full_hits = classification._full_hits
+    monkeypatch.setattr(classification, "_full_hits", lambda fold, total, j, queries:
+                        full_rows.append(queries.size) or full_hits(fold, total, j, queries))
+    return full_rows
+
+
+def test_cached_knn_sfs_scores_most_queries_from_the_near_set(monkeypatch):
+    # four tight clusters, far apart in every column: once a column is
+    # selected, a query's nearest rows in the near set lie well inside the
+    # bound, so few (candidate, query) pairs need every training row
+    rng = np.random.default_rng(4)
+    cluster = np.arange(400) % 4
+    X = cluster[:, None] * 50.0 + rng.normal(0, 1, (400, 5))
+    y = (cluster + (rng.random(400) < 0.1)) % 2
+    folds = make_folds(CVStrategy("kfold", 5), X, 0)
+    full_rows = _count_full_rows(monkeypatch)
+    # the reference's second step, scored with its first choice selected
+    (first, _), (_, want) = _greedy_reference(KNN1, X, y, 2, folds)
+    candidates = [j for j in range(5) if j != first]
+    scores = classification._KnnFolds(KNN1, X, y, folds).step_scores([first], candidates)
+    assert 0 < sum(full_rows) < X.shape[0]
+    assert dict(zip(candidates, scores)) == want
+
+
+def test_cached_knn_sfs_falls_back_on_a_tie_with_the_bound(monkeypatch):
+    # training rows 1 and 2 tie at distance 0 from the query in both columns;
+    # with a near set of one row the other lies outside it at exactly the
+    # bound, so the vote is not decided and the query takes every row, where
+    # the tie breaks to row 1 and its label
+    monkeypatch.setattr(classification, "KNN_NEAR_ROWS", 1)
+    full_rows = _count_full_rows(monkeypatch)
+    X = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [3.0, 0.0], [0.0, 0.0]])
+    y = np.array([0, 1, 0, 1, 1])
+    folds = [(np.arange(4), np.array([4]))]
+    assert classification._KnnFolds(KNN1, X, y, folds).step_scores([0], [1]) == [1.0]
+    assert full_rows == [1]
 
 
 def test_cached_knn_sfs_falls_back_from_eight_columns(monkeypatch):
