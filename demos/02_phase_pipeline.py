@@ -60,14 +60,20 @@ def main():
         pipeline = build_pipeline(PipelineSpec(stages=stages, seed=0))
         output = pipeline.run()
 
+        # one FoldResult per (model, fold); the aggregates are read from them
         report = output.report
-        n_folds = len(next(iter(report.per_model.values()))["folds"])
-        print(f"\nleave-one-subject-out, {n_folds} folds:")
+        print(f"\nleave-one-subject-out, {len(report.per_model['knn9'])} folds:")
         for model in sorted(report.per_model):
-            agg = report.per_model[model]["aggregate"]
+            agg = report.aggregate(model)
             line = "  ".join(f"{m}={mean:.3f}±{std:.3f}"
                              for m, (mean, std) in sorted(agg.items()))
             print(f"  {model:8s} {line}")
+        print("knn9 accuracy per held-out subject: " + " ".join(
+            f"{r.metrics['accuracy']:.2f}" for r in report.per_model["knn9"]))
+        # y_pred follows the rows of y_true: each row's label comes from the
+        # fold that held it out
+        hits = int((output.y_pred["knn9"] == output.y_true.labels).sum())
+        print(f"knn9 pooled over all {len(output.y_true)} windows: {hits} correct")
 
 
 if __name__ == "__main__":

@@ -66,7 +66,7 @@ def main():
         report = output.report
         print("\n5-fold cross-validation:")
         for model in sorted(report.per_model):
-            agg = report.per_model[model]["aggregate"]
+            agg = report.aggregate(model)
             line = "  ".join(f"{m}={mean:.3f}±{std:.3f}"
                              for m, (mean, std) in sorted(agg.items()))
             print(f"  {model:8s} {line}")

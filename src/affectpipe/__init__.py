@@ -14,6 +14,7 @@ from .classification import (
     ClassifierSpec,
     CVStrategy,
     EvaluationReport,
+    FoldResult,
     cross_validate,
     fit,
     make_folds,

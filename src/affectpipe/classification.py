@@ -553,15 +553,10 @@ def make_folds(strategy: CVStrategy, rows: FeatureMatrix, seed: int = 0):
         k = strategy.folds
         if k < 2 or k > n:
             raise TooFewRows(f"cannot make {k} folds from {n} rows")
-        rng = np.random.default_rng(seed)
-        order = rng.permutation(n)
-        chunks = np.array_split(order, k)
-        folds = []
-        for i in range(k):
-            test = np.sort(chunks[i])
-            train = np.sort(np.concatenate([chunks[j] for j in range(k) if j != i]))
-            folds.append((train, test))
-        return folds
+        order = np.random.default_rng(seed).permutation(n)
+        # a fold trains on every row outside its test chunk
+        return [(np.setdiff1d(np.arange(n), test), np.sort(test))
+                for test in np.array_split(order, k)]
     raise ValueError(f"unknown CV strategy {strategy.kind!r}")
 
 
@@ -619,49 +614,74 @@ def roc_auc(y_true, scores, positive=1) -> float:
 
 
 @dataclass(frozen=True)
-class EvaluationReport:
-    """Per-model, per-fold metrics with mean/std aggregates."""
+class FoldResult:
+    """One model on one fold of :func:`make_folds`: ``y_pred`` and ``scores``
+    (columns under the run's classes) follow the ``test`` row indices."""
 
-    per_model: dict  # name -> {"folds": [dict], "aggregate": {metric: (mean, std)}}
+    model: FittedModel
+    train: np.ndarray
+    test: np.ndarray
+    y_pred: np.ndarray
+    scores: np.ndarray | None
+    metrics: dict[str, float]
+
+
+@dataclass(frozen=True)
+class EvaluationReport:
+    """Per-model fold records with mean/std aggregates of their metrics."""
+
+    per_model: dict  # name -> tuple of FoldResult, in fold order
     strategy: CVStrategy
+
+    def aggregate(self, model: str) -> dict[str, tuple[float, float]]:
+        """Each metric's (mean, std) over ``model``'s folds."""
+        folds = [r.metrics for r in self.per_model[model]]
+        agg = {}
+        for metric in sorted({k for fm in folds for k in fm}):
+            vals = [fm[metric] for fm in folds if metric in fm]
+            agg[metric] = (float(np.mean(vals)), float(np.std(vals)))
+        return agg
+
+    def in_row_order(self, model: str, field: str) -> np.ndarray | None:
+        """``model``'s ``y_pred`` or ``scores`` by row; None if a fold has none."""
+        parts = [getattr(r, field) for r in self.per_model[model]]
+        if any(part is None for part in parts):
+            return None
+        rows = np.empty((sum(map(len, parts)), *parts[0].shape[1:]), parts[0].dtype)
+        for r, part in zip(self.per_model[model], parts):
+            rows[r.test] = part
+        return rows
 
     def to_records(self) -> list[tuple[str, str, str, float]]:
         """Flat (model, fold, metric, value) rows; aggregates use
         fold='mean'/'std'.  Deterministic ordering throughout."""
         records = []
         for model in sorted(self.per_model):
-            entry = self.per_model[model]
-            for i, fold_metrics in enumerate(entry["folds"]):
-                for metric in sorted(fold_metrics):
-                    records.append((model, str(i), metric, fold_metrics[metric]))
-            for metric in sorted(entry["aggregate"]):
-                mean, std = entry["aggregate"][metric]
+            for i, fold in enumerate(self.per_model[model]):
+                for metric in sorted(fold.metrics):
+                    records.append((model, str(i), metric, fold.metrics[metric]))
+            for metric, (mean, std) in self.aggregate(model).items():
                 records.append((model, "mean", metric, mean))
                 records.append((model, "std", metric, std))
         return records
 
     def format_table(self) -> str:
         lines = [f"cross-validation: {self.strategy.kind} "
-                 f"({len(next(iter(self.per_model.values()))['folds'])} folds)"]
+                 f"({len(next(iter(self.per_model.values())))} folds)"]
         for model in sorted(self.per_model):
-            agg = self.per_model[model]["aggregate"]
+            agg = self.aggregate(model)
             parts = [f"{m}={agg[m][0]:.4f}±{agg[m][1]:.4f}" for m in sorted(agg)]
             lines.append(f"  {model:<20s} " + "  ".join(parts))
         return "\n".join(lines)
 
 
 def cross_validate(specs, X: FeatureMatrix, y: LabelVector,
-                   strategy: CVStrategy, seed: int = 0):
+                   strategy: CVStrategy, seed: int = 0) -> EvaluationReport:
     """Fit/predict every spec on every fold of ``make_folds(strategy, X,
-    seed)`` and aggregate the metrics.
+    seed)``: one :class:`FoldResult` per (spec, fold).
 
     :func:`fit` sees only the raw training rows of a fold, so each model
-    z-scores with that fold's training statistics and keeps them: passed
-    back through :func:`predict` on the fold's test rows, a model in
-    ``fitted_models`` reproduces the fold's predictions.  Returns
-    (report, artifacts) where artifacts carries fitted models and the
-    concatenated y_true / per-model y_pred / per-model scores in fold
-    order.
+    z-scores with that fold's training statistics and keeps them.
     """
     y.check_against(X)
     Xa = X.to_array()
@@ -669,37 +689,20 @@ def cross_validate(specs, X: FeatureMatrix, y: LabelVector,
     folds = make_folds(strategy, X, seed)
     classes = np.unique(ya)
     per_model = {}
-    fitted = {}
-    y_pred_all = {s.name: [] for s in specs}
-    scores_all = {s.name: [] for s in specs}
-    y_true_all = [ya[test] for _, test in folds]
     for spec in specs:
-        fold_metrics = []
-        fitted[spec.name] = []
+        records = []
         for train, test in folds:
             model = replace(fit(spec, Xa[train], ya[train]), columns=X.columns)
             pred, scores = predict(model, Xa[test])
-            fitted[spec.name].append(model)
-            y_pred_all[spec.name].append(pred)
-            scores_all[spec.name].append(scores)
+            if scores is not None:  # under the run's classes; 0 for one the fold lacks
+                placed = np.zeros((test.size, classes.size))
+                placed[:, np.searchsorted(classes, model.classes)] = scores
+                scores = placed
             try:
                 m = metrics(ya[test], pred, scores, classes=classes)
             except AUCUndefined:
                 m = metrics(ya[test], pred, None, classes=classes)
-            fold_metrics.append(m)
-        agg = {}
-        for metric in sorted({k for fm in fold_metrics for k in fm}):
-            vals = [fm[metric] for fm in fold_metrics if metric in fm]
-            agg[metric] = (float(np.mean(vals)), float(np.std(vals)))
-        per_model[spec.name] = {"folds": fold_metrics, "aggregate": agg}
-    report = EvaluationReport(per_model, strategy)
-    artifacts = {
-        "fitted_models": fitted,
-        "y_true": np.concatenate(y_true_all),
-        "y_pred": {k: np.concatenate(v) for k, v in y_pred_all.items()},
-        "scores": {
-            k: (np.concatenate(v) if all(s is not None for s in v) else None)
-            for k, v in scores_all.items()
-        },
-    }
-    return report, artifacts
+            records.append(FoldResult(model, train, test, pred, scores, m))
+        per_model[spec.name] = tuple(records)
+    return EvaluationReport(per_model, strategy)
+

@@ -208,8 +208,13 @@ def build_pipeline_spec(doc: dict) -> PipelineSpec:
         _classifier(selector.get("scorer", {"algorithm": "KNN"}), "selector.scorer"),
         selector.get("cv_folds", 5, _at_least(2)))] if selector.doc else []
     selector.done()
-    models = [_classifier(c, f"classifiers[{i}]")
-              for i, c in enumerate(root.get("classifiers", [], _LIST))]
+    models = []
+    for i, c in enumerate(root.get("classifiers", [], _LIST)):
+        spec = _classifier(c, f"classifiers[{i}]")
+        if spec.name in {m.name for m in models}:
+            raise ConfigError(f"classifiers[{i}].name {spec.name!r} repeats an earlier "
+                              "classifier's name (it defaults to the algorithm)")
+        models.append(spec)
     cv = root.section("cv", optional=True)
     if "shuffle_seed" in cv.doc:  # an old config must not silently get other folds
         raise ConfigError("cv.shuffle_seed is not a config key: the top-level "

@@ -144,10 +144,10 @@ class FeatureSelector(Component):
 
 @dataclass(frozen=True)
 class PipelineOutput:
-    fitted_models: dict
-    y_true: LabelVector
-    y_pred: dict
-    scores: dict
+    fitted_models: dict  # name -> model, or its list of fold models under CV
+    y_true: LabelVector  # the stage's input labels
+    y_pred: dict  # name -> one label per row of y_true
+    scores: dict  # name -> one score row per row of y_true, or None
     report: object  # EvaluationReport (cross-validation mode) or None
 
 
@@ -167,22 +167,23 @@ class Classification(Component):
                       for name, spec in models.items()]
         self.mode = mode
         self.models = list(models)
+        names = [spec.name for spec in self.models]
+        if len(set(names)) < len(names):
+            raise ValueError(f"classifier names repeat: {names}")
         self.cv = cv
         self.pretrained = pretrained or {}
 
     def run(self, payload, ctx):
         matrix, labels = payload
         if self.mode == self.MODE_CROSS_VALIDATE:
-            report, artifacts = cross_validate(
-                self.models, matrix, labels, self.cv or CVStrategy("kfold"),
-                ctx.seed)
-            return PipelineOutput(
-                fitted_models=artifacts["fitted_models"],
-                y_true=LabelVector(artifacts["y_true"], labels.class_names),
-                y_pred=artifacts["y_pred"],
-                scores=artifacts["scores"],
-                report=report,
-            )
+            report = cross_validate(self.models, matrix, labels,
+                                    self.cv or CVStrategy("kfold"), ctx.seed)
+            models, y_pred, scores = {}, {}, {}
+            for name, records in report.per_model.items():
+                models[name] = [r.model for r in records]
+                y_pred[name] = report.in_row_order(name, "y_pred")
+                scores[name] = report.in_row_order(name, "scores")
+            return PipelineOutput(models, labels, y_pred, scores, report)
         # models keep the column names and predict checks them
         if self.mode == self.MODE_TRAIN:
             models = {spec.name: fit(spec, matrix, labels) for spec in self.models}

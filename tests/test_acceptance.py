@@ -230,8 +230,8 @@ def test_criterion_8_end_to_end(binary_root, tmp_path_factory):
         binary_root, binary_map, CVStrategy("kfold", 5))))
     out = p.run()
     ok = False
-    for entry in out.report.per_model.values():
-        agg = entry["aggregate"]
+    for model in out.report.per_model:
+        agg = out.report.aggregate(model)
         if agg["accuracy"][0] >= 0.90 and agg.get("auc", (0,))[0] >= 0.90:
             ok = True
     assert ok, out.report.format_table()
@@ -240,7 +240,7 @@ def test_criterion_8_end_to_end(binary_root, tmp_path_factory):
     p_loso = build_pipeline(PipelineSpec(_pipeline_stages(
         binary_root, binary_map, CVStrategy("loso"))))
     out_loso = p_loso.run()
-    assert len(out_loso.report.per_model["knn9"]["folds"]) == 8
+    assert len(out_loso.report.per_model["knn9"]) == 8
 
     # same spec, 3-class synthetic variant — only the dataset and map change
     root3 = tmp_path_factory.mktemp("accept_3class")
@@ -281,6 +281,6 @@ def test_criterion_9_optional_study_dataset():
         root, {"baseline": 0, "amusement": 0, "stress": 1},
         CVStrategy("loso"))))
     out = p.run()
-    best = max(entry["aggregate"]["f1_micro"][0]
-               for entry in out.report.per_model.values())
+    best = max(out.report.aggregate(model)["f1_micro"][0]
+               for model in out.report.per_model)
     assert best > 0.7727

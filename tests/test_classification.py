@@ -619,11 +619,11 @@ def _separable(n_per=20, seed=12):
 
 def test_cv_separable_all_models_perfect():
     m, labels = _separable()
-    report, _ = cross_validate([KNN(3), TREE, LDA, LOGIT], m, labels,
-                               CVStrategy("kfold", folds=5))
-    for name, entry in report.per_model.items():
-        for fold in entry["folds"]:
-            assert fold["accuracy"] == 1.0, name
+    report = cross_validate([KNN(3), TREE, LDA, LOGIT], m, labels,
+                            CVStrategy("kfold", folds=5))
+    for name, folds in report.per_model.items():
+        for fold in folds:
+            assert fold.metrics["accuracy"] == 1.0, name
 
 
 def test_cv_shuffled_labels_at_chance():
@@ -631,34 +631,71 @@ def test_cv_shuffled_labels_at_chance():
     X = rng.normal(0, 1, (200, 4))
     y = np.array([0, 1] * 100)
     rng.shuffle(y)
-    report, _ = cross_validate([KNN(5)], fm(X), lv(y),
-                               CVStrategy("kfold", folds=5))
-    mean_acc = report.per_model["knn5"]["aggregate"]["accuracy"][0]
+    report = cross_validate([KNN(5)], fm(X), lv(y),
+                            CVStrategy("kfold", folds=5))
+    mean_acc = report.aggregate("knn5")["accuracy"][0]
     assert mean_acc == pytest.approx(0.5, abs=0.1)
 
 
 def test_cv_loso_no_subject_leakage():
     m, labels = _separable()
-    report, artifacts = cross_validate([KNN(3)], m, labels, CVStrategy("loso"))
-    assert len(report.per_model["knn3"]["folds"]) == 4
-    assert artifacts["y_true"].size == len(m)
-    assert all(model.columns == m.columns
-               for model in artifacts["fitted_models"]["knn3"])
+    report = cross_validate([KNN(3)], m, labels, CVStrategy("loso"))
+    folds = report.per_model["knn3"]
+    assert len(folds) == 4
+    for fold in folds:
+        train_subjects = set(m.subject_ids[fold.train].tolist())
+        test_subjects = set(m.subject_ids[fold.test].tolist())
+        assert len(test_subjects) == 1
+        assert train_subjects.isdisjoint(test_subjects)
+        assert fold.model.columns == m.columns
+
+
+@pytest.mark.parametrize("strategy", [CVStrategy("loso"), CVStrategy("kfold", 3)])
+def test_cv_tests_every_row_exactly_once(strategy):
+    m, labels = _separable()
+    report = cross_validate([KNN(3), TREE], m, labels, strategy, seed=5)
+    for folds in report.per_model.values():
+        np.testing.assert_array_equal(
+            np.sort(np.concatenate([fold.test for fold in folds])), np.arange(len(m)))
+        for fold in folds:
+            np.testing.assert_array_equal(
+                np.union1d(fold.train, fold.test), np.arange(len(m)))
+            assert np.intersect1d(fold.train, fold.test).size == 0
+
+
+def test_cv_fold_lacking_a_class_scores_it_zero():
+    # one row of class 2: the fold that tests it trains without class 2
+    y = [0, 1] * 14 + [2, 0]
+    X = np.random.default_rng(4).normal(0.0, 1.0, (30, 2)) + np.asarray(y)[:, None]
+    labels = lv(y)
+    report = cross_validate([KNN(3)], fm(X), labels, CVStrategy("kfold", 5))
+    folds = report.per_model["knn3"]
+    assert any(fold.model.classes.tolist() == [0, 1] for fold in folds)
+    for fold in folds:
+        assert fold.scores.shape == (fold.test.size, 3)
+        if 2 not in fold.model.classes:
+            assert np.all(fold.scores[:, 2] == 0.0)
+    scores = report.in_row_order("knn3", "scores")
+    assert scores.shape == (30, 3)
+    np.testing.assert_allclose(scores.sum(axis=1), 1.0)
+    y_pred = report.in_row_order("knn3", "y_pred")
+    for fold in folds:
+        np.testing.assert_array_equal(y_pred[fold.test], fold.y_pred)
 
 
 def test_cv_deterministic():
     m, labels = _separable(seed=14)
     strat = CVStrategy("kfold", folds=4)
     specs = [KNN(3), LOGIT]
-    a, _ = cross_validate(specs, m, labels, strat, seed=3)
-    b, _ = cross_validate(specs, m, labels, strat, seed=3)
+    a = cross_validate(specs, m, labels, strat, seed=3)
+    b = cross_validate(specs, m, labels, strat, seed=3)
     assert a.to_records() == b.to_records()
 
 
 def test_cv_report_records_shape():
     m, labels = _separable()
-    report, _ = cross_validate([KNN(3)], m, labels,
-                               CVStrategy("kfold", folds=5))
+    report = cross_validate([KNN(3)], m, labels,
+                            CVStrategy("kfold", folds=5))
     records = report.to_records()
     models = {r[0] for r in records}
     assert models == {"knn3"}

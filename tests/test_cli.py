@@ -333,6 +333,11 @@ def _append(extra):
                          "{members: [{algorithm: SVM}]}}\n"),
                  "classifiers[2].hyperparameters.members[0].algorithm",
                  id="ensemble-member-unknown"),
+    pytest.param(_append("  - {name: dt, algorithm: LDA}\n"), "classifiers[2].name",
+                 id="classifier-name-repeat"),
+    pytest.param(_append("  - {algorithm: KNN}\n  - {algorithm: KNN, "
+                         "hyperparameters: {k_neighbors: 1}}\n"),
+                 "classifiers[3].name", id="classifier-default-name-repeat"),
     pytest.param(_append(CHAIN.format(modality="ECG", op="lowpas")),
                  "preprocessing.chains.ECG[0].op", id="chain-op-typo"),
     pytest.param(_append(CHAIN.format(modality="ECGX", op="lowpass")),

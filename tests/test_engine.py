@@ -152,10 +152,10 @@ def test_end_to_end_cross_validation(dataset_root):
     p = build_pipeline(PipelineSpec(tuple(_stages(dataset_root))))
     out = p.run()
     assert set(out.fitted_models) == {"knn3", "tree"}
-    assert len(out.report.per_model["knn3"]["folds"]) == 4
-    for entry in out.report.per_model.values():
-        for fold in entry["folds"]:
-            assert {"accuracy", "f1_micro", "f1_macro"} <= set(fold)
+    assert len(out.report.per_model["knn3"]) == 4
+    for folds in out.report.per_model.values():
+        for fold in folds:
+            assert {"accuracy", "f1_micro", "f1_macro"} <= set(fold.metrics)
     assert p.last_reports["dropped_rows"] == []
     assert p.last_reports["excluded_subjects"] == []
 
@@ -346,10 +346,18 @@ def test_cross_validation_folds_follow_the_run_seed(seed):
     cv = CVStrategy("kfold", 4)
     out = Classification(Classification.MODE_CROSS_VALIDATE, [KNN3], cv=cv).run(
         (matrix, labels), RunContext(seed=seed))
-    # y_true is concatenated in fold order
-    order = np.concatenate([test for _, test in make_folds(cv, matrix, seed)])
-    np.testing.assert_array_equal(out.y_true.labels, labels.labels[order])
-    expected, _ = cross_validate([KNN3], matrix, labels, cv, seed)
+    folds = make_folds(cv, matrix, seed)
+    records = out.report.per_model["knn3"]
+    assert len(records) == len(folds)
+    for record, (train, test) in zip(records, folds):
+        np.testing.assert_array_equal(record.train, train)
+        np.testing.assert_array_equal(record.test, test)
+    # y_true is the input labels; y_pred and scores follow its rows
+    assert out.y_true is labels
+    for record in records:
+        np.testing.assert_array_equal(out.y_pred["knn3"][record.test], record.y_pred)
+        np.testing.assert_array_equal(out.scores["knn3"][record.test], record.scores)
+    expected = cross_validate([KNN3], matrix, labels, cv, seed)
     assert out.report.to_records() == expected.to_records()
 
 
@@ -450,19 +458,15 @@ def test_cv_models_reproduce_fold_predictions_through_test_mode():
     matrix, labels = _scaled_payload()
     specs = [KNN3, TREE, LDA, LOGIT, ENSEMBLE]
     cv = CVStrategy("loso")
-    _, artifacts = cross_validate(specs, matrix, labels, cv)
-    folds = make_folds(cv, matrix)
+    report = cross_validate(specs, matrix, labels, cv)
     for spec in specs:
-        preds = []
-        for model, (_, test) in zip(artifacts["fitted_models"][spec.name], folds):
+        for r in report.per_model[spec.name]:
             stage = Classification(Classification.MODE_TEST, [],
-                                   pretrained={spec.name: model})
-            out = stage.run((matrix.subset_rows(test),
-                             LabelVector(labels.labels[test], labels.class_names)),
+                                   pretrained={spec.name: r.model})
+            out = stage.run((matrix.subset_rows(r.test),
+                             LabelVector(labels.labels[r.test], labels.class_names)),
                             RunContext())
-            preds.append(out.y_pred[spec.name])
-        np.testing.assert_array_equal(np.concatenate(preds),
-                                      artifacts["y_pred"][spec.name])
+            np.testing.assert_array_equal(out.y_pred[spec.name], r.y_pred)
 
 
 def test_train_mode_models_reproduce_through_test_mode():
@@ -516,9 +520,16 @@ def test_models_given_as_a_dict_report_under_their_keys():
     # the key renames the spec and nothing else
     knn3 = Classification(Classification.MODE_CROSS_VALIDATE, [KNN3], cv=cv).run(
         (matrix, labels), RunContext())
-    assert out.report.per_model["near"] == knn3.report.per_model["knn3"]
+    assert [r.metrics for r in out.report.per_model["near"]] == \
+        [r.metrics for r in knn3.report.per_model["knn3"]]
     np.testing.assert_array_equal(out.y_pred["near"], knn3.y_pred["knn3"])
     trained = Classification(Classification.MODE_TRAIN, {"majority": handle}).run(
         (matrix, labels), RunContext())
     assert list(trained.fitted_models) == ["majority"]
     assert trained.fitted_models["majority"].spec.algorithm == "custom"
+
+
+def test_repeated_classifier_names_are_rejected():
+    with pytest.raises(ValueError, match="repeat"):
+        Classification(Classification.MODE_CROSS_VALIDATE,
+                       [KNN3, ClassifierSpec("knn3", "KNN", {"k_neighbors": 9})])
