@@ -59,6 +59,20 @@ _HYPERPARAMETERS = {
 KNOWN_ALGORITHMS = tuple(_HYPERPARAMETERS)
 _MEMBERS = (lambda v: type(v) is list and v, "a non-empty list of classifier entries")
 
+_CUTOFFS = (lambda v: _POSITIVE[0](v) or (type(v) is list and v != []
+                                           and all(map(_POSITIVE[0], v))),
+            "a finite positive number or a non-empty list of them")
+_FILTER_KEYS = {"order": (_at_least(1), _REQUIRED), "cutoffs_hz": (_CUTOFFS, _REQUIRED)}
+#: The keys ``preprocessing._apply_step`` reads, per chain op, each with
+#: its check and its default (``_REQUIRED`` or None for the op's own).
+#: The Nyquist limit depends on the data's sample rate, so it is checked,
+#: with the number of cutoffs an op takes, when the chain runs.
+_STEP_KEYS = {
+    **dict.fromkeys(("lowpass", "highpass", "bandpass", "bandstop"), _FILTER_KEYS),
+    "notch": {"f0_hz": (_POSITIVE, None), "q": (_POSITIVE, None)},
+    "resample": {"target_fs_hz": (_POSITIVE, _REQUIRED)},
+}
+
 
 class _Section:
     """One mapping of a run config at dotted key ``path``.  Each key is read
@@ -152,9 +166,12 @@ def _build_chains(chains: _Section, registry: SignalRegistry) -> dict[str, Prepr
         parsed = []
         for i, step in enumerate(chains.get(modality, check=_LIST)):
             step = _Section(step, f"{chains.key(modality)}[{i}]")
-            params = {k: tuple(v) if isinstance(v, list) else v
-                      for k, v in step.doc.items() if k != "op"}
-            parsed.append(PreprocessStep(step.get("op", check=_one_of(*STEP_OPS)), params))
+            op = step.get("op", check=_one_of(*STEP_OPS))
+            params = {name: tuple(v) if isinstance(v, list) else v
+                      for name, (check, default) in _STEP_KEYS[op].items()
+                      if (v := step.get(name, default, check)) is not None}
+            step.done()
+            parsed.append(PreprocessStep(op, params))
         built[str(modality).upper()] = PreprocessChain(tuple(parsed))
     return built
 

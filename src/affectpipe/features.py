@@ -416,11 +416,6 @@ def _slopes(d, t) -> np.ndarray:
     return out
 
 
-def _slope(d, t) -> float:
-    """Least-squares slope of ``d`` (samples minus their mean) against ``t``."""
-    return float(_slopes(d[None, :], t[None, :])[0])
-
-
 # ---------------------------------------------------------------------------
 # RESP
 # ---------------------------------------------------------------------------
@@ -599,15 +594,11 @@ class _SeriesWindows:
         return decomp.tonic, decomp.phasic, _smooth(decomp.phasic, SCR_SMOOTH_CUTOFF_HZ)
 
 
-def _compute_stats(window: TimeSeries, params):
-    return statistical_features(window.values, window.timestamps)
-
-
-def _series_stats(cut: _SeriesWindows, names) -> list[tuple]:
-    """Every window's statistics ``names``, as :func:`_compute_stats` gives
-    them.  The full-length windows are rows of one strided (windows,
-    samples) view, reduced in blocks of :data:`STATS_BLOCK_BYTES`; a short
-    last window is a block of its own."""
+def _series_stats(cut: _SeriesWindows, names) -> list[list]:
+    """Every window's statistics ``names``, one list per name, as
+    :func:`statistical_features` gives them.  The full-length windows are
+    rows of one strided (windows, samples) view, reduced in blocks of
+    :data:`STATS_BLOCK_BYTES`; a short last window is a block of its own."""
     win, step, count, tail = cut.grid
     samples, times = cut.series.values, cut.series.timestamps
     X = sliding_window_view(samples, win)[::step]
@@ -617,12 +608,7 @@ def _series_stats(cut: _SeriesWindows, names) -> list[tuple]:
     if tail:
         blocks.append((samples[None, slice(*tail)], times[None, slice(*tail)]))
     stats = [_window_statistics(x, t, names) for x, t in blocks]
-    columns = [np.concatenate([block[name] for block in stats]).tolist() for name in names]
-    return list(zip(*columns))
-
-
-def _hrv_time(rr: RRSeries, window: TimeSeries, params):
-    return hrv_time_features(rr)
+    return [np.concatenate([block[name] for block in stats]).tolist() for name in names]
 
 
 def _hrv_bands(params) -> dict[str, tuple[float, float]]:
@@ -630,11 +616,11 @@ def _hrv_bands(params) -> dict[str, tuple[float, float]]:
     return {k: tuple(v) for k, v in bands.items()} if bands else dict(DEFAULT_HRV_BANDS)
 
 
-def _hrv_freq(rr: RRSeries, window: TimeSeries, params):
+def _hrv_freq(cut: _SeriesWindows, k: int, params):
     # windows trim a little span off either end, so the default minimum is
     # relaxed to 3/4 of the window length
-    min_span = params.get("min_span_s", 0.75 * window.duration_s)
-    return hrv_freq_features(rr, _hrv_bands(params), min_span_s=min_span)
+    min_span = params.get("min_span_s", 0.75 * cut.windows[k].duration_s)
+    return hrv_freq_features(cut.rr(k), _hrv_bands(params), min_span_s=min_span)
 
 
 def _hrv_freq_names(params) -> tuple[str, ...]:
@@ -643,12 +629,13 @@ def _hrv_freq_names(params) -> tuple[str, ...]:
     return tuple(f"{name}_power" for name in bands) + ratio
 
 
-def _compute_eda_decomposed(parts, window: TimeSeries, params):
-    tonic, phasic, smoothed = parts
+def _compute_eda_decomposed(cut: _SeriesWindows, k: int, params):
+    tonic, phasic, smoothed = cut.eda(k)
     scl_mean = tonic.values.mean()
+    d = tonic.values - scl_mean
     out = {"scl_mean_us": float(scl_mean),
            "scl_std_us": float(np.std(tonic.values)),
-           "scl_slope": _slope(tonic.values - scl_mean, tonic.timestamps)}
+           "scl_slope": float(_slopes(d[None, :], tonic.timestamps[None, :])[0])}
     out.update(scr_events(smoothed, params.get("min_amplitude_us", 0.01),
                           smooth_cutoff_hz=0))
     out["phasic_mean_us"] = float(np.mean(phasic.values))
@@ -657,53 +644,48 @@ def _compute_eda_decomposed(parts, window: TimeSeries, params):
     return out
 
 
-def _compute_resp(window: TimeSeries, params):
-    return resp_features(window)
-
-
-def _compute_emg(window: TimeSeries, params):
-    return emg_features(window)
-
-
 @dataclass(frozen=True)
 class _Computation:
     """A registered computation and the feature names it returns.
 
-    ``fn`` is called as ``fn(window, params)``, or, when ``part`` names a
-    :class:`_SeriesWindows` method, as ``fn(part_k, window, params)`` with
-    ``part_k`` window k's slice of a series-level result.  ``names`` is a
-    tuple, or a function of the entry parameters giving one.  When set,
-    ``series`` replaces the per-window calls: ``series(cut, names)`` gives
-    every window's values of the entry's ``names``, equal to ``fn``'s.
+    ``fn(cut, k, params)`` gives ``{name: value}`` for window k of the
+    :class:`_SeriesWindows` ``cut``, from ``cut.windows[k]``, ``cut.rr(k)``
+    or ``cut.eda(k)``.  ``names`` is a tuple, or a function of the entry
+    parameters giving one.  ``reads`` are the entry parameters ``fn``
+    reads.  When set, ``series`` replaces the per-window calls:
+    ``series(cut, names)`` gives one list per name of every window's
+    values, equal to ``fn``'s.
     """
 
     fn: Callable
     names: tuple[str, ...] | Callable[[dict], tuple[str, ...]] | None
-    part: str | None = None
     series: Callable | None = None
+    reads: tuple[str, ...] = ()
 
     def declared(self, params) -> tuple[str, ...]:
         return self.names(params) if callable(self.names) else self.names
 
 
-_STATS = _Computation(_compute_stats, STAT_FEATURES, series=_series_stats)
+_STATS = _Computation(
+    lambda cut, k, p: statistical_features(cut.windows[k].values, cut.windows[k].timestamps),
+    STAT_FEATURES, series=_series_stats)
 
 COMPUTATIONS = {
     "ecg_stats": _STATS,
-    "hrv_time": _Computation(_hrv_time, (
+    "hrv_time": _Computation(lambda cut, k, p: hrv_time_features(cut.rr(k)), (
         "hr_mean_bpm", "hr_std_bpm", "rmssd_s", "sdnn_s", "rr_mean_s",
-        "rr_median_s", "rr_std_s", "rr_var_s2"), part="rr"),
-    "hrv_freq": _Computation(_hrv_freq, _hrv_freq_names, part="rr"),
+        "rr_median_s", "rr_std_s", "rr_var_s2")),
+    "hrv_freq": _Computation(_hrv_freq, _hrv_freq_names, reads=("bands", "min_span_s")),
     "eda_stats": _STATS,
     "eda_decomposition": _Computation(_compute_eda_decomposed, (
         "scl_mean_us", "scl_std_us", "scl_slope", "scr_count",
         "scr_rate_per_min", "scr_mean_amplitude_us", "phasic_mean_us",
-        "phasic_std_us", "phasic_max_us"), part="eda"),
+        "phasic_std_us", "phasic_max_us"), reads=("min_amplitude_us",)),
     "statistics": _STATS,
-    "resp": _Computation(_compute_resp, (
+    "resp": _Computation(lambda cut, k, p: resp_features(cut.windows[k]), (
         "inhale_mean_s", "exhale_mean_s", "breath_rate_per_min", "maxima_mean",
         "maxima_std", "minima_mean", "minima_std", "inhale_exhale_ratio")),
-    "emg": _Computation(_compute_emg, (
+    "emg": _Computation(lambda cut, k, p: emg_features(cut.windows[k]), (
         tuple(f"a_{k}" for k in STAT_FEATURES)
         + tuple(f"a_band_{j}_energy" for j in range(EMG_N_BANDS))
         + ("b_peak_count", "b_peak_mean", "b_peak_std", "b_peak_max")
@@ -721,9 +703,11 @@ def _entry_feature_names(entry: FeatureCatalogEntry) -> list[str]:
 
 
 def _resolve(entry: FeatureCatalogEntry) -> _Computation:
-    """The entry's registered computation; a custom callable declares no names."""
+    """The entry's registered computation; a custom callable ``fn(window,
+    params)`` runs on window k itself and declares no names."""
     if callable(entry.computation):
-        return _Computation(entry.computation, None)
+        fn = entry.computation
+        return _Computation(lambda cut, k, p: fn(cut.windows[k], p), None)
     try:
         return COMPUTATIONS[entry.computation]
     except KeyError:
@@ -744,8 +728,9 @@ def check_catalog(catalog: list[FeatureCatalogEntry]):
 
     Raises :class:`~affectpipe.errors.CatalogError`, naming the entry, for
     an empty catalog, an entry without a ``features`` list, an unknown
-    computation, or a ``features`` name its registered computation does not
-    declare.  Names of a custom callable are checked per window instead.
+    computation, a ``parameters`` key its registered computation does not
+    read, or a ``features`` name it does not declare.  Names of a custom
+    callable are checked per window instead, and its parameters not at all.
     """
     if not catalog:
         raise CatalogError("feature catalog is empty")
@@ -753,6 +738,12 @@ def check_catalog(catalog: list[FeatureCatalogEntry]):
         names = _entry_feature_names(entry)
         computation = _resolve(entry)
         if computation.names is not None:
+            unread = [key for key in entry.parameters if key not in computation.reads]
+            if unread:
+                raise CatalogError(
+                    f"catalog entry {entry.name!r} gives parameters {unread} that "
+                    f"computation {entry.computation!r} does not read "
+                    f"(it reads {list(computation.reads)})")
             declared = computation.declared(entry.parameters)
             if not set(names) <= set(declared):
                 raise _undeclared(entry, declared)
@@ -779,25 +770,24 @@ def ecg_eda_catalog() -> list[FeatureCatalogEntry]:
     ]
 
 
-def _entry_values(entry: FeatureCatalogEntry, cut: _SeriesWindows) -> list[tuple]:
-    """One value tuple per window; absent cells where the window failed."""
+def _entry_columns(entry: FeatureCatalogEntry, cut: _SeriesWindows) -> list[list]:
+    """One list of per-window values per feature name; absent cells where
+    the window failed."""
     names = _entry_feature_names(entry)
     computation = _resolve(entry)
     if computation.series:
         return computation.series(cut, names)
-    fn = computation.fn
-    part = getattr(cut, computation.part) if computation.part else None
-    values = []
-    for k, w in enumerate(cut.windows):
+    columns = [[] for _ in names]
+    for k in range(len(cut.windows)):
         try:
-            computed = fn(part(k), w, entry.parameters) if part else fn(w, entry.parameters)
+            computed = computation.fn(cut, k, entry.parameters)
         except AffectPipeError:
-            values.append((ABSENT,) * len(names))
-            continue
+            computed = dict.fromkeys(names, ABSENT)
         if not all(name in computed for name in names):
             raise _undeclared(entry, computed)
-        values.append(tuple(computed[name] for name in names))
-    return values
+        for column, name in zip(columns, names):
+            column.append(computed[name])
+    return columns
 
 
 def extract_features(bundle: SubjectBundle,
@@ -837,12 +827,12 @@ def extract_features(bundle: SubjectBundle,
         for feat in _entry_feature_names(entry):
             columns.append(f"{entry.name}.{feat}")
 
-    keys, cells = [], []  # one (subject, phase, window) key and raw row per window
+    keys = []  # one (subject, phase, window) key per row
+    cells = [[] for _ in columns]  # one list of raw cells per column
     for subject in bundle.subjects():
         for phase in bundle.phases_for(subject):
             cuts = {}  # modality name -> _SeriesWindows
-            per_entry = []  # list of per-window value tuples, one per entry
-            n_windows = None
+            per_entry = []  # this (subject, phase)'s cells, one list per column
             for entry in catalog:
                 if entry.modality not in cuts:
                     series = bundle.find(subject, phase, entry.modality)
@@ -852,14 +842,12 @@ def extract_features(bundle: SubjectBundle,
                             f"{subject}/{phase}"
                         )
                     cuts[entry.modality] = _SeriesWindows(series, policy)
-                values = _entry_values(entry, cuts[entry.modality])
-                per_entry.append(values)
-                count = len(values)
-                n_windows = count if n_windows is None else min(n_windows, count)
-            for k in range(n_windows):
-                keys.append((subject, phase, k))
-                cells.append(tuple(v for values in per_entry for v in values[k]))
-    columns, values = _encode(columns, cells)
+                per_entry += _entry_columns(entry, cuts[entry.modality])
+            n_windows = min(len(cut.windows) for cut in cuts.values())
+            keys += [(subject, phase, k) for k in range(n_windows)]
+            for column, entry_column in zip(cells, per_entry):
+                column += entry_column[:n_windows]
+    columns, values = _encode(columns, cells, len(keys))
     if calculate_average:
         starts = [i for i, key in enumerate(keys) if key[2] == 0]
         with warnings.catch_warnings():
@@ -876,16 +864,17 @@ def extract_features(bundle: SubjectBundle,
                          [key[2] for key in keys], values)
 
 
-def _encode(names: list[str], cells: list[tuple]) -> tuple[list[str], np.ndarray]:
-    """Columns and float array of raw per-window cells.
+def _encode(names: list[str], cells: list[list],
+            n_rows: int) -> tuple[list[str], np.ndarray]:
+    """Columns and float array of ``n_rows`` raw per-window cells, given as
+    one list per column.
 
     Numeric columns keep their order and come first.  Each text column then
     expands into ``name=tag`` indicator columns, in column order with its
     tags sorted; an absent cell gives absent indicators.
     """
     numeric, encoded = [], []  # (column name, cells)
-    for j, name in enumerate(names):
-        column = [row[j] for row in cells]
+    for name, column in zip(names, cells):
         tags = sorted({v for v in column if isinstance(v, str)})
         if not tags:
             numeric.append((name, column))
@@ -896,7 +885,7 @@ def _encode(names: list[str], cells: list[tuple]) -> tuple[list[str], np.ndarray
                                        for v in column])
                     for tag in tags]
     layout = numeric + encoded
-    values = np.empty((len(cells), len(layout)))
+    values = np.empty((n_rows, len(layout)))
     for j, (_, column) in enumerate(layout):
         values[:, j] = column
     return [name for name, _ in layout], values

@@ -217,6 +217,11 @@ class PreprocessStep:
     op: str  # one of STEP_OPS
     params: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.op not in STEP_OPS:
+            raise ValueError(f"unknown preprocessing op {self.op!r}; "
+                             f"STEP_OPS are {', '.join(STEP_OPS)}")
+
 
 @dataclass(frozen=True)
 class PreprocessChain:
@@ -236,11 +241,9 @@ def _apply_step(step: PreprocessStep, series: TimeSeries) -> TimeSeries:
         return resample_series(series, p["target_fs_hz"])
     if step.op == "notch":
         return notch_powerline(series, p.get("f0_hz", 50.0), p.get("q", 30.0))
-    if step.op in ("lowpass", "highpass", "bandpass", "bandstop"):
-        coeffs = design_butterworth(step.op, p["order"], p["cutoffs_hz"],
-                                    series.sample_rate_hz)
-        return apply_zero_phase(coeffs, series)
-    raise UnknownModality(f"unknown preprocessing op {step.op!r}")
+    # lowpass, highpass, bandpass or bandstop: PreprocessStep checks the op
+    coeffs = design_butterworth(step.op, p["order"], p["cutoffs_hz"], series.sample_rate_hz)
+    return apply_zero_phase(coeffs, series)
 
 
 # Default chains per modality. ECG: baseline wander + powerline removal;

@@ -3,6 +3,8 @@ import csv
 import pytest
 
 from affectpipe.cli import cmd_run, cmd_synth, cmd_validate, main
+from affectpipe.config import build_pipeline_spec, load_config
+from affectpipe.preprocessing import PreprocessStep
 
 
 SPEC_YAML = """\
@@ -271,6 +273,7 @@ CV_BLOCK = "cv:\n  kind: kfold\n  folds: 3\n"
 DT = "algorithm: DecisionTree\n    hyperparameters: "
 CHAIN = ("preprocessing:\n  chains:\n    {modality}:\n"
          "      - {{op: {op}, order: 2, cutoffs_hz: [5.0]}}\n")
+STEP = "preprocessing:\n  chains:\n    ECG:\n      - {step}\n"
 
 
 def _replace(old, new):
@@ -342,6 +345,24 @@ def _append(extra):
                  "preprocessing.chains.ECG[0].op", id="chain-op-typo"),
     pytest.param(_append(CHAIN.format(modality="ECGX", op="lowpass")),
                  "preprocessing.chains.ECGX", id="chain-unknown-modality"),
+    pytest.param(_append(STEP.format(step="{op: notch, f0: 60}")),
+                 "preprocessing.chains.ECG[0].f0", id="step-key-typo"),
+    pytest.param(_append(STEP.format(step="{op: lowpass, order: 2, cutoffs_hz: [5.0], q: 3}")),
+                 "preprocessing.chains.ECG[0].q", id="step-key-of-another-op"),
+    pytest.param(_append(STEP.format(step="{op: lowpass, cutoffs_hz: [5.0]}")),
+                 "preprocessing.chains.ECG[0].order", id="step-no-order"),
+    pytest.param(_append(STEP.format(step="{op: highpass, order: 2}")),
+                 "preprocessing.chains.ECG[0].cutoffs_hz", id="step-no-cutoffs"),
+    pytest.param(_append(STEP.format(step="{op: bandpass, order: 0, cutoffs_hz: [1, 5]}")),
+                 "preprocessing.chains.ECG[0].order", id="step-order-0"),
+    pytest.param(_append(STEP.format(step="{op: bandstop, order: 2, cutoffs_hz: [0, 5]}")),
+                 "preprocessing.chains.ECG[0].cutoffs_hz", id="step-cutoff-0"),
+    pytest.param(_append(STEP.format(step="{op: lowpass, order: 2, cutoffs_hz: []}")),
+                 "preprocessing.chains.ECG[0].cutoffs_hz", id="step-cutoffs-empty"),
+    pytest.param(_append(STEP.format(step="{op: notch, q: -1}")),
+                 "preprocessing.chains.ECG[0].q", id="step-q-negative"),
+    pytest.param(_append(STEP.format(step="{op: resample}")),
+                 "preprocessing.chains.ECG[0].target_fs_hz", id="step-no-target-rate"),
     pytest.param(_replace("signal_types: [ECG, EDA]", "signal_types: [ECG, EDAX]"),
                  "dataset.signal_types[1]", id="signal-type-unknown"),
 ])
@@ -369,6 +390,27 @@ def test_run_accepts_every_documented_hyperparameter(dataset_root, tmp_path):
     assert cmd_run(str(cfg), out_dir=str(tmp_path / "out")) == 0
     rows = list(csv.DictReader((tmp_path / "out" / "report.csv").open(encoding="utf-8")))
     assert {row["model"] for row in rows} == {"knn9", "dt", "lr", "ens"}
+
+
+def test_run_accepts_every_documented_step_key(dataset_root, tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(run_config(dataset_root) + """\
+preprocessing:
+  chains:
+    ECG:
+      - {op: resample, target_fs_hz: 250.0}
+      - {op: highpass, order: 2, cutoffs_hz: [0.5]}
+      - {op: notch, f0_hz: 60, q: 25}
+      - {op: bandstop, order: 2, cutoffs_hz: [95.0, 105.0]}
+      - {op: notch}
+    EDA:
+      - {op: lowpass, order: 4, cutoffs_hz: 5.0}
+      - {op: bandpass, order: 1, cutoffs_hz: [0.01, 8.0]}
+""", encoding="utf-8")
+    chains = build_pipeline_spec(load_config(cfg)).stages[1].chains
+    assert chains["ECG"].steps[2] == PreprocessStep("notch", {"f0_hz": 60, "q": 25})
+    assert chains["EDA"].steps[0] == PreprocessStep("lowpass", {"order": 4, "cutoffs_hz": 5.0})
+    assert cmd_run(str(cfg), out_dir=str(tmp_path / "out")) == 0
 
 
 def test_run_null_sections_read_as_absent(dataset_root, tmp_path):
@@ -418,6 +460,18 @@ def test_run_undeclared_feature_name_exit_3_before_acquisition(tmp_path, capsys)
     assert cmd_run(str(cfg)) == 3
     out = capsys.readouterr().out
     assert "pipeline build error" in out and "'hrv'" in out and "rmsdd_s" in out
+
+
+def test_run_unread_catalog_parameter_exit_3_before_acquisition(tmp_path, capsys):
+    text = run_config(tmp_path / "no-such-dataset", features=(
+        "features:\n"
+        "  - {name: scr, modality: EDA, computation: eda_decomposition,\n"
+        "     parameters: {min_amplitude: 5.0}, features: [scr_count]}"))
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text, encoding="utf-8")
+    assert cmd_run(str(cfg)) == 3
+    out = capsys.readouterr().out
+    assert "pipeline build error" in out and "'scr'" in out and "min_amplitude" in out
 
 
 def test_run_window_longer_than_recording_exit_4(dataset_root, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import functools
 import warnings
 
 import numpy as np
@@ -655,8 +656,45 @@ def test_extract_stress_features_move_as_expected():
             > by_phase["rest"][cols["eda_scr.scr_rate_per_min"]])
 
 
+class _ReferenceCut:
+    """What a computation reads of window k, made without _SeriesWindows:
+    the window itself, the beats of an R-peak detection on the whole series
+    inside its bounds, and its slices of the whole-series EDA decomposition
+    and of its smoothed phasic part."""
+
+    def __init__(self, series, policy):
+        self.series = series
+        self.windows = segment(series, policy)
+        win = int(round(policy.window_s * series.sample_rate_hz))
+        step = int(round(policy.step_s * series.sample_rate_hz))
+        self.bounds = [(k * step, k * step + win) for k in range(len(self.windows))]
+
+    @functools.cached_property
+    def beats(self):
+        return detect_r_peaks(self.series)
+
+    @functools.cached_property
+    def parts(self):
+        decomp = decompose_eda(self.series)
+        lp = features.design_butterworth("lowpass", 2, features.SCR_SMOOTH_CUTOFF_HZ,
+                                         self.series.sample_rate_hz)
+        return decomp.tonic, decomp.phasic, features.apply_zero_phase(lp, decomp.phasic)
+
+    def rr(self, k):
+        start, stop = self.bounds[k]
+        beats = self.beats[(self.beats >= start) & (self.beats < stop)]
+        if beats.size < 2:
+            raise NoBeatsDetected("fewer than 2 beats")
+        return RRSeries.from_beat_times(self.series.timestamps[beats])
+
+    def eda(self, k):
+        start, stop = self.bounds[k]
+        return tuple(s.window(start, stop) for s in self.parts)
+
+
 def _extract_features_per_entry(bundle, policy, catalog, calculate_average=False):
-    """Reference: segment per catalog entry and run each computation alone.
+    """Reference: segment per catalog entry and run each computation alone,
+    one window at a time, on a :class:`_ReferenceCut`.
 
     Statistics run on each window.  An HRV entry detects R-peaks on the
     whole series and gives each window the beats inside its bounds; an EDA
@@ -669,40 +707,12 @@ def _extract_features_per_entry(bundle, policy, catalog, calculate_average=False
         for phase in bundle.phases_for(subject):
             per_entry = []
             for entry in catalog:
-                series = bundle.find(subject, phase, entry.modality)
-                windows = segment(series, policy)
-                win = int(round(policy.window_s * series.sample_rate_hz))
-                step = int(round(policy.step_s * series.sample_rate_hz))
+                cut = _ReferenceCut(bundle.find(subject, phase, entry.modality), policy)
                 computation = features._resolve(entry)
-                whole, failed = None, False
-                try:
-                    if computation.part == "rr":
-                        whole = detect_r_peaks(series)
-                    elif computation.part == "eda":
-                        decomp = decompose_eda(series)
-                        lp = features.design_butterworth(
-                            "lowpass", 2, features.SCR_SMOOTH_CUTOFF_HZ,
-                            series.sample_rate_hz)
-                        whole = (decomp.tonic, decomp.phasic,
-                                 features.apply_zero_phase(lp, decomp.phasic))
-                except Exception:
-                    failed = True
                 values = []
-                for k, w in enumerate(windows):
-                    start, stop = k * step, k * step + win
+                for k in range(len(cut.windows)):
                     try:
-                        if failed:
-                            raise NoBeatsDetected("series-level step failed")
-                        if computation.part == "rr":
-                            beats = whole[(whole >= start) & (whole < stop)]
-                            if beats.size < 2:
-                                raise NoBeatsDetected("fewer than 2 beats")
-                            part = RRSeries.from_beat_times(series.timestamps[beats])
-                        elif computation.part == "eda":
-                            part = tuple(s.window(start, stop) for s in whole)
-                        computed = (computation.fn(part, w, entry.parameters)
-                                    if computation.part
-                                    else computation.fn(w, entry.parameters))
+                        computed = computation.fn(cut, k, entry.parameters)
                         values.append(tuple(computed[n] for n in entry.features))
                     except Exception:
                         values.append(tuple(ABSENT for _ in entry.features))
@@ -860,9 +870,8 @@ def test_scl_slope_matches_statistical_features_slope():
     cut = features._SeriesWindows(eda, WindowingPolicy(60.0, 30.0))
     assert cut.bounds
     for k in range(len(cut.bounds)):
-        parts = cut.eda(k)
-        tonic = parts[0]
-        out = features._compute_eda_decomposed(parts, cut.windows[k], {})
+        tonic = cut.eda(k)[0]
+        out = features.COMPUTATIONS["eda_decomposition"].fn(cut, k, {})
         expected = statistical_features(tonic.values, tonic.timestamps)
         assert out["scl_slope"] == expected["slope"]
         assert out["scl_mean_us"] == expected["mean"]
@@ -888,12 +897,7 @@ def _registered_outputs():
               "resp": resp, "emg": emg}
     for name, computation in features.COMPUTATIONS.items():
         cut = features._SeriesWindows(inputs[name], WindowingPolicy(80.0, 10.0))
-        window = cut.windows[0]
-        if computation.part:
-            returned = computation.fn(getattr(cut, computation.part)(0), window, {})
-        else:
-            returned = computation.fn(window, {})
-        yield name, computation, returned
+        yield name, computation, computation.fn(cut, 0, {})
 
 
 def test_registered_computations_declare_what_they_return():
@@ -927,6 +931,14 @@ def test_hrv_freq_declares_the_names_of_its_bands():
      "unknown computation 'hrv_spectrum'"),
     (FeatureCatalogEntry("scr", "EDA", "eda_decomposition",
                          features=("scr_rate",)), r"'scr'.*\['scr_rate'\]"),
+    (FeatureCatalogEntry("hrv", "ECG", "hrv_freq",
+                         {"band": {"lf": (0.04, 0.15)}}, features=("lf_power",)),
+     r"'hrv' gives parameters \['band'\].*reads \['bands', 'min_span_s'\]"),
+    (FeatureCatalogEntry("scr", "EDA", "eda_decomposition",
+                         {"min_amplitude": 5.0}, features=("scr_count",)),
+     r"'scr' gives parameters \['min_amplitude'\].*reads \['min_amplitude_us'\]"),
+    (FeatureCatalogEntry("ecg", "ECG", "ecg_stats", {"detrend": True},
+                         features=("mean",)), r"'ecg' gives parameters \['detrend'\]"),
 ])
 def test_check_catalog_rejects_before_any_window(entry, message, monkeypatch):
     monkeypatch.setattr(features, "_SeriesWindows",
@@ -958,6 +970,22 @@ def test_extract_custom_callable_keeps_window_params_contract():
                          WindowingPolicy(60.0, 30.0), catalog)
     assert len(m) == 10 and len(seen) == 10
     assert all(params == {"scale": 2.0} for _, params in seen)
+
+
+@pytest.mark.parametrize("drop_incomplete", [True, False])
+def test_custom_callable_sees_the_window_of_the_batched_path(drop_incomplete):
+    # 180 s every 50 s: three 60 s windows, and without drop_incomplete a
+    # short last window from 150 s
+    policy = WindowingPolicy(60.0, 50.0, drop_incomplete)
+    names = ("mean", "median", "std", "var", "min", "max", "slope")
+    catalog = [
+        FeatureCatalogEntry("batched", "ECG", "ecg_stats", features=names),
+        FeatureCatalogEntry("custom", "ECG", lambda w, p: statistical_features(
+            w.values, w.timestamps), features=names)]
+    m = extract_features(_stress_bundle(), policy, catalog)
+    assert len(m) == 4 * (3 if drop_incomplete else 4)
+    batched, custom = m.values[:, :len(names)], m.values[:, len(names):]
+    assert batched.tobytes() == custom.tobytes()
 
 
 def test_extract_non_signal_error_propagates():

@@ -13,7 +13,7 @@ from affectpipe import (
     preprocess,
     resample_series,
 )
-from affectpipe.preprocessing import FilterDesign
+from affectpipe.preprocessing import STEP_OPS, FilterDesign
 from affectpipe.errors import CutoffOutOfRange, InvalidOrder, SampleRateMismatch
 from affectpipe.synth import EcgSpec, synth_ecg
 
@@ -336,6 +336,13 @@ def test_preprocess_custom_chain_overrides_default():
     ecg_a = defaulted.find("S1", "rest", "ECG")
     ecg_b = overridden.find("S1", "rest", "ECG")
     np.testing.assert_allclose(ecg_a.values, ecg_b.values)
+
+
+def test_preprocess_step_rejects_an_unknown_op():
+    with pytest.raises(ValueError, match=r"'lowpas'.*STEP_OPS"):
+        PreprocessStep("lowpas", {"order": 2, "cutoffs_hz": (5.0,)})
+    for op in STEP_OPS:  # every listed op builds
+        PreprocessStep(op)
 
 
 def test_ecg_interference_removed_peaks_preserved():
