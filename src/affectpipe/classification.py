@@ -43,8 +43,9 @@ LOGISTIC_STEP = 0.1
 #: Byte cap on the (queries, training rows) distance block that
 #: _knn_scores materialises at once.
 KNN_BLOCK_BYTES = 256 * 1024
-#: Training rows of least selected-column distance that a selection step
-#: scores each query against before it falls back to every row.
+#: Training rows a selection step scores each query against before it
+#: falls back to every row: those of least selected-column distance, or in
+#: the first step those around the query in the candidate's sorted column.
 KNN_NEAR_ROWS = 64
 
 
@@ -212,18 +213,20 @@ def _knn_scores(model: FittedModel, X: np.ndarray) -> np.ndarray:
     k = min(k, train.shape[0])
     scores = np.empty((X.shape[0], model.classes.size))
     train_cols, query_cols = train.T.copy(), X.T.copy()
-    for rows in _query_blocks(train.shape[0], X.shape[0]):
+    for rows in _row_blocks(train.shape[0], X.shape[0]):
         d = _squared_distances(train_cols, query_cols[:, rows])
         scores[rows] = _knn_vote(np.sqrt(d, out=d), y, model.classes, k)
     return scores
 
 
-def _query_blocks(n_train: int, n_query: int) -> list[slice]:
-    """Consecutive slices over ``n_query`` query rows, each as long as a
-    (rows, ``n_train``) float64 distance block within
-    :data:`KNN_BLOCK_BYTES` allows; the last one may be shorter."""
-    block = max(1, KNN_BLOCK_BYTES // (8 * max(n_train, 1)))
-    return [slice(start, start + block) for start in range(0, n_query, block)]
+def _row_blocks(width: int, n_rows: int) -> list[slice]:
+    """Consecutive slices over ``n_rows`` rows, each as long as a (rows,
+    ``width``) float64 block within :data:`KNN_BLOCK_BYTES` allows, but at
+    least one row; the last one may be shorter.  The rows are queries
+    against ``width`` training rows, or in a selection step candidates
+    against a query block's near sets."""
+    block = max(1, KNN_BLOCK_BYTES // (8 * max(width, 1)))
+    return [slice(start, start + block) for start in range(0, n_rows, block)]
 
 
 def _squared_distances(train_cols: np.ndarray, query_cols: np.ndarray) -> np.ndarray:
@@ -289,8 +292,11 @@ def forward_selection(scorer: ClassifierSpec, X: np.ndarray, y: np.ndarray,
 
     Each step adds the candidate whose ``selected + [candidate]`` scores
     best; ties keep the lower column index.  A KNN scorer scores every step
-    from per-fold cached columns (see :class:`_KnnFolds`); other scorers fit
-    and predict every candidate on every fold.
+    from per-fold cached columns (see :class:`_KnnFolds`), each query first
+    against a near set of training rows: in the first step the rows around
+    it in the candidate's sorted column, later the rows of least
+    selected-column distance.  Other scorers fit and predict every
+    candidate on every fold.
     """
     def cv_accuracy(col_indices):
         accs = []
@@ -327,14 +333,32 @@ class _KnnFolds:
     the square root to the same neighbour vote as :func:`predict`: every
     score equals a fit/predict on ``selected + [candidate]``.
 
-    Once a column is selected, a query is first scored against its
-    :data:`KNN_NEAR_ROWS` training rows of least selected-column sum, kept
-    in index order.  Adding a candidate's square and taking the root never
-    lowers a row below the root of its sum, as rounding and the square
-    root are monotone, so every other row lies at least the root of the
-    next larger sum away.  A vote whose k-th nearest distance in the near
-    set is below that bound is the vote over all rows, ties included; any
-    other (candidate, query) pair is scored against every training row.
+    Each query is first scored against a near set of :data:`KNN_NEAR_ROWS`
+    training rows, kept in index order, with a bound below which no other
+    row lies:
+
+    - In the first step (nothing selected), per candidate: each fold sorts
+      the candidate's training column once, and a query's near set is the
+      window of rows around its ``searchsorted`` position there.  Rounded
+      ``t - q`` is monotone in the training value ``t``, and so are its
+      square and root, so no row outside the window is nearer than the
+      nearer of the two rows just outside it: that row's distance is the
+      bound.
+    - Once a column is selected, per query: its rows of least
+      selected-column sum.  Adding a candidate's square and taking the
+      root never lowers a row below the root of its sum, as rounding and
+      the square root are monotone, so every other row lies at least the
+      root of the next larger sum away.
+
+    A vote whose k-th nearest distance in the near set is strictly below
+    the bound is the vote over all rows, ties included; any other
+    (candidate, query) pair is scored against every training row.
+
+    The arrays a step builds per query block stay bounded whatever the
+    number of candidates: a query block's candidates are scored in blocks
+    too, so each (candidates, queries, near rows) array is within
+    :data:`KNN_BLOCK_BYTES`, as is each full-row (queries, training rows)
+    block.
     """
 
     def __init__(self, spec, X, y, folds):
@@ -359,49 +383,95 @@ class _KnnFolds:
         selected columns while they are still in cache.  A fold's accuracy
         is its hits over its test rows.
         """
-        accs = np.empty((len(candidates), len(self.folds)))
+        cand = np.asarray(candidates)
+        accs = np.empty((cand.size, len(self.folds)))
         for f, fold in enumerate(self.folds):
             n_train, n_test = fold["train"].shape[1], fold["y_test"].size
             near_rows = min(KNN_NEAR_ROWS, n_train - 1)
-            hits = np.zeros(len(candidates), dtype=np.int64)
-            for rows in _query_blocks(n_train, n_test):
+            train, test = fold["train"][cand], fold["test"][cand]
+            ranked = None if selected else _ranked_columns(train, test)
+            hits = np.zeros(cand.size, dtype=np.int64)
+            for rows in _row_blocks(n_train, n_test):
                 queries = np.arange(n_test)[rows]
                 total = _squared_distances(fold["train"][selected],
                                            fold["test"][selected, rows])
-                if selected and near_rows >= fold["k"]:
-                    hit, full = _near_hits(fold, total, candidates, queries, near_rows)
-                else:
-                    hit = np.zeros(len(candidates), dtype=np.int64)
-                    full = np.ones((len(candidates), queries.size), dtype=bool)
+                full = np.ones((cand.size, queries.size), dtype=bool)
+                if near_rows >= fold["k"]:
+                    summed = _sum_window(total, near_rows) if selected else None
+                    for c in _row_blocks(queries.size * near_rows, cand.size):
+                        window = summed if selected else _column_window(
+                            [a[c] for a in ranked], test[c], queries, near_rows)
+                        hit, full[c] = _near_hits(fold, train[c], test[c], queries, *window)
+                        hits[c] += hit
                 for i, j in enumerate(candidates):
                     if full[i].any():
-                        hit[i] += _full_hits(fold, total[full[i]], j, queries[full[i]])
-                hits += hit
+                        hits[i] += _full_hits(fold, total[full[i]], j, queries[full[i]])
             accs[:, f] = hits / n_test
         return [float(np.mean(a)) for a in accs]
 
 
-def _near_hits(fold, total, candidates, queries, near_rows):
-    """Hits of each candidate over the query rows ``queries`` whose vote
-    the near set decides, and the (candidates, queries) mask of the pairs
-    it cannot decide; ``total`` holds the queries' selected-column sums.
-    See :class:`_KnnFolds`."""
+def _sum_window(total, near_rows):
+    """Per query, its ``near_rows`` training rows of least selected-column
+    sum in index order, their sums, and the root of the next larger sum."""
     part = np.argpartition(total, near_rows, axis=1)
     near = np.sort(part[:, :near_rows], axis=1)
     bound = np.sqrt(np.take_along_axis(total, part[:, near_rows:near_rows + 1], axis=1))
-    cand = np.asarray(candidates)
+    return near, np.take_along_axis(total, near, axis=1), bound[:, 0]
+
+
+def _ranked_columns(train, test):
+    """Each candidate's training rows in the order of their values, those
+    values, and each test value's ``searchsorted`` position among them."""
+    order = np.argsort(train, axis=1)
+    values = np.take_along_axis(train, order, axis=1)
+    pos = np.array([np.searchsorted(v, q) for v, q in zip(values, test)])
+    return order, values, pos
+
+
+def _column_window(ranked, test, queries, near_rows):
+    """Per (candidate, query), the ``near_rows`` training rows around the
+    query's position in the candidate's ranked column, in index order; no
+    selected sum (0); and the distance of the nearer of the two rows just
+    outside the window, inf past either end of the column."""
+    order, values, pos = ranked
+    n_cand, n_train = order.shape
+    lo = np.clip(pos[:, queries] - near_rows // 2, 0, n_train - near_rows)
+    offset = n_train * np.arange(n_cand)[:, None]
+    near = np.take(order, (offset + lo)[..., None] + np.arange(near_rows))
+    near.sort(axis=2)
+    outside = np.stack([lo - 1, lo + near_rows])
+    d = np.subtract(np.take(values, offset + np.clip(outside, 0, n_train - 1)),
+                    test[:, queries])
+    np.square(d, out=d)
+    np.sqrt(d, out=d)
+    d[(outside < 0) | (outside == n_train)] = np.inf
+    return near, 0.0, d.min(axis=0)
+
+
+def _near_hits(fold, train, test, queries, near, sums, bound):
+    """Hits of each candidate over the query rows ``queries`` whose vote
+    the near set decides, and the (candidates, queries) mask of the pairs
+    it cannot decide.  ``train`` and ``test`` hold the candidates' columns.
+
+    ``near`` holds the near training rows in index order, ``sums`` their
+    selected-column sums and ``bound`` the least distance of any other
+    row: per query, shaped (queries, near rows) and (queries,), or per
+    (candidate, query), shaped (candidates, queries, near rows) and
+    (candidates, queries).  See :class:`_KnnFolds`."""
+    (n_cand, n_train), near_rows = train.shape, near.shape[-1]
     # (candidates, queries, near rows): the same subtract, square, add and
     # root as the full rows
-    d = np.subtract(fold["train"][cand[:, None, None], near[None]],
-                    fold["test"][cand[:, None], queries[None, :]][..., None])
+    d = np.take(train, n_train * np.arange(n_cand)[:, None, None] + near)
+    np.subtract(d, test[:, queries, None], out=d)
     np.square(d, out=d)
-    np.add(np.take_along_axis(total, near, axis=1), d, out=d)
+    np.add(sums, d, out=d)
     np.sqrt(d, out=d)
     d = d.reshape(-1, near_rows)
     k, classes = fold["k"], fold["classes"]
-    kth = np.partition(d, k - 1, axis=1)[:, k - 1].reshape(cand.size, queries.size)
-    decided = kth < bound[:, 0]
-    scores = _knn_vote(d, np.tile(fold["y_train"][near], (cand.size, 1)), classes, k)
+    kth = np.partition(d, k - 1, axis=1)[:, k - 1]
+    decided = kth.reshape(n_cand, queries.size) < bound
+    y_near = np.broadcast_to(fold["y_train"][near], (n_cand, queries.size, near_rows))
+    scores = _knn_vote(d, y_near.reshape(-1, near_rows), classes, k)
     pred = classes[np.argmax(scores, axis=1)].reshape(decided.shape)
     hits = np.count_nonzero(decided & (pred == fold["y_test"][queries]), axis=1)
     return hits, ~decided

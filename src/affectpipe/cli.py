@@ -116,6 +116,8 @@ def cmd_run(config_file: str, seed: int | None = None, strict: bool = False,
                         reports.get("dropped_rows", []))
         _write_keys_csv(target / "excluded_subjects.csv", ["subject"],
                         [(s,) for s in reports.get("excluded_subjects", [])])
+        _write_keys_csv(target / "selected_features.csv", ["column"],
+                        [(c,) for c in reports.get("selected_features", [])])
     except OSError as exc:
         print(f"I/O failure: {exc}", file=out)
         return 1

@@ -6,8 +6,10 @@ fixed set of named columns, and rows are keyed by (subject, phase, window).
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -644,6 +646,21 @@ def _compute_eda_decomposed(cut: _SeriesWindows, k: int, params):
     return out
 
 
+def _finite(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _is_band(edges) -> bool:
+    return (isinstance(edges, (list, tuple)) and len(edges) == 2
+            and all(map(_finite, edges)) and 0 <= edges[0] < edges[1])
+
+
+_AT_LEAST_ZERO = (lambda v: _finite(v) and v >= 0, "a finite number of at least 0")
+_BANDS = (lambda v: isinstance(v, Mapping) and all(
+    isinstance(name, str) and _is_band(edges) for name, edges in v.items()),
+    "a mapping of band name to two finite numbers lo, hi with 0 <= lo < hi")
+
+
 @dataclass(frozen=True)
 class _Computation:
     """A registered computation and the feature names it returns.
@@ -651,16 +668,16 @@ class _Computation:
     ``fn(cut, k, params)`` gives ``{name: value}`` for window k of the
     :class:`_SeriesWindows` ``cut``, from ``cut.windows[k]``, ``cut.rr(k)``
     or ``cut.eda(k)``.  ``names`` is a tuple, or a function of the entry
-    parameters giving one.  ``reads`` are the entry parameters ``fn``
-    reads.  When set, ``series`` replaces the per-window calls:
-    ``series(cut, names)`` gives one list per name of every window's
-    values, equal to ``fn``'s.
+    parameters giving one.  ``reads`` maps each entry parameter ``fn``
+    reads to its check, a (predicate, description) pair.  When set,
+    ``series`` replaces the per-window calls: ``series(cut, names)`` gives
+    one list per name of every window's values, equal to ``fn``'s.
     """
 
     fn: Callable
     names: tuple[str, ...] | Callable[[dict], tuple[str, ...]] | None
     series: Callable | None = None
-    reads: tuple[str, ...] = ()
+    reads: dict = field(default_factory=dict)
 
     def declared(self, params) -> tuple[str, ...]:
         return self.names(params) if callable(self.names) else self.names
@@ -675,12 +692,13 @@ COMPUTATIONS = {
     "hrv_time": _Computation(lambda cut, k, p: hrv_time_features(cut.rr(k)), (
         "hr_mean_bpm", "hr_std_bpm", "rmssd_s", "sdnn_s", "rr_mean_s",
         "rr_median_s", "rr_std_s", "rr_var_s2")),
-    "hrv_freq": _Computation(_hrv_freq, _hrv_freq_names, reads=("bands", "min_span_s")),
+    "hrv_freq": _Computation(_hrv_freq, _hrv_freq_names, reads={
+        "bands": _BANDS, "min_span_s": _AT_LEAST_ZERO}),
     "eda_stats": _STATS,
     "eda_decomposition": _Computation(_compute_eda_decomposed, (
         "scl_mean_us", "scl_std_us", "scl_slope", "scr_count",
         "scr_rate_per_min", "scr_mean_amplitude_us", "phasic_mean_us",
-        "phasic_std_us", "phasic_max_us"), reads=("min_amplitude_us",)),
+        "phasic_std_us", "phasic_max_us"), reads={"min_amplitude_us": _AT_LEAST_ZERO}),
     "statistics": _STATS,
     "resp": _Computation(lambda cut, k, p: resp_features(cut.windows[k]), (
         "inhale_mean_s", "exhale_mean_s", "breath_rate_per_min", "maxima_mean",
@@ -729,8 +747,9 @@ def check_catalog(catalog: list[FeatureCatalogEntry]):
     Raises :class:`~affectpipe.errors.CatalogError`, naming the entry, for
     an empty catalog, an entry without a ``features`` list, an unknown
     computation, a ``parameters`` key its registered computation does not
-    read, or a ``features`` name it does not declare.  Names of a custom
-    callable are checked per window instead, and its parameters not at all.
+    read, a parameter value its check rejects (see ``_Computation.reads``),
+    or a ``features`` name it does not declare.  Names of a custom callable
+    are checked per window instead, and its parameters not at all.
     """
     if not catalog:
         raise CatalogError("feature catalog is empty")
@@ -744,6 +763,11 @@ def check_catalog(catalog: list[FeatureCatalogEntry]):
                     f"catalog entry {entry.name!r} gives parameters {unread} that "
                     f"computation {entry.computation!r} does not read "
                     f"(it reads {list(computation.reads)})")
+            for key, value in entry.parameters.items():
+                check, must = computation.reads[key]
+                if not check(value):
+                    raise CatalogError(f"catalog entry {entry.name!r} parameter "
+                                       f"{key!r} must be {must}, got {value!r}")
             declared = computation.declared(entry.parameters)
             if not set(names) <= set(declared):
                 raise _undeclared(entry, declared)

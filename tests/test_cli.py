@@ -175,6 +175,8 @@ def test_run_end_to_end(dataset_root, tmp_path, capsys):
     assert (out_dir / "report.txt").exists()
     assert (out_dir / "dropped_rows.csv").exists()
     assert (out_dir / "excluded_subjects.csv").exists()
+    with (out_dir / "selected_features.csv").open(newline="") as fh:
+        assert list(csv.reader(fh)) == [["column"]]  # no selector ran
 
 
 def test_run_selector_with_a_failed_window_exit_0(dataset_root, tmp_path, capsys):
@@ -195,6 +197,28 @@ def test_run_selector_with_a_failed_window_exit_0(dataset_root, tmp_path, capsys
     # 120 s series, 60/30 s windows: 3 windows
     assert rows == [["subject", "phase", "window_index"]] + [
         ["S1", "rest", str(k)] for k in range(3)]
+
+
+def test_run_writes_the_selected_columns_in_selection_order(dataset_root, tmp_path,
+                                                            monkeypatch):
+    from affectpipe import engine
+    chosen = []
+    select = engine.sequential_forward_selection
+    monkeypatch.setattr(engine, "sequential_forward_selection",
+                        lambda *a, **kw: chosen.append(select(*a, **kw)) or chosen[-1])
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(run_config(dataset_root) + "selector: {k: 5}\n", encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert cmd_run(str(cfg), out_dir=str(out_dir)) == 0
+    with (out_dir / "selected_features.csv").open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["column"]] + [[c] for c in chosen[0].columns]
+    assert len(rows) == 6
+    # a later run without a selector leaves only the header
+    cfg.write_text(run_config(dataset_root), encoding="utf-8")
+    assert cmd_run(str(cfg), out_dir=str(out_dir)) == 0
+    with (out_dir / "selected_features.csv").open(newline="") as fh:
+        assert list(csv.reader(fh)) == [["column"]]
 
 
 def test_run_loso_without_code_changes(dataset_root, tmp_path):
@@ -472,6 +496,18 @@ def test_run_unread_catalog_parameter_exit_3_before_acquisition(tmp_path, capsys
     assert cmd_run(str(cfg)) == 3
     out = capsys.readouterr().out
     assert "pipeline build error" in out and "'scr'" in out and "min_amplitude" in out
+
+
+def test_run_bad_catalog_parameter_value_exit_3_before_acquisition(tmp_path, capsys):
+    text = run_config(tmp_path / "no-such-dataset", features=(
+        "features:\n"
+        "  - {name: hrv, modality: ECG, computation: hrv_freq,\n"
+        "     parameters: {bands: {lf: [0.15, 0.04]}}, features: [lf_power]}"))
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text, encoding="utf-8")
+    assert cmd_run(str(cfg)) == 3
+    out = capsys.readouterr().out
+    assert "pipeline build error" in out and "'hrv'" in out and "'bands'" in out
 
 
 def test_run_window_longer_than_recording_exit_4(dataset_root, tmp_path, capsys):

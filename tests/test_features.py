@@ -939,6 +939,24 @@ def test_hrv_freq_declares_the_names_of_its_bands():
      r"'scr' gives parameters \['min_amplitude'\].*reads \['min_amplitude_us'\]"),
     (FeatureCatalogEntry("ecg", "ECG", "ecg_stats", {"detrend": True},
                          features=("mean",)), r"'ecg' gives parameters \['detrend'\]"),
+    # swapped band edges once ran as a two-point trapezoid over [lo, hi],
+    # one edge failed at extraction, and a string minimum in numpy
+    (FeatureCatalogEntry("hrv", "ECG", "hrv_freq", {"bands": {"lf": [0.15, 0.04]}},
+                         features=("lf_power",)), r"'hrv' parameter 'bands' must be"),
+    (FeatureCatalogEntry("hrv", "ECG", "hrv_freq", {"bands": {"lf": [0.04]}},
+                         features=("lf_power",)), r"'hrv' parameter 'bands' must be"),
+    (FeatureCatalogEntry("hrv", "ECG", "hrv_freq",
+                         {"bands": {"lf": [-0.01, 0.15]}}, features=("lf_power",)),
+     r"'hrv' parameter 'bands' must be"),
+    (FeatureCatalogEntry("hrv", "ECG", "hrv_freq", {"bands": [[0.04, 0.15]]},
+                         features=("lf_power",)), r"'hrv' parameter 'bands' must be"),
+    (FeatureCatalogEntry("hrv", "ECG", "hrv_freq", {"min_span_s": "x"},
+                         features=("lf_power",)), r"'hrv' parameter 'min_span_s' must be"),
+    (FeatureCatalogEntry("hrv", "ECG", "hrv_freq", {"min_span_s": float("nan")},
+                         features=("lf_power",)), r"'hrv' parameter 'min_span_s' must be"),
+    (FeatureCatalogEntry("scr", "EDA", "eda_decomposition", {"min_amplitude_us": -0.5},
+                         features=("scr_count",)),
+     r"'scr' parameter 'min_amplitude_us' must be a finite number of at least 0"),
 ])
 def test_check_catalog_rejects_before_any_window(entry, message, monkeypatch):
     monkeypatch.setattr(features, "_SeriesWindows",
@@ -946,6 +964,15 @@ def test_check_catalog_rejects_before_any_window(entry, message, monkeypatch):
     with pytest.raises(CatalogError, match=message):
         extract_features(_stress_bundle(subjects=("S1",)),
                          WindowingPolicy(60.0, 30.0), [entry])
+
+
+def test_check_catalog_accepts_checked_parameters():
+    features.check_catalog([
+        FeatureCatalogEntry("hrv", "ECG", "hrv_freq",
+                            {"bands": {"vlf": [0, 0.04], "lf": (0.04, 0.15)},
+                             "min_span_s": 0}, features=("vlf_power",)),
+        FeatureCatalogEntry("scr", "EDA", "eda_decomposition",
+                            {"min_amplitude_us": 0.05}, features=("scr_count",))])
 
 
 def test_custom_callable_names_are_checked_per_window():

@@ -452,7 +452,7 @@ def test_cached_knn_sfs_in_ragged_blocks_matches_fit_predict(kind, k_neighbors,
     folds = make_folds(CVStrategy("kfold", 5), X, 0)
     for train, test in folds:
         sizes = [len(range(test.size)[rows])
-                 for rows in classification._query_blocks(train.size, test.size)]
+                 for rows in classification._row_blocks(train.size, test.size)]
         assert sizes[0] > 1 and len(sizes) > 1 and sizes[-1] < sizes[0]
     want = _greedy_reference(scorer, X, y, 4, folds)
     for _ in _near_rows(monkeypatch):
@@ -520,6 +520,72 @@ def test_cached_knn_sfs_falls_back_on_a_tie_with_the_bound(monkeypatch):
     folds = [(np.arange(4), np.array([4]))]
     assert classification._KnnFolds(KNN1, X, y, folds).step_scores([0], [1]) == [1.0]
     assert full_rows == [1]
+
+
+@pytest.mark.parametrize("k_neighbors", [1, 9])
+def test_cached_knn_sfs_first_step_scores_spread_columns_from_windows(k_neighbors,
+                                                                      monkeypatch):
+    # distinct values in every column: each query's nearest rows lie well
+    # inside the window around its place in the sorted column, so no pair
+    # of the first step needs every training row
+    scorer = ClassifierSpec("knn", "KNN", {"k_neighbors": k_neighbors})
+    X, y = _selection_data("normal", 400, 5, seed=k_neighbors)
+    folds = make_folds(CVStrategy("kfold", 5), X, 0)
+    full_rows = _count_full_rows(monkeypatch)
+    scores = classification._KnnFolds(scorer, X, y, folds).step_scores([], list(range(5)))
+    assert full_rows == []
+    assert dict(enumerate(scores)) == _greedy_reference(scorer, X, y, 1, folds)[1][0]
+
+
+@pytest.mark.parametrize("k_neighbors", [1, 4, 9])
+def test_cached_knn_sfs_first_step_falls_back_on_long_duplicate_runs(k_neighbors,
+                                                                     monkeypatch):
+    # column 0 takes 3 values, so each fold's runs of equal training values
+    # (about 107 rows) are longer than the window: a query's window and the
+    # rows just outside it lie at the same distance, and the first step
+    # scores those pairs against every training row
+    rng = np.random.default_rng(k_neighbors)
+    X, y = _selection_data("normal", 400, 4, seed=k_neighbors)
+    X[:, 0] = rng.integers(0, 3, 400) * 7.0 - 5.0
+    scorer = ClassifierSpec("knn", "KNN", {"k_neighbors": k_neighbors})
+    folds = make_folds(CVStrategy("kfold", 5), X, 0)
+    full_rows = _count_full_rows(monkeypatch)
+    classification._KnnFolds(scorer, X, y, folds).step_scores([], [0])
+    assert sum(full_rows) == X.shape[0]
+    _assert_matches_reference(scorer, X, y, k=3)
+
+
+def test_cached_knn_sfs_first_step_falls_back_on_a_tie_with_the_bound(monkeypatch):
+    # the query (0) sits between training values -1 (row 1) and 1 (row 2),
+    # which z-score to exact opposites; a window of one row holds row 2 and
+    # row 1 lies just outside it at exactly the bound, so the query takes
+    # every row, where the tie breaks to row 1 and its label
+    monkeypatch.setattr(classification, "KNN_NEAR_ROWS", 1)
+    full_rows = _count_full_rows(monkeypatch)
+    X = np.array([[2.0], [-1.0], [1.0], [-2.0], [0.0]])
+    y = np.array([0, 1, 0, 0, 1])
+    folds = [(np.arange(4), np.array([4]))]
+    assert classification._KnnFolds(KNN1, X, y, folds).step_scores([], [0]) == [1.0]
+    assert full_rows == [1]
+
+
+@pytest.mark.parametrize("kind", ["normal", "integer"])
+def test_cached_knn_sfs_scores_candidates_in_capped_blocks(kind, monkeypatch):
+    # 96 training rows per fold, 5-query blocks and near sets of 16 rows: 6
+    # candidates fill a block (7 beside the short last query block), so
+    # each step scores its 14 to 16 candidates in several near-set blocks,
+    # none larger than the byte cap
+    monkeypatch.setattr(classification, "KNN_BLOCK_BYTES", 8 * 96 * 5)
+    monkeypatch.setattr(classification, "KNN_NEAR_ROWS", 16)
+    shapes = []  # (candidates, queries, near rows) per near-set block
+    near_hits = classification._near_hits
+    monkeypatch.setattr(classification, "_near_hits", lambda *a: shapes.append(
+        (a[1].shape[0], a[3].size, a[4].shape[-1])) or near_hits(*a))
+    scorer = ClassifierSpec("knn", "KNN", {"k_neighbors": 4})
+    X, y = _selection_data(kind, 120, 16, seed=5)
+    _assert_matches_reference(scorer, X, y, k=3)
+    assert {c for c, _, _ in shapes} >= {6, 7} and max(c for c, _, _ in shapes) == 7
+    assert all(8 * c * q * r <= classification.KNN_BLOCK_BYTES for c, q, r in shapes)
 
 
 def test_cached_knn_sfs_falls_back_from_eight_columns(monkeypatch):
