@@ -22,10 +22,12 @@ never depends on the columns beside them.
 from __future__ import annotations
 
 import copy
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .checks import POSITIVE, REQUIRED, at_least, check_value, checked, one_of
 from .errors import (
     AUCUndefined,
     LengthMismatch,
@@ -51,15 +53,38 @@ KNN_NEAR_ROWS = 64
 
 @dataclass(frozen=True)
 class ClassifierSpec:
+    """A named classifier: ``algorithm`` is a key of :data:`ALGORITHMS`,
+    whose ``hyperparameters`` table the spec is checked against and filled
+    from (ValueError names the key), or ``custom`` with ``{"handle": obj}``,
+    an object with ``fit`` and ``predict``."""
+
     name: str
-    algorithm: str  # KNN | DecisionTree | LDA | LogisticRegression | AveragingEnsemble | custom
+    algorithm: str
     hyperparameters: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.algorithm != "custom":
+            check_value("algorithm", self.algorithm, one_of(*ALGORITHMS, "custom"))
+            object.__setattr__(self, "hyperparameters", checked(
+                ALGORITHMS[self.algorithm].hyperparameters, self.hyperparameters,
+                self.algorithm))
+
+
+#: The keys of a :class:`CVStrategy`, each as (check, default): the kinds
+#: :func:`make_folds` splits by, and the k of k-fold (loso ignores it).
+CV_KEYS = {"kind": (one_of("kfold", "loso"), "kfold"), "folds": (at_least(2), 5)}
 
 
 @dataclass(frozen=True)
 class CVStrategy:
-    kind: str  # kfold | loso
-    folds: int = 5
+    """How :func:`make_folds` splits rows.  Raises ValueError naming a
+    ``kind`` or ``folds`` that :data:`CV_KEYS` rejects."""
+
+    kind: str = CV_KEYS["kind"][1]
+    folds: int = CV_KEYS["folds"][1]
+
+    def __post_init__(self):
+        checked(CV_KEYS, vars(self), "CVStrategy")
 
 
 @dataclass(frozen=True)
@@ -124,29 +149,16 @@ def _zscore_stats(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _fit_scaled(spec, classes, mu, sigma, Z, y) -> FittedModel:
     """Fit ``spec`` on rows ``Z`` already z-scored with ``mu``/``sigma``."""
     hp = spec.hyperparameters
-    algo = spec.algorithm
-    if algo == "KNN":
-        state = {"X": Z, "y": y.copy(), "k": _knn_neighbors(spec)}
-    elif algo == "DecisionTree":
-        tree = _grow_tree(Z, y, classes, depth=0,
-                          max_depth=hp.get("max_depth"))
-        state = {"tree": tree}
-    elif algo == "LDA":
-        state = _fit_lda(Z, y, classes)
-    elif algo == "LogisticRegression":
-        state = _fit_logistic(Z, y, classes,
-                              iters=int(hp.get("iterations", LOGISTIC_ITERS)),
-                              step=float(hp.get("step", LOGISTIC_STEP)))
-    elif algo == "AveragingEnsemble":
+    if spec.algorithm == "AveragingEnsemble":
         # members share the ensemble's scaler
         state = {"members": [_fit_scaled(m, classes, mu, sigma, Z, y)
                              for m in hp["members"]]}
-    elif algo == "custom":
+    elif spec.algorithm == "custom":
         handle = copy.deepcopy(hp["handle"])
         handle.fit(Z, y)
         state = {"handle": handle}
     else:
-        raise ValueError(f"unknown algorithm {algo!r}")
+        state = ALGORITHMS[spec.algorithm].fit(Z, y, classes, **hp)
     return FittedModel(spec, classes, mu, sigma, state)
 
 
@@ -171,42 +183,20 @@ def predict(model: FittedModel, X) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 def _predict_scaled(model: FittedModel, Z: np.ndarray):
-    algo = model.spec.algorithm
-    if algo == "KNN":
-        scores = _knn_scores(model, Z)
-    elif algo == "DecisionTree":
-        scores = np.array([_tree_scores(model.state["tree"], row, model.classes)
-                           for row in Z])
-    elif algo == "LDA":
-        scores = _lda_scores(model.state, Z)
-    elif algo == "LogisticRegression":
-        scores = _logistic_scores(model.state, Z)
-    elif algo == "AveragingEnsemble":
-        scores = np.mean([_predict_scaled(m, Z)[1] for m in model.state["members"]],
-                         axis=0)
-    elif algo == "custom":
+    if model.spec.algorithm == "custom":
         handle = model.state["handle"]
         labels = np.asarray(handle.predict(Z), dtype=int)
         scores = None
         if hasattr(handle, "predict_proba"):
             scores = np.asarray(handle.predict_proba(Z), dtype=float)
         return labels, scores
-    else:
-        raise ValueError(f"unknown algorithm {algo!r}")
+    scores = ALGORITHMS[model.spec.algorithm].scores(model, Z)
     # argmax returns the first maximum, i.e. the smallest class id on ties
     labels = model.classes[np.argmax(scores, axis=1)]
     return labels, scores
 
 
 # --- KNN ---
-
-def _knn_neighbors(spec: ClassifierSpec) -> int:
-    """The ``k_neighbors`` of a KNN spec (default 5), at least 1."""
-    k = int(spec.hyperparameters.get("k_neighbors", 5))
-    if k < 1:
-        raise ValueError(f"k_neighbors must be at least 1, got {k}")
-    return k
-
 
 def _knn_scores(model: FittedModel, X: np.ndarray) -> np.ndarray:
     train, y, k = model.state["X"], model.state["y"], model.state["k"]
@@ -362,7 +352,7 @@ class _KnnFolds:
     """
 
     def __init__(self, spec, X, y, folds):
-        k = _knn_neighbors(spec)
+        k = spec.hyperparameters["k_neighbors"]
         self.folds = []
         for train, test in folds:
             Xtr, y_train, classes = _training_rows(X[train], y[train])
@@ -566,8 +556,8 @@ def _fit_lda(X, y, classes):
     return {"means": means, "priors": priors, "cov_inv": np.linalg.inv(cov)}
 
 
-def _lda_scores(state, X):
-    means, priors, cov_inv = state["means"], state["priors"], state["cov_inv"]
+def _lda_scores(model, X):
+    means, priors, cov_inv = (model.state[k] for k in ("means", "priors", "cov_inv"))
     disc = np.empty((X.shape[0], means.shape[0]))
     for i, (mu, pi) in enumerate(zip(means, priors)):
         disc[:, i] = X @ cov_inv @ mu - 0.5 * mu @ cov_inv @ mu + np.log(pi)
@@ -576,28 +566,70 @@ def _lda_scores(state, X):
 
 # --- logistic regression ---
 
-def _fit_logistic(Z, y, classes, iters, step):
+def _fit_logistic(Z, y, classes, iterations, step):
     n = Z.shape[0]
     Y = np.zeros((n, classes.size))
     for i, c in enumerate(classes):
         Y[y == c, i] = 1.0
     W = np.zeros((Z.shape[1] + 1, classes.size))
     Zb = np.hstack([Z, np.ones((n, 1))])
-    for _ in range(iters):
+    for _ in range(iterations):
         P = _softmax(Zb @ W)
         W -= step * (Zb.T @ (P - Y)) / n
     return {"W": W}
 
 
-def _logistic_scores(state, Z):
+def _logistic_scores(model, Z):
     Zb = np.hstack([Z, np.ones((Z.shape[0], 1))])
-    return _softmax(Zb @ state["W"])
+    return _softmax(Zb @ model.state["W"])
 
 
 def _softmax(z):
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
+
+
+# --- the algorithm table ---
+
+@dataclass(frozen=True)
+class Algorithm:
+    """``fit(Z, y, classes, **hyperparameters)`` gives the state of a model
+    of z-scored rows ``Z``, ``scores(model, Z)`` a row of class scores per
+    row, and ``hyperparameters`` each key ``fit`` reads as (check, default)."""
+
+    fit: Callable | None
+    scores: Callable
+    hyperparameters: dict = field(default_factory=dict)
+
+
+_MEMBERS = (lambda v: type(v) in (list, tuple) and len(v) > 0
+            and all(isinstance(m, ClassifierSpec) for m in v),
+            "a non-empty list of classifier specs")
+
+#: Every built-in algorithm by name.  KNN and the tree call their kernels
+#: by module name, so a wrapper set on ``_knn_scores`` or ``_grow_tree``
+#: sees every call.  An ensemble's members are fitted by ``_fit_scaled``,
+#: with the ensemble's scaler.
+ALGORITHMS = {
+    "KNN": Algorithm(
+        lambda Z, y, classes, k_neighbors: {"X": Z, "y": y.copy(), "k": k_neighbors},
+        lambda model, Z: _knn_scores(model, Z),
+        {"k_neighbors": (at_least(1), 5)}),
+    "DecisionTree": Algorithm(
+        lambda Z, y, classes, criterion, max_depth: {
+            "tree": _grow_tree(Z, y, classes, 0, max_depth)},
+        lambda model, Z: np.array([_tree_scores(model.state["tree"], row, model.classes)
+                                   for row in Z]),
+        {"criterion": (one_of("entropy"), "entropy"), "max_depth": (at_least(1), None)}),
+    "LDA": Algorithm(_fit_lda, _lda_scores),
+    "LogisticRegression": Algorithm(_fit_logistic, _logistic_scores, {
+        "iterations": (at_least(1), LOGISTIC_ITERS), "step": (POSITIVE, LOGISTIC_STEP)}),
+    "AveragingEnsemble": Algorithm(
+        None, lambda model, Z: np.mean([_predict_scaled(m, Z)[1]
+                                        for m in model.state["members"]], axis=0),
+        {"members": (_MEMBERS, REQUIRED)}),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -619,15 +651,13 @@ def make_folds(strategy: CVStrategy, rows: FeatureMatrix, seed: int = 0):
             raise TooFewSubjects("LOSO needs at least 2 distinct subjects")
         return [(np.flatnonzero(subjects != s), np.flatnonzero(subjects == s))
                 for s in distinct]
-    if strategy.kind == "kfold":
-        k = strategy.folds
-        if k < 2 or k > n:
-            raise TooFewRows(f"cannot make {k} folds from {n} rows")
-        order = np.random.default_rng(seed).permutation(n)
-        # a fold trains on every row outside its test chunk
-        return [(np.setdiff1d(np.arange(n), test), np.sort(test))
-                for test in np.array_split(order, k)]
-    raise ValueError(f"unknown CV strategy {strategy.kind!r}")
+    k = strategy.folds  # a CVStrategy is loso or kfold, with k >= 2
+    if k > n:
+        raise TooFewRows(f"cannot make {k} folds from {n} rows")
+    order = np.random.default_rng(seed).permutation(n)
+    # a fold trains on every row outside its test chunk
+    return [(np.setdiff1d(np.arange(n), test), np.sort(test))
+            for test in np.array_split(order, k)]
 
 
 def metrics(y_true, y_pred, scores=None, classes=None) -> dict[str, float]:

@@ -101,28 +101,32 @@ def cmd_run(config_file: str, seed: int | None = None, strict: bool = False,
         output = pipeline.run()
     except AffectPipeError as exc:
         print(f"pipeline runtime error: {exc}", file=out)
-        return 4
-    report = output.report
-    print(report.format_table(), file=out)
+        output = None
+    else:
+        print(output.report.format_table(), file=out)
     target = Path(out_dir or ".")
     reports = pipeline.last_reports
     try:
-        target.mkdir(parents=True, exist_ok=True)
-        write_report_csv(report, target / "report.csv")
-        (target / "report.txt").write_text(report.format_table() + "\n",
-                                           encoding="utf-8")
-        _write_keys_csv(target / "dropped_rows.csv",
-                        ["subject", "phase", "window_index"],
-                        reports.get("dropped_rows", []))
-        _write_keys_csv(target / "excluded_subjects.csv", ["subject"],
-                        [(s,) for s in reports.get("excluded_subjects", [])])
-        _write_keys_csv(target / "selected_features.csv", ["column"],
-                        [(c,) for c in reports.get("selected_features", [])])
+        for key, header in _RECORDS.items():  # a failed run: those its stages made
+            if output is not None or key in reports:
+                target.mkdir(parents=True, exist_ok=True)
+                _write_keys_csv(target / f"{key}.csv", header, reports.get(key, []))
+        if output is not None:
+            write_report_csv(output.report, target / "report.csv")
+            (target / "report.txt").write_text(output.report.format_table() + "\n",
+                                               encoding="utf-8")
     except OSError as exc:
         print(f"I/O failure: {exc}", file=out)
-        return 1
+        return 4 if output is None else 1
+    if output is None:
+        return 4
     print(f"reports written to {target}", file=out)
     return 0
+
+
+#: The run records ``run`` writes, each to ``<key>.csv`` under its header.
+_RECORDS = {"dropped_rows": ["subject", "phase", "window_index"],
+            "excluded_subjects": ["subject"], "selected_features": ["column"]}
 
 
 def write_report_csv(report, path):
@@ -135,10 +139,11 @@ def write_report_csv(report, path):
 
 
 def _write_keys_csv(path, header, rows):
+    """One row per key: a tuple, or one name."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows(row if isinstance(row, tuple) else (row,) for row in rows)
 
 
 def main(argv=None) -> int:

@@ -6,13 +6,13 @@ its only reader, reads and checks each key once, before any I/O happens.
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 
 import yaml
 
 from .acquisition import SignalRegistry
-from .classification import ClassifierSpec, CVStrategy
+from .checks import NAMES, POSITIVE, Section, at_least, one_of
+from .classification import ALGORITHMS, CV_KEYS, ClassifierSpec, CVStrategy
 from .engine import (
     Classification,
     FeatureExtractor,
@@ -24,87 +24,15 @@ from .engine import (
 )
 from .errors import ConfigError
 from .features import FeatureCatalogEntry, WindowingPolicy, ecg_eda_catalog
-from .labels import LabelRule
+from .labels import CLASS_ID, LABEL_RULES, LabelRule
 from .preprocessing import STEP_OPS, PreprocessChain, PreprocessStep
 from .synth import DatasetSpec
 
-_REQUIRED = object()
-
-
-# a check is (predicate, what a value must be); type() keeps bools out of ints
-_POSITIVE = (lambda v: type(v) in (int, float) and 0 < v < math.inf, "a finite positive number")
+# checks of the config's own structure; a choice's keys and their checks
+# come from the table of the module that runs it
 _FLAG = (lambda v: type(v) is bool, "true or false")
 _LIST = (lambda v: type(v) is list, "a list")
-_NAMES = (lambda v: type(v) is list and v and all(type(n) is str for n in v),
-          "a non-empty list of names")
-
-
-def _at_least(floor):
-    return lambda v: type(v) is int and v >= floor, f"an integer of at least {floor}"
-
-
-def _one_of(*choices):
-    return lambda v: v in choices, f"one of {', '.join(choices)}"
-
-
-#: The optional hyperparameters ``classification.fit`` reads, per
-#: algorithm; an ensemble's required ``members`` are read apart.
-_HYPERPARAMETERS = {
-    "KNN": {"k_neighbors": _at_least(1)},
-    "DecisionTree": {"criterion": _one_of("entropy"), "max_depth": _at_least(1)},
-    "LDA": {},
-    "LogisticRegression": {"iterations": _at_least(1), "step": _POSITIVE},
-    "AveragingEnsemble": {},
-}
-KNOWN_ALGORITHMS = tuple(_HYPERPARAMETERS)
-_MEMBERS = (lambda v: type(v) is list and v, "a non-empty list of classifier entries")
-
-_CUTOFFS = (lambda v: _POSITIVE[0](v) or (type(v) is list and v != []
-                                           and all(map(_POSITIVE[0], v))),
-            "a finite positive number or a non-empty list of them")
-_FILTER_KEYS = {"order": (_at_least(1), _REQUIRED), "cutoffs_hz": (_CUTOFFS, _REQUIRED)}
-#: The keys ``preprocessing._apply_step`` reads, per chain op, each with
-#: its check and its default (``_REQUIRED`` or None for the op's own).
-#: The Nyquist limit depends on the data's sample rate, so it is checked,
-#: with the number of cutoffs an op takes, when the chain runs.
-_STEP_KEYS = {
-    **dict.fromkeys(("lowpass", "highpass", "bandpass", "bandstop"), _FILTER_KEYS),
-    "notch": {"f0_hz": (_POSITIVE, None), "q": (_POSITIVE, None)},
-    "resample": {"target_fs_hz": (_POSITIVE, _REQUIRED)},
-}
-
-
-class _Section:
-    """One mapping of a run config at dotted key ``path``.  Each key is read
-    once, a null value reads as absent, and :meth:`done` rejects the keys
-    nothing read."""
-
-    def __init__(self, doc, path):
-        if not isinstance(doc, dict):
-            raise ConfigError(f"{path or 'config root'} must be a mapping, got {doc!r}")
-        self.doc, self.path, self.read = doc, path, set()
-
-    def key(self, name) -> str:
-        return f"{self.path}.{name}" if self.path else str(name)
-
-    def get(self, name, default=_REQUIRED, check=None):
-        self.read.add(name)
-        value = self.doc.get(name)
-        if value is None:
-            if default is _REQUIRED:
-                raise ConfigError(f"missing {self.key(name)!r}")
-            return default
-        if check and not check[0](value):
-            raise ConfigError(f"{self.key(name)} must be {check[1]}, got {value!r}")
-        return value
-
-    def section(self, name, optional=False) -> _Section:
-        return _Section(self.get(name, {} if optional else _REQUIRED), self.key(name))
-
-    def done(self):
-        unknown = sorted(self.key(name) for name in set(self.doc) - self.read)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+_ENTRIES = (lambda v: type(v) is list and v, "a non-empty list of classifier entries")
 
 
 def _read_yaml(path, what) -> dict:
@@ -124,14 +52,14 @@ def load_config(path) -> dict:
 
 
 def _classifier(doc, path) -> ClassifierSpec:
-    entry = _Section(doc, path)
-    algorithm = entry.get("algorithm", check=_one_of(*KNOWN_ALGORITHMS))
+    entry = Section(doc, path, ConfigError)
+    algorithm = entry.get("algorithm", check=one_of(*ALGORITHMS))
     hp = entry.section("hyperparameters", optional=True)
-    params = {name: value for name, check in _HYPERPARAMETERS[algorithm].items()
-              if (value := hp.get(name, None, check)) is not None}
-    if algorithm == "AveragingEnsemble":
+    keys = ALGORITHMS[algorithm].hyperparameters
+    params = hp.table({name: keys[name] for name in keys if name != "members"})
+    if "members" in keys:  # each entry is read as a classifier of its own
         params["members"] = [_classifier(m, f"{hp.key('members')}[{i}]")
-                             for i, m in enumerate(hp.get("members", check=_MEMBERS))]
+                             for i, m in enumerate(hp.get("members", check=_ENTRIES))]
     hp.done()
     spec = ClassifierSpec(entry.get("name", algorithm), algorithm, params)
     entry.done()
@@ -150,7 +78,7 @@ def _build_catalog(features_doc) -> list[FeatureCatalogEntry]:
         return ecg_eda_catalog()
     entries = []
     for i, item in enumerate(features_doc):
-        entry = _Section(item, f"features[{i}]")
+        entry = Section(item, f"features[{i}]", ConfigError)
         names = entry.get("features", (), _LIST)
         entries.append(FeatureCatalogEntry(
             entry.get("name"), entry.get("modality"), entry.get("computation"),
@@ -159,31 +87,31 @@ def _build_catalog(features_doc) -> list[FeatureCatalogEntry]:
     return entries
 
 
-def _build_chains(chains: _Section, registry: SignalRegistry) -> dict[str, PreprocessChain]:
+def _build_chains(chains: Section, registry: SignalRegistry) -> dict[str, PreprocessChain]:
     built = {}
     for modality in chains.doc:
         _modality(registry, modality, chains.key(modality))
         parsed = []
         for i, step in enumerate(chains.get(modality, check=_LIST)):
-            step = _Section(step, f"{chains.key(modality)}[{i}]")
-            op = step.get("op", check=_one_of(*STEP_OPS))
+            step = Section(step, f"{chains.key(modality)}[{i}]", ConfigError)
+            op = step.get("op", check=one_of(*STEP_OPS))
             params = {name: tuple(v) if isinstance(v, list) else v
-                      for name, (check, default) in _STEP_KEYS[op].items()
-                      if (v := step.get(name, default, check)) is not None}
+                      for name, v in step.table(STEP_OPS[op]).items()}
             step.done()
             parsed.append(PreprocessStep(op, params))
         built[str(modality).upper()] = PreprocessChain(tuple(parsed))
     return built
 
 
-def _label_rule(labels: _Section) -> LabelRule:
-    kind = labels.get("kind", check=_one_of("phase-map", "fixed-threshold",
-                                            "dynamic-threshold"))
-    if kind != "phase-map":
-        return LabelRule(kind, {})
-    classes = labels.section("phase_to_class")
-    return LabelRule("phase-map", {"phase_to_class": {
-        str(phase): classes.get(phase, check=_at_least(0)) for phase in classes.doc}})
+def _label_rule(labels: Section) -> LabelRule:
+    kind = labels.get("kind", check=one_of(*LABEL_RULES))
+    keys = LABEL_RULES[kind].parameters
+    params = labels.table({name: keys[name] for name in keys if name != "phase_to_class"})
+    if "phase_to_class" in keys:  # each phase is read as a key of its own
+        classes = labels.section("phase_to_class")
+        params["phase_to_class"] = {str(phase): classes.get(phase, check=CLASS_ID)
+                                    for phase in classes.doc}
+    return LabelRule(kind, params)
 
 
 def build_pipeline_spec(doc: dict) -> PipelineSpec:
@@ -192,25 +120,27 @@ def build_pipeline_spec(doc: dict) -> PipelineSpec:
     Raises ConfigError naming the dotted key of the first missing, unknown
     or ill-typed key before the feature catalog is checked (CatalogError).
     """
-    root = _Section(doc, "")
-    seed = root.get("seed", 0, _at_least(0))
+    root = Section(doc, "", ConfigError)
+    seed = root.get("seed", 0, at_least(0))
     registry = SignalRegistry.default()
     dataset = root.section("dataset")
     signal_types = [_modality(registry, name, f"dataset.signal_types[{i}]")
-                    for i, name in enumerate(dataset.get("signal_types", check=_NAMES))]
+                    for i, name in enumerate(dataset.get("signal_types", check=NAMES))]
     stages = [SignalAcquisition(signal_types,
                                 dataset.get("root", check=(lambda v: type(v) is str, "a path")),
                                 registry)]
     dataset.done()
     pre = root.section("preprocessing", optional=True)
     stages.append(SignalPreprocessor(_build_chains(pre.section("chains", optional=True), registry),
-                                     pre.get("resample_rate_hz", None, _POSITIVE)))
+                                     pre.get("resample_rate_hz", None, POSITIVE)))
     pre.done()
     windowing = root.section("windowing")
-    window_s, step_s = (float(windowing.get(k, check=_POSITIVE)) for k in ("window_s", "step_s"))
-    if step_s > window_s:
-        raise ConfigError("windowing.step_s may not exceed windowing.window_s")
-    policy = WindowingPolicy(window_s, step_s, windowing.get("drop_incomplete", True, _FLAG))
+    try:
+        policy = WindowingPolicy(*(float(windowing.get(k, check=POSITIVE))
+                                   for k in ("window_s", "step_s")),
+                                 windowing.get("drop_incomplete", True, _FLAG))
+    except ValueError as exc:  # step_s above window_s
+        raise ConfigError(f"windowing: {exc}") from exc
     calculate_average = windowing.get("calculate_average", False, _FLAG)
     windowing.done()
     catalog = _build_catalog(root.get("features", "default-ecg-eda", (
@@ -221,9 +151,9 @@ def build_pipeline_spec(doc: dict) -> PipelineSpec:
     labels.done()
     selector = root.section("selector", optional=True)
     selection = [FeatureSelector(
-        selector.get("k", check=_at_least(1)),
+        selector.get("k", check=at_least(1)),
         _classifier(selector.get("scorer", {"algorithm": "KNN"}), "selector.scorer"),
-        selector.get("cv_folds", 5, _at_least(2)))] if selector.doc else []
+        selector.get("cv_folds", 5, at_least(2)))] if selector.doc else []
     selector.done()
     models = []
     for i, c in enumerate(root.get("classifiers", [], _LIST)):
@@ -236,8 +166,7 @@ def build_pipeline_spec(doc: dict) -> PipelineSpec:
     if "shuffle_seed" in cv.doc:  # an old config must not silently get other folds
         raise ConfigError("cv.shuffle_seed is not a config key: the top-level "
                           "'seed' (or run --seed) shuffles every k-fold split")
-    strategy = CVStrategy(cv.get("kind", "kfold", _one_of("kfold", "loso")),
-                          cv.get("folds", 5, _at_least(2)))
+    strategy = CVStrategy(**cv.table(CV_KEYS))
     cv.done()
     strict = root.get("strict", False, _FLAG)
     root.done()
@@ -254,7 +183,4 @@ def load_dataset_spec(path) -> DatasetSpec:
     unknown = set(doc) - set(DatasetSpec.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"unknown dataset spec fields: {sorted(unknown)}")
-    for tuple_field in ("phases", "modalities"):
-        if isinstance(doc.get(tuple_field), list):
-            doc[tuple_field] = tuple(doc[tuple_field])
     return DatasetSpec(**doc)

@@ -21,7 +21,7 @@ from .errors import (
     StageExecutionError,
 )
 from .features import FeatureCatalogEntry, WindowingPolicy, check_catalog, extract_features
-from .labels import LabelRule, attach_labels, load_reports, sequential_forward_selection
+from .labels import LABEL_RULES, LabelRule, attach_labels, load_reports, sequential_forward_selection
 from .types import FeatureMatrix, LabelVector, SubjectBundle
 
 # payload tags threaded between stages
@@ -109,8 +109,8 @@ class LabelGenerator(Component):
 
     def run(self, matrix: FeatureMatrix, ctx):
         reports = None
-        if (self.rule.kind in ("fixed-threshold", "dynamic-threshold")
-                and ctx.index is not None):
+        kind = LABEL_RULES.get(self.rule.kind)  # None for a custom rule
+        if kind and kind.questionnaire and ctx.index is not None:
             # the per-subject report files found during the dataset scan
             reports = [r for subject, path in sorted(ctx.index.report_files.items())
                        for r in load_reports(path, subject)]
@@ -177,7 +177,7 @@ class Classification(Component):
         matrix, labels = payload
         if self.mode == self.MODE_CROSS_VALIDATE:
             report = cross_validate(self.models, matrix, labels,
-                                    self.cv or CVStrategy("kfold"), ctx.seed)
+                                    self.cv or CVStrategy(), ctx.seed)
             models, y_pred, scores = {}, {}, {}
             for name, records in report.per_model.items():
                 models[name] = [r.model for r in records]

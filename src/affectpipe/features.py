@@ -6,8 +6,6 @@ fixed set of named columns, and rows are keyed by (subject, phase, window).
 
 from __future__ import annotations
 
-import math
-import numbers
 import warnings
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
@@ -17,6 +15,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal as sps
 from scipy.interpolate import CubicSpline
 
+from .checks import AT_LEAST_ZERO, is_finite
 from .errors import (
     AffectPipeError,
     CatalogError,
@@ -646,16 +645,11 @@ def _compute_eda_decomposed(cut: _SeriesWindows, k: int, params):
     return out
 
 
-def _finite(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-
-
 def _is_band(edges) -> bool:
     return (isinstance(edges, (list, tuple)) and len(edges) == 2
-            and all(map(_finite, edges)) and 0 <= edges[0] < edges[1])
+            and all(map(is_finite, edges)) and 0 <= edges[0] < edges[1])
 
 
-_AT_LEAST_ZERO = (lambda v: _finite(v) and v >= 0, "a finite number of at least 0")
 _BANDS = (lambda v: isinstance(v, Mapping) and all(
     isinstance(name, str) and _is_band(edges) for name, edges in v.items()),
     "a mapping of band name to two finite numbers lo, hi with 0 <= lo < hi")
@@ -693,12 +687,12 @@ COMPUTATIONS = {
         "hr_mean_bpm", "hr_std_bpm", "rmssd_s", "sdnn_s", "rr_mean_s",
         "rr_median_s", "rr_std_s", "rr_var_s2")),
     "hrv_freq": _Computation(_hrv_freq, _hrv_freq_names, reads={
-        "bands": _BANDS, "min_span_s": _AT_LEAST_ZERO}),
+        "bands": _BANDS, "min_span_s": AT_LEAST_ZERO}),
     "eda_stats": _STATS,
     "eda_decomposition": _Computation(_compute_eda_decomposed, (
         "scl_mean_us", "scl_std_us", "scl_slope", "scr_count",
         "scr_rate_per_min", "scr_mean_amplitude_us", "phasic_mean_us",
-        "phasic_std_us", "phasic_max_us"), reads={"min_amplitude_us": _AT_LEAST_ZERO}),
+        "phasic_std_us", "phasic_max_us"), reads={"min_amplitude_us": AT_LEAST_ZERO}),
     "statistics": _STATS,
     "resp": _Computation(lambda cut, k, p: resp_features(cut.windows[k]), (
         "inhale_mean_s", "exhale_mean_s", "breath_rate_per_min", "maxima_mean",

@@ -4,16 +4,19 @@ optional sequential forward feature selection."""
 from __future__ import annotations
 
 import csv
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .checks import REQUIRED, at_least, check_value, checked, one_of
 from .classification import ClassifierSpec, CVStrategy, forward_selection, make_folds
 from .errors import (
     InsufficientReports,
     KTooLarge,
     MissingReport,
+    TooFewRows,
     UnmappedPhase,
     WrongQuestionnaire,
 )
@@ -36,8 +39,19 @@ class SelfReport:
 
 @dataclass(frozen=True)
 class LabelRule:
-    kind: str  # phase-map | fixed-threshold | dynamic-threshold | custom
+    """How rows get labels: ``kind`` is a key of :data:`LABEL_RULES`, whose
+    ``parameters`` table the rule is checked against and filled from
+    (ValueError names the key), or ``custom`` with ``{"fn": fn}``, where
+    ``fn(matrix)`` gives one class id per row, and optional ``class_names``."""
+
+    kind: str
     parameters: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.kind != "custom":
+            check_value("kind", self.kind, one_of(*LABEL_RULES, "custom"))
+            object.__setattr__(self, "parameters", checked(
+                LABEL_RULES[self.kind].parameters, self.parameters, self.kind))
 
 
 def load_reports(path, subject_id: str) -> list[SelfReport]:
@@ -99,9 +113,29 @@ def stai_dynamic_threshold(reports: list[SelfReport]) -> dict[tuple[str, str], i
 
 
 _BINARY_NAMES = {0: "low", 1: "high"}
-#: the questionnaire each threshold rule reads, and the rule itself
-_THRESHOLD_RULES = {"fixed-threshold": ("SUDS", suds_fixed_threshold),
-                    "dynamic-threshold": ("STAI", stai_dynamic_threshold)}
+
+
+@dataclass(frozen=True)
+class LabelKind:
+    """A label rule kind: its parameters, each as (check, default), and for
+    a threshold rule the questionnaire whose self-reports it reads and the
+    ``threshold`` that maps them to a class per (subject, phase)."""
+
+    parameters: dict
+    questionnaire: str | None = None
+    threshold: Callable | None = None
+
+
+#: A class id, as ``phase_to_class`` maps each phase to one.
+CLASS_ID = at_least(0)
+#: Every label rule kind a run config may name.
+LABEL_RULES = {
+    "phase-map": LabelKind({"phase_to_class": ((
+        lambda v: isinstance(v, Mapping) and all(map(CLASS_ID[0], v.values())),
+        "a mapping of phase to class id (an integer of at least 0)"), REQUIRED)}),
+    "fixed-threshold": LabelKind({}, "SUDS", suds_fixed_threshold),
+    "dynamic-threshold": LabelKind({}, "STAI", stai_dynamic_threshold),
+}
 
 
 def attach_labels(matrix: FeatureMatrix, rule: LabelRule,
@@ -128,24 +162,21 @@ def attach_labels(matrix: FeatureMatrix, rule: LabelRule,
         vector.check_against(matrix)
         return matrix, vector, []
 
-    if rule.kind in _THRESHOLD_RULES:
-        questionnaire, threshold = _THRESHOLD_RULES[rule.kind]
-        reports = [r for r in reports or ()
-                   if r.questionnaire.upper() == questionnaire]
-        if not reports:
-            raise MissingReport(f"{rule.kind} rule needs {questionnaire} self-reports")
-        table = threshold(reports)
-        pairs = list(zip(matrix.subject_ids.tolist(), matrix.phases.tolist()))
-        found = np.array([pair in table for pair in pairs], dtype=bool)
-        dropped = matrix._keys(~found)
-        if dropped and strict:
-            raise MissingReport(f"rows without self-reports: {dropped}")
-        return (matrix.subset_rows(np.flatnonzero(found)),
-                LabelVector([table[pair] for pair in pairs if pair in table],
-                            dict(_BINARY_NAMES)),
-                dropped)
-
-    raise ValueError(f"unknown label rule kind {rule.kind!r}")
+    # a threshold rule: LabelRule checks the kind
+    questionnaire = LABEL_RULES[rule.kind].questionnaire
+    reports = [r for r in reports or () if r.questionnaire.upper() == questionnaire]
+    if not reports:
+        raise MissingReport(f"{rule.kind} rule needs {questionnaire} self-reports")
+    table = LABEL_RULES[rule.kind].threshold(reports)
+    pairs = list(zip(matrix.subject_ids.tolist(), matrix.phases.tolist()))
+    found = np.array([pair in table for pair in pairs], dtype=bool)
+    dropped = matrix._keys(~found)
+    if dropped and strict:
+        raise MissingReport(f"rows without self-reports: {dropped}")
+    return (matrix.subset_rows(np.flatnonzero(found)),
+            LabelVector([table[pair] for pair in pairs if pair in table],
+                        dict(_BINARY_NAMES)),
+            dropped)
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +193,9 @@ def sequential_forward_selection(matrix: FeatureMatrix, labels: LabelVector,
     column index.  The folds are the ``min(cv_folds, rows)`` k-fold folds
     :func:`make_folds` shuffles with ``seed``.  ``scorer`` is a
     ClassifierSpec (see :mod:`affectpipe.classification`) or anything with
-    fit/predict.  Raises KTooLarge unless 1 <= k < column count.  The
-    search itself is :func:`affectpipe.classification.forward_selection`.
+    fit/predict.  Raises KTooLarge unless 1 <= k < column count, and
+    TooFewRows for fewer than 2 folds.  The search itself is
+    :func:`affectpipe.classification.forward_selection`.
     """
     labels.check_against(matrix)
     if not isinstance(scorer, ClassifierSpec):
@@ -172,7 +204,10 @@ def sequential_forward_selection(matrix: FeatureMatrix, labels: LabelVector,
     if not 1 <= k < n_cols:
         raise KTooLarge(f"k={k} must be at least 1 and below column count {n_cols}")
     y = labels.to_array()
-    folds = make_folds(CVStrategy("kfold", min(cv_folds, y.size)), matrix, seed)
+    n_folds = min(cv_folds, y.size)
+    if n_folds < 2:
+        raise TooFewRows(f"cannot make {n_folds} folds from {y.size} rows")
+    folds = make_folds(CVStrategy("kfold", n_folds), matrix, seed)
     selected, _ = forward_selection(scorer, matrix.to_array(), y, k, folds)
     return matrix.subset_columns([matrix.columns[j] for j in selected])
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import signal as sps
 
+from .checks import POSITIVE, REQUIRED, at_least, checked
 from .errors import (
     CutoffOutOfRange,
     InvalidOrder,
@@ -98,7 +99,7 @@ def design_butterworth(kind: str, order: int, cutoffs_hz, fs_hz: float) -> Filte
     cutoffs, fs)``, so repeated calls return the same immutable
     coefficients.
     """
-    if not (isinstance(order, (int, np.integer)) and order >= 1):
+    if not at_least(1)[0](order):
         raise InvalidOrder(f"order must be a positive integer, got {order!r}")
     cutoffs = tuple(float(c) for c in np.atleast_1d(cutoffs_hz))
     _check_cutoffs(kind, cutoffs, fs_hz)
@@ -208,19 +209,35 @@ def resample_series(series: TimeSeries, target_fs_hz: float) -> TimeSeries:
     )
 
 
-#: The ops a :class:`PreprocessStep` may name.
-STEP_OPS = ("lowpass", "highpass", "bandpass", "bandstop", "notch", "resample")
+#: The keys of each op a :class:`PreprocessStep` may name, each as (check,
+#: default).  The Nyquist limit depends on the data's sample rate, so it
+#: is checked, with the number of cutoffs an op takes, when the chain runs.
+STEP_OPS = {
+    **dict.fromkeys(("lowpass", "highpass", "bandpass", "bandstop"), {
+        "order": (at_least(1), REQUIRED),
+        "cutoffs_hz": ((lambda v: POSITIVE[0](v) or (type(v) in (list, tuple) and len(v) > 0
+                                                     and all(map(POSITIVE[0], v))),
+                        "a finite positive number or a non-empty list of them"), REQUIRED)}),
+    "notch": {"f0_hz": (POSITIVE, 50.0), "q": (POSITIVE, 30.0)},
+    "resample": {"target_fs_hz": (POSITIVE, REQUIRED)},
+}
 
 
 @dataclass(frozen=True)
 class PreprocessStep:
-    op: str  # one of STEP_OPS
+    """One chain step: ``op`` is a key of :data:`STEP_OPS`, and ``params``
+    takes only that op's keys; once built it holds every one, an absent or
+    None key at its default.  Raises ValueError naming an unknown op, or an
+    unknown, missing or rejected key."""
+
+    op: str
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.op not in STEP_OPS:
             raise ValueError(f"unknown preprocessing op {self.op!r}; "
                              f"STEP_OPS are {', '.join(STEP_OPS)}")
+        object.__setattr__(self, "params", checked(STEP_OPS[self.op], self.params, self.op))
 
 
 @dataclass(frozen=True)
@@ -236,11 +253,11 @@ class PreprocessChain:
 
 
 def _apply_step(step: PreprocessStep, series: TimeSeries) -> TimeSeries:
-    p = step.params
+    p = step.params  # every key of STEP_OPS[step.op], defaults filled in
     if step.op == "resample":
         return resample_series(series, p["target_fs_hz"])
     if step.op == "notch":
-        return notch_powerline(series, p.get("f0_hz", 50.0), p.get("q", 30.0))
+        return notch_powerline(series, p["f0_hz"], p["q"])
     # lowpass, highpass, bandpass or bandstop: PreprocessStep checks the op
     coeffs = design_butterworth(step.op, p["order"], p["cutoffs_hz"], series.sample_rate_hz)
     return apply_zero_phase(coeffs, series)

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, fields
-from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 
 from .acquisition import SignalRegistry, write_csv_signal
+from .checks import INTEGER, NAMES, NUMBER
 from .errors import ConfigError, InvalidRate, IOFailure, SCROutOfRange
 from .types import Modality, TimeSeries
 
@@ -241,21 +241,14 @@ class DatasetSpec:
     def __post_init__(self):
         # checked here, before synth_dataset creates any directory
         for f in fields(self):
+            check = {"phases": NAMES, "modalities": NAMES,
+                     "n_subjects": INTEGER, "seed": INTEGER}.get(f.name, NUMBER)
             value = getattr(self, f.name)
-            if f.name in ("phases", "modalities"):
-                ok = (isinstance(value, tuple) and len(value) > 0
-                      and all(isinstance(v, str) for v in value))
-                want = "a non-empty list of names"
-            elif f.name in ("n_subjects", "seed"):
-                ok = isinstance(value, Integral)
-                want = "an integer"
-            else:
-                ok = isinstance(value, Real)
-                want = "a number"
-            if not ok or isinstance(value, bool):
-                raise ConfigError(f"{f.name} must be {want}, got {value!r}")
+            if not check[0](value):
+                raise ConfigError(f"{f.name} must be {check[1]}, got {value!r}")
         for name in ("phases", "modalities"):
-            names = getattr(self, name)
+            names = tuple(getattr(self, name))  # a list of names is kept as a tuple
+            object.__setattr__(self, name, names)
             repeated = sorted({v for v in names if names.count(v) > 1})
             if repeated:
                 raise ConfigError(f"{name} repeats {repeated}")

@@ -1,4 +1,5 @@
 import csv
+from pathlib import Path
 
 import pytest
 
@@ -197,6 +198,54 @@ def test_run_selector_with_a_failed_window_exit_0(dataset_root, tmp_path, capsys
     # 120 s series, 60/30 s windows: 3 windows
     assert rows == [["subject", "phase", "window_index"]] + [
         ["S1", "rest", str(k)] for k in range(3)]
+
+
+def test_run_failing_at_classification_writes_the_records_it_reached(tmp_path, capsys):
+    # the shipped questionnaire run on the shipped binary set with every ECG
+    # value zeroed: each window fails R-peak detection, the LabelGenerator
+    # drops all 80 rows, and 5-fold cross-validation has no rows to split
+    repo = Path(__file__).resolve().parents[1]
+    data = tmp_path / "data"
+    assert cmd_synth(str(repo / "configs" / "synth-binary.yaml"), str(data)) == 0
+    for victim in data.glob("*/*_ECG.csv"):
+        lines = victim.read_text(encoding="utf-8").splitlines()
+        victim.write_text("\n".join([lines[0]] + [line.split(",")[0] + ",0"
+                                                 for line in lines[1:]]) + "\n",
+                          encoding="utf-8")
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text((repo / "configs" / "questionnaire-kfold.yaml").read_text(
+        encoding="utf-8").replace("root: data/binary", f"root: {data}"), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert cmd_run(str(cfg), out_dir=str(out_dir)) == 4
+    assert "cannot make 5 folds from 0 rows" in capsys.readouterr().out
+    # no selector ran, and a failed run writes no report
+    assert sorted(p.name for p in out_dir.iterdir()) == ["dropped_rows.csv",
+                                                        "excluded_subjects.csv"]
+    with (out_dir / "dropped_rows.csv").open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["subject", "phase", "window_index"] and len(rows) == 81
+    with (out_dir / "excluded_subjects.csv").open(newline="") as fh:
+        assert list(csv.reader(fh)) == [["subject"]]
+
+
+def test_run_failing_at_feature_selection_writes_no_selected_features(dataset_root,
+                                                                      tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(run_config(dataset_root) + "selector: {k: 99}\n", encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert cmd_run(str(cfg), out_dir=str(out_dir)) == 4
+    assert sorted(p.name for p in out_dir.iterdir()) == ["dropped_rows.csv",
+                                                        "excluded_subjects.csv"]
+
+
+def test_run_failing_with_unwritable_records_still_exits_4(dataset_root, tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(run_config(dataset_root) + "selector: {k: 99}\n", encoding="utf-8")
+    blocker = tmp_path / "out"
+    blocker.write_text("", encoding="utf-8")  # a file where the directory should go
+    assert cmd_run(str(cfg), out_dir=str(blocker)) == 4
+    out = capsys.readouterr().out
+    assert "pipeline runtime error" in out and "I/O failure" in out
 
 
 def test_run_writes_the_selected_columns_in_selection_order(dataset_root, tmp_path,
@@ -401,6 +450,16 @@ def test_run_bad_config_exit_2_before_io(tmp_path, capsys, edit, key):
     assert not (tmp_path / "out").exists()
 
 
+def test_run_step_above_window_exit_2_before_io(tmp_path, capsys):
+    # WindowingPolicy makes the check; the config reports it as its own
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(run_config(tmp_path / "no-such-dataset", window=20.0), encoding="utf-8")
+    assert cmd_run(str(cfg), out_dir=str(tmp_path / "out")) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("config error: windowing") and "step_s" in out
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_accepts_every_documented_hyperparameter(dataset_root, tmp_path):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(run_config(dataset_root).replace(
@@ -513,8 +572,10 @@ def test_run_bad_catalog_parameter_value_exit_3_before_acquisition(tmp_path, cap
 def test_run_window_longer_than_recording_exit_4(dataset_root, tmp_path, capsys):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(run_config(dataset_root, window=600.0), encoding="utf-8")
-    assert cmd_run(str(cfg)) == 4
+    assert cmd_run(str(cfg), out_dir=str(tmp_path / "out")) == 4
     assert "600" in capsys.readouterr().out
+    # feature extraction failed: only the Acquisition's record was reached
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["excluded_subjects.csv"]
 
 
 # --- argparse front end ---

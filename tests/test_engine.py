@@ -409,6 +409,14 @@ def test_threshold_labels_read_reports_from_scan(dataset_root):
     assert p.last_reports["rows_without_labels"] == []
 
 
+def test_custom_label_rule_runs_in_the_label_generator(dataset_root):
+    stages = _stages(dataset_root)
+    stages[3] = LabelGenerator(LabelRule("custom", {
+        "fn": lambda m: (m.phases == "stress").astype(int)}))
+    out = build_pipeline(PipelineSpec(tuple(stages))).run()
+    assert set(out.y_true.labels) == {0, 1}
+
+
 def test_run_record_is_plain_data(dataset_root):
     stages = _stages(dataset_root)
     stages[3] = LabelGenerator(LabelRule("fixed-threshold"))

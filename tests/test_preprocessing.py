@@ -13,6 +13,7 @@ from affectpipe import (
     preprocess,
     resample_series,
 )
+from affectpipe.checks import REQUIRED
 from affectpipe.preprocessing import STEP_OPS, FilterDesign
 from affectpipe.errors import CutoffOutOfRange, InvalidOrder, SampleRateMismatch
 from affectpipe.synth import EcgSpec, synth_ecg
@@ -55,6 +56,7 @@ def test_bandpass_needs_two_ordered_cutoffs():
     (("lowpass", 4, 400.0, 700.0), CutoffOutOfRange),
     (("bandpass", 2, (15.0, 5.0), 700.0), CutoffOutOfRange),
     (("wobble", 2, 5.0, 700.0), CutoffOutOfRange),
+    (("lowpass", True, 5.0, 700.0), InvalidOrder),
 ])
 def test_bad_design_raises_on_every_call(args, error):
     for _ in range(3):
@@ -341,8 +343,10 @@ def test_preprocess_custom_chain_overrides_default():
 def test_preprocess_step_rejects_an_unknown_op():
     with pytest.raises(ValueError, match=r"'lowpas'.*STEP_OPS"):
         PreprocessStep("lowpas", {"order": 2, "cutoffs_hz": (5.0,)})
-    for op in STEP_OPS:  # every listed op builds
-        PreprocessStep(op)
+    given = {"order": 2, "cutoffs_hz": (5.0,), "target_fs_hz": 100.0}
+    for op, keys in STEP_OPS.items():  # every listed op builds from its required keys
+        PreprocessStep(op, {k: given[k] for k, (_, default) in keys.items()
+                            if default is REQUIRED})
 
 
 def test_ecg_interference_removed_peaks_preserved():

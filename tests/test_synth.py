@@ -220,6 +220,13 @@ def test_dataset_spec_rejects_bad_fields(fields, message):
         DatasetSpec(**fields)
 
 
+def test_dataset_spec_keeps_a_list_of_names_as_a_tuple():
+    # as a YAML spec gives them
+    spec = DatasetSpec(phases=["rest", "stress"], modalities=["ECG"])
+    assert spec.phases == ("rest", "stress") and spec.modalities == ("ECG",)
+    assert spec == DatasetSpec(phases=("rest", "stress"), modalities=("ECG",))
+
+
 def test_dataset_spec_shortest_duration_synthesizes_every_modality(tmp_path):
     spec = DatasetSpec(n_subjects=1, modalities=("ECG", "EDA", "RESP", "EMG", "TEMP"),
                        duration_s=25.0)
