@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import importlib.resources
+import io
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,7 +32,7 @@ from .errors import (
     NonNumericCell,
     ValidationFailed,
 )
-from .types import Modality, SubjectBundle, TimeSeries
+from .types import Modality, SubjectBundle, TimeSeries, row_medians
 
 #: Rows formatted by one format call and one write in write_csv_signal
 #: (bounds the text buffer), and so rows per timestamp row template.
@@ -186,7 +187,7 @@ def load_csv_signal(path, modality: Modality, subject: str, phase: str) -> TimeS
     if len(timestamps) < 2:
         raise ValidationFailed(["fewer than 2 samples"])
     deltas = np.diff(timestamps)
-    fs = 1.0 / float(np.median(deltas)) if np.all(deltas > 0) else 1.0
+    fs = 1.0 / float(row_medians(deltas[None, :])[0]) if np.all(deltas > 0) else 1.0
     # TimeSeries construction re-runs validate_time_series and raises
     # ValidationFailed with every violation
     return TimeSeries(subject, phase, modality, timestamps, values, fs)
@@ -210,12 +211,14 @@ def write_csv_signal(series: TimeSeries, path, precision: int = 12, *,
                      grids: dict | None = None):
     """Serialize back to the CSV contract (inverse of load, up to formatting).
 
-    Each chunk of ``WRITE_CHUNK_ROWS`` rows is one ``%`` format call over the
-    chunk's values alone, applied to a row template whose timestamps are
-    already text (``"0,%.12g\\n0.004,%.12g\\n..."``).  Every cell gets the
-    same ``%.{precision}g`` spec on the same float, in file order, and
-    ``%g`` output never holds a ``%``, so the bytes are those of formatting
-    each row on its own.
+    Each chunk of ``WRITE_CHUNK_ROWS`` rows is one bytes ``%`` format call
+    over the chunk's values alone, applied to an ASCII row template whose
+    timestamps are already formatted (``b"0,%.12g\\n0.004,%.12g\\n..."``),
+    and written to the file opened in binary mode.  Every cell gets the
+    same ``%.{precision}g`` spec on the same float, in file order, bytes
+    ``%g`` formats as str ``%g`` does, and ``%g`` output never holds a
+    ``%``, so the bytes are those of formatting each row on its own.  The
+    header row is made by ``csv.writer``, so its quoting is csv's.
 
     ``grids`` memoises the templates of each timestamp grid, so files that
     share a grid format its timestamps once.  It belongs to the caller, who
@@ -230,14 +233,15 @@ def write_csv_signal(series: TimeSeries, path, precision: int = 12, *,
     key = (WRITE_CHUNK_ROWS, precision, ts.tobytes())
     grids = {} if grids is None else grids
     if key not in grids:
-        row = f"%.{precision}g,%%.{precision}g\n"
+        row = f"%.{precision}g,%%.{precision}g\n".encode("ascii")
         grids[key] = tuple(row * len(chunk) % tuple(chunk.tolist())
                            for chunk in (ts[s:s + WRITE_CHUNK_ROWS] for s in starts))
+    header = io.StringIO()
+    csv.writer(header, lineterminator="\n").writerow(["timestamp", series.modality.name])
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh, lineterminator="\n").writerow(
-                ["timestamp", series.modality.name])
+        with path.open("wb") as fh:
+            fh.write(header.getvalue().encode("utf-8"))
             for start, template in zip(starts, grids[key]):
                 values = series.values[start:start + WRITE_CHUNK_ROWS]
                 fh.write(template % tuple(values.tolist()))

@@ -13,6 +13,7 @@ from pathlib import Path
 
 from . import preprocessing
 from .acquisition import AcquisitionResult, DatasetIndex, SignalRegistry, acquire, scan_dataset
+from .checks import INTEGER, at_least, check_value
 from .classification import ClassifierSpec, CVStrategy, cross_validate, fit, predict
 from .errors import (
     IncompatibleStages,
@@ -130,6 +131,11 @@ class FeatureSelector(Component):
     output_type = LABELED
 
     def __init__(self, k: int, scorer: ClassifierSpec, cv_folds: int = 5):
+        # k above the column count (KTooLarge) can only be told at run time
+        check_value("k", k, at_least(1))
+        check_value("scorer", scorer, (lambda v: isinstance(v, ClassifierSpec),
+                                       "a ClassifierSpec"))
+        check_value("cv_folds", cv_folds, at_least(2))
         self.k = k
         self.scorer = scorer
         self.cv_folds = cv_folds
@@ -160,6 +166,8 @@ class Classification(Component):
 
     def __init__(self, mode: int, models: dict[str, ClassifierSpec] | list,
                  cv: CVStrategy | None = None, pretrained: dict | None = None):
+        check_value("mode", mode, (lambda v: INTEGER[0](v) and 0 <= v <= 2,
+                                   "MODE_TRAIN (0), MODE_TEST (1) or MODE_CROSS_VALIDATE (2)"))
         if isinstance(models, dict):
             models = [ClassifierSpec(name, spec.algorithm, spec.hyperparameters)
                       if isinstance(spec, ClassifierSpec)
@@ -187,10 +195,8 @@ class Classification(Component):
         # models keep the column names and predict checks them
         if self.mode == self.MODE_TRAIN:
             models = {spec.name: fit(spec, matrix, labels) for spec in self.models}
-        elif self.mode == self.MODE_TEST:
+        else:  # MODE_TEST; the mode was checked when built
             models = dict(self.pretrained)
-        else:
-            raise ValueError(f"unknown classification mode {self.mode}")
         y_pred, scores = {}, {}
         for name, model in models.items():
             y_pred[name], scores[name] = predict(model, matrix)

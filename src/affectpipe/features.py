@@ -28,7 +28,7 @@ from .errors import (
     TooFewSamples,
 )
 from .preprocessing import apply_zero_phase, design_butterworth
-from .types import ABSENT, FeatureMatrix, SubjectBundle, TimeSeries
+from .types import ABSENT, FeatureMatrix, SubjectBundle, TimeSeries, row_medians
 
 #: Conventional wearable-HRV band edges in Hz (config-overridable).
 DEFAULT_HRV_BANDS = {
@@ -143,7 +143,6 @@ def detect_r_peaks(ecg: TimeSeries) -> np.ndarray:
     fs = ecg.sample_rate_hz
     if fs < 100:
         raise SampleRateTooLow(f"R-peak detection needs fs >= 100 Hz, got {fs}")
-    x = np.asarray(ecg.values, dtype=float)
     bp = design_butterworth("bandpass", 2, (5.0, 15.0), fs)
     filtered = apply_zero_phase(bp, ecg).values
     deriv = np.gradient(filtered)
@@ -160,8 +159,7 @@ def detect_r_peaks(ecg: TimeSeries) -> np.ndarray:
     spki = float(np.max(integrated[: int(2 * fs)])) * 0.25 if integrated.size else 0.0
     npki = float(np.mean(integrated[: int(2 * fs)])) * 0.5
     peaks = []
-    for idx in candidates:
-        level = integrated[idx]
+    for idx, level in zip(candidates.tolist(), integrated[candidates].tolist()):
         threshold = npki + 0.25 * (spki - npki)
         if level > threshold:
             peaks.append(idx)
@@ -171,14 +169,23 @@ def detect_r_peaks(ecg: TimeSeries) -> np.ndarray:
     if len(peaks) < 2:
         raise NoBeatsDetected("fewer than 2 beats detected")
 
-    # refine each peak to the local maximum of the bandpassed ECG
+    # refine each peak to the first maximum of the bandpassed ECG within
+    # 0.1 s: one argmax over the gathered windows of the peaks that have a
+    # whole window, a clipped window each for the few within 0.1 s of an end
     half = int(round(0.10 * fs))
-    refined = []
-    for idx in peaks:
-        a, b = max(0, idx - half), min(x.size, idx + half + 1)
-        refined.append(a + int(np.argmax(filtered[a:b])))
-    refined = np.asarray(sorted(set(refined)), dtype=int)
+    peaks = np.asarray(peaks)
+    n = filtered.size
+    whole = (peaks >= half) & (peaks < n - half)
+    refined = np.empty_like(peaks)
+    if np.any(whole):
+        starts = peaks[whole] - half
+        windows = sliding_window_view(filtered, 2 * half + 1)[starts]
+        refined[whole] = starts + np.argmax(windows, axis=1)
+    for i in np.flatnonzero(~whole).tolist():
+        a, b = max(0, peaks[i] - half), min(n, peaks[i] + half + 1)
+        refined[i] = a + int(np.argmax(filtered[a:b]))
     # enforce the refractory constraint after refinement
+    refined = np.unique(refined).tolist()
     keep = [refined[0]]
     for idx in refined[1:]:
         if idx - keep[-1] >= refractory:
@@ -374,35 +381,11 @@ def _window_statistics(X, T, names) -> dict[str, np.ndarray]:
         if "slope" in wanted:
             out["slope"] = _slopes(d, T)
     if "median" in wanted:
-        out["median"] = _medians(X)
+        out["median"] = row_medians(X)
     if "min" in wanted:
         out["min"] = X.min(axis=1)
     if "max" in wanted:
         out["max"] = X.max(axis=1)
-    return out
-
-
-def _medians(X) -> np.ndarray:
-    """``np.median(X, axis=1)`` from one single-index partition.
-
-    np.median partitions at both middle indices and at the last one (its
-    NaN check), and more than one index turns off numpy's vectorised
-    selection.  Partitioning at ``h = n // 2`` alone leaves the h-th order
-    statistic at ``h`` and the smaller ones before it, so an even row's
-    median is ``(max(P[:h]) + P[h]) / 2``, the add-then-halve of np.median's
-    mean.  A row holding NaN (then ``max(P[h:])`` is NaN) takes np.median's
-    own result, so its NaN payload is unchanged.  Only when the middle
-    values are zeros of both signs may the zero's sign differ from
-    np.median's, as each follows its own partition order.
-    """
-    n = X.shape[1]
-    h = n // 2
-    P = np.partition(X, h, axis=1)
-    mid = P[:, h]
-    out = mid.copy() if n % 2 else (P[:, :h].max(axis=1) + mid) / 2
-    nan = np.flatnonzero(np.isnan(P[:, h:].max(axis=1)))
-    if nan.size:
-        out[nan] = np.median(X[nan], axis=1)
     return out
 
 

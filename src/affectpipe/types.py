@@ -92,9 +92,22 @@ class TimeSeries:
         return len(self) / self.sample_rate_hz
 
     def is_uniform(self) -> bool:
-        deltas = np.diff(self.timestamps)
-        expected = 1.0 / self.sample_rate_hz
-        return bool(np.all(np.abs(deltas - expected) <= UNIFORM_RTOL * expected))
+        """Whether every timestamp delta is within :data:`UNIFORM_RTOL` of
+        ``1 / sample_rate_hz``.
+
+        The grid is checked once and the answer kept: :meth:`with_values`
+        keeps the grid and so the answer, and :meth:`window` keeps a True
+        (its deltas are some of this series' deltas, against the same rate)
+        but checks a window of a non-uniform grid again.  Each answer is
+        the same comparison over the same deltas, so it is unchanged.
+        """
+        uniform = vars(self).get("_uniform")
+        if uniform is None:
+            deltas = np.diff(self.timestamps)
+            expected = 1.0 / self.sample_rate_hz
+            uniform = bool(np.all(np.abs(deltas - expected) <= UNIFORM_RTOL * expected))
+            object.__setattr__(self, "_uniform", uniform)
+        return uniform
 
     def with_values(self, values) -> "TimeSeries":
         """Same grid and identity, new sample values (filtering result).
@@ -123,7 +136,33 @@ class TimeSeries:
         window = object.__new__(TimeSeries)
         vars(window).update(vars(self), timestamps=self.timestamps[start:stop],
                             values=self.values[start:stop])
+        if vars(self).get("_uniform") is not True:
+            vars(window).pop("_uniform", None)  # part of a non-uniform grid
         return window
+
+
+def row_medians(X) -> np.ndarray:
+    """``np.median(X, axis=1)`` from one single-index partition.
+
+    np.median partitions at both middle indices and at the last one (its
+    NaN check), and more than one index turns off numpy's vectorised
+    selection.  Partitioning at ``h = n // 2`` alone leaves the h-th order
+    statistic at ``h`` and the smaller ones before it, so an even row's
+    median is ``(max(P[:h]) + P[h]) / 2``, the add-then-halve of np.median's
+    mean.  A row holding NaN (then ``max(P[h:])`` is NaN) takes np.median's
+    own result, so its NaN payload is unchanged.  Only when the middle
+    values are zeros of both signs may the zero's sign differ from
+    np.median's, as each follows its own partition order.
+    """
+    n = X.shape[1]
+    h = n // 2
+    P = np.partition(X, h, axis=1)
+    mid = P[:, h]
+    out = mid.copy() if n % 2 else (P[:, :h].max(axis=1) + mid) / 2
+    nan = np.flatnonzero(np.isnan(P[:, h:].max(axis=1)))
+    if nan.size:
+        out[nan] = np.median(X[nan], axis=1)
+    return out
 
 
 def validate_time_series(series) -> ValidationResult:

@@ -50,6 +50,7 @@ from affectpipe.errors import (
     PreprocessingFailed,
     SchemaMismatch,
     StageExecutionError,
+    TooFewRows,
     TooFewSamples,
     UnmappedPhase,
 )
@@ -306,7 +307,8 @@ def test_selector_and_classifiers_see_the_same_complete_rows(flat_ecg_bundle):
 @pytest.mark.parametrize("selector, classification, failing, cause", [
     (FeatureSelector(k=99, scorer=KNN3), None, "FeatureSelector", KTooLarge),
     (FeatureSelector(k=4, scorer=KNN3, cv_folds=3),
-     Classification(7, [KNN3]), "Classification", ValueError),  # no mode 7
+     Classification(Classification.MODE_CROSS_VALIDATE, [KNN3], cv=CVStrategy("kfold", 21)),
+     "Classification", TooFewRows),  # 21 folds of the 20 complete rows
 ], ids=["selector", "classification"])
 def test_failed_later_stage_keeps_dropped_rows(flat_ecg_bundle, selector,
                                                classification, failing, cause):
@@ -316,6 +318,27 @@ def test_failed_later_stage_keeps_dropped_rows(flat_ecg_bundle, selector,
     assert e.value.kind == failing
     assert isinstance(e.value.__cause__, cause)
     assert p.last_reports["dropped_rows"] == FLAT_ECG_ROWS
+
+
+@pytest.mark.parametrize("mode", [7, -1, 2.0, True, None, "2"])
+def test_classification_rejects_an_unknown_mode_when_built(mode):
+    with pytest.raises(ValueError) as e:
+        Classification(mode, [KNN3])
+    for name in ("mode", "MODE_TRAIN", "MODE_TEST", "MODE_CROSS_VALIDATE", repr(mode)):
+        assert name in str(e.value)
+
+
+@pytest.mark.parametrize("kwargs, key", [
+    ({"k": 0}, "k"), ({"k": -1}, "k"), ({"k": 2.0}, "k"), ({"k": True}, "k"),
+    ({"k": "5"}, "k"), ({"cv_folds": 1}, "cv_folds"), ({"cv_folds": 3.0}, "cv_folds"),
+    ({"cv_folds": None}, "cv_folds"), ({"scorer": "KNN"}, "scorer"),
+    ({"scorer": {"algorithm": "KNN"}}, "scorer"), ({"scorer": None}, "scorer"),
+])
+def test_feature_selector_checks_its_arguments_when_built(kwargs, key):
+    args = {"k": 4, "scorer": KNN3, "cv_folds": 3, **kwargs}
+    with pytest.raises(ValueError) as e:
+        FeatureSelector(**args)
+    assert str(e.value).startswith(f"{key} must be ")
 
 
 def test_classification_alone_rejects_absent_cells():

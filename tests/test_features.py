@@ -46,7 +46,7 @@ from affectpipe.synth import (
     synth_emg,
     synth_resp,
 )
-from affectpipe.types import ABSENT, FeatureMatrix
+from affectpipe.types import ABSENT, FeatureMatrix, row_medians
 
 from conftest import make_series, sine_series
 
@@ -143,6 +143,92 @@ def test_r_peak_times_match_truth():
     # every true beat has a detection within 50 ms
     for bt in true[1:-1]:
         assert np.min(np.abs(detected - bt)) < 0.05
+
+
+def _per_peak_r_peaks(ecg):
+    """detect_r_peaks with its per-peak refinement, kept as the reference:
+    one argmax over each peak's clipped 0.1 s window.  Also returns the
+    unrefined peaks and the half window, so a test can see which peaks
+    sat within 0.1 s of an end."""
+    fs = ecg.sample_rate_hz
+    x = np.asarray(ecg.values, dtype=float)
+    bp = features.design_butterworth("bandpass", 2, (5.0, 15.0), fs)
+    filtered = features.apply_zero_phase(bp, ecg).values
+    deriv = np.gradient(filtered)
+    squared = deriv * deriv
+    win = max(1, int(round(0.150 * fs)))
+    integrated = np.convolve(squared, np.ones(win) / win, mode="same")
+    refractory = int(round(features.REFRACTORY_S * fs))
+    candidates, _ = sps.find_peaks(integrated, distance=refractory)
+    spki = float(np.max(integrated[: int(2 * fs)])) * 0.25
+    npki = float(np.mean(integrated[: int(2 * fs)])) * 0.5
+    peaks = []
+    for idx in candidates:
+        level = integrated[idx]
+        threshold = npki + 0.25 * (spki - npki)
+        if level > threshold:
+            peaks.append(idx)
+            spki = 0.125 * level + 0.875 * spki
+        else:
+            npki = 0.125 * level + 0.875 * npki
+    half = int(round(0.10 * fs))
+    refined = []
+    for idx in peaks:
+        a, b = max(0, idx - half), min(x.size, idx + half + 1)
+        refined.append(a + int(np.argmax(filtered[a:b])))
+    refined = np.asarray(sorted(set(refined)), dtype=int)
+    keep = [refined[0]]
+    for idx in refined[1:]:
+        if idx - keep[-1] >= refractory:
+            keep.append(idx)
+    return np.asarray(keep, dtype=int), peaks, half
+
+
+def _assert_r_peaks_match_per_peak_refinement(ecg):
+    """Windows of ``ecg`` at 50 offsets, so beats land at every distance
+    from both ends; returns how many windows had a peak within 0.1 s of
+    the start and of the end."""
+    fs = ecg.sample_rate_hz
+    near_start = near_end = 0
+    for offset in range(0, 200, 4):
+        w = ecg.window(offset, offset + int(10 * fs) + offset // 2)
+        expected, peaks, half = _per_peak_r_peaks(w)
+        got = detect_r_peaks(w)
+        assert got.dtype == expected.dtype and got.tolist() == expected.tolist()
+        near_start += peaks[0] < half
+        near_end += peaks[-1] >= len(w) - half
+    return near_start, near_end
+
+
+def test_r_peaks_equal_per_peak_refinement_near_both_ends():
+    ecg, _ = synth_ecg(EcgSpec(hr_bpm=75.0, hrv_rmssd_target_s=0.04,
+                               noise_snr_db=20.0), 30.0, seed=5)
+    near_start, near_end = _assert_r_peaks_match_per_peak_refinement(ecg)
+    assert near_start > 0 and near_end > 0
+
+
+def test_r_peaks_on_plateaus_take_the_first_maximum(monkeypatch):
+    # the bandpassed ECG clipped below its R waves: every refinement window
+    # holds a run of equal maxima, and both refinements take its first index
+    apply = features.apply_zero_phase
+
+    def clipped(coeffs, series):
+        out = apply(coeffs, series)
+        return out.with_values(np.minimum(out.values, 0.3 * out.values.max()))
+
+    monkeypatch.setattr(features, "apply_zero_phase", clipped)
+    ecg, _ = synth_ecg(EcgSpec(hr_bpm=75.0, hrv_rmssd_target_s=0.04,
+                               noise_snr_db=20.0), 30.0, seed=6)
+    near_start, near_end = _assert_r_peaks_match_per_peak_refinement(ecg)
+    assert near_start > 0 and near_end > 0
+    # the plateaus are real: a refined peak is the first sample at the cap
+    w = ecg.window(0, len(ecg))
+    bp = features.design_butterworth("bandpass", 2, (5.0, 15.0), w.sample_rate_hz)
+    filtered = clipped(bp, w).values
+    peaks = detect_r_peaks(w)
+    assert np.all(filtered[peaks] == filtered.max())
+    assert np.all(filtered[peaks - 1] < filtered.max())
+    assert np.all(filtered[peaks + 1] == filtered.max())
 
 
 # --- time-domain HRV ---
@@ -460,11 +546,11 @@ def _median_blocks():
 @pytest.mark.parametrize("case", list(_median_blocks()))
 def test_window_medians_bit_identical_to_np_median(case):
     X = _median_blocks()[case]
-    got = features._medians(X)
+    got = row_medians(X)
     assert got.tobytes() == np.median(X, axis=1).tobytes()
     # a strided view of overlapping windows, as the extractor passes them
     windows = np.lib.stride_tricks.sliding_window_view(X[0], max(1, X.shape[1] // 2))[::3]
-    assert features._medians(windows).tobytes() == np.median(windows, axis=1).tobytes()
+    assert row_medians(windows).tobytes() == np.median(windows, axis=1).tobytes()
 
 
 def test_window_medians_of_signed_zeros_equal_np_median():
@@ -473,7 +559,7 @@ def test_window_medians_of_signed_zeros_equal_np_median():
     # results compare equal but may differ in their sign bit
     for row in ([0.0, -0.0, -0.0, 1.0], [-0.0, 0.0, 2.0, -1.0], [0.0, -0.0, 0.0]):
         X = np.array([row])
-        assert features._medians(X) == np.median(X, axis=1)
+        assert row_medians(X) == np.median(X, axis=1)
 
 
 def _stats_bundle():

@@ -5,13 +5,17 @@ from affectpipe import (
     PreprocessChain,
     PreprocessStep,
     SubjectBundle,
+    TimeSeries,
     apply_zero_phase,
+    decompose_eda,
     default_chain,
     design_butterworth,
     design_notch,
+    detect_r_peaks,
     notch_powerline,
     preprocess,
     resample_series,
+    scr_events,
 )
 from affectpipe.checks import REQUIRED
 from affectpipe.preprocessing import STEP_OPS, FilterDesign
@@ -196,6 +200,41 @@ def test_sample_rate_mismatch_rejected():
     s = sine_series(1.0, 250.0, 10.0)
     with pytest.raises(SampleRateMismatch):
         apply_zero_phase(c, s)
+
+
+def _non_uniform(fs=250.0, checked_before=False):
+    """A 20 s sine at ``fs`` with one sample 40% of an interval late."""
+    s = sine_series(1.0, fs, 20.0)
+    t = np.array(s.timestamps)
+    t[1000] += 0.4 / fs
+    s = TimeSeries(s.subject_id, s.phase, s.modality, t, s.values, fs)
+    if checked_before:
+        assert not s.is_uniform()
+    return s
+
+
+@pytest.mark.parametrize("checked_before", [False, True], ids=["fresh", "checked"])
+@pytest.mark.parametrize("derive", [
+    lambda s: s,
+    lambda s: s.with_values(np.ones(len(s))),
+    lambda s: s.window(500, 1500),
+], ids=["series", "with-values", "window"])
+@pytest.mark.parametrize("run", [
+    lambda s: apply_zero_phase(design_butterworth("lowpass", 4, 5.0, 250.0), s),
+    lambda s: notch_powerline(s),
+    *(lambda s, op=op, cut=cut: PreprocessChain((PreprocessStep(op, {
+        "order": 2, "cutoffs_hz": cut}),)).apply(s)
+      for op, cut in (("lowpass", 5.0), ("highpass", 0.5), ("bandpass", (0.5, 5.0)),
+                      ("bandstop", (45.0, 55.0)))),
+    lambda s: PreprocessChain((PreprocessStep("notch"),)).apply(s),
+    lambda s: detect_r_peaks(s),
+    lambda s: decompose_eda(s),
+    lambda s: scr_events(s),
+], ids=["apply_zero_phase", "notch_powerline", "lowpass", "highpass", "bandpass",
+        "bandstop", "notch-step", "detect_r_peaks", "decompose_eda", "scr_events"])
+def test_every_filter_rejects_a_non_uniform_series(run, derive, checked_before):
+    with pytest.raises(SampleRateMismatch):
+        run(derive(_non_uniform(checked_before=checked_before)))
 
 
 def test_linearity():

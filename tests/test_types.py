@@ -203,3 +203,59 @@ def test_label_vector_is_read_only_int64_array():
     assert lv.labels.tolist() == [2, 0, 1, 0]
     with pytest.raises(ValueError):
         LabelVector([[0, 1]], {0: "a", 1: "b"})
+
+
+def _checked_is_uniform(series):
+    """The grid check of TimeSeries.is_uniform, made afresh each call."""
+    deltas = np.diff(series.timestamps)
+    expected = 1.0 / series.sample_rate_hz
+    return bool(np.all(np.abs(deltas - expected) <= 1e-9 * expected))
+
+
+def _jittered(n=400, fs=100.0, at=(250,)):
+    """A 100 Hz series whose grid is exact apart from one late sample at
+    each index of ``at``."""
+    t = np.arange(n) / fs
+    t[list(at)] += 0.2 / fs
+    return TimeSeries("S1", "rest", Modality("ECG"), t, np.sin(t), fs)
+
+
+def test_window_of_a_non_uniform_series_is_checked_again():
+    series = _jittered()
+    assert not series.is_uniform()
+    clean, holed = series.window(0, 200), series.window(200, 400)
+    assert clean.is_uniform() and not holed.is_uniform()
+    # a fresh series, with no answer kept, cuts the same windows
+    assert [w.is_uniform() for w in (_jittered().window(0, 200), _jittered().window(200, 400))] \
+        == [True, False]
+
+
+def test_with_values_and_windows_keep_the_grid_check(monkeypatch):
+    uniform = TimeSeries("S1", "rest", Modality("ECG"), np.arange(50) / 10.0,
+                         np.zeros(50), 10.0)
+    holed = _jittered()
+    assert uniform.is_uniform() and not holed.is_uniform()
+    diffs = []
+    diff = np.diff
+    monkeypatch.setattr(np, "diff", lambda *a, **k: diffs.append(1) or diff(*a, **k))
+    assert uniform.with_values(np.ones(50)).is_uniform()
+    assert uniform.window(10, 40).window(5, 20).is_uniform()
+    assert not holed.with_values(np.ones(400)).is_uniform()
+    assert not diffs  # every answer was kept from the first check
+    assert not holed.window(240, 260).is_uniform()
+    assert len(diffs) == 1  # a window of a non-uniform grid is checked again
+
+
+@given(st.lists(st.sampled_from([0.0, 1e-12, 1e-3, -1e-3]), min_size=2, max_size=40),
+       st.integers(0, 38), st.integers(2, 40))
+def test_kept_grid_checks_equal_a_fresh_check(jitter, start, length):
+    fs = 8.0
+    t = np.arange(len(jitter)) / fs + np.cumsum(jitter)
+    series = TimeSeries("S1", "rest", Modality("ECG"), t, np.zeros(t.size), fs)
+    stop = min(start + length, len(series))
+    start = min(start, stop - 2)
+    for first in (series, series.with_values(np.ones(t.size))):
+        first.is_uniform()
+        for s in (first, first.with_values(np.ones(t.size)), first.window(start, stop),
+                  first.window(start, stop).with_values(np.ones(stop - start))):
+            assert s.is_uniform() == _checked_is_uniform(s)
