@@ -695,35 +695,23 @@ def metrics(y_true, y_pred, scores=None, classes=None) -> dict[str, float]:
 
 
 def roc_auc(y_true, scores, positive=1) -> float:
-    """Trapezoidal area under the ROC curve (binary).
-
-    The curve starts at (0, 0) and has one point per distinct score, from
-    the highest down: the rows scoring at least that much, counted among
-    the positives over ``n_pos`` (tpr) and among the negatives over
-    ``n_neg`` (fpr).  The counts come from one stable sort by descending
-    score and cumulative sums read at the last row of each distinct score
-    (Fawcett 2006), not from a pass over every row per score; they are the
-    same integers over the same denominators, so the area is unchanged.
-    A NaN score reaches no threshold: its row is in no count, and any NaN
-    adds one more (0, 0) point, as a NaN threshold would.
-    """
+    """Trapezoidal area under the ROC curve (binary)."""
     y = np.asarray(y_true) == positive
     s = np.asarray(scores, dtype=float)
     if s.ndim == 2:  # per-class score columns; positive class is the last
         s = s[:, -1]
+    if y.size != s.size:
+        raise LengthMismatch(f"{y.size} true vs {s.size} scores")
     n_pos, n_neg = int(y.sum()), int((~y).sum())
     if n_pos == 0 or n_neg == 0:
         raise AUCUndefined("both classes must be present")
-    order = np.argsort(-s, kind="stable")  # NaN sorts last
-    ranked = s[order]
-    scored = int(np.count_nonzero(~np.isnan(ranked)))
-    ranked = ranked[:scored]
-    # the last row of each distinct score, from the highest down
-    ends = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], scored > 0))
-    hits = np.cumsum(y[order[:scored]])[ends]
-    start = [0.0] * (2 if scored < s.size else 1)
-    tpr = np.concatenate((start, hits / n_pos))
-    fpr = np.concatenate((start, (ends + 1 - hits) / n_neg))
+    thresholds = np.unique(s)[::-1]
+    tpr = [0.0]
+    fpr = [0.0]
+    for thr in thresholds:
+        hit = s >= thr
+        tpr.append(np.sum(hit & y) / n_pos)
+        fpr.append(np.sum(hit & ~y) / n_neg)
     return float(np.trapezoid(tpr, fpr))
 
 

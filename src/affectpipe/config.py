@@ -18,6 +18,7 @@ from .engine import (
     FeatureExtractor,
     FeatureSelector,
     LabelGenerator,
+    SELECTOR_KEYS,
     PipelineSpec,
     SignalAcquisition,
     SignalPreprocessor,
@@ -151,9 +152,9 @@ def build_pipeline_spec(doc: dict) -> PipelineSpec:
     labels.done()
     selector = root.section("selector", optional=True)
     selection = [FeatureSelector(
-        selector.get("k", check=at_least(1)),
-        _classifier(selector.get("scorer", {"algorithm": "KNN"}), "selector.scorer"),
-        selector.get("cv_folds", 5, at_least(2)))] if selector.doc else []
+        **selector.table(SELECTOR_KEYS),
+        scorer=_classifier(selector.get("scorer", {"algorithm": "KNN"}), "selector.scorer"),
+    )] if selector.doc else []
     selector.done()
     models = []
     for i, c in enumerate(root.get("classifiers", [], _LIST)):

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import preprocessing
 from .acquisition import AcquisitionResult, DatasetIndex, SignalRegistry, acquire, scan_dataset
-from .checks import INTEGER, at_least, check_value
+from .checks import INTEGER, REQUIRED, at_least, check_value, checked
 from .classification import ClassifierSpec, CVStrategy, cross_validate, fit, predict
 from .errors import (
     IncompatibleStages,
@@ -125,20 +125,24 @@ class LabelGenerator(Component):
         return matrix, labels
 
 
+#: FeatureSelector's keys besides ``scorer``: (check, default) each.
+SELECTOR_KEYS = {"k": (at_least(1), REQUIRED), "cv_folds": (at_least(2), 5)}
+
+
 class FeatureSelector(Component):
     kind = "FeatureSelector"
     input_type = LABELED
     output_type = LABELED
 
-    def __init__(self, k: int, scorer: ClassifierSpec, cv_folds: int = 5):
+    def __init__(self, k: int, scorer: ClassifierSpec,
+                 cv_folds: int = SELECTOR_KEYS["cv_folds"][1]):
         # k above the column count (KTooLarge) can only be told at run time
-        check_value("k", k, at_least(1))
         check_value("scorer", scorer, (lambda v: isinstance(v, ClassifierSpec),
                                        "a ClassifierSpec"))
-        check_value("cv_folds", cv_folds, at_least(2))
-        self.k = k
+        params = checked(SELECTOR_KEYS, {"k": k, "cv_folds": cv_folds}, "FeatureSelector")
+        self.k = params["k"]
         self.scorer = scorer
-        self.cv_folds = cv_folds
+        self.cv_folds = params["cv_folds"]
 
     def run(self, payload, ctx):
         matrix, labels = payload
@@ -166,8 +170,9 @@ class Classification(Component):
 
     def __init__(self, mode: int, models: dict[str, ClassifierSpec] | list,
                  cv: CVStrategy | None = None, pretrained: dict | None = None):
-        check_value("mode", mode, (lambda v: INTEGER[0](v) and 0 <= v <= 2,
-                                   "MODE_TRAIN (0), MODE_TEST (1) or MODE_CROSS_VALIDATE (2)"))
+        modes = (self.MODE_TRAIN, self.MODE_TEST, self.MODE_CROSS_VALIDATE)
+        check_value("mode", mode, (lambda v: INTEGER[0](v) and v in modes,
+                                   f"MODE_TRAIN, MODE_TEST or MODE_CROSS_VALIDATE, one of {modes}"))
         if isinstance(models, dict):
             models = [ClassifierSpec(name, spec.algorithm, spec.hyperparameters)
                       if isinstance(spec, ClassifierSpec)

@@ -170,20 +170,13 @@ def detect_r_peaks(ecg: TimeSeries) -> np.ndarray:
         raise NoBeatsDetected("fewer than 2 beats detected")
 
     # refine each peak to the first maximum of the bandpassed ECG within
-    # 0.1 s: one argmax over the gathered windows of the peaks that have a
-    # whole window, a clipped window each for the few within 0.1 s of an end
+    # 0.1 s: one argmax over windows gathered from the ECG padded with
+    # -inf, which the finite ECG always beats, so a window that runs past
+    # an end takes the same index as the clipped window
     half = int(round(0.10 * fs))
-    peaks = np.asarray(peaks)
-    n = filtered.size
-    whole = (peaks >= half) & (peaks < n - half)
-    refined = np.empty_like(peaks)
-    if np.any(whole):
-        starts = peaks[whole] - half
-        windows = sliding_window_view(filtered, 2 * half + 1)[starts]
-        refined[whole] = starts + np.argmax(windows, axis=1)
-    for i in np.flatnonzero(~whole).tolist():
-        a, b = max(0, peaks[i] - half), min(n, peaks[i] + half + 1)
-        refined[i] = a + int(np.argmax(filtered[a:b]))
+    padded = np.pad(filtered, half, constant_values=-np.inf)
+    windows = sliding_window_view(padded, 2 * half + 1)[peaks]
+    refined = np.asarray(peaks) - half + np.argmax(windows, axis=1)
     # enforce the refractory constraint after refinement
     refined = np.unique(refined).tolist()
     keep = [refined[0]]

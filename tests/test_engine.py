@@ -36,6 +36,7 @@ from affectpipe.engine import (
     LABELED,
     NONE,
     OUTPUT,
+    SELECTOR_KEYS,
     Component,
     RunContext,
 )
@@ -331,14 +332,24 @@ def test_classification_rejects_an_unknown_mode_when_built(mode):
 @pytest.mark.parametrize("kwargs, key", [
     ({"k": 0}, "k"), ({"k": -1}, "k"), ({"k": 2.0}, "k"), ({"k": True}, "k"),
     ({"k": "5"}, "k"), ({"cv_folds": 1}, "cv_folds"), ({"cv_folds": 3.0}, "cv_folds"),
-    ({"cv_folds": None}, "cv_folds"), ({"scorer": "KNN"}, "scorer"),
+    ({"scorer": "KNN"}, "scorer"),
     ({"scorer": {"algorithm": "KNN"}}, "scorer"), ({"scorer": None}, "scorer"),
 ])
 def test_feature_selector_checks_its_arguments_when_built(kwargs, key):
     args = {"k": 4, "scorer": KNN3, "cv_folds": 3, **kwargs}
     with pytest.raises(ValueError) as e:
         FeatureSelector(**args)
-    assert str(e.value).startswith(f"{key} must be ")
+    owner = "" if key == "scorer" else "FeatureSelector."
+    assert str(e.value).startswith(f"{owner}{key} must be ")
+
+
+def test_feature_selector_takes_its_defaults_from_the_keys_table():
+    # the YAML selector section reads the same table, so a null cv_folds
+    # takes the default there and here alike
+    for cv_folds in (SELECTOR_KEYS["cv_folds"][1], None):
+        assert FeatureSelector(4, KNN3, cv_folds).cv_folds == SELECTOR_KEYS["cv_folds"][1]
+    with pytest.raises(ValueError, match="missing 'FeatureSelector.k'"):
+        FeatureSelector(None, KNN3)
 
 
 def test_classification_alone_rejects_absent_cells():
