@@ -14,11 +14,11 @@ from .acquisition import SignalRegistry
 from .checks import NAMES, POSITIVE, Section, at_least, one_of
 from .classification import ALGORITHMS, CV_KEYS, ClassifierSpec, CVStrategy
 from .engine import (
+    SELECTOR_KEYS,
     Classification,
     FeatureExtractor,
     FeatureSelector,
     LabelGenerator,
-    SELECTOR_KEYS,
     PipelineSpec,
     SignalAcquisition,
     SignalPreprocessor,

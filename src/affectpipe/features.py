@@ -145,8 +145,10 @@ def detect_r_peaks(ecg: TimeSeries) -> np.ndarray:
         raise SampleRateTooLow(f"R-peak detection needs fs >= 100 Hz, got {fs}")
     bp = design_butterworth("bandpass", 2, (5.0, 15.0), fs)
     filtered = apply_zero_phase(bp, ecg).values
-    deriv = np.gradient(filtered)
-    squared = deriv * deriv
+    # squared in place, so the padded copy the refinement makes below does
+    # not add to the most signal-length arrays held at once
+    squared = np.gradient(filtered)
+    squared *= squared
     win = max(1, int(round(0.150 * fs)))
     integrated = np.convolve(squared, np.ones(win) / win, mode="same")
 
