@@ -695,7 +695,11 @@ def metrics(y_true, y_pred, scores=None, classes=None) -> dict[str, float]:
 
 
 def roc_auc(y_true, scores, positive=1) -> float:
-    """Trapezoidal area under the ROC curve (binary)."""
+    """Trapezoidal area under the ROC curve (binary).
+
+    NaN when any score is NaN: such a row reaches no threshold, so the
+    curve would stop short of (1, 1) and understate the area.
+    """
     y = np.asarray(y_true) == positive
     s = np.asarray(scores, dtype=float)
     if s.ndim == 2:  # per-class score columns; positive class is the last
@@ -705,6 +709,8 @@ def roc_auc(y_true, scores, positive=1) -> float:
     n_pos, n_neg = int(y.sum()), int((~y).sum())
     if n_pos == 0 or n_neg == 0:
         raise AUCUndefined("both classes must be present")
+    if np.isnan(s).any():
+        return float("nan")
     thresholds = np.unique(s)[::-1]
     tpr = [0.0]
     fpr = [0.0]

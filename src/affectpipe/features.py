@@ -6,14 +6,16 @@ fixed set of named columns, and rows are keyed by (subject, phase, window).
 
 from __future__ import annotations
 
+import functools
 import warnings
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal as sps
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from .checks import AT_LEAST_ZERO, is_finite
 from .errors import (
@@ -201,24 +203,93 @@ def hrv_time_features(rr: RRSeries) -> dict[str, float]:
         raise TooFewBeats(f"need at least 3 RR intervals, got {rr_s.size}")
     diffs = np.diff(rr_s)
     hr = 60.0 / rr_s
+    rr_var = np.var(rr_s)
+    rr_std = float(np.sqrt(rr_var))  # np.std's own sqrt of np.var
     return {
         "hr_mean_bpm": float(np.mean(hr)),
         "hr_std_bpm": float(np.std(hr)),
         "rmssd_s": float(np.sqrt(np.mean(diffs * diffs))),
-        "sdnn_s": float(np.std(rr_s)),
+        "sdnn_s": rr_std,
         "rr_mean_s": float(np.mean(rr_s)),
         "rr_median_s": float(np.median(rr_s)),
-        "rr_std_s": float(np.std(rr_s)),
-        "rr_var_s2": float(np.var(rr_s)),
+        "rr_std_s": rr_std,
+        "rr_var_s2": float(rr_var),
     }
 
 
 def tachogram(rr: RRSeries, fs_hz: float = TACHOGRAM_FS_HZ) -> tuple[np.ndarray, np.ndarray]:
-    """Cubic-spline interpolation of RR onto a uniform grid."""
+    """Not-a-knot cubic-spline interpolation of RR onto a uniform grid.
+
+    The spline's knots are the beat times that end each interval; it needs
+    at least 4 of them (``TooFewBeats`` otherwise).
+    """
+    if rr.rr_s.size < 4:
+        raise TooFewBeats(f"a tachogram needs at least 4 RR intervals, got {rr.rr_s.size}")
     t = rr.beat_times_s[1:]
-    spline = CubicSpline(t, rr.rr_s)
     grid = np.arange(t[0], t[-1], 1.0 / fs_hz)
-    return grid, spline(grid)
+    return grid, _spline(t, rr.rr_s, grid)
+
+
+def _spline(x: np.ndarray, y: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """``scipy.interpolate.CubicSpline(x, y)(grid)`` for 1-D ``y`` and at
+    least 4 strictly increasing knots ``x``, with SciPy's operations in
+    SciPy's order, so every value is bit for bit the same."""
+    n = x.size
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    # knot slopes s from a tridiagonal system, in banded (1, 1) form
+    ab = np.zeros((3, n))
+    b = np.empty(n)
+    ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    ab[0, 2:] = dx[:-1]
+    ab[-1, :-2] = dx[1:]
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    # not-a-knot ends: the third derivative is continuous at x[1] and x[-2]
+    ab[1, 0] = dx[1]
+    ab[0, 1] = d = x[2] - x[0]
+    b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+    ab[1, -1] = dx[-2]
+    ab[-1, -2] = d = x[-1] - x[-3]
+    b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    s = solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True,
+                     check_finite=False)
+    # Hermite coefficients of each interval, highest power first
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    c0, c1, c2, c3 = t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]
+    # evaluated as PPoly does: the interval is closed on the left (the last
+    # one on both sides), and the power sum runs up from the constant term
+    i = np.clip(np.searchsorted(x, grid, side="right") - 1, 0, n - 2)
+    z = grid - x[i]
+    z2 = z * z
+    return 0.0 + c3[i] + c2[i] * z + c1[i] * z2 + c0[i] * (z2 * z)
+
+
+@functools.lru_cache(maxsize=16)
+def _psd_window(n: int, fs_hz: float) -> tuple[np.ndarray, np.ndarray]:
+    """Periodic Hann window of ``n`` samples scaled to PSD units, and the
+    one-sided frequencies of an ``n``-point FFT; both read-only, as they
+    are shared between calls."""
+    win = sps.get_window("hann", n)
+    # the builtin sum adds left to right, as SciPy's ShortTimeFFT does
+    win = win * (1 / np.sqrt(sum(win ** 2) / (1 / fs_hz)))
+    freqs = scipy.fft.rfftfreq(n, 1 / fs_hz)
+    win.setflags(write=False)
+    freqs.setflags(write=False)
+    return win, freqs
+
+
+def _welch(x: np.ndarray, fs_hz: float, nperseg: int) -> tuple[np.ndarray, np.ndarray]:
+    """``scipy.signal.welch(x, fs_hz, window="hann", nperseg=nperseg,
+    noverlap=nperseg // 2)`` with SciPy 1.17's operations in its order, so
+    the frequencies and PSD are bit for bit the same."""
+    win, freqs = _psd_window(nperseg, fs_hz)
+    segments = sliding_window_view(x, nperseg)[::nperseg - nperseg // 2]
+    segments = segments - np.mean(segments, axis=-1, keepdims=True)
+    spectra = scipy.fft.rfft(segments * win, axis=-1)
+    power = spectra.real ** 2 + spectra.imag ** 2
+    power[:, 1:-1 if nperseg % 2 == 0 else None] *= 2  # one-sided: fold negatives
+    # SciPy averages a (frequencies, segments) array along its rows
+    return freqs, np.ascontiguousarray(power.T).mean(axis=-1)
 
 
 def hrv_freq_features(rr: RRSeries,
@@ -226,10 +297,15 @@ def hrv_freq_features(rr: RRSeries,
                       min_span_s: float = 60.0) -> dict[str, float]:
     """Band powers of the RR tachogram plus the LF/HF ratio.
 
-    The RR series is interpolated to a uniform 4 Hz tachogram and the PSD
-    estimated by Welch's method (64 s segments or the full length if
-    shorter, 50% overlap, Hann taper).  Band power is the trapezoid
-    integral of the PSD over [lo, hi).
+    The RR series is interpolated by a not-a-knot cubic spline to a
+    uniform 4 Hz tachogram, whose mean is removed.  Its PSD is Welch's
+    estimate: segments of min(256, n) samples at 50% overlap, a constant
+    detrend of each segment, a periodic Hann window, PSD scaling (one-sided,
+    the inner bins doubled) and the mean over segments.  affectpipe computes
+    the spline and the PSD in its own kernels, bit for bit equal to SciPy
+    1.17's ``CubicSpline`` and ``welch``.  Band power is the trapezoid
+    integral of the PSD over the closed [lo, hi], both edges interpolated
+    (:func:`band_power`).
     """
     bands = dict(bands or DEFAULT_HRV_BANDS)
     span = rr.beat_times_s[-1] - rr.beat_times_s[0]
@@ -240,8 +316,7 @@ def hrv_freq_features(rr: RRSeries,
     _, tach = tachogram(rr)
     tach = tach - np.mean(tach)
     nperseg = min(int(64 * TACHOGRAM_FS_HZ), tach.size)
-    freqs, psd = sps.welch(tach, fs=TACHOGRAM_FS_HZ, window="hann",
-                           nperseg=nperseg, noverlap=nperseg // 2)
+    freqs, psd = _welch(tach, TACHOGRAM_FS_HZ, nperseg)
     out = {}
     for name, (lo, hi) in bands.items():
         out[f"{name}_power"] = band_power(freqs, psd, lo, hi)

@@ -598,6 +598,15 @@ def test_roc_auc_rejects_scores_of_another_length(n_scores):
         roc_auc([1, 0, 1, 0, 1, 0], np.zeros((n_scores, 2)))
 
 
+def test_roc_auc_is_nan_when_a_score_is_nan():
+    # scored rows alone give 0.75; counting the NaN rows in the
+    # denominators would give 0.333
+    assert np.isnan(roc_auc([1, 1, 0, 1, 0, 0], [0.9, np.nan, 0.1, 0.4, np.nan, 0.7]))
+    assert np.isnan(roc_auc([1, 0, 1, 0], np.array([[0.1, 0.9], [0.5, np.nan],
+                                                   [0.6, 0.4], [0.2, 0.8]])))
+    assert roc_auc([1, 1, 0, 0], [0.9, 0.4, 0.1, 0.7]) == 0.75
+
+
 def test_metrics_length_mismatch():
     with pytest.raises(LengthMismatch):
         metrics([0, 1], [0])

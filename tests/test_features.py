@@ -3,8 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings, strategies as st
 from scipy import signal as sps
+from scipy.interpolate import CubicSpline
 
 from affectpipe import (
     RRSeries,
@@ -256,6 +258,13 @@ def test_hrv_time_too_few_beats():
         hrv_time_features(_rr([0.8, 0.9]))
 
 
+def test_hrv_time_std_is_numpy_std():
+    rr = _rr(np.random.default_rng(31).uniform(0.5, 1.5, 97))
+    out = hrv_time_features(rr)
+    assert out["sdnn_s"] == out["rr_std_s"] == float(np.std(rr.rr_s))
+    assert out["rr_var_s2"] == float(np.var(rr.rr_s))
+
+
 @given(st.lists(st.floats(0.4, 1.8), min_size=3, max_size=40))
 @settings(max_examples=50, deadline=None)
 def test_hrv_time_brute_force_oracle(intervals):
@@ -328,6 +337,90 @@ def test_band_powers_partition_to_total():
 def test_band_powers_nonnegative():
     out = hrv_freq_features(_modulated_rr(0.15))
     assert all(v >= 0.0 for k, v in out.items() if k.endswith("_power"))
+
+
+# --- HRV spectrum kernels against SciPy ---
+
+#: The Welch kernel repeats SciPy 1.17's arithmetic; an older SciPy may
+#: order it differently, so there the PSD is compared within a tolerance.
+WELCH_EXACT = tuple(int(p) for p in scipy.__version__.split(".")[:2]) >= (1, 17)
+
+
+def _assert_psd_matches(freqs, psd, ref_freqs, ref_psd):
+    if WELCH_EXACT:
+        assert freqs.tobytes() == ref_freqs.tobytes()
+        assert psd.tobytes() == ref_psd.tobytes()
+    else:
+        np.testing.assert_allclose(freqs, ref_freqs, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(psd, ref_psd, rtol=0,
+                                   atol=1e-12 * np.abs(ref_psd).max())
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_spline_kernel_is_cubic_spline(seed):
+    rng = np.random.default_rng(seed)
+    for n in [4, 5, 6, 400, *rng.integers(4, 401, 60)]:
+        x = np.cumsum(rng.uniform(0.05, 2.0, n)) + rng.uniform(-50, 50)
+        y = rng.normal(0.9, 0.2, n)
+        # the tachogram grid, every knot, and points beyond both ends
+        grid = np.concatenate([np.arange(x[0], x[-1], 0.25), x,
+                               [x[0] - 1.0, x[-1] + 1.0]])
+        got = features._spline(x, y, grid)
+        assert got.tobytes() == CubicSpline(x, y)(grid).tobytes(), n
+
+
+def test_tachogram_is_cubic_spline_of_rr():
+    rr = _modulated_rr(0.2, depth=0.1)
+    grid, tach = features.tachogram(rr)
+    t = rr.beat_times_s[1:]
+    assert grid.tobytes() == np.arange(t[0], t[-1], 0.25).tobytes()
+    assert tach.tobytes() == CubicSpline(t, rr.rr_s)(grid).tobytes()
+
+
+def test_tachogram_needs_four_intervals():
+    with pytest.raises(TooFewBeats):
+        features.tachogram(_rr([0.8, 0.9, 1.0]))
+    grid, tach = features.tachogram(_rr([0.8, 0.9, 1.0, 0.9]))
+    assert grid.size == tach.size > 0
+
+
+def _scipy_welch(x, nperseg):
+    return sps.welch(x, fs=features.TACHOGRAM_FS_HZ, window="hann",
+                     nperseg=nperseg, noverlap=nperseg // 2)
+
+
+@pytest.mark.parametrize("n", [20, 21, 128, 255, 256, 257, 383, 384, 385,
+                               511, 512, 1001, 2048, 3999, 4000])
+def test_welch_kernel_is_scipy_welch(n):
+    rng = np.random.default_rng(n)
+    for x in (rng.normal(0.0, 0.05, n),
+              0.9 + 0.1 * np.sin(0.3 * np.arange(n)) + rng.normal(0.0, 0.01, n)):
+        nperseg = min(256, n)
+        got = features._welch(x, features.TACHOGRAM_FS_HZ, nperseg)
+        _assert_psd_matches(*got, *_scipy_welch(x, nperseg))
+
+
+@pytest.mark.parametrize("n", [40, 256, 1000])
+def test_welch_kernel_constant_input_has_no_power(n):
+    x = np.full(n, 0.75)
+    nperseg = min(256, n)
+    freqs, psd = features._welch(x, features.TACHOGRAM_FS_HZ, nperseg)
+    assert not psd.any()
+    _assert_psd_matches(freqs, psd, *_scipy_welch(x, nperseg))
+
+
+@pytest.mark.skipif(not WELCH_EXACT, reason="exact only against SciPy >= 1.17")
+@pytest.mark.parametrize("f_mod", [0.03, 0.1, 0.3])
+def test_hrv_freq_features_equal_the_scipy_reference(f_mod):
+    rr = _modulated_rr(f_mod, depth=0.04, n_beats=300)
+    t = rr.beat_times_s[1:]
+    grid = np.arange(t[0], t[-1], 1.0 / features.TACHOGRAM_FS_HZ)
+    tach = CubicSpline(t, rr.rr_s)(grid)
+    tach = tach - np.mean(tach)
+    freqs, psd = _scipy_welch(tach, min(256, tach.size))
+    out = hrv_freq_features(rr)
+    for name, (lo, hi) in features.DEFAULT_HRV_BANDS.items():
+        assert out[f"{name}_power"] == band_power(freqs, psd, lo, hi)
 
 
 # --- EDA ---
