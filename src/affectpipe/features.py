@@ -309,7 +309,7 @@ def hrv_freq_features(rr: RRSeries,
     """
     bands = dict(bands or DEFAULT_HRV_BANDS)
     span = rr.beat_times_s[-1] - rr.beat_times_s[0]
-    if rr.rr_s.size < 4 or span < min_span_s:
+    if span < min_span_s:
         raise TooFewBeats(
             f"beat span {span:.1f} s below the {min_span_s:.0f} s minimum"
         )
