@@ -41,7 +41,7 @@ def main():
     print(f"  detected {peaks.size} R peaks "
           f"({abs(peaks.size - len(truth.beat_times_s))} off from truth)")
 
-    rr = RRSeries.from_beat_times(clean.timestamps[peaks])
+    rr = RRSeries(clean.timestamps[peaks])
     t = hrv_time_features(rr)
     f = hrv_freq_features(rr)
     print(f"  HRV time:  hr_mean={t['hr_mean_bpm']:.1f} BPM  "

@@ -30,7 +30,6 @@ from .errors import (
     MissingHeader,
     MissingReport,
     NonNumericCell,
-    ValidationFailed,
 )
 from .types import Modality, SubjectBundle, TimeSeries, row_medians
 
@@ -184,12 +183,10 @@ def load_csv_signal(path, modality: Modality, subject: str, phase: str) -> TimeS
                 timestamps, values = body.T.copy()  # two contiguous rows
     except OSError as exc:
         raise IOFailure(f"cannot read {path}: {exc}") from exc
-    if len(timestamps) < 2:
-        raise ValidationFailed(["fewer than 2 samples"])
     deltas = np.diff(timestamps)
-    fs = 1.0 / float(row_medians(deltas[None, :])[0]) if np.all(deltas > 0) else 1.0
-    # TimeSeries construction re-runs validate_time_series and raises
-    # ValidationFailed with every violation
+    fs = 1.0 / float(row_medians(deltas[None])[0]) if deltas.size and np.all(deltas > 0) else 1.0
+    # TimeSeries construction runs validate_time_series and raises
+    # ValidationFailed with every violation, fewer than 2 samples included
     return TimeSeries(subject, phase, modality, timestamps, values, fs)
 
 
@@ -249,12 +246,24 @@ def write_csv_signal(series: TimeSeries, path, precision: int = 12, *,
         raise IOFailure(f"cannot write {path}: {exc}") from exc
 
 
+def write_rows(path, header, rows):
+    """Write ``header`` and then each of ``rows`` as one UTF-8 CSV record
+    ending in ``\n``; raises IOFailure when the file cannot be written."""
+    path = Path(path)
+    try:
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise IOFailure(f"cannot write {path}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class AcquisitionResult:
     bundle: SubjectBundle
     #: subjects dropped because a requested modality was missing in some phase
     excluded_subjects: tuple[str, ...] = ()
-    skipped_files: tuple[Path, ...] = ()
 
 
 def acquire(index: DatasetIndex, signal_types, strict: bool = False) -> AcquisitionResult:
@@ -287,4 +296,4 @@ def acquire(index: DatasetIndex, signal_types, strict: bool = False) -> Acquisit
         raise MissingReport(f"subjects missing requested modalities: {excluded}")
     if not entries:
         raise EmptyDataset("no subject has all requested modalities")
-    return AcquisitionResult(SubjectBundle(entries), tuple(excluded), index.skipped_files)
+    return AcquisitionResult(SubjectBundle(entries), tuple(excluded))

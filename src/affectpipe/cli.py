@@ -11,11 +11,10 @@ run:       0 ok, 1 I/O failure, 2 config error, 3 pipeline build error, 4 runtim
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
-from .acquisition import SignalRegistry, load_csv_signal, scan_dataset
+from .acquisition import SignalRegistry, load_csv_signal, scan_dataset, write_rows
 from .config import build_pipeline_spec, load_config, load_dataset_spec
 from .engine import PipelineSpec, build_pipeline
 from .errors import (
@@ -110,12 +109,14 @@ def cmd_run(config_file: str, seed: int | None = None, strict: bool = False,
         for key, header in _RECORDS.items():  # a failed run: those its stages made
             if output is not None or key in reports:
                 target.mkdir(parents=True, exist_ok=True)
-                _write_keys_csv(target / f"{key}.csv", header, reports.get(key, []))
+                write_rows(target / f"{key}.csv", header,
+                           (row if isinstance(row, tuple) else (row,)
+                            for row in reports.get(key, [])))
         if output is not None:
             write_report_csv(output.report, target / "report.csv")
             (target / "report.txt").write_text(output.report.format_table() + "\n",
                                                encoding="utf-8")
-    except OSError as exc:
+    except (OSError, IOFailure) as exc:
         print(f"I/O failure: {exc}", file=out)
         return 4 if output is None else 1
     if output is None:
@@ -124,26 +125,17 @@ def cmd_run(config_file: str, seed: int | None = None, strict: bool = False,
     return 0
 
 
-#: The run records ``run`` writes, each to ``<key>.csv`` under its header.
+#: The run records ``run`` writes, each to ``<key>.csv`` under its header,
+#: one row per key: a tuple, or one name.
 _RECORDS = {"dropped_rows": ["subject", "phase", "window_index"],
             "excluded_subjects": ["subject"], "selected_features": ["column"]}
 
 
 def write_report_csv(report, path):
     """Machine-readable flat report: model,fold,metric,value."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["model", "fold", "metric", "value"])
-        for model, fold, metric, value in report.to_records():
-            writer.writerow([model, fold, metric, f"{value:.12g}"])
-
-
-def _write_keys_csv(path, header, rows):
-    """One row per key: a tuple, or one name."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(row if isinstance(row, tuple) else (row,) for row in rows)
+    write_rows(path, ["model", "fold", "metric", "value"],
+               ([model, fold, metric, f"{value:.12g}"]
+                for model, fold, metric, value in report.to_records()))
 
 
 def main(argv=None) -> int:

@@ -65,7 +65,7 @@ class SignalAcquisition(Component):
         index = scan_dataset(self.source_folder, self.registry)
         result: AcquisitionResult = acquire(index, self.signal_types, strict=ctx.strict)
         ctx.reports["excluded_subjects"] = list(result.excluded_subjects)
-        ctx.reports["skipped_files"] = [str(p) for p in result.skipped_files]
+        ctx.reports["skipped_files"] = [str(p) for p in index.skipped_files]
         ctx.index = index
         return result.bundle
 

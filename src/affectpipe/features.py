@@ -59,29 +59,20 @@ class WindowingPolicy:
 
 @dataclass(frozen=True)
 class RRSeries:
-    """Inter-beat intervals plus the R-peak times they were derived from."""
+    """R-peak times and their intervals ``rr_s = np.diff(beat_times_s)``, both read-only."""
 
-    rr_s: np.ndarray
     beat_times_s: np.ndarray
+    rr_s: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        rr = np.asarray(self.rr_s, dtype=float)
-        beats = np.asarray(self.beat_times_s, dtype=float)
-        if rr.size != beats.size - 1:
-            raise ValueError("len(rr_s) must equal len(beat_times_s) - 1")
+        beats = np.array(self.beat_times_s, dtype=float)  # the caller's stays writable
+        rr = np.diff(beats)
         if np.any(rr <= 0):
-            raise ValueError("RR intervals must be positive")
-        if not np.allclose(rr, np.diff(beats), rtol=0, atol=1e-9):
-            raise ValueError("rr_s inconsistent with beat_times_s")
-        rr.setflags(write=False)
+            raise ValueError("beat times must increase")
         beats.setflags(write=False)
-        object.__setattr__(self, "rr_s", rr)
+        rr.setflags(write=False)
         object.__setattr__(self, "beat_times_s", beats)
-
-    @classmethod
-    def from_beat_times(cls, beat_times_s) -> "RRSeries":
-        beats = np.asarray(beat_times_s, dtype=float)
-        return cls(np.diff(beats), beats)
+        object.__setattr__(self, "rr_s", rr)
 
 
 @dataclass(frozen=True)
@@ -307,7 +298,7 @@ def hrv_freq_features(rr: RRSeries,
     integral of the PSD over the closed [lo, hi], both edges interpolated
     (:func:`band_power`).
     """
-    bands = dict(bands or DEFAULT_HRV_BANDS)
+    bands = bands or DEFAULT_HRV_BANDS
     span = rr.beat_times_s[-1] - rr.beat_times_s[0]
     if span < min_span_s:
         raise TooFewBeats(
@@ -635,7 +626,7 @@ class _SeriesWindows:
         inside = peaks[np.searchsorted(peaks, start):np.searchsorted(peaks, stop)]
         if inside.size < 2:
             raise NoBeatsDetected(f"fewer than 2 beats in window {k}")
-        return RRSeries.from_beat_times(self.series.timestamps[inside])
+        return RRSeries(self.series.timestamps[inside])
 
     def eda(self, k: int) -> tuple[TimeSeries, TimeSeries, TimeSeries]:
         """Window k's slices of tonic, phasic and smoothed phasic."""
@@ -665,31 +656,24 @@ def _series_stats(cut: _SeriesWindows, names) -> list[list]:
     return [np.concatenate([block[name] for block in stats]).tolist() for name in names]
 
 
-def _hrv_bands(params) -> dict[str, tuple[float, float]]:
-    bands = params.get("bands")
-    return {k: tuple(v) for k, v in bands.items()} if bands else dict(DEFAULT_HRV_BANDS)
-
-
 def _hrv_freq(cut: _SeriesWindows, k: int, params):
     # windows trim a little span off either end, so the default minimum is
     # relaxed to 3/4 of the window length
     min_span = params.get("min_span_s", 0.75 * cut.windows[k].duration_s)
-    return hrv_freq_features(cut.rr(k), _hrv_bands(params), min_span_s=min_span)
+    return hrv_freq_features(cut.rr(k), params.get("bands"), min_span_s=min_span)
 
 
 def _hrv_freq_names(params) -> tuple[str, ...]:
-    bands = _hrv_bands(params)
+    bands = params.get("bands") or DEFAULT_HRV_BANDS
     ratio = ("lf_hf_ratio",) if "lf" in bands and "hf" in bands else ()
     return tuple(f"{name}_power" for name in bands) + ratio
 
 
 def _compute_eda_decomposed(cut: _SeriesWindows, k: int, params):
     tonic, phasic, smoothed = cut.eda(k)
-    scl_mean = tonic.values.mean()
-    d = tonic.values - scl_mean
-    out = {"scl_mean_us": float(scl_mean),
-           "scl_std_us": float(np.std(tonic.values)),
-           "scl_slope": float(_slopes(d[None, :], tonic.timestamps[None, :])[0])}
+    scl = _window_statistics(tonic.values[None], tonic.timestamps[None], ("mean", "std", "slope"))
+    out = {"scl_mean_us": float(scl["mean"][0]), "scl_std_us": float(scl["std"][0]),
+           "scl_slope": float(scl["slope"][0])}
     out.update(scr_events(smoothed, params.get("min_amplitude_us", 0.01),
                           smooth_cutoff_hz=0))
     out["phasic_mean_us"] = float(np.mean(phasic.values))

@@ -8,13 +8,12 @@ manifest and per-subject self-report files.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .acquisition import SignalRegistry, write_csv_signal
+from .acquisition import SignalRegistry, write_csv_signal, write_rows
 from .checks import INTEGER, NAMES, NUMBER
 from .errors import ConfigError, InvalidRate, IOFailure, SCROutOfRange
 from .types import Modality, TimeSeries
@@ -308,11 +307,11 @@ def synth_dataset(spec: DatasetSpec, root) -> dict:
             report_rows.append((phase, "STAI",
                                 round(recipe["stai"] + float(rng.normal(0.0, 2.0)), 2)))
             manifest_rows.append((subject, phase, "-", "class", recipe["class"]))
-        _write_rows(subject_dir / f"{subject}_reports.csv",
-                    ["phase", "questionnaire", "score"], report_rows)
+        write_rows(subject_dir / f"{subject}_reports.csv",
+                   ["phase", "questionnaire", "score"], report_rows)
     manifest_path = root / "manifest.csv"
-    _write_rows(manifest_path, ["subject", "phase", "modality", "key", "value"],
-                manifest_rows)
+    write_rows(manifest_path, ["subject", "phase", "modality", "key", "value"],
+               manifest_rows)
     return {"root": root, "manifest": manifest_path,
             "n_files": spec.n_subjects * len(spec.phases) * len(spec.modalities)}
 
@@ -322,16 +321,6 @@ def _mkdir(path: Path):
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IOFailure(str(exc)) from exc
-
-
-def _write_rows(path: Path, header, rows):
-    try:
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-    except OSError as exc:
-        raise IOFailure(f"cannot write {path}: {exc}") from exc
 
 
 def _truth_items(truth: GroundTruth):

@@ -237,7 +237,7 @@ def test_r_peaks_on_plateaus_take_the_first_maximum(monkeypatch):
 
 def _rr(intervals):
     beats = 0.5 + np.concatenate([[0.0], np.cumsum(intervals)])
-    return RRSeries.from_beat_times(beats)
+    return RRSeries(beats)
 
 
 def test_hrv_time_constant_rr():
@@ -284,7 +284,7 @@ def _modulated_rr(f_mod, depth=0.05, mean_rr=1.0, n_beats=180):
     for _ in range(n_beats):
         t = beats[-1]
         beats.append(t + mean_rr + depth * np.sin(2 * np.pi * f_mod * t))
-    return RRSeries.from_beat_times(np.asarray(beats))
+    return RRSeries(np.asarray(beats))
 
 
 def test_hrv_freq_lf_modulation_localized():
@@ -869,7 +869,7 @@ class _ReferenceCut:
         beats = self.beats[(self.beats >= start) & (self.beats < stop)]
         if beats.size < 2:
             raise NoBeatsDetected("fewer than 2 beats")
-        return RRSeries.from_beat_times(self.series.timestamps[beats])
+        return RRSeries(self.series.timestamps[beats])
 
     def eda(self, k):
         start, stop = self.bounds[k]
