@@ -54,20 +54,24 @@ KNN_NEAR_ROWS = 64
 @dataclass(frozen=True)
 class ClassifierSpec:
     """A named classifier: ``algorithm`` is a key of :data:`ALGORITHMS`,
-    whose ``hyperparameters`` table the spec is checked against and filled
-    from (ValueError names the key), or ``custom`` with ``{"handle": obj}``,
-    an object with ``fit`` and ``predict``."""
+    or ``custom``, whose ``hyperparameters`` table (for ``custom``,
+    ``{"handle": obj}``, an object with callable ``fit`` and ``predict``)
+    the spec is checked against and filled from (ValueError names the key)."""
 
     name: str
     algorithm: str
     hyperparameters: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.algorithm != "custom":
-            check_value("algorithm", self.algorithm, one_of(*ALGORITHMS, "custom"))
-            object.__setattr__(self, "hyperparameters", checked(
-                ALGORITHMS[self.algorithm].hyperparameters, self.hyperparameters,
-                self.algorithm))
+        check_value("algorithm", self.algorithm, one_of(*ALGORITHMS, "custom"))
+        keys = _CUSTOM if self.algorithm == "custom" else ALGORITHMS[self.algorithm].hyperparameters
+        object.__setattr__(self, "hyperparameters",
+                           checked(keys, self.hyperparameters, self.algorithm))
+
+
+#: The one key of a ``custom`` :class:`ClassifierSpec`, as (check, default).
+_CUSTOM = {"handle": ((lambda v: all(callable(getattr(v, m, None)) for m in ("fit", "predict")),
+                       "an object with callable fit and predict"), REQUIRED)}
 
 
 #: The keys of a :class:`CVStrategy`, each as (check, default): the kinds

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .acquisition import SignalRegistry, load_csv_signal, scan_dataset, write_rows
 from .config import build_pipeline_spec, load_config, load_dataset_spec
-from .engine import PipelineSpec, build_pipeline
+from .engine import build_pipeline
 from .errors import (
     AffectPipeError,
     CatalogError,

@@ -71,7 +71,6 @@ def _modality(registry: SignalRegistry, name, key):
     if registry.lookup(str(name)) is None:
         raise ConfigError(f"{key}: {name!r} is not a known modality "
                           f"({', '.join(registry.names())})")
-    return name
 
 
 def _build_catalog(features_doc) -> list[FeatureCatalogEntry]:
@@ -100,7 +99,7 @@ def _build_chains(chains: Section, registry: SignalRegistry) -> dict[str, Prepro
                       for name, v in step.table(STEP_OPS[op]).items()}
             step.done()
             parsed.append(PreprocessStep(op, params))
-        built[str(modality).upper()] = PreprocessChain(tuple(parsed))
+        built[modality] = PreprocessChain(tuple(parsed))
     return built
 
 
@@ -125,15 +124,19 @@ def build_pipeline_spec(doc: dict) -> PipelineSpec:
     seed = root.get("seed", 0, at_least(0))
     registry = SignalRegistry.default()
     dataset = root.section("dataset")
-    signal_types = [_modality(registry, name, f"dataset.signal_types[{i}]")
-                    for i, name in enumerate(dataset.get("signal_types", check=NAMES))]
-    stages = [SignalAcquisition(signal_types,
-                                dataset.get("root", check=(lambda v: type(v) is str, "a path")),
-                                registry)]
+    try:
+        stages = [SignalAcquisition(dataset.get("signal_types", check=NAMES),
+                                    dataset.get("root", check=(lambda v: type(v) is str, "a path")),
+                                    registry)]
+    except ValueError as exc:  # a signal type the registry does not know
+        raise ConfigError(f"dataset.{exc}") from exc
     dataset.done()
     pre = root.section("preprocessing", optional=True)
-    stages.append(SignalPreprocessor(_build_chains(pre.section("chains", optional=True), registry),
-                                     pre.get("resample_rate_hz", None, POSITIVE)))
+    chains = _build_chains(pre.section("chains", optional=True), registry)
+    try:
+        stages.append(SignalPreprocessor(chains, pre.get("resample_rate_hz", None, POSITIVE)))
+    except ValueError as exc:  # keys naming one modality in two cases
+        raise ConfigError(f"preprocessing.chains: {exc}") from exc
     pre.done()
     windowing = root.section("windowing")
     try:

@@ -21,9 +21,9 @@ from .errors import (
     MissingStage,
     StageExecutionError,
 )
-from .features import FeatureCatalogEntry, WindowingPolicy, check_catalog, extract_features
+from .features import WindowingPolicy, check_catalog, extract_features
 from .labels import LABEL_RULES, LabelRule, attach_labels, load_reports, sequential_forward_selection
-from .types import FeatureMatrix, LabelVector, SubjectBundle
+from .types import FeatureMatrix, LabelVector, Modality, SubjectBundle
 
 # payload tags threaded between stages
 NONE, BUNDLE, FEATURES, LABELED, OUTPUT = (
@@ -60,6 +60,10 @@ class SignalAcquisition(Component):
         self.signal_types = list(signal_types)
         self.source_folder = Path(source_folder)
         self.registry = registry or SignalRegistry.default()
+        for i, name in enumerate(self.signal_types):
+            if self.registry.lookup(name.name if isinstance(name, Modality) else str(name)) is None:
+                raise ValueError(f"signal_types[{i}]: {name!r} is not a known modality "
+                                 f"({', '.join(self.registry.names())})")
 
     def run(self, payload, ctx):
         index = scan_dataset(self.source_folder, self.registry)
@@ -76,7 +80,7 @@ class SignalPreprocessor(Component):
     output_type = BUNDLE
 
     def __init__(self, preprocessing_methods=None, resample_rate=None):
-        self.chains = dict(preprocessing_methods or {})
+        self.chains = preprocessing.chains_by_modality(preprocessing_methods)
         self.resample_rate = resample_rate
 
     def run(self, bundle: SubjectBundle, ctx):

@@ -613,7 +613,7 @@ class _SeriesWindows:
                 self._results[key] = exc
         result = self._results[key]
         if isinstance(result, AffectPipeError):
-            raise result
+            raise result.with_traceback(None)  # else each raise adds frames to it
         return result
 
     def rr(self, k: int) -> RRSeries:

@@ -39,19 +39,23 @@ class SelfReport:
 
 @dataclass(frozen=True)
 class LabelRule:
-    """How rows get labels: ``kind`` is a key of :data:`LABEL_RULES`, whose
-    ``parameters`` table the rule is checked against and filled from
-    (ValueError names the key), or ``custom`` with ``{"fn": fn}``, where
-    ``fn(matrix)`` gives one class id per row, and optional ``class_names``."""
+    """How rows get labels: ``kind`` is a key of :data:`LABEL_RULES` or
+    ``custom``, whose ``parameters`` table the rule is checked against and
+    filled from (ValueError names the key).  A custom rule takes ``fn``,
+    where ``fn(matrix)`` gives one class id per row, and ``class_names``."""
 
     kind: str
     parameters: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind != "custom":
-            check_value("kind", self.kind, one_of(*LABEL_RULES, "custom"))
-            object.__setattr__(self, "parameters", checked(
-                LABEL_RULES[self.kind].parameters, self.parameters, self.kind))
+        check_value("kind", self.kind, one_of(*LABEL_RULES, "custom"))
+        keys = _CUSTOM if self.kind == "custom" else LABEL_RULES[self.kind].parameters
+        object.__setattr__(self, "parameters", checked(keys, self.parameters, self.kind))
+
+
+#: The keys of a ``custom`` :class:`LabelRule`, each as (check, default).
+_CUSTOM = {"fn": ((callable, "a callable"), REQUIRED),
+           "class_names": ((lambda v: isinstance(v, Mapping), "a mapping"), None)}
 
 
 def load_reports(path, subject_id: str) -> list[SelfReport]:

@@ -296,18 +296,27 @@ def default_chain(modality: Modality | str, fs_hz: float) -> PreprocessChain:
     return PreprocessChain(tuple(usable))
 
 
+def chains_by_modality(chains) -> dict[str, PreprocessChain]:
+    """``chains`` keyed by upper-cased modality name; ValueError if two keys name one."""
+    chains = dict(chains or {})
+    keyed = {name.upper(): chain for name, chain in chains.items()}
+    if len(keyed) < len(chains):
+        raise ValueError(f"chain keys {list(chains)} name a modality twice")
+    return keyed
+
+
 def preprocess(bundle: SubjectBundle,
                chains: dict[str, PreprocessChain] | None = None,
                resample_rate_hz: float | None = None) -> SubjectBundle:
     """Run every series through its modality's chain.
 
-    Modalities without an explicit chain get :func:`default_chain`.  When
-    ``resample_rate_hz`` is set, each series is resampled onto that uniform
-    grid before its chain runs.  The bundle shape (subjects, phases,
-    modalities) is preserved.  Raises PreprocessingFailed naming every
-    series whose chain failed.
+    Chain keys match modality names whatever their case; a modality without
+    a chain gets :func:`default_chain`.  When ``resample_rate_hz`` is set,
+    each series is resampled onto that uniform grid before its chain runs.
+    The bundle shape (subjects, phases, modalities) is preserved.  Raises
+    PreprocessingFailed naming every series whose chain failed.
     """
-    chains = dict(chains or {})
+    chains = chains_by_modality(chains)
     out = {}
     errors = []
     for subject in bundle.subjects():
@@ -319,7 +328,7 @@ def preprocess(bundle: SubjectBundle,
                     s = resample_series(s, resample_rate_hz)
                 elif not s.is_uniform():
                     s = resample_series(s, s.sample_rate_hz)
-                chain = chains.get(series.modality.name)
+                chain = chains.get(series.modality.name.upper())
                 if chain is None:
                     chain = default_chain(series.modality, s.sample_rate_hz)
                 processed.append(chain.apply(s))

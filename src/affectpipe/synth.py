@@ -8,7 +8,7 @@ manifest and per-subject self-report files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +16,7 @@ import numpy as np
 from .acquisition import SignalRegistry, write_csv_signal, write_rows
 from .checks import INTEGER, NAMES, NUMBER
 from .errors import ConfigError, InvalidRate, IOFailure, SCROutOfRange
-from .types import Modality, TimeSeries
+from .types import TimeSeries
 
 _REGISTRY = SignalRegistry.default()
 

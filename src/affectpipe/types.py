@@ -34,7 +34,7 @@ class Modality:
 
 
 def _frozen_array(values, dtype=float):
-    arr = np.asarray(values, dtype=dtype)
+    arr = np.array(values, dtype=dtype)  # a copy: the caller's array stays writable
     arr.setflags(write=False)
     return arr
 

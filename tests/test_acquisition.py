@@ -186,6 +186,19 @@ def test_load_header_only_fails_validation_without_warning(tmp_path):
             load_csv_signal(f, SignalRegistry.default().lookup("ECG"), "S1", "rest")
 
 
+@pytest.mark.parametrize("body, violations", [
+    ("0.0,0.1\n", ["fewer than 2 samples"]),
+    ('"0.0",0.1\n', ["fewer than 2 samples"]),  # the row-wise parse
+    ("inf,0.1\n", ["fewer than 2 samples", "non-finite timestamp (index 0)"]),
+])
+def test_load_one_row_reports_every_violation(tmp_path, body, violations):
+    f = tmp_path / "sig.csv"
+    f.write_text("timestamp,ECG\n" + body, encoding="utf-8")
+    with pytest.raises(ValidationFailed) as e:
+        load_csv_signal(f, SignalRegistry.default().lookup("ECG"), "S1", "rest")
+    assert [str(v) for v in e.value.violations] == violations
+
+
 def _rowwise_write(series, path, precision=12):
     """The original csv.writer serializer, kept as the byte reference."""
     with open(path, "w", newline="", encoding="utf-8") as fh:

@@ -108,9 +108,11 @@ def test_constructors_fill_in_the_defaults():
 def test_custom_rules_stay_outside_the_tables():
     # a custom classifier or label rule is Python-only: no config names it
     assert "custom" not in ALGORITHMS and "custom" not in LABEL_RULES
-    assert ClassifierSpec("c", "custom", {"handle": object()}).hyperparameters
-    rule = LabelRule("custom", {"fn": lambda m: [0] * len(m)})
-    assert "class_names" not in rule.parameters
+    handle = type("Handle", (), {"fit": lambda self, X, y: None,
+                                 "predict": lambda self, X: X})()
+    assert ClassifierSpec("c", "custom", {"handle": handle}).hyperparameters == {"handle": handle}
+    rule = LabelRule("custom", {"fn": len})
+    assert rule.parameters == {"fn": len, "class_names": None}  # filled in, as built-ins are
 
 
 def test_threshold_rules_are_the_kinds_that_read_self_reports():

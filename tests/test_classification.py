@@ -428,6 +428,29 @@ def test_custom_handle_contract():
     assert scores is None
 
 
+class _FitOnly:
+    predict = None  # present, but not callable
+
+    def fit(self, X, y):
+        pass
+
+
+@pytest.mark.parametrize("hyperparameters, match", [
+    ({}, "missing 'custom.handle'"),
+    ({"handle": 3}, "custom.handle must be an object with callable fit and predict, got 3"),
+    ({"handle": _FitOnly()}, "custom.handle must be an object with callable fit and predict"),
+])
+def test_custom_handle_is_checked_when_built(hyperparameters, match):
+    with pytest.raises(ValueError, match=match):
+        ClassifierSpec("h", "custom", hyperparameters)
+
+
+def test_custom_spec_takes_no_other_key():
+    handle = type("Handle", (), {"fit": lambda self, X, y: None, "predict": len})()
+    with pytest.raises(ValueError, match="unknown keys: custom.scale"):
+        ClassifierSpec("h", "custom", {"handle": handle, "scale": True})
+
+
 def test_fit_and_predict_reject_non_finite_feature_matrix():
     X = np.arange(12.0).reshape(6, 2)
     y = np.array([0, 1] * 3)

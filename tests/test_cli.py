@@ -418,6 +418,10 @@ def _append(extra):
                  "preprocessing.chains.ECG[0].op", id="chain-op-typo"),
     pytest.param(_append(CHAIN.format(modality="ECGX", op="lowpass")),
                  "preprocessing.chains.ECGX", id="chain-unknown-modality"),
+    pytest.param(_append(CHAIN.format(modality="ECG", op="lowpass")
+                         + "    ecg:\n      - {op: notch}\n"),
+                 "preprocessing.chains: chain keys ['ECG', 'ecg'] name a modality twice",
+                 id="chain-modality-twice"),
     pytest.param(_append(STEP.format(step="{op: notch, f0: 60}")),
                  "preprocessing.chains.ECG[0].f0", id="step-key-typo"),
     pytest.param(_append(STEP.format(step="{op: lowpass, order: 2, cutoffs_hz: [5.0], q: 3}")),
@@ -514,6 +518,15 @@ def test_run_output_path_is_a_file_exit_1(dataset_root, tmp_path, capsys):
     blocker.write_text("", encoding="utf-8")
     assert cmd_run(str(cfg), out_dir=str(blocker)) == 1
     assert "I/O failure" in capsys.readouterr().out
+
+
+def test_run_unwritable_record_file_exit_1(dataset_root, tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(run_config(dataset_root), encoding="utf-8")
+    (tmp_path / "out" / "dropped_rows.csv").mkdir(parents=True)  # a directory in its place
+    assert cmd_run(str(cfg), out_dir=str(tmp_path / "out")) == 1
+    out = capsys.readouterr().out
+    assert "I/O failure: cannot write" in out and "dropped_rows.csv" in out
 
 
 def test_run_config_error_exit_2(tmp_path):

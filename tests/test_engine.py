@@ -23,10 +23,12 @@ from affectpipe import (
     WindowingPolicy,
     FeatureMatrix,
     LabelVector,
+    Modality,
     build_pipeline,
     cross_validate,
     ecg_eda_catalog,
     make_folds,
+    preprocess,
     synth_dataset,
 )
 from affectpipe.features import FeatureCatalogEntry
@@ -171,6 +173,30 @@ def test_empty_dataset_fails_at_acquisition(tmp_path):
         p.run()
     assert e.value.stage_index == 0
     assert isinstance(e.value.__cause__, EmptyDataset)
+
+
+def test_acquisition_rejects_an_unknown_signal_type_when_built(tmp_path):
+    with pytest.raises(ValueError, match=r"signal_types\[1\]: 'EDAX' is not a known modality"):
+        SignalAcquisition(["ECG", "EDAX"], tmp_path)
+    SignalAcquisition(["ecg", Modality("EDA")], tmp_path)  # any case, or a Modality
+
+
+def test_chain_keys_match_modalities_whatever_their_case(dataset_root):
+    bundle = SignalAcquisition(["ECG", "EDA"], dataset_root).run(None, RunContext())
+    as_loaded = PreprocessChain(())  # no steps, where the default EDA chain filters
+    for out in (preprocess(bundle, {"eda": as_loaded}),
+                SignalPreprocessor({"eda": as_loaded}).run(bundle, RunContext())):
+        for subject in bundle.subjects():
+            for phase in bundle.phases_for(subject):
+                assert out.find(subject, phase, "EDA").values.tobytes() == \
+                    bundle.find(subject, phase, "EDA").values.tobytes()
+                assert out.find(subject, phase, "ECG").values.tobytes() != \
+                    bundle.find(subject, phase, "ECG").values.tobytes()
+    twice = {"eda": as_loaded, "EDA": as_loaded}
+    with pytest.raises(ValueError, match="name a modality twice"):
+        preprocess(bundle, twice)
+    with pytest.raises(ValueError, match="name a modality twice"):
+        SignalPreprocessor(twice)
 
 
 def test_failing_preprocess_chain_reports_stage_1(dataset_root):

@@ -1,4 +1,5 @@
 import functools
+import traceback
 import warnings
 
 import numpy as np
@@ -238,6 +239,20 @@ def test_r_peaks_on_plateaus_take_the_first_maximum(monkeypatch):
 def _rr(intervals):
     beats = 0.5 + np.concatenate([[0.0], np.cumsum(intervals)])
     return RRSeries(beats)
+
+
+def test_rr_series_derives_read_only_intervals_from_beat_times():
+    beats = np.array([0.5, 1.3, 2.3, 3.1])
+    rr = RRSeries(beats)
+    assert rr.rr_s.tobytes() == np.diff(beats).tobytes()
+    for arr in (rr.beat_times_s, rr.rr_s):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    beats[0] = 0.0  # the caller's array stays writable, the series unchanged
+    assert rr.beat_times_s[0] == 0.5
+    for bad in ([0.5, 1.3, 1.3], [0.5, 1.3, 1.0]):
+        with pytest.raises(ValueError, match="beat times must increase"):
+            RRSeries(bad)
 
 
 def test_hrv_time_constant_rr():
@@ -1037,6 +1052,20 @@ def test_series_level_failure_is_computed_once(monkeypatch):
     assert len(calls) == 2  # one per ECG series, not one per window
 
 
+def test_kept_series_failure_traceback_does_not_grow_with_windows():
+    # a flat 300 s ECG in 30 s windows every 2 s: 136 windows share one
+    # NoBeatsDetected, raised again for each
+    cut = features._SeriesWindows(make_series(np.zeros(250 * 300), 250.0),
+                                  WindowingPolicy(30.0, 2.0))
+    assert len(cut.windows) == 136
+    depths = []
+    for k in range(len(cut.windows)):
+        with pytest.raises(NoBeatsDetected) as e:
+            cut.rr(k)
+        depths.append(len(traceback.extract_tb(e.value.__traceback__)))
+    assert depths[-1] == depths[0]
+
+
 def test_eda_windows_slice_the_series_decomposition():
     eda = _stress_bundle(subjects=("S1",)).find("S1", "stress", "EDA")
     cut = features._SeriesWindows(eda, WindowingPolicy(60.0, 30.0))
@@ -1059,6 +1088,7 @@ def test_scl_slope_matches_statistical_features_slope():
         expected = statistical_features(tonic.values, tonic.timestamps)
         assert out["scl_slope"] == expected["slope"]
         assert out["scl_mean_us"] == expected["mean"]
+        assert out["scl_std_us"] == expected["std"]
 
 
 def test_extract_undeclared_feature_name_names_the_entry():

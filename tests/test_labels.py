@@ -205,6 +205,17 @@ def test_attach_custom_rule_passthrough():
         attach_labels(_four_row_matrix(), LabelRule("custom", {"fn": lambda m: [0]}))
 
 
+@pytest.mark.parametrize("parameters, match", [
+    ({}, "missing 'custom.fn'"),
+    ({"fn": 3}, "custom.fn must be a callable, got 3"),
+    ({"fn": len, "class_names": ["low", "high"]}, "custom.class_names must be a mapping"),
+    ({"fn": len, "classes": {0: "low"}}, "unknown keys: custom.classes"),
+])
+def test_custom_rule_is_checked_when_built(parameters, match):
+    with pytest.raises(ValueError, match=match):
+        LabelRule("custom", parameters)
+
+
 def test_load_reports_roundtrip(tmp_path):
     f = tmp_path / "S1_reports.csv"
     f.write_text("phase,questionnaire,score\nrest,SUDS,25.0\nstress,SUDS,75.0\n",
@@ -366,6 +377,12 @@ def test_sfs_accepts_bare_handle_scorer():
     out = sequential_forward_selection(m, lv, _Majority(), k=2)
     # every column scores the same, so ties keep the lowest indices
     assert out.columns == ("c0", "c1")
+
+
+def test_sfs_rejects_a_scorer_without_fit_and_predict():
+    m, lv = _sfs_fixture()
+    with pytest.raises(ValueError, match="custom.handle must be an object with callable fit"):
+        sequential_forward_selection(m, lv, object(), k=2)
 
 
 # --- cached KNN scoring of SFS steps ---

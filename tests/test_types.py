@@ -48,6 +48,16 @@ def test_series_arrays_are_immutable():
         s.values[0] = 9.0
 
 
+def test_series_leaves_the_callers_arrays_writable():
+    t, x = np.arange(4) * 0.004, np.array([1.0, 2.0, 3.0, 4.0])
+    s = TimeSeries("S1", "rest", Modality("ECG"), t, x, 250)
+    f = s.with_values(x)
+    t[0], x[0] = -1.0, 9.0  # float64 input, so no conversion made a copy
+    np.testing.assert_array_equal(s.timestamps, np.arange(4) * 0.004)
+    np.testing.assert_array_equal(s.values, [1.0, 2.0, 3.0, 4.0])
+    np.testing.assert_array_equal(f.values, [1.0, 2.0, 3.0, 4.0])
+
+
 def test_window_is_a_read_only_view_built_without_revalidation(monkeypatch):
     s = TimeSeries("S1", "rest", Modality("ECG"), np.arange(6) * 0.004,
                    [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 250)
