@@ -435,20 +435,20 @@ class _FitOnly:
         pass
 
 
+class _FitPredict(_FitOnly):
+    def predict(self, X):
+        return np.zeros(len(X), dtype=int)
+
+
 @pytest.mark.parametrize("hyperparameters, match", [
     ({}, "missing 'custom.handle'"),
     ({"handle": 3}, "custom.handle must be an object with callable fit and predict, got 3"),
     ({"handle": _FitOnly()}, "custom.handle must be an object with callable fit and predict"),
+    ({"handle": _FitPredict(), "scale": True}, "unknown keys: custom.scale"),
 ])
 def test_custom_handle_is_checked_when_built(hyperparameters, match):
     with pytest.raises(ValueError, match=match):
         ClassifierSpec("h", "custom", hyperparameters)
-
-
-def test_custom_spec_takes_no_other_key():
-    handle = type("Handle", (), {"fit": lambda self, X, y: None, "predict": len})()
-    with pytest.raises(ValueError, match="unknown keys: custom.scale"):
-        ClassifierSpec("h", "custom", {"handle": handle, "scale": True})
 
 
 def test_fit_and_predict_reject_non_finite_feature_matrix():
