@@ -272,11 +272,17 @@ def acquire(index: DatasetIndex, signal_types, strict: bool = False) -> Acquisit
     A subject missing any requested modality in any of its phases is
     excluded and reported (or escalated to an error in strict mode),
     mirroring how incomplete subjects are dropped from study datasets.
+    A requested modality that no indexed file has raises EmptyDataset.
     """
     wanted = [m.name.upper() if isinstance(m, Modality) else str(m).upper()
               for m in signal_types]
     if not wanted:
         raise EmptyDataset("no signal types requested")
+    found = sorted({mod.name for files in index.subjects.values() for _, mod, _ in files})
+    absent = [m for m in wanted if m not in found]
+    if absent:
+        raise EmptyDataset(f"no file has the requested modalities {absent} "
+                           f"(the files have {', '.join(found)})")
     entries = {}
     excluded = []
     for subject, files in sorted(index.subjects.items()):

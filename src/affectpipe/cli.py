@@ -24,7 +24,6 @@ from .errors import (
     EmptyDataset,
     IncompatibleStages,
     IOFailure,
-    MisorderedStage,
     MissingStage,
 )
 from .synth import synth_dataset
@@ -93,7 +92,7 @@ def cmd_run(config_file: str, seed: int | None = None, strict: bool = False,
     except ConfigError as exc:
         print(f"config error: {exc}", file=out)
         return 2
-    except (CatalogError, MissingStage, MisorderedStage, IncompatibleStages) as exc:
+    except (CatalogError, MissingStage, IncompatibleStages) as exc:
         print(f"pipeline build error: {exc}", file=out)
         return 3
     try:

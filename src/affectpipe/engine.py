@@ -15,12 +15,7 @@ from . import preprocessing
 from .acquisition import AcquisitionResult, DatasetIndex, SignalRegistry, acquire, scan_dataset
 from .checks import INTEGER, REQUIRED, at_least, check_value, checked
 from .classification import ClassifierSpec, CVStrategy, cross_validate, fit, predict
-from .errors import (
-    IncompatibleStages,
-    MisorderedStage,
-    MissingStage,
-    StageExecutionError,
-)
+from .errors import IncompatibleStages, MissingStage, StageExecutionError
 from .features import WindowingPolicy, check_catalog, extract_features
 from .labels import LABEL_RULES, LabelRule, attach_labels, load_reports, sequential_forward_selection
 from .types import FeatureMatrix, LabelVector, Modality, SubjectBundle
@@ -245,27 +240,22 @@ REQUIRED_KINDS = ("Acquisition", "Preprocessor", "LabelGenerator", "Classificati
 
 
 def build_pipeline(spec: PipelineSpec) -> Pipeline:
-    """Validate ordering and type compatibility; report the first problem.
+    """Check the required kinds and the payload chain; raise the first problem.
 
-    Raises MissingStage, MisorderedStage, or IncompatibleStages(i, i+1).
+    Each stage's output must be the next stage's input, and stage 0 must take
+    the run's start payload ``none``; so a built-in layout opens with its one
+    Acquisition and ends with its one Classification.  Raises MissingStage
+    or IncompatibleStages(i, i+1), with i = -1 for stage 0.
     """
     stages = list(spec.stages)
     kinds = [s.kind for s in stages]
     for kind in REQUIRED_KINDS:
         if kind not in kinds:
             raise MissingStage(kind)
-    if kinds[0] != "Acquisition":
-        raise MisorderedStage("Acquisition", "must be the first stage")
-    if kinds[-1] != "Classification":
-        raise MisorderedStage("Classification", "must be the last stage")
-    if kinds.count("Acquisition") > 1 or kinds.count("Classification") > 1:
-        raise MisorderedStage("Acquisition", "duplicate terminal stage")
-    if "FeatureSelector" in kinds and \
-            kinds.index("FeatureSelector") < kinds.index("LabelGenerator"):
-        raise MisorderedStage("FeatureSelector", "needs labels; place it after "
-                              "the LabelGenerator")
-    for i in range(len(stages) - 1):
-        if stages[i].output_type != stages[i + 1].input_type:
-            raise IncompatibleStages(i, i + 1, stages[i].output_type,
-                                     stages[i + 1].input_type)
+    for i, (stage, after) in enumerate(zip(stages, stages[1:])):
+        if stage.output_type != after.input_type:
+            raise IncompatibleStages(i, i + 1, stage.output_type, after.input_type,
+                                     stage.kind, after.kind)
+    if stages[0].input_type != NONE:
+        raise IncompatibleStages(-1, 0, NONE, stages[0].input_type, "run start", kinds[0])
     return Pipeline(spec)

@@ -44,10 +44,9 @@ class UnknownModality(AffectPipeError):
 # --- pipeline construction / execution ---
 
 class IncompatibleStages(AffectPipeError):
-    def __init__(self, i, j, got, wanted):
-        super().__init__(
-            f"stage {i} output {got!r} is incompatible with stage {j} input {wanted!r}"
-        )
+    def __init__(self, i, j, got, wanted, kind, next_kind):
+        super().__init__(f"stage {i} ({kind}) output {got!r} is incompatible "
+                         f"with stage {j} ({next_kind}) input {wanted!r}")
         self.index = i
         self.next_index = j
         self.got = got
@@ -57,12 +56,6 @@ class IncompatibleStages(AffectPipeError):
 class MissingStage(AffectPipeError):
     def __init__(self, kind):
         super().__init__(f"required stage missing: {kind}")
-        self.kind = kind
-
-
-class MisorderedStage(AffectPipeError):
-    def __init__(self, kind, detail=""):
-        super().__init__(f"stage out of order: {kind}" + (f" ({detail})" if detail else ""))
         self.kind = kind
 
 

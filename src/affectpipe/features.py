@@ -742,15 +742,6 @@ COMPUTATIONS = {
 }
 
 
-def _entry_feature_names(entry: FeatureCatalogEntry) -> list[str]:
-    if entry.features is not None:
-        return list(entry.features)
-    raise CatalogError(
-        f"catalog entry {entry.name!r} must declare its feature list "
-        "so the column schema is known up front"
-    )
-
-
 def _resolve(entry: FeatureCatalogEntry) -> _Computation:
     """The entry's registered computation; a custom callable ``fn(window,
     params)`` runs on window k itself and declares no names."""
@@ -772,21 +763,32 @@ def _undeclared(entry: FeatureCatalogEntry, returned) -> CatalogError:
     )
 
 
-def check_catalog(catalog: list[FeatureCatalogEntry]):
-    """Reject a catalog before any window is computed.
+def check_catalog(catalog: list[FeatureCatalogEntry]) -> list[_Computation]:
+    """Reject a catalog before any window is computed; return each entry's
+    computation.
 
     Raises :class:`~affectpipe.errors.CatalogError`, naming the entry, for
-    an empty catalog, an entry without a ``features`` list, an unknown
-    computation, a ``parameters`` key its registered computation does not
-    read, a parameter value its check rejects (see ``_Computation.reads``),
-    or a ``features`` name it does not declare.  Names of a custom callable
-    are checked per window instead, and its parameters not at all.
+    an empty catalog, an entry without a ``features`` list, a column
+    (``entry.feature``) that an entry repeats or another entry gives too,
+    an unknown computation, a ``parameters`` key its registered computation
+    does not read, a parameter value its check rejects (see
+    ``_Computation.reads``), or a ``features`` name it does not declare.
+    Names of a custom callable are checked per window instead, and its
+    parameters not at all.
     """
     if not catalog:
         raise CatalogError("feature catalog is empty")
+    columns, computations = set(), []
     for entry in catalog:
-        names = _entry_feature_names(entry)
+        if entry.features is None:
+            raise CatalogError(f"catalog entry {entry.name!r} must declare its feature "
+                               "list so the column schema is known up front")
+        for column in (f"{entry.name}.{feat}" for feat in entry.features):
+            if column in columns:
+                raise CatalogError(f"catalog entry {entry.name!r} repeats column {column!r}")
+            columns.add(column)
         computation = _resolve(entry)
+        computations.append(computation)
         if computation.names is not None:
             unread = [key for key in entry.parameters if key not in computation.reads]
             if unread:
@@ -800,8 +802,9 @@ def check_catalog(catalog: list[FeatureCatalogEntry]):
                     raise CatalogError(f"catalog entry {entry.name!r} parameter "
                                        f"{key!r} must be {must}, got {value!r}")
             declared = computation.declared(entry.parameters)
-            if not set(names) <= set(declared):
+            if not set(entry.features) <= set(declared):
                 raise _undeclared(entry, declared)
+    return computations
 
 
 def ecg_eda_catalog() -> list[FeatureCatalogEntry]:
@@ -825,11 +828,11 @@ def ecg_eda_catalog() -> list[FeatureCatalogEntry]:
     ]
 
 
-def _entry_columns(entry: FeatureCatalogEntry, cut: _SeriesWindows) -> list[list]:
+def _entry_columns(entry: FeatureCatalogEntry, computation: _Computation,
+                   cut: _SeriesWindows) -> list[list]:
     """One list of per-window values per feature name; absent cells where
     the window failed."""
-    names = _entry_feature_names(entry)
-    computation = _resolve(entry)
+    names = entry.features
     if computation.series:
         return computation.series(cut, names)
     columns = [[] for _ in names]
@@ -859,7 +862,8 @@ def extract_features(bundle: SubjectBundle,
     SCR smoothing for ``eda_decomposition``.  Each window then takes its
     slice: the series beats inside its bounds, or its samples of tonic,
     phasic and smoothed phasic.  Everything else (statistics, RESP, EMG,
-    custom callables) runs on the window itself.
+    custom callables) runs on the window itself.  An entry's modality
+    matches the series' whatever its case.
 
     With ``calculate_average`` the per-window feature time series collapses
     to one mean row per (subject, phase) with window_index 0.  A window
@@ -876,28 +880,23 @@ def extract_features(bundle: SubjectBundle,
     numeric columns (averaged, they become the share of windows with the
     tag).  A column mixing numbers and text raises a ValueError.
     """
-    check_catalog(catalog)
-    columns = []
-    for entry in catalog:
-        for feat in _entry_feature_names(entry):
-            columns.append(f"{entry.name}.{feat}")
+    computations = check_catalog(catalog)
+    columns = [f"{entry.name}.{feat}" for entry in catalog for feat in entry.features]
 
     keys = []  # one (subject, phase, window) key per row
     cells = [[] for _ in columns]  # one list of raw cells per column
     for subject in bundle.subjects():
         for phase in bundle.phases_for(subject):
-            cuts = {}  # modality name -> _SeriesWindows
+            cuts = {}  # the bundle's modality name -> _SeriesWindows
             per_entry = []  # this (subject, phase)'s cells, one list per column
-            for entry in catalog:
-                if entry.modality not in cuts:
-                    series = bundle.find(subject, phase, entry.modality)
-                    if series is None:
-                        raise ValueError(
-                            f"modality {entry.modality!r} missing for "
-                            f"{subject}/{phase}"
-                        )
-                    cuts[entry.modality] = _SeriesWindows(series, policy)
-                per_entry += _entry_columns(entry, cuts[entry.modality])
+            for entry, computation in zip(catalog, computations):
+                series = bundle.find(subject, phase, entry.modality)
+                if series is None:
+                    raise ValueError(f"modality {entry.modality!r} missing for {subject}/{phase}")
+                cut = cuts.get(series.modality.name)
+                if cut is None:
+                    cut = cuts[series.modality.name] = _SeriesWindows(series, policy)
+                per_entry += _entry_columns(entry, computation, cut)
             n_windows = min(len(cut.windows) for cut in cuts.values())
             keys += [(subject, phase, k) for k in range(n_windows)]
             for column, entry_column in zip(cells, per_entry):

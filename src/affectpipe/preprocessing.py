@@ -314,9 +314,16 @@ def preprocess(bundle: SubjectBundle,
     a chain gets :func:`default_chain`.  When ``resample_rate_hz`` is set,
     each series is resampled onto that uniform grid before its chain runs.
     The bundle shape (subjects, phases, modalities) is preserved.  Raises
-    PreprocessingFailed naming every series whose chain failed.
+    PreprocessingFailed naming every series whose chain failed, and
+    ValueError for a chain key that matches no series of the bundle.
     """
     chains = chains_by_modality(chains)
+    present = {s.modality.name.upper() for subject in bundle.subjects()
+               for s in bundle.series_for(subject)}
+    unused = [key for key in chains if key not in present]
+    if unused:
+        raise ValueError(f"chains for {unused} match no series; the bundle has "
+                         f"{', '.join(sorted(present))}")
     out = {}
     errors = []
     for subject in bundle.subjects():

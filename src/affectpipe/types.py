@@ -206,7 +206,7 @@ class SubjectBundle:
                     raise ValueError(
                         f"series subject {s.subject_id!r} filed under {subject!r}"
                     )
-                key = (s.phase, s.modality.name)
+                key = (s.phase, s.modality.name.upper())  # as find matches it
                 if key in seen:
                     raise ValueError(f"duplicate (phase, modality) {key} for {subject!r}")
                 seen.add(key)
@@ -220,8 +220,10 @@ class SubjectBundle:
         return self.entries[subject]
 
     def find(self, subject: str, phase: str, modality_name: str) -> TimeSeries | None:
+        """The series of (subject, phase) whose modality is ``modality_name``,
+        whatever its case."""
         for s in self.entries.get(subject, ()):
-            if s.phase == phase and s.modality.name == modality_name:
+            if s.phase == phase and s.modality.name.upper() == modality_name.upper():
                 return s
         return None
 

@@ -341,6 +341,18 @@ def test_acquire_strict_mode_escalates(tmp_path):
         acquire(index, ["ECG", "EDA"], strict=True)
 
 
+def test_acquire_names_a_modality_that_no_file_has(tmp_path):
+    index = _fixture(tmp_path)
+    with pytest.raises(EmptyDataset, match=r"no file has the requested modalities "
+                       r"\['EDAX'\] \(the files have ECG, EDA\)"):
+        acquire(index, ["ECG", "edax"])
+    # a modality that only some subjects have still excludes the others
+    write(tmp_path / "S1" / "S1_rest_EMG.csv", "timestamp,EMG\n0.0,1\n0.5,2\n1.0,1\n")
+    write(tmp_path / "S1" / "S1_stress_EMG.csv", "timestamp,EMG\n0.0,1\n0.5,2\n1.0,1\n")
+    result = acquire(scan_dataset(tmp_path), ["ECG", "EMG"])
+    assert result.excluded_subjects == ("S2",)
+
+
 def test_acquire_all_five_modalities(tmp_path):
     index = _fixture(tmp_path, modalities=("ECG", "EDA", "EMG", "RESP", "TEMP"))
     result = acquire(index, ["ECG", "EDA", "EMG", "RESP", "TEMP"])

@@ -582,6 +582,28 @@ def test_run_bad_catalog_parameter_value_exit_3_before_acquisition(tmp_path, cap
     assert "pipeline build error" in out and "'hrv'" in out and "'bands'" in out
 
 
+def test_run_repeated_column_exit_3_before_acquisition(tmp_path, capsys):
+    text = run_config(tmp_path / "no-such-dataset", features=(
+        "features:\n"
+        "  - {name: ecg, modality: ECG, computation: ecg_stats, features: [mean, std]}\n"
+        "  - {name: ecg, modality: ECG, computation: ecg_stats, features: [std]}"))
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text, encoding="utf-8")
+    assert cmd_run(str(cfg)) == 3
+    out = capsys.readouterr().out
+    assert "pipeline build error: catalog entry 'ecg' repeats column 'ecg.std'" in out
+
+
+def test_run_chain_for_a_modality_not_loaded_exit_4_at_stage_1(dataset_root, tmp_path,
+                                                               capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(run_config(dataset_root) + CHAIN.format(modality="EMG", op="lowpass"),
+                   encoding="utf-8")
+    assert cmd_run(str(cfg), out_dir=str(tmp_path / "out")) == 4
+    out = capsys.readouterr().out
+    assert "stage 1 (Preprocessor) failed: chains for ['EMG'] match no series" in out
+
+
 def test_run_window_longer_than_recording_exit_4(dataset_root, tmp_path, capsys):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(run_config(dataset_root, window=600.0), encoding="utf-8")

@@ -1,6 +1,7 @@
 import itertools
 import json
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from affectpipe.engine import (
     LABELED,
     NONE,
     OUTPUT,
+    REQUIRED_KINDS,
     SELECTOR_KEYS,
     Component,
     RunContext,
@@ -47,7 +49,6 @@ from affectpipe.errors import (
     EmptyDataset,
     IncompatibleStages,
     KTooLarge,
-    MisorderedStage,
     MissingStage,
     NonNumericFeature,
     PreprocessingFailed,
@@ -105,7 +106,7 @@ def test_build_with_selector(dataset_root):
 def test_build_acquisition_not_first(dataset_root):
     s = _stages(dataset_root)
     s[0], s[1] = s[1], s[0]
-    with pytest.raises(MisorderedStage):
+    with pytest.raises(IncompatibleStages):
         build_pipeline(PipelineSpec(tuple(s)))
 
 
@@ -128,7 +129,7 @@ def test_build_feature_extractor_omitted_is_type_error(dataset_root):
 def test_build_selector_before_labels(dataset_root):
     s = _stages(dataset_root, with_selector=True)
     s[3], s[4] = s[4], s[3]
-    with pytest.raises(MisorderedStage):
+    with pytest.raises(IncompatibleStages):
         build_pipeline(PipelineSpec(tuple(s)))
 
 
@@ -140,7 +141,7 @@ def test_type_safety_exhaustive(dataset_root):
         for combo in itertools.permutations(pool, r):
             try:
                 build_pipeline(PipelineSpec(tuple(combo)))
-            except (MissingStage, MisorderedStage, IncompatibleStages):
+            except (MissingStage, IncompatibleStages):
                 continue
             accepted += 1
             assert combo[0].input_type == NONE
@@ -148,6 +149,78 @@ def test_type_safety_exhaustive(dataset_root):
             for a, b in zip(combo, combo[1:]):
                 assert a.output_type == b.input_type
     assert accepted >= 2  # at least the two canonical layouts
+
+
+def test_incompatible_stages_names_both_kinds(dataset_root):
+    s = _stages(dataset_root)
+    s[0], s[1] = s[1], s[0]
+    with pytest.raises(IncompatibleStages, match=re.escape(
+            "stage 0 (Preprocessor) output 'bundle' is incompatible with "
+            "stage 1 (Acquisition) input 'none'")):
+        build_pipeline(PipelineSpec(tuple(s)))
+
+
+def _kind_rules_accept(stages):
+    """The kind rules for built-in stages: the required kinds present,
+    Acquisition first, Classification last, one of each, the first
+    FeatureSelector after the first LabelGenerator; and a matching payload
+    type between consecutive stages."""
+    kinds = [s.kind for s in stages]
+    return (all(kind in kinds for kind in REQUIRED_KINDS)
+            and kinds[0] == "Acquisition" and kinds[-1] == "Classification"
+            and kinds.count("Acquisition") == 1 and kinds.count("Classification") == 1
+            and ("FeatureSelector" not in kinds
+                 or kinds.index("FeatureSelector") > kinds.index("LabelGenerator"))
+            and all(a.output_type == b.input_type for a, b in zip(stages, stages[1:])))
+
+
+def test_payload_chain_places_built_in_stages_as_the_kind_rules_do(dataset_root):
+    """Every sequence of 1-6 of the six built-in stages, repeats allowed
+    (55,986): build_pipeline accepts exactly those the kind rules accept,
+    and rejects the rest with MissingStage or IncompatibleStages."""
+    pool = _stages(dataset_root, with_selector=True)
+    sequences = accepted = 0
+    for n in range(1, 7):
+        for combo in itertools.product(pool, repeat=n):
+            sequences += 1
+            try:
+                build_pipeline(PipelineSpec(combo))
+            except MissingStage as exc:
+                assert exc.kind not in [s.kind for s in combo]
+                built = False
+            except IncompatibleStages:
+                built = False
+            else:
+                built = True
+            assert built == _kind_rules_accept(combo), [s.kind for s in combo]
+            accepted += built
+    assert sequences == 55_986
+    # Acquisition, Preprocessor, FeatureExtractor, LabelGenerator,
+    # Classification; that with a second Preprocessor after the first; or
+    # that with a FeatureSelector after the LabelGenerator
+    assert accepted == 3
+
+
+class _Custom(Component):
+    kind = "Custom"
+
+    def __init__(self, input_type, output_type):
+        self.input_type, self.output_type = input_type, output_type
+
+    def run(self, payload, ctx):
+        return payload
+
+
+def test_custom_stages_sit_wherever_their_payload_types_allow(dataset_root):
+    stages = _stages(dataset_root)
+    for layout in ([_Custom(NONE, NONE)] + stages, stages + [_Custom(OUTPUT, OUTPUT)]):
+        assert isinstance(build_pipeline(PipelineSpec(tuple(layout))), Pipeline)
+    # stage 0 is given the run's start payload, none
+    with pytest.raises(IncompatibleStages, match=re.escape(
+            "stage -1 (run start) output 'none' is incompatible with "
+            "stage 0 (Custom) input 'bundle'")) as e:
+        build_pipeline(PipelineSpec(tuple([_Custom(BUNDLE, NONE)] + stages)))
+    assert (e.value.index, e.value.next_index) == (-1, 0)
 
 
 # --- run-time behaviour ---
@@ -212,6 +285,21 @@ def test_failing_preprocess_chain_reports_stage_1(dataset_root):
     cause = e.value.__cause__
     assert isinstance(cause, PreprocessingFailed)
     assert {m for _, _, m, _ in cause.failures} == {"EDA"}
+
+
+def test_a_chain_that_matches_no_series_is_rejected(dataset_root):
+    bundle = SignalAcquisition(["ECG", "EDA"], dataset_root).run(None, RunContext())
+    above_nyquist = PreprocessChain((
+        PreprocessStep("lowpass", {"order": 2, "cutoffs_hz": (1e6,)}),))
+    with pytest.raises(ValueError, match=re.escape(
+            "chains for ['EKG'] match no series; the bundle has ECG, EDA")):
+        preprocess(bundle, {"EKG": above_nyquist})
+    stages = _stages(dataset_root)
+    stages[1] = SignalPreprocessor({"EKG": above_nyquist})
+    with pytest.raises(StageExecutionError) as e:
+        build_pipeline(PipelineSpec(tuple(stages))).run()
+    assert e.value.stage_index == 1
+    assert "['EKG']" in str(e.value.__cause__)
 
 
 def test_misspelled_feature_name_fails_at_feature_extractor(dataset_root):

@@ -843,6 +843,26 @@ def test_extract_empty_catalog_rejected():
                          WindowingPolicy(60.0, 30.0), [])
 
 
+def test_extract_catalog_modality_matches_whatever_its_case(monkeypatch):
+    bundle = _stress_bundle(subjects=("S1",))
+    policy = WindowingPolicy(60.0, 30.0)
+    upper = extract_features(bundle, policy, ecg_eda_catalog())
+    lower = extract_features(bundle, policy, [
+        FeatureCatalogEntry(e.name, e.modality.lower(), e.computation, e.parameters,
+                            e.features) for e in ecg_eda_catalog()])
+    assert lower.columns == upper.columns
+    assert lower.values.tobytes() == upper.values.tobytes()
+    # an ECG and an ecg entry share one cut of the series: one R-peak
+    # detection per (subject, phase)
+    calls = []
+    monkeypatch.setattr(features, "detect_r_peaks",
+                        lambda s: calls.append(s.phase) or detect_r_peaks(s))
+    extract_features(bundle, policy, [
+        FeatureCatalogEntry("a", "ECG", "hrv_time", features=("rmssd_s",)),
+        FeatureCatalogEntry("b", "ecg", "hrv_time", features=("sdnn_s",))])
+    assert calls == ["rest", "stress"]
+
+
 def test_extract_stress_features_move_as_expected():
     m = extract_features(_stress_bundle(subjects=("S1",)),
                          WindowingPolicy(60.0, 30.0), ecg_eda_catalog(),
@@ -1178,6 +1198,16 @@ def test_check_catalog_rejects_before_any_window(entry, message, monkeypatch):
     with pytest.raises(CatalogError, match=message):
         extract_features(_stress_bundle(subjects=("S1",)),
                          WindowingPolicy(60.0, 30.0), [entry])
+
+
+@pytest.mark.parametrize("catalog", [
+    [FeatureCatalogEntry("ecg", "ECG", "ecg_stats", features=("mean", "std")),
+     FeatureCatalogEntry("ecg", "ECG", "ecg_stats", features=("median", "mean"))],
+    [FeatureCatalogEntry("ecg", "ECG", "ecg_stats", features=("mean", "std", "mean"))],
+], ids=["two-entries", "one-entry"])
+def test_check_catalog_rejects_a_repeated_column(catalog):
+    with pytest.raises(CatalogError, match=r"catalog entry 'ecg' repeats column 'ecg\.mean'"):
+        features.check_catalog(catalog)
 
 
 def test_check_catalog_accepts_checked_parameters():

@@ -111,6 +111,15 @@ def test_bundle_rejects_duplicate_phase_modality():
         SubjectBundle({"S1": [_series("S1"), _series("S1")]})
 
 
+def test_bundle_modality_names_match_whatever_their_case():
+    bundle = SubjectBundle({"S1": [_series("S1")]})
+    assert bundle.find("S1", "rest", "ecg") is bundle.find("S1", "rest", "ECG") is not None
+    # a second series that differs only in the case of its modality could
+    # not be found
+    with pytest.raises(ValueError, match="duplicate"):
+        SubjectBundle({"S1": [_series("S1"), _series("S1", modality="ecg")]})
+
+
 @given(st.integers(1, 5), st.integers(1, 5))
 def test_disjoint_bundle_merge_counts_add(n_a, n_b):
     a = SubjectBundle({f"A{i}": [_series(f"A{i}")] for i in range(n_a)})
