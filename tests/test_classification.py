@@ -212,6 +212,23 @@ def test_tree_keeps_first_split_within_tolerance(monkeypatch):
     assert tree["threshold"] == 1.5
 
 
+def test_tree_split_between_adjacent_doubles_separates_them():
+    # the midpoint of two adjacent doubles can round up to the upper one;
+    # a threshold there would send every row left and recurse without end
+    X = np.array([[0.09548302746945433], [0.03558623705548571],
+                  [-0.5062916583143148], [0.09548302746945435]])
+    y = np.array([0, 0, 0, 1])
+    pred, _ = predict(fit(TREE, X, y), X)
+    assert pred.tolist() == y.tolist()
+    lo, hi = 0.3, 0.30000000000000004
+    assert 0.5 * (lo + hi) == hi
+    tree = classification._grow_tree(np.array([[lo], [hi]]), np.array([0, 1]),
+                                     np.array([0, 1]), 0, None)
+    assert tree["threshold"] == lo
+    assert tree["left"]["counts"].tolist() == [1.0, 0.0]
+    assert tree["right"]["counts"].tolist() == [0.0, 1.0]
+
+
 def test_single_class_rejected():
     with pytest.raises(SingleClass):
         fit(KNN(1), np.zeros((4, 2)), np.zeros(4, dtype=int))
@@ -628,6 +645,44 @@ def test_roc_auc_is_nan_when_a_score_is_nan():
     assert np.isnan(roc_auc([1, 0, 1, 0], np.array([[0.1, 0.9], [0.5, np.nan],
                                                    [0.6, 0.4], [0.2, 0.8]])))
     assert roc_auc([1, 1, 0, 0], [0.9, 0.4, 0.1, 0.7]) == 0.75
+
+
+def _roc_auc_by_thresholds(y_true, scores, positive=1):
+    """The area of :func:`roc_auc` as a loop over thresholds, each distinct
+    score from the highest down, counting the rows at or above it."""
+    y = np.asarray(y_true) == positive
+    s = np.asarray(scores, dtype=float)
+    if s.ndim == 2:
+        s = s[:, -1]
+    n_pos, n_neg = int(y.sum()), int((~y).sum())
+    tpr, fpr = [0.0], [0.0]
+    for thr in np.unique(s)[::-1]:
+        hit = s >= thr
+        tpr.append(np.sum(hit & y) / n_pos)
+        fpr.append(np.sum(hit & ~y) / n_neg)
+    return float(np.trapezoid(tpr, fpr))
+
+
+def test_roc_auc_matches_the_threshold_loop_bit_for_bit():
+    # few distinct values, so ties everywhere; signed zeros; score columns;
+    # one distinct score
+    rng = np.random.default_rng(25)
+    for draw in range(2000):
+        n = int(rng.integers(2, 60))
+        y = rng.integers(0, 2, n)
+        y[:2] = [0, 1]
+        y = rng.permutation(y) * 3 + 2  # labels 2 and 5, positive 5
+        s = rng.integers(-3, 4, n) / float(rng.choice([1, 3, 7]))
+        if draw % 4 == 1:
+            s = np.where(s == 0, rng.choice([-0.0, 0.0], n), s)
+        elif draw % 4 == 2:
+            s = np.full(n, s[0])
+        elif draw % 4 == 3:
+            s = rng.uniform(0, 1, n)
+        if draw % 2:
+            s = np.column_stack([1 - s, s])
+        got, want = roc_auc(y, s, positive=5), _roc_auc_by_thresholds(y, s, positive=5)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_metrics_length_mismatch():
