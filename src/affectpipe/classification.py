@@ -218,8 +218,7 @@ def _row_blocks(width: int, n_rows: int) -> list[slice]:
     ``width``) float64 block within :data:`KNN_BLOCK_BYTES` allows, but at
     least one row; the last one may be shorter.  The rows are queries
     against ``width`` training rows, or in a selection step candidates
-    against a query block's near sets, or open pairs against their joined
-    windows."""
+    against a query block's near sets."""
     block = max(1, KNN_BLOCK_BYTES // (8 * max(width, 1)))
     return [slice(start, start + block) for start in range(0, n_rows, block)]
 
@@ -229,16 +228,14 @@ def _squared_distances(train_cols: np.ndarray, query_cols: np.ndarray) -> np.nda
 
     Both arguments hold one column per row (column-major copies of the
     rows); each column's ``(train - query) ** 2`` is added in column order.
-    ``train_cols`` may instead hold, per column, one row of training values
-    per query, shaped (columns, queries, training rows).
     """
     total = None
     for t, q in zip(train_cols, query_cols):
-        d = np.subtract(t, q[:, None])
+        d = np.subtract(t[None, :], q[:, None])
         np.square(d, out=d)
         total = d if total is None else np.add(total, d, out=total)
     if total is None:
-        return np.zeros((query_cols.shape[1], train_cols.shape[-1]))
+        return np.zeros((query_cols.shape[1], train_cols.shape[1]))
     return total
 
 
@@ -256,9 +253,8 @@ def _knn_vote(d: np.ndarray, y: np.ndarray, classes: np.ndarray,
     is at most the number of columns.
     """
     if k == 1:
-        # argmin returns the first minimum: the nearest row, lowest index
-        # on ties; its class gets the whole vote
-        nearest = np.broadcast_to(y, d.shape)[np.arange(d.shape[0]), np.argmin(d, axis=1)]
+        # the nearest row's class gets the whole vote
+        nearest, _ = _nearest(d, y)
         return (nearest[:, None] == classes[None, :]).astype(float)
     # (training rows, classes), or (queries, columns, classes) for per-row labels
     onehot = (y[..., None] == classes).astype(float)
@@ -278,6 +274,22 @@ def _knn_vote(d: np.ndarray, y: np.ndarray, classes: np.ndarray,
     # would sum it
     vote = np.concatenate(([0.0], np.cumsum(np.full(k, 1.0 / k))))
     return vote[counts]
+
+
+def _nearest(d: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entry of ``y`` at the nearest training row along the last axis
+    of the distances ``d``, and that distance.  ``y`` holds one entry per
+    training row (a label or a row index), repeated along the leading axes
+    of ``d`` it lacks.  ``argmin`` returns the first minimum, so ties break
+    on the lower column, as :func:`_knn_vote` breaks them."""
+    flat = d.reshape(-1, d.shape[-1])
+    at = np.argmin(flat, axis=1)
+    row = np.arange(flat.shape[0])
+    # ``y`` repeats along the leading axes, so row p of ``d`` reads row p
+    # modulo the rows of ``y``
+    y = y.reshape(-1, flat.shape[1])
+    return (y[row % y.shape[0], at].reshape(d.shape[:-1]),
+            flat[row, at].reshape(d.shape[:-1]))
 
 
 # --- sequential forward selection ---
@@ -324,43 +336,38 @@ class _KnnFolds:
     """The CV folds of a KNN scorer, cached for scoring whole selection steps.
 
     Per fold the train and test rows are z-scored once with the training
-    statistics and stored column-major, and each column's training values
-    are ranked once.  A column's statistics and squared differences do not
-    depend on the columns beside it, so a step sums the selected columns'
-    distances once, adds each candidate's column and feeds the square root
-    to the same neighbour vote as :func:`predict`: every score equals a
-    fit/predict on ``selected + [candidate]``.
+    statistics and stored column-major.  A column's statistics and squared
+    differences do not depend on the columns beside it, so a step sums the
+    selected columns' distances once, adds each candidate's column and feeds
+    the square root to the same neighbour vote as :func:`predict`: every
+    score equals a fit/predict on ``selected + [candidate]``.
 
     Each query is first scored against a near set of :data:`KNN_NEAR_ROWS`
     training rows, kept in index order, with a bound below which no other
     row lies:
 
-    - In the first step (nothing selected), per candidate: a query's near
-      set is the window of rows around its ``searchsorted`` position in the
-      candidate's ranked training column.  Rounded ``t - q`` is monotone in
-      the training value ``t``, and so are its square and root, so no row
-      outside the window is nearer than the nearer of the two rows just
-      outside it: that row's distance is the bound.
+    - In the first step (nothing selected), per candidate: each fold sorts
+      the candidate's training column once, and a query's near set is the
+      window of rows around its ``searchsorted`` position there.  Rounded
+      ``t - q`` is monotone in the training value ``t``, and so are its
+      square and root, so no row outside the window is nearer than the
+      nearer of the two rows just outside it: that row's distance is the
+      bound.
     - Once a column is selected, per query: its rows of least
       selected-column sum.  Adding a candidate's square and taking the
       root never lowers a row below the root of its sum, as rounding and
       the square root are monotone, so every other row lies at least the
-      root of the next larger sum away.  A pair that window cannot decide
-      is scored next on it joined with the candidate's column window, each
-      row once: a row outside both has a sum of at least that next larger
-      sum S and a candidate square of at least the least square D of the
-      two rows just outside the column window, and rounded addition is
-      monotone, so it lies at least ``sqrt(S + D)`` away.
+      root of the next larger sum away.
 
     A vote whose k-th nearest distance in the near set is strictly below
     the bound is the vote over all rows, ties included; any other
     (candidate, query) pair is scored against every training row.
 
     The arrays a step builds per query block stay bounded whatever the
-    number of candidates: a query block's candidates, and the pairs left
-    to the joined windows, are scored in blocks too, so each of their
-    distance arrays is within :data:`KNN_BLOCK_BYTES`, as is each
-    full-row (queries, training rows) block.
+    number of candidates: a query block's candidates are scored in blocks
+    too, so each (candidates, queries, near rows) array is within
+    :data:`KNN_BLOCK_BYTES`, as is each full-row (queries, training rows)
+    block.
     """
 
     def __init__(self, spec, X, y, folds):
@@ -370,10 +377,9 @@ class _KnnFolds:
             Xtr, y_train, classes = _training_rows(X[train], y[train])
             Xte = _as_array(X[test])
             mu, sigma = _zscore_stats(Xtr)
-            train_z, test_z = ((Xtr - mu) / sigma).T.copy(), ((Xte - mu) / sigma).T.copy()
             self.folds.append({
-                "train": train_z, "test": test_z,
-                "ranked": _ranked_columns(train_z, test_z),
+                "train": ((Xtr - mu) / sigma).T.copy(),
+                "test": ((Xte - mu) / sigma).T.copy(),
                 "y_train": y_train, "y_test": y[test], "classes": classes,
                 "k": min(k, train.size),
             })
@@ -381,12 +387,10 @@ class _KnnFolds:
     def step_scores(self, selected, candidates) -> list[float]:
         """Mean CV accuracy of ``selected + [j]`` for each candidate ``j``.
 
-        A fold's test rows are scored against their near sets in the query
-        blocks of :func:`_knn_scores`, so every candidate reuses a block's
-        summed selected columns while they are still in cache.  The pairs
-        left open are then scored per fold, on the joined windows and last
-        against every training row.  A fold's accuracy is its hits over its
-        test rows.
+        A fold's test rows are scored in the query blocks of
+        :func:`_knn_scores`, so every candidate reuses a block's summed
+        selected columns while they are still in cache.  A fold's accuracy
+        is its hits over its test rows.
         """
         cand = np.asarray(candidates)
         accs = np.empty((cand.size, len(self.folds)))
@@ -394,52 +398,38 @@ class _KnnFolds:
             n_train, n_test = fold["train"].shape[1], fold["y_test"].size
             near_rows = min(KNN_NEAR_ROWS, n_train - 1)
             train, test = fold["train"][cand], fold["test"][cand]
+            ranked = None if selected else _ranked_columns(train, test)
             hits = np.zeros(cand.size, dtype=np.int64)
-            full = np.ones((cand.size, n_test), dtype=bool)
-            if near_rows >= fold["k"]:
-                near = np.empty((n_test, near_rows), dtype=np.intp)
-                next_sum = np.empty(n_test)
-                for rows in _row_blocks(n_train, n_test):
-                    queries = np.arange(n_test)[rows]
-                    if selected:
-                        total = _squared_distances(fold["train"][selected],
-                                                   fold["test"][selected, rows])
-                        near[rows], sums, next_sum[rows] = _sum_window(total, near_rows)
-                        window = near[rows], sums, np.sqrt(next_sum[rows])
+            for rows in _row_blocks(n_train, n_test):
+                queries = np.arange(n_test)[rows]
+                total = _squared_distances(fold["train"][selected],
+                                           fold["test"][selected, rows])
+                full = np.ones((cand.size, queries.size), dtype=bool)
+                if near_rows >= fold["k"]:
+                    summed = _sum_window(total, near_rows) if selected else None
                     for c in _row_blocks(queries.size * near_rows, cand.size):
-                        if not selected:
-                            near_c, least = _column_window(fold, cand[c, None], queries,
-                                                           near_rows)
-                            window = near_c, 0.0, np.sqrt(least)
-                        hit, full[c, rows] = _near_hits(fold, train[c], test[c], queries,
-                                                        *window)
+                        window = summed if selected else _column_window(
+                            [a[c] for a in ranked], test[c], queries, near_rows)
+                        hit, full[c] = _near_hits(fold, train[c], test[c], queries, *window)
                         hits[c] += hit
-                if selected:
-                    open_c, open_q = np.nonzero(full)
-                    width = 2 * near_rows * (len(selected) + 1)
-                    for p in _row_blocks(width, open_c.size):
-                        hit, full[open_c[p], open_q[p]] = _joined_hits(
-                            fold, selected, near, next_sum, cand[open_c[p]], open_q[p])
-                        hits += np.bincount(open_c[p][hit], minlength=cand.size)
-            for i, j in enumerate(candidates):
-                queries = np.flatnonzero(full[i])
-                for rows in _row_blocks(n_train, queries.size):
-                    hits[i] += _full_hits(fold, selected + [j], queries[rows])
+                for i, j in enumerate(candidates):
+                    if full[i].any():
+                        hits[i] += _full_hits(fold, total[full[i]], j, queries[full[i]])
             accs[:, f] = hits / n_test
         return [float(np.mean(a)) for a in accs]
 
 
 def _sum_window(total, near_rows):
     """Per query, its ``near_rows`` training rows of least selected-column
-    sum in index order, their sums, and the next larger sum."""
+    sum in index order, their sums, and the root of the next larger sum."""
     part = np.argpartition(total, near_rows, axis=1)
     near = np.sort(part[:, :near_rows], axis=1)
-    next_sum = np.take_along_axis(total, part[:, near_rows:near_rows + 1], axis=1)
-    return near, np.take_along_axis(total, near, axis=1), next_sum[:, 0]
+    bound = np.sqrt(np.take_along_axis(total, part[:, near_rows:near_rows + 1], axis=1))
+    return near, np.take_along_axis(total, near, axis=1), bound[:, 0]
 
 
 def _ranked_columns(train, test):
-    """Each column's training rows in the order of their values, those
+    """Each candidate's training rows in the order of their values, those
     values, and each test value's ``searchsorted`` position among them."""
     order = np.argsort(train, axis=1)
     values = np.take_along_axis(train, order, axis=1)
@@ -447,24 +437,24 @@ def _ranked_columns(train, test):
     return order, values, pos
 
 
-def _column_window(fold, cols, queries, near_rows):
-    """Per (column, query) pair of the broadcast index arrays ``cols`` and
-    ``queries``, the ``near_rows`` training rows around the query's position
-    in the fold's ranked column, in index order, and the least squared
-    difference of the two rows just outside the window, inf past either end
-    of the column."""
-    order, values, pos = fold["ranked"]
-    n_train = order.shape[1]
-    lo = np.clip(pos[cols, queries] - near_rows // 2, 0, n_train - near_rows)
-    offset = n_train * cols
+def _column_window(ranked, test, queries, near_rows):
+    """Per (candidate, query), the ``near_rows`` training rows around the
+    query's position in the candidate's ranked column, in index order; no
+    selected sum (0); and the distance of the nearer of the two rows just
+    outside the window, inf past either end of the column."""
+    order, values, pos = ranked
+    n_cand, n_train = order.shape
+    lo = np.clip(pos[:, queries] - near_rows // 2, 0, n_train - near_rows)
+    offset = n_train * np.arange(n_cand)[:, None]
     near = np.take(order, (offset + lo)[..., None] + np.arange(near_rows))
-    near.sort(axis=-1)
+    near.sort(axis=2)
     outside = np.stack([lo - 1, lo + near_rows])
     d = np.subtract(np.take(values, offset + np.clip(outside, 0, n_train - 1)),
-                    fold["test"][cols, queries])
+                    test[:, queries])
     np.square(d, out=d)
+    np.sqrt(d, out=d)
     d[(outside < 0) | (outside == n_train)] = np.inf
-    return near, d.min(axis=0)
+    return near, 0.0, d.min(axis=0)
 
 
 def _near_hits(fold, train, test, queries, near, sums, bound):
@@ -477,7 +467,7 @@ def _near_hits(fold, train, test, queries, near, sums, bound):
     row: per query, shaped (queries, near rows) and (queries,), or per
     (candidate, query), shaped (candidates, queries, near rows) and
     (candidates, queries).  See :class:`_KnnFolds`."""
-    n_cand, n_train = train.shape
+    (n_cand, n_train), near_rows = train.shape, near.shape[-1]
     # (candidates, queries, near rows): the same subtract, square, add and
     # root as the full rows
     d = np.take(train, n_train * np.arange(n_cand)[:, None, None] + near)
@@ -485,68 +475,29 @@ def _near_hits(fold, train, test, queries, near, sums, bound):
     np.square(d, out=d)
     np.add(sums, d, out=d)
     np.sqrt(d, out=d)
-    pred, kth = _window_vote(fold, d, near)
+    k, classes = fold["k"], fold["classes"]
+    if k == 1:
+        # the nearest row's distance is the k-th and its label the vote
+        nearest, kth = _nearest(d, near)
+        pred = fold["y_train"][nearest]
+    else:
+        flat = d.reshape(-1, near_rows)
+        kth = np.partition(flat, k - 1, axis=1)[:, k - 1].reshape(d.shape[:2])
+        y_near = np.broadcast_to(fold["y_train"][near], d.shape).reshape(flat.shape)
+        scores = _knn_vote(flat, y_near, classes, k)
+        pred = classes[np.argmax(scores, axis=1)].reshape(d.shape[:2])
     decided = kth < bound
     hits = np.count_nonzero(decided & (pred == fold["y_test"][queries]), axis=1)
     return hits, ~decided
 
 
-def _joined_hits(fold, selected, near, next_sum, cols, queries):
-    """Per (candidate, query) pair, the candidate's column ``cols`` and the
-    query row ``queries``: whether the union of the query's sum window
-    (``near``, bound ``next_sum``, per query row) and the candidate's column
-    window decides a correct vote, and whether it cannot decide.  See
-    :class:`_KnnFolds`."""
-    col_near, least = _column_window(fold, cols, queries, near.shape[1])
-    rows = np.sort(np.concatenate([near[queries], col_near], axis=1), axis=1)
-    # per pair, the selected columns and then its candidate, the column
-    # order of the full-row distance
-    pair_cols = np.empty((len(selected) + 1, cols.size), dtype=np.intp)
-    pair_cols[:-1] = np.asarray(selected)[:, None]
-    pair_cols[-1] = cols
-    n_train = fold["train"].shape[1]
-    d = _squared_distances(np.take(fold["train"], n_train * pair_cols[..., None] + rows),
-                           fold["test"][pair_cols, queries])
-    np.sqrt(d, out=d)
-    # a row in both windows is counted once
-    d[:, 1:][rows[:, 1:] == rows[:, :-1]] = np.inf
-    pred, kth = _window_vote(fold, d, rows)
-    decided = kth < np.sqrt(next_sum[queries] + least)
-    return decided & (pred == fold["y_test"][queries]), ~decided
-
-
-def _window_vote(fold, d, near):
-    """The predicted class and the k-th nearest distance for each row of
-    the distances ``d`` (..., window rows) to the training rows ``near``
-    (broadcast to ``d``'s shape), which are in index order along the last
-    axis; the vote is :func:`_knn_vote`'s.
-
-    At k = 1 one ``argmin`` gives both: its first minimum is the nearest
-    row, the lowest index on ties, as :func:`_knn_vote` picks it."""
-    k, classes, y_train = fold["k"], fold["classes"], fold["y_train"]
-    flat = d.reshape(-1, d.shape[-1])
-    if k == 1:
-        at = np.argmin(flat, axis=1)
-        pair = np.arange(flat.shape[0])
-        # ``near`` repeats along the leading axes it lacks, so pair p's near
-        # rows are its row p modulo their count
-        rows = near.reshape(-1, flat.shape[1])
-        nearest = rows[pair % rows.shape[0], at]
-        return (y_train[nearest].reshape(d.shape[:-1]),
-                flat[pair, at].reshape(d.shape[:-1]))
-    kth = np.partition(flat, k - 1, axis=1)[:, k - 1]
-    y_near = np.broadcast_to(y_train[near], d.shape).reshape(flat.shape)
-    pred = classes[np.argmax(_knn_vote(flat, y_near, classes, k), axis=1)]
-    return pred.reshape(d.shape[:-1]), kth.reshape(d.shape[:-1])
-
-
-def _full_hits(fold, cols, queries) -> int:
-    """Hits of the column set ``cols`` (the selected columns, then the
-    candidate) over the query rows ``queries``, each scored against every
-    training row."""
-    d = _squared_distances(fold["train"][cols], fold["test"][np.ix_(cols, queries)])
-    np.sqrt(d, out=d)
-    pred, _ = _window_vote(fold, d, np.arange(d.shape[1]))
+def _full_hits(fold, total, j, queries) -> int:
+    """Hits of candidate ``j`` over the query rows ``queries``, each scored
+    against every training row; ``total`` holds their selected-column sums."""
+    d = _squared_distances(fold["train"][j:j + 1], fold["test"][j:j + 1, queries])
+    np.sqrt(np.add(total, d, out=d), out=d)
+    scores = _knn_vote(d, fold["y_train"], fold["classes"], fold["k"])
+    pred = fold["classes"][np.argmax(scores, axis=1)]
     return np.count_nonzero(pred == fold["y_test"][queries])
 
 

