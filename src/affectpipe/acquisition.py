@@ -144,8 +144,23 @@ def scan_dataset(root, registry: SignalRegistry | None = None) -> DatasetIndex:
     return DatasetIndex(root, subjects, tuple(skipped), report_files)
 
 
-def load_csv_signal(path, modality: Modality, subject: str, phase: str) -> TimeSeries:
-    """Parse one ``timestamp,<MODALITY>`` CSV into a validated TimeSeries."""
+def load_csv_signal(path, modality: Modality, subject: str, phase: str, *,
+                    grids: dict | None = None) -> TimeSeries:
+    """Parse one ``timestamp,<MODALITY>`` CSV into a validated TimeSeries.
+
+    ``grids`` lets series on one clock (same start, rate and length) share
+    one timestamp array.  It belongs to the caller, who passes one dict to
+    every load that may share and drops it after, as :func:`acquire` does
+    per call.  The series is built and validated as without it; then, if
+    its grid is bit for bit (``-0.0`` is not ``0.0``) a grid loaded
+    earlier with the same dict, it takes that grid's read-only array and
+    its ``sample_rate_hz`` instead of its own copy.  Lookup is by length
+    and the bits of the first and last timestamp, then a bitwise
+    comparison with each kept grid of that key (one, unless grids differ
+    only inside).  The dict holds no copies, only the arrays the loaded
+    series keep, and no grid of fewer than 2 samples.  ``None`` shares
+    nothing.
+    """
     path = Path(path)
     try:
         with path.open(newline="", encoding="utf-8") as fh:
@@ -183,11 +198,24 @@ def load_csv_signal(path, modality: Modality, subject: str, phase: str) -> TimeS
                 timestamps, values = body.T.copy()  # two contiguous rows
     except OSError as exc:
         raise IOFailure(f"cannot read {path}: {exc}") from exc
-    deltas = np.diff(timestamps)
-    fs = 1.0 / float(row_medians(deltas[None])[0]) if deltas.size and np.all(deltas > 0) else 1.0
+    timestamps = np.asarray(timestamps, dtype=float)
+    bits = timestamps.view(np.int64)
+    same_key = [] if grids is None or bits.size < 2 else grids.setdefault(
+        (bits.size, int(bits[0]), int(bits[-1])), [])
+    shared = next((g for g in same_key if np.array_equal(g[0].view(np.int64), bits)), None)
+    if shared is not None:
+        fs = shared[1]
+    else:
+        deltas = np.diff(timestamps)
+        fs = 1.0 / float(row_medians(deltas[None])[0]) if deltas.size and np.all(deltas > 0) else 1.0
     # TimeSeries construction runs validate_time_series and raises
     # ValidationFailed with every violation, fewer than 2 samples included
-    return TimeSeries(subject, phase, modality, timestamps, values, fs)
+    series = TimeSeries(subject, phase, modality, timestamps, values, fs)
+    if shared is not None:  # the same bits, so drop the constructor's copy
+        object.__setattr__(series, "timestamps", shared[0])
+    else:
+        same_key.append((series.timestamps, fs))
+    return series
 
 
 def _parse_rows(reader, t_col: int, v_col: int):
@@ -273,6 +301,10 @@ def acquire(index: DatasetIndex, signal_types, strict: bool = False) -> Acquisit
     excluded and reported (or escalated to an error in strict mode),
     mirroring how incomplete subjects are dropped from study datasets.
     A requested modality that no indexed file has raises EmptyDataset.
+
+    Series on one clock share one timestamp array: the call passes one
+    ``grids`` dict to every :func:`load_csv_signal`, so each bitwise-equal
+    grid is held once, read-only, for the bundle; two calls share nothing.
     """
     wanted = [m.name.upper() if isinstance(m, Modality) else str(m).upper()
               for m in signal_types]
@@ -285,6 +317,7 @@ def acquire(index: DatasetIndex, signal_types, strict: bool = False) -> Acquisit
                            f"(the files have {', '.join(found)})")
     entries = {}
     excluded = []
+    grids = {}
     for subject, files in sorted(index.subjects.items()):
         phases = sorted({phase for phase, _, _ in files})
         have = {(phase, mod.name) for phase, mod, _ in files}
@@ -293,7 +326,7 @@ def acquire(index: DatasetIndex, signal_types, strict: bool = False) -> Acquisit
             excluded.append(subject)
             continue
         series = [
-            load_csv_signal(path, modality, subject, phase)
+            load_csv_signal(path, modality, subject, phase, grids=grids)
             for phase, modality, path in files
             if modality.name in wanted
         ]

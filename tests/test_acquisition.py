@@ -1,5 +1,6 @@
 import csv
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from affectpipe import (
     acquire,
     load_csv_signal,
     scan_dataset,
+    synth_dataset,
     write_csv_signal,
 )
 from affectpipe.errors import (
@@ -23,6 +25,7 @@ from affectpipe.errors import (
     ValidationFailed,
 )
 from affectpipe import acquisition
+from affectpipe.config import load_dataset_spec
 
 from conftest import make_series
 
@@ -379,3 +382,121 @@ def test_acquire_output_is_valid_bundle(tmp_path):
     # SubjectBundle constructor enforces its invariants; reaching here means
     # they hold for this fixture shape
     assert len(result.bundle) == 3
+
+
+# -- one timestamp array per grid within one acquire call ------------------
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="module")
+def three_class_index(tmp_path_factory):
+    root = tmp_path_factory.mktemp("synth-3class")
+    synth_dataset(load_dataset_spec(REPO / "configs" / "synth-3class.yaml"), root)
+    return scan_dataset(root)
+
+
+def _series(result):
+    return [s for subject in result.bundle.subjects()
+            for s in result.bundle.series_for(subject)]
+
+
+def test_acquire_holds_one_timestamp_array_per_grid(three_class_index):
+    series = _series(acquire(three_class_index, ["ECG", "EDA"]))
+    assert len(series) == 36
+    # ECG at 250 Hz and EDA at 32 Hz, each 180 s: two grids for 36 series
+    assert len({id(s.timestamps) for s in series}) == 2
+    for s in series:
+        assert not s.timestamps.flags.writeable
+        with pytest.raises(ValueError):
+            s.timestamps[0] = 1.0
+
+
+def test_acquire_calls_share_nothing_with_each_other(three_class_index):
+    # both bundles stay alive, so an id is never reused
+    first = _series(acquire(three_class_index, ["ECG", "EDA"]))
+    second = _series(acquire(three_class_index, ["ECG", "EDA"]))
+    first_ids = {id(s.timestamps) for s in first}
+    second_ids = {id(s.timestamps) for s in second}
+    assert len(first_ids) == len(second_ids) == 2
+    assert not first_ids & second_ids
+
+
+def _grid_file(root, phase, timestamps, quoted=False):
+    cells = [f'"{t!r}"' if quoted else repr(t) for t in timestamps]
+    write(root / "S1" / f"S1_{phase}_ECG.csv",
+          "timestamp,ECG\n" + "".join(f"{c},{i}\n" for i, c in enumerate(cells)))
+
+
+def test_acquire_shares_only_bitwise_equal_grids(tmp_path):
+    grid = [0.0, 0.5, 1.0]
+    _grid_file(tmp_path, "a", grid)
+    _grid_file(tmp_path, "b", grid)
+    _grid_file(tmp_path, "c", grid, quoted=True)  # the row-wise parse
+    _grid_file(tmp_path, "d", [-0.0, 0.5, 1.0])
+    _grid_file(tmp_path, "e", [0.0, 0.5, float(np.nextafter(1.0, 2.0))])
+    _grid_file(tmp_path, "f", [0.0, float(np.nextafter(0.5, 1.0)), 1.0])
+    _grid_file(tmp_path, "g", [0.0, float(np.nextafter(0.5, 1.0)), 1.0])
+    _grid_file(tmp_path, "h", [-0.5, 0.0, 0.5])
+    _grid_file(tmp_path, "i", [-0.5, -0.0, 0.5])
+    got = {s.phase: s for s in acquire(scan_dataset(tmp_path), ["ECG"]).bundle.series_for("S1")}
+    assert got["b"].timestamps is got["a"].timestamps
+    assert got["c"].timestamps is got["a"].timestamps
+    # -0.0 == 0.0 as floats, yet the bits differ
+    assert np.array_equal(got["d"].timestamps, got["a"].timestamps)
+    assert len({id(got[p].timestamps) for p in "ade"}) == 3
+    # same length, first and last bits as "a", differing inside
+    assert got["f"].timestamps is not got["a"].timestamps
+    assert got["g"].timestamps is got["f"].timestamps
+    assert got["i"].timestamps is not got["h"].timestamps
+    assert got["c"].sample_rate_hz == got["a"].sample_rate_hz == 2.0
+
+
+@pytest.mark.parametrize("body", ["", "0.0,1\n"])
+def test_acquire_still_fails_a_grid_below_two_samples(tmp_path, body):
+    _grid_file(tmp_path, "a", [0.0, 0.5, 1.0])
+    write(tmp_path / "S1" / "S1_b_ECG.csv", "timestamp,ECG\n" + body)
+    with pytest.raises(ValidationFailed, match="fewer than 2 samples"):
+        acquire(scan_dataset(tmp_path), ["ECG"])
+
+
+@st.composite
+def _grids(draw):
+    """Small grids, many bitwise equal, some one bit apart from another."""
+    n = draw(st.integers(2, 5))
+    step = draw(st.sampled_from([0.004, 0.03125, 0.5]))
+    timestamps = draw(st.sampled_from([0.0, -0.5, 1.5])) + np.arange(n) * step
+    # a zero timestamp, first or inside, of either sign
+    timestamps[timestamps == 0.0] = draw(st.sampled_from([0.0, -0.0]))
+    if draw(st.booleans()):
+        i = draw(st.integers(1, n - 1))
+        timestamps[i] = np.nextafter(timestamps[i], np.inf)
+    return timestamps
+
+
+@settings(max_examples=60, deadline=None)
+@given(grids=st.lists(_grids(), min_size=1, max_size=6),
+       values=st.lists(st.floats(width=64), min_size=5, max_size=5))
+def test_acquire_matches_standalone_loads(tmp_path_factory, grids, values):
+    root = tmp_path_factory.mktemp("grids")
+    for k, timestamps in enumerate(grids):
+        # %.17g round-trips every float64, so each file holds its drawn grid
+        series = TimeSeries(f"S{k % 2}", f"p{k}", Modality("ECG"), timestamps,
+                            values[:timestamps.size], 1.0)
+        write_csv_signal(series, root / series.subject_id / f"{series.subject_id}_p{k}_ECG.csv",
+                         precision=17)
+    index = scan_dataset(root)
+    bundle = acquire(index, ["ECG"]).bundle
+    loaded = []
+    for subject, files in index.subjects.items():
+        for (phase, modality, path), s in zip(files, bundle.series_for(subject)):
+            alone = load_csv_signal(path, modality, subject, phase)
+            for name in ("timestamps", "values"):
+                assert getattr(s, name).tobytes() == getattr(alone, name).tobytes()
+            assert np.float64(s.sample_rate_hz).tobytes() == np.float64(alone.sample_rate_hz).tobytes()
+            assert s.is_uniform() == alone.is_uniform()
+            loaded.append(s)
+    for a in loaded:
+        for b in loaded:
+            same_bits = a.timestamps.tobytes() == b.timestamps.tobytes()
+            assert (a.timestamps is b.timestamps) == same_bits
