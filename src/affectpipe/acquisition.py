@@ -31,7 +31,7 @@ from .errors import (
     MissingReport,
     NonNumericCell,
 )
-from .types import Modality, SubjectBundle, TimeSeries, row_medians
+from .types import Modality, SubjectBundle, TimeSeries, canonical_name, row_medians
 
 #: Rows formatted by one format call and one write in write_csv_signal
 #: (bounds the text buffer), and so rows per timestamp row template.
@@ -40,14 +40,12 @@ WRITE_CHUNK_ROWS = 65536
 
 @dataclass(frozen=True)
 class SignalRegistry:
-    """Known modalities, keyed by upper-cased name."""
+    """Known modalities, keyed by name (its :func:`canonical_name` form)."""
 
     modalities: dict[str, Modality]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "modalities", {m.name.upper(): m for m in self.modalities.values()}
-        )
+        object.__setattr__(self, "modalities", {m.name: m for m in self.modalities.values()})
 
     @classmethod
     def from_file(cls, path) -> "SignalRegistry":
@@ -59,7 +57,7 @@ class SignalRegistry:
                 continue
             name, unit, rate = (part.strip() for part in line.split(","))
             rate_hz = None if rate.lower() in ("", "unspecified") else float(rate)
-            modalities[name.upper()] = Modality(name.upper(), unit, rate_hz)
+            modalities[name] = Modality(name, unit, rate_hz)
         return cls(modalities)
 
     @classmethod
@@ -69,7 +67,7 @@ class SignalRegistry:
             return cls.from_file(path)
 
     def lookup(self, name: str) -> Modality | None:
-        return self.modalities.get(name.upper())
+        return self.modalities.get(canonical_name(name))
 
     def names(self) -> list[str]:
         return sorted(self.modalities)
@@ -169,14 +167,13 @@ def load_csv_signal(path, modality: Modality, subject: str, phase: str, *,
                 header = next(reader)
             except StopIteration:
                 raise MissingHeader("timestamp") from None
-            header = [h.strip() for h in header]
-            lowered = [h.lower() for h in header]
-            if "timestamp" not in lowered:
+            names = [canonical_name(h.strip()) for h in header]  # any case matches
+            if "TIMESTAMP" not in names:
                 raise MissingHeader("timestamp")
-            if modality.name.lower() not in lowered:
+            if modality.name not in names:
                 raise MissingHeader(modality.name)
-            t_col = lowered.index("timestamp")
-            v_col = lowered.index(modality.name.lower())
+            t_col = names.index("TIMESTAMP")
+            v_col = names.index(modality.name)
             try:
                 # given a path (not fh), numpy reads in chunks, not line by
                 # line; skiprows covers the physical lines csv read for the
@@ -306,7 +303,7 @@ def acquire(index: DatasetIndex, signal_types, strict: bool = False) -> Acquisit
     ``grids`` dict to every :func:`load_csv_signal`, so each bitwise-equal
     grid is held once, read-only, for the bundle; two calls share nothing.
     """
-    wanted = [m.name.upper() if isinstance(m, Modality) else str(m).upper()
+    wanted = [m.name if isinstance(m, Modality) else canonical_name(str(m))
               for m in signal_types]
     if not wanted:
         raise EmptyDataset("no signal types requested")

@@ -20,7 +20,7 @@ from .errors import (
     UnmappedPhase,
     WrongQuestionnaire,
 )
-from .types import FeatureMatrix, LabelVector
+from .types import FeatureMatrix, LabelVector, canonical_name
 
 SUDS_THRESHOLD = 50.0
 
@@ -29,11 +29,12 @@ SUDS_THRESHOLD = 50.0
 class SelfReport:
     subject_id: str
     phase: str
-    questionnaire: str  # SUDS | STAI | other
+    questionnaire: str  # SUDS | STAI | other, kept in its canonical_name form
     score: float
 
     def __post_init__(self):
-        if self.questionnaire.upper() == "SUDS" and not 0 <= self.score <= 100:
+        object.__setattr__(self, "questionnaire", canonical_name(self.questionnaire))
+        if self.questionnaire == "SUDS" and not 0 <= self.score <= 100:
             raise ValueError(f"SUDS score {self.score} outside [0, 100]")
 
 
@@ -93,7 +94,7 @@ def suds_fixed_threshold(reports: list[SelfReport]) -> dict[tuple[str, str], int
     """Binary stress labels from SUDS: score >= 50 -> 1, else 0."""
     out = {}
     for r in reports:
-        if r.questionnaire.upper() != "SUDS":
+        if r.questionnaire != "SUDS":
             raise WrongQuestionnaire(f"expected SUDS, got {r.questionnaire!r}")
         out[(r.subject_id, r.phase)] = 1 if r.score >= SUDS_THRESHOLD else 0
     return out
@@ -103,7 +104,7 @@ def stai_dynamic_threshold(reports: list[SelfReport]) -> dict[tuple[str, str], i
     """Per-subject threshold at the mean score; score >= mean -> 1, else 0."""
     by_subject: dict[str, list[SelfReport]] = {}
     for r in reports:
-        if r.questionnaire.upper() != "STAI":
+        if r.questionnaire != "STAI":
             raise WrongQuestionnaire(f"expected STAI, got {r.questionnaire!r}")
         by_subject.setdefault(r.subject_id, []).append(r)
     out = {}
@@ -168,7 +169,7 @@ def attach_labels(matrix: FeatureMatrix, rule: LabelRule,
 
     # a threshold rule: LabelRule checks the kind
     questionnaire = LABEL_RULES[rule.kind].questionnaire
-    reports = [r for r in reports or () if r.questionnaire.upper() == questionnaire]
+    reports = [r for r in reports or () if r.questionnaire == questionnaire]
     if not reports:
         raise MissingReport(f"{rule.kind} rule needs {questionnaire} self-reports")
     table = LABEL_RULES[rule.kind].threshold(reports)

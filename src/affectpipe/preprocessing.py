@@ -21,7 +21,7 @@ from .errors import (
     SampleRateMismatch,
     UnknownModality,
 )
-from .types import Modality, SubjectBundle, TimeSeries
+from .types import Modality, SubjectBundle, TimeSeries, canonical_name
 
 #: Anti-alias cutoff as a fraction of the target rate when downsampling.
 ANTIALIAS_FRACTION = 0.45
@@ -280,9 +280,9 @@ _DEFAULT_CHAINS = {
 
 def default_chain(modality: Modality | str, fs_hz: float) -> PreprocessChain:
     """Paper-grade default denoising chain for a registered modality."""
-    name = modality.name if isinstance(modality, Modality) else modality
+    name = modality.name if isinstance(modality, Modality) else canonical_name(modality)
     try:
-        steps = _DEFAULT_CHAINS[name.upper()]
+        steps = _DEFAULT_CHAINS[name]
     except KeyError:
         raise UnknownModality(f"no default chain for modality {name!r}") from None
     # drop steps whose cutoffs cannot exist at this sample rate (e.g. a
@@ -297,9 +297,9 @@ def default_chain(modality: Modality | str, fs_hz: float) -> PreprocessChain:
 
 
 def chains_by_modality(chains) -> dict[str, PreprocessChain]:
-    """``chains`` keyed by upper-cased modality name; ValueError if two keys name one."""
+    """``chains`` keyed by :func:`canonical_name`; ValueError if two keys name one modality."""
     chains = dict(chains or {})
-    keyed = {name.upper(): chain for name, chain in chains.items()}
+    keyed = {canonical_name(name): chain for name, chain in chains.items()}
     if len(keyed) < len(chains):
         raise ValueError(f"chain keys {list(chains)} name a modality twice")
     return keyed
@@ -318,7 +318,7 @@ def preprocess(bundle: SubjectBundle,
     ValueError for a chain key that matches no series of the bundle.
     """
     chains = chains_by_modality(chains)
-    present = {s.modality.name.upper() for subject in bundle.subjects()
+    present = {s.modality.name for subject in bundle.subjects()
                for s in bundle.series_for(subject)}
     unused = [key for key in chains if key not in present]
     if unused:
@@ -335,7 +335,7 @@ def preprocess(bundle: SubjectBundle,
                     s = resample_series(s, resample_rate_hz)
                 elif not s.is_uniform():
                     s = resample_series(s, s.sample_rate_hz)
-                chain = chains.get(series.modality.name.upper())
+                chain = chains.get(series.modality.name)
                 if chain is None:
                     chain = default_chain(series.modality, s.sample_rate_hz)
                 processed.append(chain.apply(s))

@@ -16,9 +16,16 @@ from .errors import ValidationFailed
 UNIFORM_RTOL = 1e-9
 
 
+def canonical_name(name: str) -> str:
+    """The form a modality or questionnaire name is stored and matched in:
+    upper case, so ``ecg``, ``Ecg`` and ``ECG`` name one modality."""
+    return name.upper()
+
+
 @dataclass(frozen=True)
 class Modality:
-    """Descriptor for one signal type (ECG, EDA, ...).
+    """Descriptor for one signal type (ECG, EDA, ...); ``name`` is kept in
+    its :func:`canonical_name` form.
 
     The registry of known modalities is loaded from a metadata file, so the
     set is extensible; see :mod:`affectpipe.acquisition`.
@@ -29,6 +36,7 @@ class Modality:
     default_sample_rate_hz: float | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "name", canonical_name(self.name))
         if self.default_sample_rate_hz is not None and self.default_sample_rate_hz <= 0:
             raise ValueError("default_sample_rate_hz must be positive")
 
@@ -197,21 +205,20 @@ class SubjectBundle:
     entries: dict[str, tuple[TimeSeries, ...]]
 
     def __post_init__(self):
-        frozen = {}
+        frozen, index = {}, {}  # index: (subject, phase, modality name) -> series
         for subject, series_list in self.entries.items():
-            seen = set()
-            series_list = tuple(series_list)
-            for s in series_list:
+            frozen[subject] = tuple(series_list)
+            for s in frozen[subject]:
                 if s.subject_id != subject:
                     raise ValueError(
                         f"series subject {s.subject_id!r} filed under {subject!r}"
                     )
-                key = (s.phase, s.modality.name.upper())  # as find matches it
-                if key in seen:
-                    raise ValueError(f"duplicate (phase, modality) {key} for {subject!r}")
-                seen.add(key)
-            frozen[subject] = series_list
+                key = (subject, s.phase, s.modality.name)
+                if key in index:
+                    raise ValueError(f"duplicate (phase, modality) {key[1:]} for {subject!r}")
+                index[key] = s
         object.__setattr__(self, "entries", frozen)
+        object.__setattr__(self, "_index", index)
 
     def subjects(self) -> list[str]:
         return sorted(self.entries)
@@ -222,21 +229,10 @@ class SubjectBundle:
     def find(self, subject: str, phase: str, modality_name: str) -> TimeSeries | None:
         """The series of (subject, phase) whose modality is ``modality_name``,
         whatever its case."""
-        for s in self.entries.get(subject, ()):
-            if s.phase == phase and s.modality.name.upper() == modality_name.upper():
-                return s
-        return None
+        return self._index.get((subject, phase, canonical_name(modality_name)))
 
     def phases_for(self, subject: str) -> list[str]:
         return sorted({s.phase for s in self.entries.get(subject, ())})
-
-    def merge(self, other: "SubjectBundle") -> "SubjectBundle":
-        overlap = set(self.entries) & set(other.entries)
-        if overlap:
-            raise ValueError(f"subjects present in both bundles: {sorted(overlap)}")
-        merged = dict(self.entries)
-        merged.update(other.entries)
-        return SubjectBundle(merged)
 
     def __len__(self):
         return len(self.entries)

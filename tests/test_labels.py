@@ -84,6 +84,16 @@ def test_suds_rejects_other_questionnaire():
         suds_fixed_threshold([SelfReport("S1", "a", "STAI", 40.0)])
 
 
+def test_questionnaire_names_match_whatever_their_case():
+    assert SelfReport("S1", "a", "suds", 10.0).questionnaire == "SUDS"
+    assert suds_fixed_threshold([SelfReport("S1", "a", "Suds", 60.0)]) == {("S1", "a"): 1}
+    assert stai_dynamic_threshold([SelfReport("S1", p, "stai", v)
+                                   for p, v in (("a", 30.0), ("b", 50.0))]) == {
+        ("S1", "a"): 0, ("S1", "b"): 1}
+    with pytest.raises(ValueError):
+        SelfReport("S1", "a", "suds", 101.0)  # the SUDS range holds in any case
+
+
 def test_suds_score_range_enforced():
     with pytest.raises(ValueError):
         SelfReport("S1", "a", "SUDS", 101.0)

@@ -111,6 +111,11 @@ def test_bundle_rejects_duplicate_phase_modality():
         SubjectBundle({"S1": [_series("S1"), _series("S1")]})
 
 
+def test_modality_keeps_its_name_upper_cased():
+    assert Modality("ecg").name == Modality("Ecg").name == "ECG"
+    assert Modality("ecg") == Modality("ECG")
+
+
 def test_bundle_modality_names_match_whatever_their_case():
     bundle = SubjectBundle({"S1": [_series("S1")]})
     assert bundle.find("S1", "rest", "ecg") is bundle.find("S1", "rest", "ECG") is not None
@@ -118,19 +123,6 @@ def test_bundle_modality_names_match_whatever_their_case():
     # not be found
     with pytest.raises(ValueError, match="duplicate"):
         SubjectBundle({"S1": [_series("S1"), _series("S1", modality="ecg")]})
-
-
-@given(st.integers(1, 5), st.integers(1, 5))
-def test_disjoint_bundle_merge_counts_add(n_a, n_b):
-    a = SubjectBundle({f"A{i}": [_series(f"A{i}")] for i in range(n_a)})
-    b = SubjectBundle({f"B{i}": [_series(f"B{i}")] for i in range(n_b)})
-    assert len(a.merge(b)) == n_a + n_b
-
-
-def test_bundle_merge_rejects_overlap():
-    a = SubjectBundle({"S1": [_series("S1")]})
-    with pytest.raises(ValueError):
-        a.merge(a)
 
 
 def _matrix(columns, windows, values, subject="S1", phase="rest"):
