@@ -11,11 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from . import preprocessing
 from .acquisition import AcquisitionResult, DatasetIndex, SignalRegistry, acquire, scan_dataset
 from .checks import INTEGER, REQUIRED, at_least, check_value, checked
 from .classification import ClassifierSpec, CVStrategy, cross_validate, fit, predict
-from .errors import IncompatibleStages, MissingStage, StageExecutionError
+from .errors import AllRowsDropped, IncompatibleStages, MissingStage, StageExecutionError
 from .features import WindowingPolicy, check_catalog, extract_features
 from .labels import LABEL_RULES, LabelRule, attach_labels, load_reports, sequential_forward_selection
 from .types import FeatureMatrix, LabelVector, Modality, SubjectBundle
@@ -116,12 +118,23 @@ class LabelGenerator(Component):
                        for r in load_reports(path, subject)]
         # rows with absent cells leave here, so every later stage sees the
         # same complete, labeled rows
-        matrix, incomplete = matrix.drop_incomplete_rows()
-        matrix, labels, unlabeled = attach_labels(matrix, self.rule, reports,
-                                                  strict=ctx.strict)
+        kept, incomplete = matrix.drop_incomplete_rows()
+        kept, labels, unlabeled = attach_labels(kept, self.rule, reports,
+                                                strict=ctx.strict)
         ctx.reports["rows_without_labels"] = unlabeled
         ctx.reports["dropped_rows"] = incomplete
-        return matrix, labels
+        if len(matrix) and not len(kept):
+            causes = []
+            if incomplete:  # the catalog entries of the columns with absent cells
+                absent = np.isnan(matrix.values).any(axis=0)
+                entries = dict.fromkeys(c.split(".")[0]
+                                        for c, a in zip(matrix.columns, absent) if a)
+                causes.append(f"{', '.join(entries)} absent")
+            if unlabeled:
+                causes.append(f"{len(unlabeled)} without {kind.questionnaire} self-reports")
+            raise AllRowsDropped(f"{len(incomplete) + len(unlabeled)} of {len(matrix)} "
+                                 f"rows dropped: {'; '.join(causes)}")
+        return kept, labels
 
 
 #: FeatureSelector's keys besides ``scorer``: (check, default) each.

@@ -145,6 +145,10 @@ class MissingReport(AffectPipeError):
     pass
 
 
+class AllRowsDropped(AffectPipeError):
+    """The LabelGenerator dropped every row; the message says why."""
+
+
 class KTooLarge(AffectPipeError):
     """A selection ``k`` outside 1 to column count - 1 (below 1 as well)."""
 

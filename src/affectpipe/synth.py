@@ -205,14 +205,18 @@ def synth_temp(spec: TempSpec, duration_s: float, seed: int = 0,
 # ---------------------------------------------------------------------------
 
 # Phase recipes relative to rest: stress raises HR by 25 BPM, halves RMSSD,
-# quadruples the SCR rate and adds 4 breaths/min; amusement sits in between.
+# quadruples the SCR rate, adds 4 breaths/min, doubles the EMG noise and
+# cools the skin by 0.05 C/min; amusement sits in between.
 PHASE_RECIPES = {
     "rest": {"hr_delta": 0.0, "rmssd_scale": 1.0, "scr_rate_scale": 1.0,
-             "resp_delta": 0.0, "class": 0, "suds": 25.0, "stai": 35.0},
+             "resp_delta": 0.0, "emg_scale": 1.0, "temp_slope_c_per_min": 0.0,
+             "class": 0, "suds": 25.0, "stai": 35.0},
     "amusement": {"hr_delta": 10.0, "rmssd_scale": 0.8, "scr_rate_scale": 2.0,
-                  "resp_delta": 2.0, "class": 2, "suds": 35.0, "stai": 40.0},
+                  "resp_delta": 2.0, "emg_scale": 1.5, "temp_slope_c_per_min": -0.02,
+                  "class": 2, "suds": 35.0, "stai": 40.0},
     "stress": {"hr_delta": 25.0, "rmssd_scale": 0.5, "scr_rate_scale": 4.0,
-               "resp_delta": 4.0, "class": 1, "suds": 75.0, "stai": 60.0},
+               "resp_delta": 4.0, "emg_scale": 2.0, "temp_slope_c_per_min": -0.05,
+               "class": 1, "suds": 75.0, "stai": 60.0},
 }
 
 
@@ -363,7 +367,9 @@ def _synth_one(spec, subject, phase, modality, recipe, hr_offset, scl_offset, se
         return synth_resp(RespSpec(breaths_per_min=spec.rest_breaths_per_min
                                    + recipe["resp_delta"]), d, seed, subject, phase)
     if modality == "EMG":
-        return synth_emg(EmgSpec(), d, seed, subject, phase)
+        return synth_emg(EmgSpec(noise_std_mv=EmgSpec.noise_std_mv * recipe["emg_scale"]),
+                         d, seed, subject, phase)
     if modality == "TEMP":
-        return synth_temp(TempSpec(), d, seed, subject, phase)
+        return synth_temp(TempSpec(slope_c_per_min=recipe["temp_slope_c_per_min"]),
+                          d, seed, subject, phase)
     raise ValueError(f"no generator for modality {modality!r}")

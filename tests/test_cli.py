@@ -200,10 +200,12 @@ def test_run_selector_with_a_failed_window_exit_0(dataset_root, tmp_path, capsys
         ["S1", "rest", str(k)] for k in range(3)]
 
 
-def test_run_failing_at_classification_writes_the_records_it_reached(tmp_path, capsys):
+@pytest.mark.parametrize("cv", ["kfold", "loso"])
+def test_run_losing_every_row_names_the_cause_and_writes_the_records_it_reached(
+        cv, tmp_path, capsys):
     # the shipped questionnaire run on the shipped binary set with every ECG
-    # value zeroed: each window fails R-peak detection, the LabelGenerator
-    # drops all 80 rows, and 5-fold cross-validation has no rows to split
+    # value zeroed: each window fails R-peak detection, so both HRV entries
+    # are absent and the LabelGenerator drops all 80 rows, under either fold kind
     repo = Path(__file__).resolve().parents[1]
     data = tmp_path / "data"
     assert cmd_synth(str(repo / "configs" / "synth-binary.yaml"), str(data)) == 0
@@ -214,10 +216,12 @@ def test_run_failing_at_classification_writes_the_records_it_reached(tmp_path, c
                           encoding="utf-8")
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text((repo / "configs" / "questionnaire-kfold.yaml").read_text(
-        encoding="utf-8").replace("root: data/binary", f"root: {data}"), encoding="utf-8")
+        encoding="utf-8").replace("root: data/binary", f"root: {data}").replace(
+        "kind: kfold", f"kind: {cv}"), encoding="utf-8")
     out_dir = tmp_path / "out"
     assert cmd_run(str(cfg), out_dir=str(out_dir)) == 4
-    assert "cannot make 5 folds from 0 rows" in capsys.readouterr().out
+    assert ("stage 3 (LabelGenerator) failed: 80 of 80 rows dropped: hrv_time, "
+            "hrv_freq absent") in capsys.readouterr().out
     # no selector ran, and a failed run writes no report
     assert sorted(p.name for p in out_dir.iterdir()) == ["dropped_rows.csv",
                                                         "excluded_subjects.csv"]

@@ -32,6 +32,7 @@ from affectpipe import (
     preprocess,
     synth_dataset,
 )
+from affectpipe.acquisition import DatasetIndex
 from affectpipe.features import FeatureCatalogEntry
 from affectpipe.engine import (
     BUNDLE,
@@ -45,6 +46,7 @@ from affectpipe.engine import (
     RunContext,
 )
 from affectpipe.errors import (
+    AllRowsDropped,
     CatalogError,
     EmptyDataset,
     IncompatibleStages,
@@ -433,6 +435,32 @@ def test_failed_later_stage_keeps_dropped_rows(flat_ecg_bundle, selector,
     assert e.value.kind == failing
     assert isinstance(e.value.__cause__, cause)
     assert p.last_reports["dropped_rows"] == FLAT_ECG_ROWS
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("values, report_phases, message", [
+    ([[NAN, NAN, 1.0], [NAN, 2.0, 1.0], [1.0, NAN, 1.0]], ("rest", "stress"),
+     "3 of 3 rows dropped: hrv_time, hrv_freq absent"),
+    ([[1.0, 2.0, 3.0]] * 3, ("baseline",), "3 of 3 rows dropped: 3 without SUDS self-reports"),
+    ([[1.0, 2.0, NAN], [1.0, 2.0, 3.0], [1.0, 2.0, 3.0]], ("rest",),
+     "3 of 3 rows dropped: eda absent; 2 without SUDS self-reports"),
+], ids=["incomplete", "unlabeled", "both"])
+def test_label_generator_dropping_every_row_names_the_cause(tmp_path, values, report_phases,
+                                                             message):
+    reports = tmp_path / "S1_reports.csv"
+    reports.write_text("phase,questionnaire,score\n" + "".join(
+        f"{phase},SUDS,80\n" for phase in report_phases), encoding="utf-8")
+    matrix = FeatureMatrix(("hrv_time.rmssd_s", "hrv_freq.lf_power", "eda.mean"),
+                           ["S1"] * 3, ["rest", "stress", "stress"], [0, 0, 1], values)
+    ctx = RunContext(index=DatasetIndex(tmp_path, {}, (), {"S1": reports}))
+    with pytest.raises(AllRowsDropped, match=f"^{re.escape(message)}$"):
+        LabelGenerator(LabelRule("fixed-threshold")).run(matrix, ctx)
+    # the record of the drop is kept for the failed run's files
+    incomplete = [key for key, row in zip(matrix._keys(slice(None)), values)
+                  if np.isnan(row).any()]
+    assert ctx.reports["dropped_rows"] == incomplete
 
 
 @pytest.mark.parametrize("mode", [7, -1, 2.0, True, None, "2"])

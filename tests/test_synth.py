@@ -19,7 +19,7 @@ from affectpipe import (
     synth_temp,
     validate_time_series,
 )
-from affectpipe.synth import TempSpec, _qrs_train, synth_emg, EmgSpec
+from affectpipe.synth import PHASE_RECIPES, TempSpec, _qrs_train, synth_emg, EmgSpec
 from affectpipe.errors import ConfigError, InvalidRate, SCROutOfRange
 
 
@@ -202,6 +202,25 @@ def test_dataset_deterministic(tmp_path):
     assert files_a == files_b
     for rel in files_a:
         assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+
+
+def test_emg_and_temp_follow_the_phase_recipe(tmp_path):
+    # rest keeps the generators' defaults, so its files are as before
+    assert PHASE_RECIPES["rest"]["emg_scale"] == 1.0
+    assert PHASE_RECIPES["rest"]["temp_slope_c_per_min"] == TempSpec.slope_c_per_min
+    spec = DatasetSpec(n_subjects=2, phases=("rest", "amusement", "stress"),
+                       modalities=("EMG", "TEMP"), duration_s=60.0, seed=4)
+    synth_dataset(spec, tmp_path)
+    bundle = acquire(scan_dataset(tmp_path), spec.modalities).bundle
+    for subject in bundle.subjects():
+        for phase in spec.phases:
+            recipe = PHASE_RECIPES[phase]
+            emg = bundle.find(subject, phase, "EMG").values
+            assert np.sqrt(np.mean(emg * emg)) == pytest.approx(
+                EmgSpec.noise_std_mv * recipe["emg_scale"], rel=0.02)
+            temp = bundle.find(subject, phase, "TEMP")
+            per_s = np.polyfit(temp.timestamps, temp.values, 1)[0]
+            assert 60.0 * per_s == pytest.approx(recipe["temp_slope_c_per_min"], abs=0.008)
 
 
 @pytest.mark.parametrize("fields, message", [
