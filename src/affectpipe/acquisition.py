@@ -40,24 +40,33 @@ WRITE_CHUNK_ROWS = 65536
 
 @dataclass(frozen=True)
 class SignalRegistry:
-    """Known modalities, keyed by name (its :func:`canonical_name` form)."""
+    """Known modalities, keyed by name (its :func:`canonical_name` form).
+
+    Built from records keyed by their source (a file line, or any label);
+    two records naming one modality raise a ValueError naming both.
+    """
 
     modalities: dict[str, Modality]
 
     def __post_init__(self):
+        first = {}  # name -> the label of the first record naming it
+        for label, modality in self.modalities.items():
+            if first.setdefault(modality.name, label) != label:
+                raise ValueError(f"modality {modality.name!r} is named twice: "
+                                 f"{first[modality.name]} and {label}")
         object.__setattr__(self, "modalities", {m.name: m for m in self.modalities.values()})
 
     @classmethod
     def from_file(cls, path) -> "SignalRegistry":
         """Load line-oriented ``name,unit,default_sample_rate_hz`` records."""
         modalities = {}
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
+        for n, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             name, unit, rate = (part.strip() for part in line.split(","))
             rate_hz = None if rate.lower() in ("", "unspecified") else float(rate)
-            modalities[name] = Modality(name, unit, rate_hz)
+            modalities[f"line {n} {line!r}"] = Modality(name, unit, rate_hz)
         return cls(modalities)
 
     @classmethod

@@ -127,7 +127,9 @@ def cmd_run(config_file: str, seed: int | None = None, strict: bool = False,
 #: The run records ``run`` writes, each to ``<key>.csv`` under its header,
 #: one row per key: a tuple, or one name.
 _RECORDS = {"dropped_rows": ["subject", "phase", "window_index"],
-            "excluded_subjects": ["subject"], "selected_features": ["column"]}
+            "rows_without_labels": ["subject", "phase", "window_index"],
+            "excluded_subjects": ["subject"], "skipped_files": ["path"],
+            "selected_features": ["column"]}
 
 
 def write_report_csv(report, path):
@@ -164,9 +166,7 @@ def main(argv=None) -> int:
         return cmd_validate(args.root)
     if args.command == "synth":
         return cmd_synth(args.spec, args.out, args.seed)
-    if args.command == "run":
-        return cmd_run(args.config, args.seed, args.strict, args.out)
-    return 2
+    return cmd_run(args.config, args.seed, args.strict, args.out)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from .acquisition import AcquisitionResult, DatasetIndex, SignalRegistry, acquir
 from .checks import INTEGER, REQUIRED, at_least, check_value, checked
 from .classification import ClassifierSpec, CVStrategy, cross_validate, fit, predict
 from .errors import AllRowsDropped, IncompatibleStages, MissingStage, StageExecutionError
-from .features import WindowingPolicy, check_catalog, extract_features
+from .features import WindowingPolicy, check_catalog, column_entry, extract_features
 from .labels import LABEL_RULES, LabelRule, attach_labels, load_reports, sequential_forward_selection
 from .types import FeatureMatrix, LabelVector, Modality, SubjectBundle
 
@@ -127,7 +127,7 @@ class LabelGenerator(Component):
             causes = []
             if incomplete:  # the catalog entries of the columns with absent cells
                 absent = np.isnan(matrix.values).any(axis=0)
-                entries = dict.fromkeys(c.split(".")[0]
+                entries = dict.fromkeys(column_entry(c)
                                         for c, a in zip(matrix.columns, absent) if a)
                 causes.append(f"{', '.join(entries)} absent")
             if unlabeled:

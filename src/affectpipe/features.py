@@ -763,30 +763,40 @@ def _undeclared(entry: FeatureCatalogEntry, returned) -> CatalogError:
     )
 
 
-def check_catalog(catalog: list[FeatureCatalogEntry]) -> list[_Computation]:
+def column_entry(column: str) -> str:
+    """The catalog entry of matrix column ``entry.feature`` (one-hot:
+    ``entry.feature=tag``); exact, as :func:`check_catalog` keeps ``.`` out
+    of entry names."""
+    return column.partition(".")[0]
+
+
+def check_catalog(catalog: list[FeatureCatalogEntry]) -> tuple[list[_Computation], list[str]]:
     """Reject a catalog before any window is computed; return each entry's
-    computation.
+    computation and the matrix columns, ``entry.feature`` in catalog order.
 
     Raises :class:`~affectpipe.errors.CatalogError`, naming the entry, for
-    an empty catalog, an entry without a ``features`` list, a column
-    (``entry.feature``) that an entry repeats or another entry gives too,
-    an unknown computation, a ``parameters`` key its registered computation
-    does not read, a parameter value its check rejects (see
+    an empty catalog, an entry name holding ``.``, an entry without a
+    ``features`` list, a column that an entry repeats or another entry
+    gives too, an unknown computation, a ``parameters`` key its registered
+    computation does not read, a parameter value its check rejects (see
     ``_Computation.reads``), or a ``features`` name it does not declare.
     Names of a custom callable are checked per window instead, and its
     parameters not at all.
     """
     if not catalog:
         raise CatalogError("feature catalog is empty")
-    columns, computations = set(), []
+    columns, computations = [], []
     for entry in catalog:
+        if "." in str(entry.name):  # so column_entry reads the entry back exactly
+            raise CatalogError(f"catalog entry {entry.name!r} holds '.', which ends the "
+                               "entry name in a column name 'entry.feature'")
         if entry.features is None:
             raise CatalogError(f"catalog entry {entry.name!r} must declare its feature "
                                "list so the column schema is known up front")
         for column in (f"{entry.name}.{feat}" for feat in entry.features):
             if column in columns:
                 raise CatalogError(f"catalog entry {entry.name!r} repeats column {column!r}")
-            columns.add(column)
+            columns.append(column)
         computation = _resolve(entry)
         computations.append(computation)
         if computation.names is not None:
@@ -804,7 +814,7 @@ def check_catalog(catalog: list[FeatureCatalogEntry]) -> list[_Computation]:
             declared = computation.declared(entry.parameters)
             if not set(entry.features) <= set(declared):
                 raise _undeclared(entry, declared)
-    return computations
+    return computations, columns
 
 
 def ecg_eda_catalog() -> list[FeatureCatalogEntry]:
@@ -880,8 +890,7 @@ def extract_features(bundle: SubjectBundle,
     numeric columns (averaged, they become the share of windows with the
     tag).  A column mixing numbers and text raises a ValueError.
     """
-    computations = check_catalog(catalog)
-    columns = [f"{entry.name}.{feat}" for entry in catalog for feat in entry.features]
+    computations, columns = check_catalog(catalog)
 
     keys = []  # one (subject, phase, window) key per row
     cells = [[] for _ in columns]  # one list of raw cells per column

@@ -26,7 +26,6 @@ class GroundTruth:
     beat_times_s: tuple[float, ...] = ()
     scr_count: int = 0
     breath_count: int = 0
-    class_label: int | None = None
 
 
 @dataclass(frozen=True)
@@ -219,6 +218,12 @@ PHASE_RECIPES = {
                "class": 1, "suds": 75.0, "stai": 60.0},
 }
 
+#: The rest levels the recipes are relative to.
+REST_HR_BPM = 65.0
+REST_RMSSD_S = 0.05
+REST_SCR_PER_MIN = 1.0
+REST_BREATHS_PER_MIN = 14.0
+
 
 #: The shortest recording synth_dataset makes: EDA draws its SCR onsets
 #: from [5, duration_s - 20) s.
@@ -234,10 +239,6 @@ class DatasetSpec:
     modalities: tuple[str, ...] = ("ECG", "EDA")
     duration_s: float = 180.0
     seed: int = 0
-    rest_hr_bpm: float = 65.0
-    rest_rmssd_s: float = 0.05
-    rest_scr_per_min: float = 1.0
-    rest_breaths_per_min: float = 14.0
     ecg_fs_hz: float = 250.0
     eda_fs_hz: float = 32.0
 
@@ -345,12 +346,12 @@ SYNTH_MODALITIES = ("ECG", "EDA", "RESP", "EMG", "TEMP")
 def _synth_one(spec, subject, phase, modality, recipe, hr_offset, scl_offset, seed):
     d = spec.duration_s
     if modality == "ECG":
-        ecg = EcgSpec(hr_bpm=spec.rest_hr_bpm + hr_offset + recipe["hr_delta"],
-                      hrv_rmssd_target_s=spec.rest_rmssd_s * recipe["rmssd_scale"],
+        ecg = EcgSpec(hr_bpm=REST_HR_BPM + hr_offset + recipe["hr_delta"],
+                      hrv_rmssd_target_s=REST_RMSSD_S * recipe["rmssd_scale"],
                       noise_snr_db=30.0, fs_hz=spec.ecg_fs_hz)
         return synth_ecg(ecg, d, seed, subject, phase)
     if modality == "EDA":
-        rate = spec.rest_scr_per_min * recipe["scr_rate_scale"]
+        rate = REST_SCR_PER_MIN * recipe["scr_rate_scale"]
         n_scr = max(1, int(round(rate * d / 60.0)))
         rng = np.random.default_rng(seed)
         times = np.sort(rng.uniform(5.0, d - 20.0, n_scr))
@@ -364,7 +365,7 @@ def _synth_one(spec, subject, phase, modality, recipe, hr_offset, scl_offset, se
                       fs_hz=spec.eda_fs_hz)
         return synth_eda(eda, d, seed + 1, subject, phase)
     if modality == "RESP":
-        return synth_resp(RespSpec(breaths_per_min=spec.rest_breaths_per_min
+        return synth_resp(RespSpec(breaths_per_min=REST_BREATHS_PER_MIN
                                    + recipe["resp_delta"]), d, seed, subject, phase)
     if modality == "EMG":
         return synth_emg(EmgSpec(noise_std_mv=EmgSpec.noise_std_mv * recipe["emg_scale"]),

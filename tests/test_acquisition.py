@@ -39,6 +39,10 @@ def test_registry_defaults():
     reg = SignalRegistry.default()
     assert reg.names() == ["ECG", "EDA", "EMG", "RESP", "TEMP"]
     assert reg.lookup("ecg").name == "ECG"
+    assert {n: (m.unit, m.default_sample_rate_hz) for n, m in reg.modalities.items()} == {
+        "ECG": ("millivolt", 700.0), "EDA": ("microsiemens", 700.0),
+        "EMG": ("millivolt", 700.0), "RESP": ("percent", 700.0),
+        "TEMP": ("degree-Celsius", 4.0)}
 
 
 def test_registry_extensible(tmp_path):
@@ -46,6 +50,18 @@ def test_registry_extensible(tmp_path):
     meta.write_text("ECG,millivolt,700\nPPG,arbitrary,64\n", encoding="utf-8")
     reg = SignalRegistry.from_file(meta)
     assert reg.lookup("PPG").default_sample_rate_hz == 64
+
+
+def test_registry_rejects_two_lines_naming_one_modality(tmp_path):
+    meta = tmp_path / "meta.csv"
+    meta.write_text("# name,unit,rate\nECG,mV,250\nEDA,uS,32\necg,uV,500\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError) as e:
+        SignalRegistry.from_file(meta)
+    assert str(e.value) == ("modality 'ECG' is named twice: line 2 'ECG,mV,250' "
+                            "and line 4 'ecg,uV,500'")
+    with pytest.raises(ValueError, match="modality 'EDA' is named twice: a and b$"):
+        SignalRegistry({"a": Modality("EDA"), "b": Modality("eda")})
 
 
 def test_scan_pattern_match(tmp_path):
@@ -107,6 +123,17 @@ def test_load_missing_timestamp_header(tmp_path):
     with pytest.raises(MissingHeader) as e:
         load_csv_signal(f, reg.lookup("ECG"), "S1", "rest")
     assert e.value.name == "timestamp"
+
+
+@pytest.mark.parametrize("text, missing", [("", "timestamp"),
+                                           ("timestamp,EDA\n0.0,0.1\n0.004,0.2\n", "ECG")],
+                         ids=["no-header-row", "no-modality-column"])
+def test_load_names_the_missing_header(tmp_path, text, missing):
+    f = tmp_path / "sig.csv"
+    f.write_text(text, encoding="utf-8")
+    with pytest.raises(MissingHeader) as e:
+        load_csv_signal(f, SignalRegistry.default().lookup("ECG"), "S1", "rest")
+    assert e.value.name == missing
 
 
 def test_load_non_numeric_cell(tmp_path):

@@ -120,8 +120,9 @@ def test_synth_unknown_phase_or_modality_exit_2(tmp_path, capsys, field):
     ('n_subjects: "3"', "n_subjects must be an integer"),
     ("phases: [rest, rest]", "phases repeats"),
     ("modalities: [ECG, ECG]", "modalities repeats"),
+    ("rest_hr_bpm: 70.0", "unknown dataset spec fields: ['rest_hr_bpm']"),
 ], ids=["short-eda", "phases-int", "subjects-str", "repeated-phase",
-        "repeated-modality"])
+        "repeated-modality", "rest-level"])
 def test_synth_bad_spec_field_exit_2_before_writing(tmp_path, capsys, field, message):
     spec = tmp_path / "bad.yaml"
     spec.write_text(f"n_subjects: 1\nduration_s: 30.0\n{field}\n", encoding="utf-8")
@@ -223,13 +224,54 @@ def test_run_losing_every_row_names_the_cause_and_writes_the_records_it_reached(
     assert ("stage 3 (LabelGenerator) failed: 80 of 80 rows dropped: hrv_time, "
             "hrv_freq absent") in capsys.readouterr().out
     # no selector ran, and a failed run writes no report
-    assert sorted(p.name for p in out_dir.iterdir()) == ["dropped_rows.csv",
-                                                        "excluded_subjects.csv"]
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "dropped_rows.csv", "excluded_subjects.csv", "rows_without_labels.csv",
+        "skipped_files.csv"]
     with (out_dir / "dropped_rows.csv").open(newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["subject", "phase", "window_index"] and len(rows) == 81
     with (out_dir / "excluded_subjects.csv").open(newline="") as fh:
         assert list(csv.reader(fh)) == [["subject"]]
+
+
+def test_run_writes_the_rows_without_labels_and_the_skipped_files(tmp_path, capsys):
+    # the shipped questionnaire run on the shipped binary set with one
+    # subject's self-reports deleted and a stray file in another's folder
+    repo = Path(__file__).resolve().parents[1]
+    data = tmp_path / "data"
+    assert cmd_synth(str(repo / "configs" / "synth-binary.yaml"), str(data)) == 0
+    (data / "S2" / "S2_reports.csv").unlink()
+    (data / "S1" / "notes.txt").write_text("", encoding="utf-8")
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text((repo / "configs" / "questionnaire-kfold.yaml").read_text(
+        encoding="utf-8").replace("root: data/binary", f"root: {data}"), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert cmd_run(str(cfg), out_dir=str(out_dir)) == 0, capsys.readouterr().out
+    with (out_dir / "rows_without_labels.csv").open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    # 180 s series, 60/30 s windows: 5 windows in each of S2's two phases
+    assert rows == [["subject", "phase", "window_index"]] + [
+        ["S2", phase, str(k)] for phase in ("rest", "stress") for k in range(5)]
+    with (out_dir / "dropped_rows.csv").open(newline="") as fh:
+        assert list(csv.reader(fh)) == [["subject", "phase", "window_index"]]
+    with (out_dir / "skipped_files.csv").open(newline="") as fh:
+        assert list(csv.reader(fh)) == [["path"], [str(data / "S1" / "notes.txt")]]
+
+
+def test_run_strict_with_an_incomplete_subject_exit_4_naming_it(dataset_root, tmp_path,
+                                                                capsys):
+    import shutil
+    data = tmp_path / "data"
+    shutil.copytree(dataset_root, data)
+    (data / "S2" / "S2_stress_EDA.csv").unlink()
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(run_config(data), encoding="utf-8")
+    assert main(["run", str(cfg), "--strict", "--out", str(tmp_path / "out")]) == 4
+    assert "subjects missing requested modalities: ['S2']" in capsys.readouterr().out
+    # without --strict the subject is left out and the run goes on
+    assert main(["run", str(cfg), "--out", str(tmp_path / "lenient")]) == 0
+    with (tmp_path / "lenient" / "excluded_subjects.csv").open(newline="") as fh:
+        assert list(csv.reader(fh)) == [["subject"], ["S2"]]
 
 
 def test_run_failing_at_feature_selection_writes_no_selected_features(dataset_root,
@@ -238,8 +280,9 @@ def test_run_failing_at_feature_selection_writes_no_selected_features(dataset_ro
     cfg.write_text(run_config(dataset_root) + "selector: {k: 99}\n", encoding="utf-8")
     out_dir = tmp_path / "out"
     assert cmd_run(str(cfg), out_dir=str(out_dir)) == 4
-    assert sorted(p.name for p in out_dir.iterdir()) == ["dropped_rows.csv",
-                                                        "excluded_subjects.csv"]
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "dropped_rows.csv", "excluded_subjects.csv", "rows_without_labels.csv",
+        "skipped_files.csv"]
 
 
 def test_run_failing_with_unwritable_records_still_exits_4(dataset_root, tmp_path, capsys):
@@ -598,6 +641,15 @@ def test_run_repeated_column_exit_3_before_acquisition(tmp_path, capsys):
     assert "pipeline build error: catalog entry 'ecg' repeats column 'ecg.std'" in out
 
 
+def test_run_entry_name_holding_a_dot_exit_3_before_acquisition(tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(run_config(tmp_path / "no-such-dataset", features=(
+        "features:\n  - {name: hrv.v2, modality: ECG, computation: hrv_time, "
+        "features: [rmssd_s]}")), encoding="utf-8")
+    assert cmd_run(str(cfg)) == 3
+    assert "pipeline build error: catalog entry 'hrv.v2' holds '.'" in capsys.readouterr().out
+
+
 def test_run_chain_for_a_modality_not_loaded_exit_4_at_stage_1(dataset_root, tmp_path,
                                                                capsys):
     cfg = tmp_path / "cfg.yaml"
@@ -613,8 +665,9 @@ def test_run_window_longer_than_recording_exit_4(dataset_root, tmp_path, capsys)
     cfg.write_text(run_config(dataset_root, window=600.0), encoding="utf-8")
     assert cmd_run(str(cfg), out_dir=str(tmp_path / "out")) == 4
     assert "600" in capsys.readouterr().out
-    # feature extraction failed: only the Acquisition's record was reached
-    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["excluded_subjects.csv"]
+    # feature extraction failed: only the Acquisition's records were reached
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "excluded_subjects.csv", "skipped_files.csv"]
 
 
 # --- argparse front end ---

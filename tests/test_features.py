@@ -1191,6 +1191,9 @@ def test_hrv_freq_declares_the_names_of_its_bands():
     (FeatureCatalogEntry("scr", "EDA", "eda_decomposition", {"min_amplitude_us": -0.5},
                          features=("scr_count",)),
      r"'scr' parameter 'min_amplitude_us' must be a finite number of at least 0"),
+    # a column's entry is read back as the text before its first "."
+    (FeatureCatalogEntry("hrv.v2", "ECG", "hrv_time", features=("rmssd_s",)),
+     r"catalog entry 'hrv\.v2' holds '\.'"),
 ])
 def test_check_catalog_rejects_before_any_window(entry, message, monkeypatch):
     monkeypatch.setattr(features, "_SeriesWindows",
@@ -1208,6 +1211,21 @@ def test_check_catalog_rejects_before_any_window(entry, message, monkeypatch):
 def test_check_catalog_rejects_a_repeated_column(catalog):
     with pytest.raises(CatalogError, match=r"catalog entry 'ecg' repeats column 'ecg\.mean'"):
         features.check_catalog(catalog)
+
+
+def test_column_entry_reads_back_the_entry_of_every_column():
+    catalog = ecg_eda_catalog() + [FeatureCatalogEntry(
+        "quality", "EDA", lambda w, p: {"tag": "ok" if w.values[0] > 0 else "low"},
+        features=("tag",))]
+    _, columns = features.check_catalog(catalog)
+    assert columns == [f"{e.name}.{f}" for e in catalog for f in e.features]
+    matrix = extract_features(_stress_bundle(subjects=("S1",)),
+                              WindowingPolicy(60.0, 30.0), catalog)
+    assert any("=" in column for column in matrix.columns)  # one-hot columns too
+    by_entry = {e.name: [c for c in matrix.columns if c.startswith(f"{e.name}.")]
+                for e in catalog}
+    assert {c: features.column_entry(c) for c in matrix.columns} == {
+        c: name for name, cs in by_entry.items() for c in cs}
 
 
 def test_check_catalog_accepts_checked_parameters():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from affectpipe import (
+    Modality,
     PreprocessChain,
     PreprocessStep,
     SubjectBundle,
@@ -18,6 +19,7 @@ from affectpipe import (
     scr_events,
 )
 from affectpipe.checks import REQUIRED
+from affectpipe.engine import RunContext, SignalPreprocessor
 from affectpipe.preprocessing import STEP_OPS, FilterDesign
 from affectpipe.errors import CutoffOutOfRange, InvalidOrder, SampleRateMismatch
 from affectpipe.synth import EcgSpec, synth_ecg
@@ -377,6 +379,28 @@ def test_preprocess_custom_chain_overrides_default():
     ecg_a = defaulted.find("S1", "rest", "ECG")
     ecg_b = overridden.find("S1", "rest", "ECG")
     np.testing.assert_allclose(ecg_a.values, ecg_b.values)
+
+
+def test_stage_wide_resampling_resamples_every_series_before_its_chain():
+    raw = sine_series(1.0, 250.0, 10.0, modality_name="ECG")
+    bundle = SubjectBundle({"S1": [raw]})
+    ecg = SignalPreprocessor(resample_rate=125.0).run(bundle, RunContext()).find(
+        "S1", "rest", "ECG")
+    assert ecg.sample_rate_hz == 125.0 and ecg.is_uniform()
+    want = default_chain("ECG", 125.0).apply(resample_series(raw, 125.0))
+    assert np.asarray(ecg.timestamps).tobytes() == np.asarray(want.timestamps).tobytes()
+    assert np.asarray(ecg.values).tobytes() == np.asarray(want.values).tobytes()
+
+
+def test_a_non_uniform_series_is_resampled_to_its_nominal_rate_before_its_chain():
+    t = np.arange(320) / 32.0
+    t[100:200] += 0.01  # one stretch of late samples
+    raw = TimeSeries("S1", "rest", Modality("EDA"), t, np.sin(2 * np.pi * 0.2 * t), 32.0)
+    assert not raw.is_uniform()
+    eda = preprocess(SubjectBundle({"S1": [raw]})).find("S1", "rest", "EDA")
+    assert eda.sample_rate_hz == 32.0 and eda.is_uniform()
+    want = default_chain("EDA", 32.0).apply(resample_series(raw, 32.0))
+    assert np.asarray(eda.values).tobytes() == np.asarray(want.values).tobytes()
 
 
 def test_preprocess_step_rejects_an_unknown_op():

@@ -239,6 +239,11 @@ def test_dataset_spec_rejects_bad_fields(fields, message):
         DatasetSpec(**fields)
 
 
+def test_dataset_spec_fields_are_the_documented_seven():
+    assert [f for f in DatasetSpec.__dataclass_fields__] == [
+        "n_subjects", "phases", "modalities", "duration_s", "seed", "ecg_fs_hz", "eda_fs_hz"]
+
+
 def test_dataset_spec_keeps_a_list_of_names_as_a_tuple():
     # as a YAML spec gives them
     spec = DatasetSpec(phases=["rest", "stress"], modalities=["ECG"])
