@@ -95,7 +95,6 @@ from .types import (
     Modality,
     SubjectBundle,
     TimeSeries,
-    ValidationResult,
     validate_time_series,
 )
 

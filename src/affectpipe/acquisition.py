@@ -64,9 +64,14 @@ class SignalRegistry:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            name, unit, rate = (part.strip() for part in line.split(","))
-            rate_hz = None if rate.lower() in ("", "unspecified") else float(rate)
-            modalities[f"line {n} {line!r}"] = Modality(name, unit, rate_hz)
+            label = f"line {n} {line!r}"
+            try:
+                name, unit, rate = (part.strip() for part in line.split(","))
+                rate_hz = None if rate.lower() in ("", "unspecified") else float(rate)
+            except ValueError:
+                raise ValueError(f"{path} {label}: expected name,unit,rate with the rate "
+                                 "a number, empty or 'unspecified'") from None
+            modalities[label] = Modality(name, unit, rate_hz)
         return cls(modalities)
 
     @classmethod
@@ -84,7 +89,6 @@ class SignalRegistry:
 
 @dataclass(frozen=True)
 class DatasetIndex:
-    root: Path
     #: subject -> list of (phase, Modality, file path)
     subjects: dict[str, tuple[tuple[str, Modality, Path], ...]]
     skipped_files: tuple[Path, ...] = ()
@@ -148,7 +152,7 @@ def scan_dataset(root, registry: SignalRegistry | None = None) -> DatasetIndex:
             subjects[subject] = tuple(entries)
     if not subjects:
         raise EmptyDataset(f"no subject folders with signal files under {root}")
-    return DatasetIndex(root, subjects, tuple(skipped), report_files)
+    return DatasetIndex(subjects, tuple(skipped), report_files)
 
 
 def load_csv_signal(path, modality: Modality, subject: str, phase: str, *,

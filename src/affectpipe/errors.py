@@ -16,8 +16,9 @@ class IOFailure(AffectPipeError):
 
 
 class MissingHeader(AffectPipeError):
-    def __init__(self, name):
-        super().__init__(f"missing required CSV header: {name!r}")
+    def __init__(self, name, path=None):
+        where = "" if path is None else f" in {path}"
+        super().__init__(f"missing required CSV header: {name!r}{where}")
         self.name = name
 
 

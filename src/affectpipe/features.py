@@ -676,9 +676,9 @@ def _compute_eda_decomposed(cut: _SeriesWindows, k: int, params):
            "scl_slope": float(scl["slope"][0])}
     out.update(scr_events(smoothed, params.get("min_amplitude_us", 0.01),
                           smooth_cutoff_hz=0))
-    out["phasic_mean_us"] = float(np.mean(phasic.values))
-    out["phasic_std_us"] = float(np.std(phasic.values))
-    out["phasic_max_us"] = float(np.max(phasic.values))
+    stats = _window_statistics(phasic.values[None], phasic.timestamps[None], ("mean", "std", "max"))
+    out.update(phasic_mean_us=float(stats["mean"][0]), phasic_std_us=float(stats["std"][0]),
+               phasic_max_us=float(stats["max"][0]))
     return out
 
 

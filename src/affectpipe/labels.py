@@ -15,6 +15,7 @@ from .classification import ClassifierSpec, CVStrategy, forward_selection, make_
 from .errors import (
     InsufficientReports,
     KTooLarge,
+    MissingHeader,
     MissingReport,
     TooFewRows,
     UnmappedPhase,
@@ -60,17 +61,22 @@ _CUSTOM = {"fn": ((callable, "a callable"), REQUIRED),
 
 
 def load_reports(path, subject_id: str) -> list[SelfReport]:
-    """Read a per-subject ``phase,questionnaire,score`` CSV."""
+    """Read a per-subject ``phase,questionnaire,score`` CSV; a missing column
+    (MissingHeader) or a score that is not a number (ValueError) names the file."""
     reports = []
     with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, restval="")  # a short row's cells are empty
+        for name in ("phase", "questionnaire", "score"):
+            if name not in (reader.fieldnames or ()):
+                raise MissingHeader(name, path)
         for row in reader:
-            reports.append(SelfReport(
-                subject_id=subject_id,
-                phase=row["phase"].strip(),
-                questionnaire=row["questionnaire"].strip(),
-                score=float(row["score"]),
-            ))
+            try:
+                score = float(row["score"])
+            except ValueError:
+                raise ValueError(f"{path} line {reader.line_num}: score "
+                                 f"{row['score']!r} is not a number") from None
+            reports.append(SelfReport(subject_id=subject_id, phase=row["phase"].strip(),
+                                      questionnaire=row["questionnaire"].strip(), score=score))
     return reports
 
 

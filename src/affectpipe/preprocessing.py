@@ -66,12 +66,6 @@ class FilterCoefficients:
         zi.setflags(write=False)
         object.__setattr__(self, "zi", zi)
 
-    def frequency_response(self, freqs_hz) -> np.ndarray:
-        """Complex single-pass response at the given frequencies."""
-        _, h = sps.sosfreqz(self.sections, worN=np.asarray(freqs_hz, float),
-                            fs=self.design.fs_hz)
-        return h
-
 
 def _check_cutoffs(kind, cutoffs, fs_hz):
     nyquist = fs_hz / 2.0

@@ -59,15 +59,6 @@ class Violation:
 
 
 @dataclass(frozen=True)
-class ValidationResult:
-    violations: tuple[Violation, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-@dataclass(frozen=True)
 class TimeSeries:
     """One modality's samples for one subject-phase.
 
@@ -87,9 +78,9 @@ class TimeSeries:
     def __post_init__(self):
         object.__setattr__(self, "timestamps", _frozen_array(self.timestamps))
         object.__setattr__(self, "values", _frozen_array(self.values))
-        result = validate_time_series(self)
-        if not result.ok:
-            raise ValidationFailed(result.violations)
+        violations = validate_time_series(self)
+        if violations:
+            raise ValidationFailed(violations)
 
     def __len__(self):
         return self.values.size
@@ -173,11 +164,12 @@ def row_medians(X) -> np.ndarray:
     return out
 
 
-def validate_time_series(series) -> ValidationResult:
+def validate_time_series(series) -> tuple[Violation, ...]:
     """Check every TimeSeries invariant; violations are data, not faults.
 
-    Accepts either a TimeSeries or anything with the same attributes, so it
-    can vet candidate data before construction.
+    Returns the violations found, none when the series is valid.  Accepts
+    either a TimeSeries or anything with the same attributes, so it can vet
+    candidate data before construction.
     """
     violations = []
     ts = np.asarray(series.timestamps, dtype=float)
@@ -195,7 +187,7 @@ def validate_time_series(series) -> ValidationResult:
             violations.append(Violation("non-increasing timestamp", int(bad[0]) + 1))
     if not np.all(np.isfinite(ts)):
         violations.append(Violation("non-finite timestamp", int(np.flatnonzero(~np.isfinite(ts))[0])))
-    return ValidationResult(tuple(violations))
+    return tuple(violations)
 
 
 @dataclass(frozen=True)

@@ -64,6 +64,17 @@ def test_registry_rejects_two_lines_naming_one_modality(tmp_path):
         SignalRegistry({"a": Modality("EDA"), "b": Modality("eda")})
 
 
+@pytest.mark.parametrize("record", ["ECG,mV", "ECG,mV,fast"],
+                         ids=["two-fields", "rate-not-a-number"])
+def test_registry_names_the_line_of_a_malformed_record(tmp_path, record):
+    meta = tmp_path / "meta.csv"
+    meta.write_text(f"# name,unit,rate\nEDA,uS,32\n{record}\n", encoding="utf-8")
+    with pytest.raises(ValueError) as e:
+        SignalRegistry.from_file(meta)
+    assert str(e.value) == (f"{meta} line 3 {record!r}: expected name,unit,rate with "
+                            "the rate a number, empty or 'unspecified'")
+
+
 def test_scan_pattern_match(tmp_path):
     write(tmp_path / "S1" / "S1_rest_ECG.csv", "timestamp,ECG\n0.0,1\n0.004,2\n")
     write(tmp_path / "S1" / "S1_stress_ECG.csv", "timestamp,ECG\n0.0,1\n0.004,2\n")

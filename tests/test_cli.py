@@ -258,6 +258,27 @@ def test_run_writes_the_rows_without_labels_and_the_skipped_files(tmp_path, caps
         assert list(csv.reader(fh)) == [["path"], [str(data / "S1" / "notes.txt")]]
 
 
+@pytest.mark.parametrize("reports, cause", [
+    ("phase,survey,score\nrest,SUDS,25.12\nstress,SUDS,71.26\n",
+     "missing required CSV header: 'questionnaire' in {path}"),
+    ("phase,questionnaire,score\nrest,SUDS,25.12\nstress,SUDS,abc\n",
+     "{path} line 3: score 'abc' is not a number")],
+    ids=["no-questionnaire-column", "score-not-a-number"])
+def test_run_with_a_malformed_report_file_exit_4_naming_it(tmp_path, capsys, reports, cause):
+    repo = Path(__file__).resolve().parents[1]
+    data = tmp_path / "data"
+    assert cmd_synth(str(repo / "configs" / "synth-binary.yaml"), str(data)) == 0
+    path = data / "S2" / "S2_reports.csv"
+    path.write_text(reports, encoding="utf-8")
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text((repo / "configs" / "questionnaire-kfold.yaml").read_text(
+        encoding="utf-8").replace("root: data/binary", f"root: {data}"), encoding="utf-8")
+    capsys.readouterr()
+    assert cmd_run(str(cfg), out_dir=str(tmp_path / "out")) == 4
+    assert f"stage 3 (LabelGenerator) failed: {cause.format(path=path)}" in \
+        capsys.readouterr().out
+
+
 def test_run_strict_with_an_incomplete_subject_exit_4_naming_it(dataset_root, tmp_path,
                                                                 capsys):
     import shutil

@@ -454,7 +454,7 @@ def test_label_generator_dropping_every_row_names_the_cause(tmp_path, values, re
         f"{phase},SUDS,80\n" for phase in report_phases), encoding="utf-8")
     matrix = FeatureMatrix(("hrv_time.rmssd_s", "hrv_freq.lf_power", "eda.mean"),
                            ["S1"] * 3, ["rest", "stress", "stress"], [0, 0, 1], values)
-    ctx = RunContext(index=DatasetIndex(tmp_path, {}, (), {"S1": reports}))
+    ctx = RunContext(index=DatasetIndex({}, (), {"S1": reports}))
     with pytest.raises(AllRowsDropped, match=f"^{re.escape(message)}$"):
         LabelGenerator(LabelRule("fixed-threshold")).run(matrix, ctx)
     # the record of the drop is kept for the failed run's files

@@ -25,6 +25,7 @@ from affectpipe.labels import load_reports
 from affectpipe.errors import (
     InsufficientReports,
     KTooLarge,
+    MissingHeader,
     MissingReport,
     NonNumericFeature,
     SingleClass,
@@ -233,6 +234,27 @@ def test_load_reports_roundtrip(tmp_path):
     reports = load_reports(f, "S1")
     assert [r.phase for r in reports] == ["rest", "stress"]
     assert reports[1].score == 75.0
+
+
+@pytest.mark.parametrize("header", ["questionnaire,score", "phase,score", "phase,questionnaire"],
+                         ids=["no-phase", "no-questionnaire", "no-score"])
+def test_load_reports_names_a_missing_column_and_the_file(tmp_path, header):
+    f = tmp_path / "S1_reports.csv"
+    f.write_text(f"{header}\nrest,25.0\n", encoding="utf-8")
+    missing = ({"phase", "questionnaire", "score"} - set(header.split(","))).pop()
+    with pytest.raises(MissingHeader) as e:
+        load_reports(f, "S1")
+    assert e.value.name == missing
+    assert str(e.value) == f"missing required CSV header: {missing!r} in {f}"
+
+
+def test_load_reports_names_the_line_of_a_score_that_is_not_a_number(tmp_path):
+    f = tmp_path / "S1_reports.csv"
+    f.write_text("phase,questionnaire,score\nrest,SUDS,25.0\nstress,SUDS,abc\n",
+                 encoding="utf-8")
+    with pytest.raises(ValueError) as e:
+        load_reports(f, "S1")
+    assert str(e.value) == f"{f} line 3: score 'abc' is not a number"
 
 
 # --- text tags, one-hot encoded by extract_features ---

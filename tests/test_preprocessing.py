@@ -30,14 +30,18 @@ from conftest import fft_gain_db, make_series, rms, sine_series
 # --- design ---
 
 def test_lowpass_cutoff_gain_is_minus_3db():
+    from scipy import signal as sps
     c = design_butterworth("lowpass", 4, 5.0, 700.0)
-    gain_db = 20 * np.log10(abs(c.frequency_response([5.0])[0]))
+    _, h = sps.sosfreqz(c.sections, worN=[5.0], fs=c.design.fs_hz)
+    gain_db = 20 * np.log10(abs(h[0]))
     assert gain_db == pytest.approx(-3.0103, abs=0.1)
 
 
 def test_highpass_dc_rejection():
+    from scipy import signal as sps
     c = design_butterworth("highpass", 2, 0.5, 250.0)
-    dc = abs(c.frequency_response([1e-6])[0])
+    _, h = sps.sosfreqz(c.sections, worN=[1e-6], fs=c.design.fs_hz)
+    dc = abs(h[0])
     assert 20 * np.log10(dc + 1e-300) < -60
 
 

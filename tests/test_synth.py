@@ -122,7 +122,7 @@ def test_generator_outputs_validate():
         synth_emg(EmgSpec(), 10.0)[0],
         synth_temp(TempSpec(), 30.0)[0],
     ]:
-        assert validate_time_series(series).ok
+        assert validate_time_series(series) == ()
 
 
 def test_resp_truth_breath_count():

@@ -21,20 +21,19 @@ class Candidate:
 
 
 def test_conforming_series_is_ok():
-    result = validate_time_series(Candidate([0.0, 0.004, 0.008], [1, 2, 3], 250))
-    assert result.ok
+    assert validate_time_series(Candidate([0.0, 0.004, 0.008], [1, 2, 3], 250)) == ()
 
 
 def test_non_increasing_timestamp_reported_with_index():
-    result = validate_time_series(Candidate([0.0, 0.0, 0.004], [1, 2, 3], 250))
-    assert not result.ok
-    v = next(v for v in result.violations if "non-increasing" in v.message)
+    violations = validate_time_series(Candidate([0.0, 0.0, 0.004], [1, 2, 3], 250))
+    assert violations
+    v = next(v for v in violations if "non-increasing" in v.message)
     assert v.index == 1
 
 
 def test_length_mismatch_reported():
-    result = validate_time_series(Candidate([0.0, 0.004, 0.008], [1, 2], 250))
-    assert any("length mismatch" in v.message for v in result.violations)
+    violations = validate_time_series(Candidate([0.0, 0.004, 0.008], [1, 2], 250))
+    assert any("length mismatch" in v.message for v in violations)
 
 
 def test_invalid_series_cannot_be_constructed():
