@@ -30,6 +30,7 @@ from .errors import (
     MissingHeader,
     MissingReport,
     NonNumericCell,
+    ValidationFailed,
 )
 from .types import Modality, SubjectBundle, TimeSeries, canonical_name, row_medians
 
@@ -71,7 +72,10 @@ class SignalRegistry:
             except ValueError:
                 raise ValueError(f"{path} {label}: expected name,unit,rate with the rate "
                                  "a number, empty or 'unspecified'") from None
-            modalities[label] = Modality(name, unit, rate_hz)
+            try:
+                modalities[label] = Modality(name, unit, rate_hz)
+            except ValueError as exc:  # a rate that is not finite and positive
+                raise ValueError(f"{path} {label}: {exc}") from None
         return cls(modalities)
 
     @classmethod
@@ -179,12 +183,12 @@ def load_csv_signal(path, modality: Modality, subject: str, phase: str, *,
             try:
                 header = next(reader)
             except StopIteration:
-                raise MissingHeader("timestamp") from None
+                raise MissingHeader("timestamp", path) from None
             names = [canonical_name(h.strip()) for h in header]  # any case matches
             if "TIMESTAMP" not in names:
-                raise MissingHeader("timestamp")
+                raise MissingHeader("timestamp", path)
             if modality.name not in names:
-                raise MissingHeader(modality.name)
+                raise MissingHeader(modality.name, path)
             t_col = names.index("TIMESTAMP")
             v_col = names.index(modality.name)
             try:
@@ -203,10 +207,10 @@ def load_csv_signal(path, modality: Modality, subject: str, phase: str, *,
                 fh.seek(0)
                 reader = csv.reader(fh)
                 next(reader)
-                timestamps, values = _parse_rows(reader, t_col, v_col)
+                timestamps, values = _parse_rows(reader, t_col, v_col, path)
             else:
                 timestamps, values = body.T.copy()  # two contiguous rows
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # unreadable, or not UTF-8
         raise IOFailure(f"cannot read {path}: {exc}") from exc
     timestamps = np.asarray(timestamps, dtype=float)
     bits = timestamps.view(np.int64)
@@ -220,7 +224,10 @@ def load_csv_signal(path, modality: Modality, subject: str, phase: str, *,
         fs = 1.0 / float(row_medians(deltas[None])[0]) if deltas.size and np.all(deltas > 0) else 1.0
     # TimeSeries construction runs validate_time_series and raises
     # ValidationFailed with every violation, fewer than 2 samples included
-    series = TimeSeries(subject, phase, modality, timestamps, values, fs)
+    try:
+        series = TimeSeries(subject, phase, modality, timestamps, values, fs)
+    except ValidationFailed as exc:
+        raise ValidationFailed(exc.violations, path) from None
     if shared is not None:  # the same bits, so drop the constructor's copy
         object.__setattr__(series, "timestamps", shared[0])
     else:
@@ -228,8 +235,8 @@ def load_csv_signal(path, modality: Modality, subject: str, phase: str, *,
     return series
 
 
-def _parse_rows(reader, t_col: int, v_col: int):
-    """Row-by-row parse of the body; raises NonNumericCell(row number)."""
+def _parse_rows(reader, t_col: int, v_col: int, path):
+    """Row-by-row parse of the body; raises NonNumericCell(row number, path)."""
     timestamps, values = [], []
     for i, row in enumerate(reader, start=2):
         if not row:
@@ -238,7 +245,7 @@ def _parse_rows(reader, t_col: int, v_col: int):
             timestamps.append(float(row[t_col]))
             values.append(float(row[v_col]))
         except (ValueError, IndexError):
-            raise NonNumericCell(i) from None
+            raise NonNumericCell(i, path) from None
     return timestamps, values
 
 
@@ -316,8 +323,7 @@ def acquire(index: DatasetIndex, signal_types, strict: bool = False) -> Acquisit
     ``grids`` dict to every :func:`load_csv_signal`, so each bitwise-equal
     grid is held once, read-only, for the bundle; two calls share nothing.
     """
-    wanted = [m.name if isinstance(m, Modality) else canonical_name(str(m))
-              for m in signal_types]
+    wanted = [canonical_name(m) for m in signal_types]
     if not wanted:
         raise EmptyDataset("no signal types requested")
     found = sorted({mod.name for files in index.subjects.values() for _, mod, _ in files})

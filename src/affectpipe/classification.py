@@ -562,7 +562,7 @@ def _grow_tree(X, y, classes, depth, max_depth):
     return node
 
 
-def _tree_scores(node, row, classes) -> np.ndarray:
+def _tree_scores(node, row) -> np.ndarray:
     while "feature" in node:
         node = node["left"] if row[node["feature"]] <= node["threshold"] else node["right"]
     counts = node["counts"]
@@ -646,8 +646,7 @@ ALGORITHMS = {
     "DecisionTree": Algorithm(
         lambda Z, y, classes, criterion, max_depth: {
             "tree": _grow_tree(Z, y, classes, 0, max_depth)},
-        lambda model, Z: np.array([_tree_scores(model.state["tree"], row, model.classes)
-                                   for row in Z]),
+        lambda model, Z: np.array([_tree_scores(model.state["tree"], row) for row in Z]),
         {"criterion": (one_of("entropy"), "entropy"), "max_depth": (at_least(1), None)}),
     "LDA": Algorithm(_fit_lda, _lda_scores),
     "LogisticRegression": Algorithm(_fit_logistic, _logistic_scores, {

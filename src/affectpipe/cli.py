@@ -21,11 +21,13 @@ from .errors import (
     AffectPipeError,
     CatalogError,
     ConfigError,
+    DuplicateSignalFile,
     EmptyDataset,
     IncompatibleStages,
     IOFailure,
     MissingStage,
 )
+from .labels import load_reports
 from .synth import synth_dataset
 
 
@@ -36,10 +38,10 @@ def cmd_validate(root: str, out=None) -> int:
     except (IOFailure, FileNotFoundError) as exc:
         print(f"I/O failure: {exc}", file=out)
         return 1
-    except EmptyDataset as exc:
+    except (EmptyDataset, DuplicateSignalFile) as exc:
         print(f"invalid dataset: {exc}", file=out)
         return 2
-    violations = []
+    violations = []  # each error names its file
     n_files = 0
     for subject, files in sorted(index.subjects.items()):
         for phase, modality, path in files:
@@ -47,9 +49,14 @@ def cmd_validate(root: str, out=None) -> int:
             try:
                 load_csv_signal(path, modality, subject, phase)
             except AffectPipeError as exc:
-                violations.append((path, exc))
-    for path, exc in violations:
-        print(f"VIOLATION {path}: {exc}", file=out)
+                violations.append(exc)
+    for subject, path in sorted(index.report_files.items()):
+        try:
+            load_reports(path, subject)
+        except (AffectPipeError, ValueError) as exc:
+            violations.append(exc)
+    for exc in violations:
+        print(f"VIOLATION {exc}", file=out)
     for path in index.skipped_files:
         print(f"SKIPPED {path}", file=out)
     print(f"{len(index.subjects)} subjects, {n_files} signal files, "

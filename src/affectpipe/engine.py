@@ -14,13 +14,13 @@ from pathlib import Path
 import numpy as np
 
 from . import preprocessing
-from .acquisition import AcquisitionResult, DatasetIndex, SignalRegistry, acquire, scan_dataset
+from .acquisition import AcquisitionResult, SignalRegistry, acquire, scan_dataset
 from .checks import INTEGER, REQUIRED, at_least, check_value, checked
 from .classification import ClassifierSpec, CVStrategy, cross_validate, fit, predict
 from .errors import AllRowsDropped, IncompatibleStages, MissingStage, StageExecutionError
 from .features import WindowingPolicy, check_catalog, column_entry, extract_features
 from .labels import LABEL_RULES, LabelRule, attach_labels, load_reports, sequential_forward_selection
-from .types import FeatureMatrix, LabelVector, Modality, SubjectBundle
+from .types import FeatureMatrix, LabelVector, SubjectBundle, canonical_name
 
 # payload tags threaded between stages
 NONE, BUNDLE, FEATURES, LABELED, OUTPUT = (
@@ -31,8 +31,8 @@ NONE, BUNDLE, FEATURES, LABELED, OUTPUT = (
 class RunContext:
     seed: int = 0
     strict: bool = False
-    #: the dataset scan of the Acquisition stage
-    index: DatasetIndex | None = None
+    #: subject -> self-report CSV, for the subjects the Acquisition kept
+    self_report_files: dict[str, Path] = field(default_factory=dict)
     #: plain-data run record, kept as ``Pipeline.last_reports``
     reports: dict = field(default_factory=dict)
 
@@ -58,7 +58,7 @@ class SignalAcquisition(Component):
         self.source_folder = Path(source_folder)
         self.registry = registry or SignalRegistry.default()
         for i, name in enumerate(self.signal_types):
-            if self.registry.lookup(name.name if isinstance(name, Modality) else str(name)) is None:
+            if self.registry.lookup(canonical_name(name)) is None:
                 raise ValueError(f"signal_types[{i}]: {name!r} is not a known modality "
                                  f"({', '.join(self.registry.names())})")
 
@@ -67,7 +67,8 @@ class SignalAcquisition(Component):
         result: AcquisitionResult = acquire(index, self.signal_types, strict=ctx.strict)
         ctx.reports["excluded_subjects"] = list(result.excluded_subjects)
         ctx.reports["skipped_files"] = [str(p) for p in index.skipped_files]
-        ctx.index = index
+        ctx.self_report_files = {subject: path for subject, path in index.report_files.items()
+                                 if subject in result.bundle.entries}
         return result.bundle
 
 
@@ -112,9 +113,8 @@ class LabelGenerator(Component):
     def run(self, matrix: FeatureMatrix, ctx):
         reports = None
         kind = LABEL_RULES.get(self.rule.kind)  # None for a custom rule
-        if kind and kind.questionnaire and ctx.index is not None:
-            # the per-subject report files found during the dataset scan
-            reports = [r for subject, path in sorted(ctx.index.report_files.items())
+        if kind and kind.questionnaire:
+            reports = [r for subject, path in sorted(ctx.self_report_files.items())
                        for r in load_reports(path, subject)]
         # rows with absent cells leave here, so every later stage sees the
         # same complete, labeled rows

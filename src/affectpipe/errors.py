@@ -15,22 +15,27 @@ class IOFailure(AffectPipeError):
     pass
 
 
+def _in(path):
+    """`` in {path}``, the end of a message about a file's content; empty
+    when no path is given."""
+    return "" if path is None else f" in {path}"
+
+
 class MissingHeader(AffectPipeError):
     def __init__(self, name, path=None):
-        where = "" if path is None else f" in {path}"
-        super().__init__(f"missing required CSV header: {name!r}{where}")
+        super().__init__(f"missing required CSV header: {name!r}{_in(path)}")
         self.name = name
 
 
 class NonNumericCell(AffectPipeError):
-    def __init__(self, row):
-        super().__init__(f"non-numeric cell at data row {row}")
+    def __init__(self, row, path=None):
+        super().__init__(f"non-numeric cell at data row {row}{_in(path)}")
         self.row = row
 
 
 class ValidationFailed(AffectPipeError):
-    def __init__(self, violations):
-        super().__init__("; ".join(str(v) for v in violations))
+    def __init__(self, violations, path=None):
+        super().__init__("; ".join(str(v) for v in violations) + _in(path))
         self.violations = list(violations)
 
 
@@ -65,7 +70,6 @@ class StageExecutionError(AffectPipeError):
         super().__init__(f"stage {stage_index} ({kind}) failed: {cause}")
         self.stage_index = stage_index
         self.kind = kind
-        self.cause = cause
 
 
 # --- signal processing ---

@@ -14,6 +14,7 @@ from .checks import REQUIRED, at_least, check_value, checked, one_of
 from .classification import ClassifierSpec, CVStrategy, forward_selection, make_folds
 from .errors import (
     InsufficientReports,
+    IOFailure,
     KTooLarge,
     MissingHeader,
     MissingReport,
@@ -61,22 +62,31 @@ _CUSTOM = {"fn": ((callable, "a callable"), REQUIRED),
 
 
 def load_reports(path, subject_id: str) -> list[SelfReport]:
-    """Read a per-subject ``phase,questionnaire,score`` CSV; a missing column
-    (MissingHeader) or a score that is not a number (ValueError) names the file."""
+    """Read a per-subject ``phase,questionnaire,score`` CSV; a file that
+    cannot be read or is not UTF-8 (IOFailure) or misses a column
+    (MissingHeader) names the file, and a score that is not a number or a
+    SUDS score outside [0, 100] (ValueError) the file and the line."""
     reports = []
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh, restval="")  # a short row's cells are empty
-        for name in ("phase", "questionnaire", "score"):
-            if name not in (reader.fieldnames or ()):
-                raise MissingHeader(name, path)
-        for row in reader:
-            try:
-                score = float(row["score"])
-            except ValueError:
-                raise ValueError(f"{path} line {reader.line_num}: score "
-                                 f"{row['score']!r} is not a number") from None
-            reports.append(SelfReport(subject_id=subject_id, phase=row["phase"].strip(),
-                                      questionnaire=row["questionnaire"].strip(), score=score))
+    try:
+        with Path(path).open(newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh, restval="")  # a short row's cells are empty
+            for name in ("phase", "questionnaire", "score"):
+                if name not in (reader.fieldnames or ()):
+                    raise MissingHeader(name, path)
+            for row in reader:
+                where = f"{path} line {reader.line_num}"
+                try:
+                    score = float(row["score"])
+                except ValueError:
+                    raise ValueError(f"{where}: score {row['score']!r} is not a number") from None
+                try:
+                    reports.append(SelfReport(subject_id=subject_id, phase=row["phase"].strip(),
+                                              questionnaire=row["questionnaire"].strip(),
+                                              score=score))
+                except ValueError as exc:  # a SUDS score outside [0, 100]
+                    raise ValueError(f"{where}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IOFailure(f"cannot read {path}: {exc}") from exc
     return reports
 
 

@@ -274,7 +274,7 @@ _DEFAULT_CHAINS = {
 
 def default_chain(modality: Modality | str, fs_hz: float) -> PreprocessChain:
     """Paper-grade default denoising chain for a registered modality."""
-    name = modality.name if isinstance(modality, Modality) else canonical_name(modality)
+    name = canonical_name(modality)
     try:
         steps = _DEFAULT_CHAINS[name]
     except KeyError:

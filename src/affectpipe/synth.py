@@ -370,7 +370,6 @@ def _synth_one(spec, subject, phase, modality, recipe, hr_offset, scl_offset, se
     if modality == "EMG":
         return synth_emg(EmgSpec(noise_std_mv=EmgSpec.noise_std_mv * recipe["emg_scale"]),
                          d, seed, subject, phase)
-    if modality == "TEMP":
-        return synth_temp(TempSpec(slope_c_per_min=recipe["temp_slope_c_per_min"]),
-                          d, seed, subject, phase)
-    raise ValueError(f"no generator for modality {modality!r}")
+    # TEMP: DatasetSpec admits only the SYNTH_MODALITIES
+    return synth_temp(TempSpec(slope_c_per_min=recipe["temp_slope_c_per_min"]),
+                      d, seed, subject, phase)

@@ -16,10 +16,11 @@ from .errors import ValidationFailed
 UNIFORM_RTOL = 1e-9
 
 
-def canonical_name(name: str) -> str:
+def canonical_name(name: Modality | str) -> str:
     """The form a modality or questionnaire name is stored and matched in:
-    upper case, so ``ecg``, ``Ecg`` and ``ECG`` name one modality."""
-    return name.upper()
+    upper case, so ``ecg``, ``Ecg`` and ``ECG`` name one modality.  A
+    Modality gives its stored name; anything else its ``str()`` form."""
+    return name.name if isinstance(name, Modality) else str(name).upper()
 
 
 @dataclass(frozen=True)
@@ -37,8 +38,9 @@ class Modality:
 
     def __post_init__(self):
         object.__setattr__(self, "name", canonical_name(self.name))
-        if self.default_sample_rate_hz is not None and self.default_sample_rate_hz <= 0:
-            raise ValueError("default_sample_rate_hz must be positive")
+        rate = self.default_sample_rate_hz
+        if rate is not None and not 0 < rate < np.inf:  # NaN fails both
+            raise ValueError(f"default_sample_rate_hz must be finite and positive, not {rate}")
 
 
 def _frozen_array(values, dtype=float):
@@ -280,15 +282,12 @@ class FeatureMatrix:
         return list(zip(self.subject_ids[rows].tolist(), self.phases[rows].tolist(),
                         self.window_indices[rows].tolist()))
 
-    def column_index(self, name: str) -> int:
-        return self.columns.index(name)
-
     def to_array(self) -> np.ndarray:
         """Writable copy of ``values``."""
         return np.array(self.values)
 
     def subset_columns(self, names) -> "FeatureMatrix":
-        idx = [self.column_index(n) for n in names]
+        idx = [self.columns.index(n) for n in names]
         return FeatureMatrix(tuple(names), self.subject_ids, self.phases,
                              self.window_indices, self.values[:, idx])
 

@@ -75,6 +75,18 @@ def test_registry_names_the_line_of_a_malformed_record(tmp_path, record):
                             "the rate a number, empty or 'unspecified'")
 
 
+@pytest.mark.parametrize("rate", ["-5", "0", "nan", "inf"])
+def test_registry_names_the_line_of_a_rate_not_finite_and_positive(tmp_path, rate):
+    meta = tmp_path / "meta.csv"
+    meta.write_text(f"EDA,uS,32\nECG,mV,{rate}\n", encoding="utf-8")
+    message = f"default_sample_rate_hz must be finite and positive, not {float(rate)}"
+    with pytest.raises(ValueError) as e:
+        SignalRegistry.from_file(meta)
+    assert str(e.value) == f"{meta} line 2 'ECG,mV,{rate}': {message}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Modality("ECG", "mV", float(rate))
+
+
 def test_scan_pattern_match(tmp_path):
     write(tmp_path / "S1" / "S1_rest_ECG.csv", "timestamp,ECG\n0.0,1\n0.004,2\n")
     write(tmp_path / "S1" / "S1_stress_ECG.csv", "timestamp,ECG\n0.0,1\n0.004,2\n")

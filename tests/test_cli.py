@@ -1,4 +1,5 @@
 import csv
+import itertools
 from pathlib import Path
 
 import pytest
@@ -59,6 +60,52 @@ def dataset_root(tmp_path_factory):
     return root
 
 
+def binary_run(tmp_path, labels="fixed-threshold"):
+    """The shipped questionnaire run, its label kind ``labels``, on a fresh
+    copy of the shipped binary set: (dataset root, config path)."""
+    repo = Path(__file__).resolve().parents[1]
+    data = tmp_path / "data"
+    assert cmd_synth(str(repo / "configs" / "synth-binary.yaml"), str(data)) == 0
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text((repo / "configs" / "questionnaire-kfold.yaml").read_text(encoding="utf-8")
+                   .replace("root: data/binary", f"root: {data}")
+                   .replace("kind: fixed-threshold", f"kind: {labels}"), encoding="utf-8")
+    return data, cfg
+
+
+#: Edits of one signal file that fail its load, as (edit of its lines, the
+#: error, which names the file as {path}).
+BAD_SIGNAL_FILES = {
+    "header": (lambda lines: ["timestamp,EKG"] + lines[1:],
+               "missing required CSV header: 'ECG' in {path}"),
+    "non-numeric": (lambda lines: lines[:2] + [lines[2].split(",")[0] + ",abc"] + lines[3:],
+                    "non-numeric cell at data row 3 in {path}"),
+    "repeated-timestamp": (lambda lines: lines[:2] + [lines[1]] + lines[3:],
+                           "non-increasing timestamp (index 1) in {path}"),
+    "not-utf-8": (lambda lines: ["timestamp,ECG\xff"] + lines[1:],
+                  "cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 13: "
+                  "invalid start byte"),
+}
+
+
+def dataset_copy(dataset_root, tmp_path):
+    import shutil
+    data = tmp_path / "data"
+    shutil.copytree(dataset_root, data)
+    return data
+
+
+def copy_with_a_bad_signal_file(dataset_root, tmp_path, case):
+    """A copy of ``dataset_root`` with S2's stress ECG edited by
+    ``BAD_SIGNAL_FILES[case]``: (copy root, the error it gives)."""
+    data = dataset_copy(dataset_root, tmp_path)
+    victim = data / "S2" / "S2_stress_ECG.csv"
+    edit, error = BAD_SIGNAL_FILES[case]
+    victim.write_text("\n".join(edit(victim.read_text(encoding="utf-8").splitlines())) + "\n",
+                      encoding="latin-1")  # an ASCII file, but for a \xff edit
+    return data, error.format(path=victim)
+
+
 # --- validate ---
 
 def test_validate_conforming_dataset(dataset_root, capsys):
@@ -80,6 +127,50 @@ def test_validate_bad_header_exit_2(dataset_root, tmp_path, capsys):
 
 def test_validate_nonexistent_path_exit_1(tmp_path):
     assert cmd_validate(str(tmp_path / "missing")) == 1
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SIGNAL_FILES))
+def test_validate_names_a_bad_signal_file_once(dataset_root, tmp_path, capsys, case):
+    data, error = copy_with_a_bad_signal_file(dataset_root, tmp_path, case)
+    capsys.readouterr()
+    assert cmd_validate(str(data)) == 2
+    assert main(["validate", str(data)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("VIOLATION")] == [f"VIOLATION {error}"] * 2
+
+
+@pytest.mark.parametrize("reports, error", [
+    ("phase,questionnaire,score\nrest,SUDS,abc\n", "{path} line 2: score 'abc' is not a number"),
+    ("phase,survey,score\nrest,SUDS,25\n", "missing required CSV header: 'questionnaire' in {path}"),
+    ("phase,questionnaire,score\nrest,SUDS,25\nstress,SUDS,150\n",
+     "{path} line 3: SUDS score 150.0 outside [0, 100]"),
+    ("phase,questionnaire,score\nrest,SUDS,\xff\n",
+     "cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 36: "
+     "invalid start byte"),
+], ids=["score-not-a-number", "no-questionnaire-column", "suds-out-of-range", "not-utf-8"])
+def test_validate_reports_a_malformed_report_file(dataset_root, tmp_path, capsys, reports,
+                                                  error):
+    data = dataset_copy(dataset_root, tmp_path)
+    path = data / "S2" / "S2_reports.csv"
+    path.write_text(reports, encoding="latin-1")  # ASCII, but for a \xff
+    capsys.readouterr()
+    assert cmd_validate(str(data)) == 2
+    assert main(["validate", str(data)]) == 2
+    out = capsys.readouterr().out
+    assert out.count(f"VIOLATION {error.format(path=path)}\n") == 2
+    assert out.count("1 violations") == 2
+
+
+def test_validate_two_files_naming_one_phase_and_modality_exit_2(dataset_root, tmp_path,
+                                                                 capsys):
+    data = dataset_copy(dataset_root, tmp_path)
+    ecg = data / "S1" / "S1_rest_ECG.csv"
+    ecg.with_name("S1_rest_ecg.csv").write_bytes(ecg.read_bytes())
+    capsys.readouterr()
+    assert cmd_validate(str(data)) == 2
+    assert main(["validate", str(data)]) == 2
+    assert capsys.readouterr().out == (
+        "invalid dataset: duplicate ('rest', 'ECG') for subject 'S1'\n" * 2)
 
 
 # --- synth ---
@@ -237,14 +328,9 @@ def test_run_losing_every_row_names_the_cause_and_writes_the_records_it_reached(
 def test_run_writes_the_rows_without_labels_and_the_skipped_files(tmp_path, capsys):
     # the shipped questionnaire run on the shipped binary set with one
     # subject's self-reports deleted and a stray file in another's folder
-    repo = Path(__file__).resolve().parents[1]
-    data = tmp_path / "data"
-    assert cmd_synth(str(repo / "configs" / "synth-binary.yaml"), str(data)) == 0
+    data, cfg = binary_run(tmp_path)
     (data / "S2" / "S2_reports.csv").unlink()
     (data / "S1" / "notes.txt").write_text("", encoding="utf-8")
-    cfg = tmp_path / "cfg.yaml"
-    cfg.write_text((repo / "configs" / "questionnaire-kfold.yaml").read_text(
-        encoding="utf-8").replace("root: data/binary", f"root: {data}"), encoding="utf-8")
     out_dir = tmp_path / "out"
     assert cmd_run(str(cfg), out_dir=str(out_dir)) == 0, capsys.readouterr().out
     with (out_dir / "rows_without_labels.csv").open(newline="") as fh:
@@ -265,18 +351,52 @@ def test_run_writes_the_rows_without_labels_and_the_skipped_files(tmp_path, caps
      "{path} line 3: score 'abc' is not a number")],
     ids=["no-questionnaire-column", "score-not-a-number"])
 def test_run_with_a_malformed_report_file_exit_4_naming_it(tmp_path, capsys, reports, cause):
-    repo = Path(__file__).resolve().parents[1]
-    data = tmp_path / "data"
-    assert cmd_synth(str(repo / "configs" / "synth-binary.yaml"), str(data)) == 0
+    data, cfg = binary_run(tmp_path)
     path = data / "S2" / "S2_reports.csv"
     path.write_text(reports, encoding="utf-8")
-    cfg = tmp_path / "cfg.yaml"
-    cfg.write_text((repo / "configs" / "questionnaire-kfold.yaml").read_text(
-        encoding="utf-8").replace("root: data/binary", f"root: {data}"), encoding="utf-8")
     capsys.readouterr()
     assert cmd_run(str(cfg), out_dir=str(tmp_path / "out")) == 4
     assert f"stage 3 (LabelGenerator) failed: {cause.format(path=path)}" in \
         capsys.readouterr().out
+
+
+@pytest.mark.parametrize("labels, reports", [
+    ("fixed-threshold", "phase,questionnaire,score\nrest,SUDS,abc\n"),
+    ("dynamic-threshold", "phase,questionnaire,score\nrest,STAI,40\n"),
+], ids=["malformed-report", "one-stai-report"])
+def test_run_reads_no_self_reports_of_an_excluded_subject(tmp_path, capsys, labels, reports):
+    # without its stress EDA file S2 is excluded, so its self-report file,
+    # which would fail either rule, is not read
+    data, cfg = binary_run(tmp_path, labels)
+    (data / "S2" / "S2_stress_EDA.csv").unlink()
+    (data / "S2" / "S2_reports.csv").write_text(reports, encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert cmd_run(str(cfg), out_dir=str(out_dir)) == 0, capsys.readouterr().out
+    with (out_dir / "excluded_subjects.csv").open(newline="") as fh:
+        assert list(csv.reader(fh)) == [["subject"], ["S2"]]
+    with (out_dir / "rows_without_labels.csv").open(newline="") as fh:
+        assert list(csv.reader(fh)) == [["subject", "phase", "window_index"]]
+
+
+def test_run_dynamic_threshold_end_to_end(tmp_path, capsys):
+    _, cfg = binary_run(tmp_path, "dynamic-threshold")
+    out_dir = tmp_path / "out"
+    assert cmd_run(str(cfg), out_dir=str(out_dir)) == 0, capsys.readouterr().out
+    with (out_dir / "report.csv").open(newline="") as fh:
+        rows = [(r["model"], r["fold"], r["metric"]) for r in csv.DictReader(fh)]
+    folds = [str(k) for k in range(5)] + ["mean", "std"]
+    assert sorted(rows) == sorted(itertools.product(
+        ["dt", "knn9", "lda"], folds, ["accuracy", "auc", "f1_macro", "f1_micro"]))
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SIGNAL_FILES))
+def test_run_with_a_bad_signal_file_exit_4_naming_it(dataset_root, tmp_path, capsys, case):
+    data, error = copy_with_a_bad_signal_file(dataset_root, tmp_path, case)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(run_config(data), encoding="utf-8")
+    capsys.readouterr()
+    assert cmd_run(str(cfg), out_dir=str(tmp_path / "out")) == 4
+    assert f"stage 0 (Acquisition) failed: {error}\n" in capsys.readouterr().out
 
 
 def test_run_strict_with_an_incomplete_subject_exit_4_naming_it(dataset_root, tmp_path,

@@ -32,7 +32,6 @@ from affectpipe import (
     preprocess,
     synth_dataset,
 )
-from affectpipe.acquisition import DatasetIndex
 from affectpipe.features import FeatureCatalogEntry
 from affectpipe.engine import (
     BUNDLE,
@@ -454,13 +453,41 @@ def test_label_generator_dropping_every_row_names_the_cause(tmp_path, values, re
         f"{phase},SUDS,80\n" for phase in report_phases), encoding="utf-8")
     matrix = FeatureMatrix(("hrv_time.rmssd_s", "hrv_freq.lf_power", "eda.mean"),
                            ["S1"] * 3, ["rest", "stress", "stress"], [0, 0, 1], values)
-    ctx = RunContext(index=DatasetIndex({}, (), {"S1": reports}))
+    ctx = RunContext(self_report_files={"S1": reports})
     with pytest.raises(AllRowsDropped, match=f"^{re.escape(message)}$"):
         LabelGenerator(LabelRule("fixed-threshold")).run(matrix, ctx)
     # the record of the drop is kept for the failed run's files
     incomplete = [key for key, row in zip(matrix._keys(slice(None)), values)
                   if np.isnan(row).any()]
     assert ctx.reports["dropped_rows"] == incomplete
+
+
+@pytest.mark.parametrize("kind, s2_reports", [
+    ("fixed-threshold", "rest,SUDS,abc\n"), ("dynamic-threshold", "rest,STAI,40\n"),
+], ids=["malformed-report", "one-stai-report"])
+def test_label_generator_reads_the_self_reports_of_the_acquired_subjects_alone(
+        tmp_path, kind, s2_reports):
+    # S2 has no stress EDA file, so the Acquisition excludes it; its
+    # self-report file would fail either rule
+    for subject, phase, modality in itertools.product(("S1", "S2"), ("rest", "stress"),
+                                                      ("ECG", "EDA")):
+        if (subject, phase, modality) != ("S2", "stress", "EDA"):
+            path = tmp_path / subject / f"{subject}_{phase}_{modality}.csv"
+            path.parent.mkdir(exist_ok=True)
+            path.write_text(f"timestamp,{modality}\n0.0,1\n0.004,2\n", encoding="utf-8")
+    header = "phase,questionnaire,score\n"
+    s1_reports = tmp_path / "S1" / "S1_reports.csv"
+    s1_reports.write_text(header + "rest,SUDS,20\nstress,SUDS,80\nrest,STAI,30\nstress,STAI,60\n",
+                          encoding="utf-8")
+    (tmp_path / "S2" / "S2_reports.csv").write_text(header + s2_reports, encoding="utf-8")
+    ctx = RunContext()
+    SignalAcquisition(["ECG", "EDA"], tmp_path).run(None, ctx)
+    matrix = FeatureMatrix(("ecg.mean",), ["S1", "S1"], ["rest", "stress"], [0, 0],
+                           [[1.0], [2.0]])
+    _, labels = LabelGenerator(LabelRule(kind)).run(matrix, ctx)
+    assert labels.labels.tolist() == [0, 1]
+    assert ctx.reports["excluded_subjects"] == ["S2"]
+    assert ctx.self_report_files == {"S1": s1_reports}
 
 
 @pytest.mark.parametrize("mode", [7, -1, 2.0, True, None, "2"])
