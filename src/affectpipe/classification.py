@@ -663,27 +663,26 @@ ALGORITHMS = {
 # ---------------------------------------------------------------------------
 
 def make_folds(strategy: CVStrategy, rows: FeatureMatrix, seed: int = 0):
-    """(train indices, test indices) pairs, none of them empty.
-
-    LOSO yields one fold per distinct subject (test fold = exactly that
-    subject's rows); k-fold shuffles with ``seed`` and splits into folds
-    whose sizes differ by at most one.
-    """
+    """(train indices, test indices) pairs, none of them empty: fold i tests
+    the rows whose fold id is i and trains on the rest, both in row order.
+    A row's id is its subject's index among the sorted subjects under LOSO,
+    and under k-fold its chunk of a ``seed``-shuffled order cut into
+    ``folds`` chunks whose sizes differ by at most one."""
     n = len(rows)
     if strategy.kind == "loso":
-        subjects = rows.subject_ids
-        distinct = sorted(set(subjects.tolist()))
-        if len(distinct) < 2:
+        distinct, fold = np.unique(rows.subject_ids, return_inverse=True)
+        if distinct.size < 2:
             raise TooFewSubjects("LOSO needs at least 2 distinct subjects")
-        return [(np.flatnonzero(subjects != s), np.flatnonzero(subjects == s))
-                for s in distinct]
-    k = strategy.folds  # a CVStrategy is loso or kfold, with k >= 2
-    if k > n:
-        raise TooFewRows(f"cannot make {k} folds from {n} rows")
-    order = np.random.default_rng(seed).permutation(n)
-    # a fold trains on every row outside its test chunk
-    return [(np.setdiff1d(np.arange(n), test), np.sort(test))
-            for test in np.array_split(order, k)]
+        k = distinct.size
+    else:
+        k = strategy.folds  # a CVStrategy is loso or kfold, with k >= 2
+        if k > n:
+            raise TooFewRows(f"cannot make {k} folds from {n} rows")
+        order = np.random.default_rng(seed).permutation(n)
+        fold = np.empty(n, dtype=int)
+        for i, chunk in enumerate(np.array_split(order, k)):
+            fold[chunk] = i
+    return [(np.flatnonzero(fold != i), np.flatnonzero(fold == i)) for i in range(k)]
 
 
 def metrics(y_true, y_pred, scores=None, classes=None) -> dict[str, float]:
@@ -697,21 +696,18 @@ def metrics(y_true, y_pred, scores=None, classes=None) -> dict[str, float]:
     else:
         classes = np.asarray(sorted(classes))
     acc = float(np.mean(y_true == y_pred))
-    tp_total = fp_total = fn_total = 0
+    # 2·tp + fp + fn is the rows predicted c plus the rows that are c
+    tp_total = denom_total = 0
     per_class_f1 = []
     for c in classes:
         tp = int(np.sum((y_pred == c) & (y_true == c)))
-        fp = int(np.sum((y_pred == c) & (y_true != c)))
-        fn = int(np.sum((y_pred != c) & (y_true == c)))
+        denom = int(np.sum(y_pred == c)) + int(np.sum(y_true == c))
         tp_total += tp
-        fp_total += fp
-        fn_total += fn
-        denom = 2 * tp + fp + fn
+        denom_total += denom
         per_class_f1.append(2 * tp / denom if denom else 0.0)
-    micro_denom = 2 * tp_total + fp_total + fn_total
     out = {
         "accuracy": acc,
-        "f1_micro": 2 * tp_total / micro_denom if micro_denom else 0.0,
+        "f1_micro": 2 * tp_total / denom_total if denom_total else 0.0,
         "f1_macro": float(np.mean(per_class_f1)),
     }
     if scores is not None and classes.size == 2:
@@ -832,10 +828,9 @@ def cross_validate(specs, X: FeatureMatrix, y: LabelVector,
                 placed = np.zeros((test.size, classes.size))
                 placed[:, np.searchsorted(classes, model.classes)] = scores
                 scores = placed
-            try:
-                m = metrics(ya[test], pred, scores, classes=classes)
-            except AUCUndefined:
-                m = metrics(ya[test], pred, None, classes=classes)
+            # AUC needs both classes among the fold's test rows
+            m = metrics(ya[test], pred, scores if np.unique(ya[test]).size > 1 else None,
+                        classes=classes)
             records.append(FoldResult(model, train, test, pred, scores, m))
         per_model[spec.name] = tuple(records)
     return EvaluationReport(per_model, strategy)

@@ -16,7 +16,7 @@ import numpy as np
 from . import preprocessing
 from .acquisition import AcquisitionResult, SignalRegistry, acquire, scan_dataset
 from .checks import INTEGER, REQUIRED, at_least, check_value, checked
-from .classification import ClassifierSpec, CVStrategy, cross_validate, fit, predict
+from .classification import CV_KEYS, ClassifierSpec, CVStrategy, cross_validate, fit, predict
 from .errors import AllRowsDropped, IncompatibleStages, MissingStage, StageExecutionError
 from .features import WindowingPolicy, check_catalog, column_entry, extract_features
 from .labels import LABEL_RULES, LabelRule, attach_labels, load_reports, sequential_forward_selection
@@ -137,8 +137,9 @@ class LabelGenerator(Component):
         return kept, labels
 
 
-#: FeatureSelector's keys besides ``scorer``: (check, default) each.
-SELECTOR_KEYS = {"k": (at_least(1), REQUIRED), "cv_folds": (at_least(2), 5)}
+#: FeatureSelector's keys besides ``scorer``: (check, default) each; its
+#: inner folds follow the rule of a CVStrategy's ``folds``.
+SELECTOR_KEYS = {"k": (at_least(1), REQUIRED), "cv_folds": CV_KEYS["folds"]}
 
 
 class FeatureSelector(Component):

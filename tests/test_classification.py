@@ -590,6 +590,62 @@ def test_kfold_partition_laws(n, k, seed):
         assert len(train) + len(test) == n
 
 
+def _make_folds_per_pass(strategy, rows, seed=0):
+    """The folds of :func:`make_folds` built as two passes: one string
+    comparison per distinct subject under LOSO, and under k-fold each test
+    chunk sorted with every other row its training rows."""
+    n = len(rows)
+    if strategy.kind == "loso":
+        subjects = rows.subject_ids
+        distinct = sorted(set(subjects.tolist()))
+        if len(distinct) < 2:
+            raise TooFewSubjects("LOSO needs at least 2 distinct subjects")
+        return [(np.flatnonzero(subjects != s), np.flatnonzero(subjects == s))
+                for s in distinct]
+    k = strategy.folds
+    if k > n:
+        raise TooFewRows(f"cannot make {k} folds from {n} rows")
+    order = np.random.default_rng(seed).permutation(n)
+    return [(np.setdiff1d(np.arange(n), test), np.sort(test))
+            for test in np.array_split(order, k)]
+
+
+def _assert_same_folds(got, want):
+    assert len(got) == len(want)
+    for (train, test), (train_ref, test_ref) in zip(got, want):
+        for a, b in ((train, train_ref), (test, test_ref)):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+
+def test_folds_from_fold_ids_equal_the_per_pass_folds():
+    rng = np.random.default_rng(31)
+    for n in (2, 3, 4, 5, 7, 10, 11, 16, 29, 50, 64, 97, 128, 199, 200):
+        rows = np.zeros((n, 1))  # k-fold reads only the row count
+        for k in range(2, 11):
+            for seed in range(10):
+                strategy = CVStrategy("kfold", k)
+                if k > n:
+                    with pytest.raises(TooFewRows):
+                        make_folds(strategy, rows, seed)
+                    continue
+                _assert_same_folds(make_folds(strategy, rows, seed),
+                                   _make_folds_per_pass(strategy, rows, seed))
+        for _ in range(6):
+            # uneven blocks of 2-12 subjects, interleaved, with names whose
+            # string order is not their number order
+            ids = rng.integers(0, rng.integers(2, 13), n)
+            if rng.integers(2):
+                ids = np.sort(ids)
+            m = fm(np.zeros((n, 1)), subjects=[f"S{3 * i + 1}" for i in ids.tolist()])
+            if len(set(ids.tolist())) < 2:
+                with pytest.raises(TooFewSubjects):
+                    make_folds(CVStrategy("loso"), m)
+                continue
+            _assert_same_folds(make_folds(CVStrategy("loso"), m),
+                               _make_folds_per_pass(CVStrategy("loso"), m))
+
+
 # --- metrics ---
 
 def test_accuracy_hand_example():
@@ -701,6 +757,45 @@ def test_f1_macro_hand_example():
     assert out["f1_macro"] == pytest.approx((4 / 5 + 2 / 3) / 2, rel=1e-12)
 
 
+def _metrics_by_counts(y_true, y_pred, classes=None):
+    """accuracy, micro F1 and macro F1 of :func:`metrics` from each class's
+    tp, fp and fn counts and their running totals."""
+    y_true, y_pred = np.asarray(y_true, dtype=int), np.asarray(y_pred, dtype=int)
+    if classes is None:
+        classes = np.unique(np.concatenate([y_true, y_pred]))
+    else:
+        classes = np.asarray(sorted(classes))
+    tp_total = fp_total = fn_total = 0
+    per_class_f1 = []
+    for c in classes:
+        tp = int(np.sum((y_pred == c) & (y_true == c)))
+        fp = int(np.sum((y_pred == c) & (y_true != c)))
+        fn = int(np.sum((y_pred != c) & (y_true == c)))
+        tp_total, fp_total, fn_total = tp_total + tp, fp_total + fp, fn_total + fn
+        denom = 2 * tp + fp + fn
+        per_class_f1.append(2 * tp / denom if denom else 0.0)
+    micro_denom = 2 * tp_total + fp_total + fn_total
+    return {"accuracy": float(np.mean(y_true == y_pred)),
+            "f1_micro": 2 * tp_total / micro_denom if micro_denom else 0.0,
+            "f1_macro": float(np.mean(per_class_f1))}
+
+
+def test_metrics_equal_the_tp_fp_fn_counts_bit_for_bit():
+    rng = np.random.default_rng(32)
+    for draw in range(600):
+        n_classes = 2 if draw % 2 else 3
+        n = int(rng.integers(1, 40))
+        y_true = rng.integers(0, n_classes, n)
+        y_pred = rng.integers(0, n_classes, n)
+        # a class list that holds every label, and one with a class no row holds
+        for classes in (None, range(n_classes), [*range(n_classes), 7]):
+            got = metrics(y_true, y_pred, classes=classes)
+            want = _metrics_by_counts(y_true, y_pred, classes)
+            assert list(got) == list(want)
+            for key in want:
+                assert np.float64(got[key]).tobytes() == np.float64(want[key]).tobytes(), key
+
+
 # --- cross_validate ---
 
 def _separable(n_per=20, seed=12):
@@ -799,3 +894,40 @@ def test_cv_report_records_shape():
     assert folds == {"0", "1", "2", "3", "4", "mean", "std"}
     # binary task with scores: AUC present
     assert any(r[2] == "auc" for r in records)
+
+
+class _MajorityNoScores:
+    def fit(self, X, y):
+        vals, counts = np.unique(y, return_counts=True)
+        self.label = int(vals[np.argmax(counts)])
+
+    def predict(self, X):
+        return np.full(X.shape[0], self.label)
+
+
+def test_cv_one_class_test_folds_score_without_auc():
+    # S1 holds class 0 only and S4 class 1 only: their LOSO folds have no
+    # AUC; every fold's metrics are those of scoring it with its scores,
+    # or without them where both classes are not among its test rows
+    rng = np.random.default_rng(33)
+    subjects = ["S1"] * 6 + ["S2"] * 8 + ["S3"] * 7 + ["S4"] * 5
+    y = np.array([0] * 6 + [0, 1] * 4 + [1, 0, 1, 0, 1, 0, 0] + [1] * 5)
+    X = rng.normal(0.0, 1.0, (y.size, 2)) + y[:, None]
+    maj = ClassifierSpec("maj", "custom", {"handle": _MajorityNoScores()})
+    report = cross_validate([KNN(3), LDA, maj], fm(X, subjects=subjects), lv(y),
+                            CVStrategy("loso"))
+    classes = np.unique(y)
+    one_class = 0
+    for name, folds in report.per_model.items():
+        for fold in folds:
+            try:
+                want = metrics(y[fold.test], fold.y_pred, fold.scores, classes=classes)
+            except AUCUndefined:
+                want = metrics(y[fold.test], fold.y_pred, None, classes=classes)
+                one_class += 1
+            assert list(fold.metrics) == list(want), name
+            for key in want:
+                assert (np.float64(fold.metrics[key]).tobytes()
+                        == np.float64(want[key]).tobytes()), (name, key)
+        assert ("auc" in report.aggregate(name)) == (name != "maj")
+    assert one_class == 4  # S1's and S4's folds for KNN and LDA

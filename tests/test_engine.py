@@ -32,6 +32,7 @@ from affectpipe import (
     preprocess,
     synth_dataset,
 )
+from affectpipe.classification import CV_KEYS
 from affectpipe.features import FeatureCatalogEntry
 from affectpipe.engine import (
     BUNDLE,
@@ -519,6 +520,10 @@ def test_feature_selector_takes_its_defaults_from_the_keys_table():
         assert FeatureSelector(4, KNN3, cv_folds).cv_folds == SELECTOR_KEYS["cv_folds"][1]
     with pytest.raises(ValueError, match="missing 'FeatureSelector.k'"):
         FeatureSelector(None, KNN3)
+
+
+def test_selector_folds_and_cv_folds_share_one_rule():
+    assert SELECTOR_KEYS["cv_folds"] is CV_KEYS["folds"]
 
 
 def test_classification_alone_rejects_absent_cells():
