@@ -59,9 +59,14 @@ class SignalRegistry:
 
     @classmethod
     def from_file(cls, path) -> "SignalRegistry":
-        """Load line-oriented ``name,unit,default_sample_rate_hz`` records."""
+        """Load line-oriented ``name,unit,default_sample_rate_hz`` records;
+        raises IOFailure when the file cannot be read or is not UTF-8."""
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise IOFailure(f"cannot read {path}: {exc}") from exc
         modalities = {}
-        for n, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        for n, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -131,7 +136,7 @@ def scan_dataset(root, registry: SignalRegistry | None = None) -> DatasetIndex:
     for subject_dir in sorted(p for p in root.iterdir() if p.is_dir()):
         subject = subject_dir.name
         entries = []
-        seen = set()
+        seen = {}  # (phase, modality) -> the first file holding it
         for f in sorted(subject_dir.iterdir()):
             if not f.is_file():
                 continue
@@ -148,9 +153,9 @@ def scan_dataset(root, registry: SignalRegistry | None = None) -> DatasetIndex:
                 skipped.append(f)
                 continue
             key = (phase, modality.name)
-            if key in seen:
-                raise DuplicateSignalFile(f"duplicate {key} for subject {subject!r}")
-            seen.add(key)
+            if seen.setdefault(key, f) != f:
+                raise DuplicateSignalFile(f"{seen[key]} and {f} both hold {key} "
+                                          f"for subject {subject!r}")
             entries.append((phase, modality, f))
         if entries:
             subjects[subject] = tuple(entries)

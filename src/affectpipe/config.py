@@ -28,6 +28,7 @@ from .features import FeatureCatalogEntry, WindowingPolicy, ecg_eda_catalog
 from .labels import CLASS_ID, LABEL_RULES, LabelRule
 from .preprocessing import STEP_OPS, PreprocessChain, PreprocessStep
 from .synth import DatasetSpec
+from .types import canonical_name
 
 # checks of the config's own structure; a choice's keys and their checks
 # come from the table of the module that runs it
@@ -39,7 +40,7 @@ _ENTRIES = (lambda v: type(v) is list and v, "a non-empty list of classifier ent
 def _read_yaml(path, what) -> dict:
     try:
         doc = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # unreadable, or not UTF-8
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"{what} {path} is not valid YAML: {exc}") from exc
@@ -73,15 +74,29 @@ def _modality(registry: SignalRegistry, name, key):
                           f"({', '.join(registry.names())})")
 
 
-def _build_catalog(features_doc) -> list[FeatureCatalogEntry]:
+def _build_catalog(features_doc, registry: SignalRegistry,
+                   signal_types) -> list[FeatureCatalogEntry]:
+    """The catalog, each entry on a known modality among ``signal_types``:
+    the Acquisition loads no other, so an entry on one could never run."""
+    loaded = [canonical_name(name) for name in signal_types]
     if features_doc == "default-ecg-eda":
-        return ecg_eda_catalog()
+        catalog = ecg_eda_catalog()
+        unloaded = sorted({entry.modality for entry in catalog} - set(loaded))
+        if unloaded:
+            raise ConfigError(f"features: the default catalog 'default-ecg-eda' reads "
+                              f"{unloaded}, which dataset.signal_types {loaded} does not load")
+        return catalog
     entries = []
     for i, item in enumerate(features_doc):
         entry = Section(item, f"features[{i}]", ConfigError)
         names = entry.get("features", (), _LIST)
+        name, modality = entry.get("name"), entry.get("modality")
+        _modality(registry, modality, entry.key("modality"))
+        if canonical_name(modality) not in loaded:
+            raise ConfigError(f"{entry.key('modality')}: {modality!r} is not among "
+                              f"dataset.signal_types {loaded}")
         entries.append(FeatureCatalogEntry(
-            entry.get("name"), entry.get("modality"), entry.get("computation"),
+            name, modality, entry.get("computation"),
             entry.section("parameters", optional=True).doc, tuple(names) or None))
         entry.done()
     return entries
@@ -124,8 +139,9 @@ def build_pipeline_spec(doc: dict) -> PipelineSpec:
     seed = root.get("seed", 0, at_least(0))
     registry = SignalRegistry.default()
     dataset = root.section("dataset")
+    signal_types = dataset.get("signal_types", check=NAMES)
     try:
-        stages = [SignalAcquisition(dataset.get("signal_types", check=NAMES),
+        stages = [SignalAcquisition(signal_types,
                                     dataset.get("root", check=(lambda v: type(v) is str, "a path")),
                                     registry)]
     except ValueError as exc:  # a signal type the registry does not know
@@ -149,7 +165,7 @@ def build_pipeline_spec(doc: dict) -> PipelineSpec:
     windowing.done()
     catalog = _build_catalog(root.get("features", "default-ecg-eda", (
         lambda v: v == "default-ecg-eda" or type(v) is list,
-        "'default-ecg-eda' or a list of entries")))
+        "'default-ecg-eda' or a list of entries")), registry, signal_types)
     labels = root.section("labels")
     labeller = LabelGenerator(_label_rule(labels))
     labels.done()

@@ -573,8 +573,9 @@ class FeatureCatalogEntry:
     """One extraction operation bound to a modality.
 
     ``computation`` names a registered extractor (see COMPUTATIONS) or is a
-    callable window -> {feature name: value}.  ``features`` optionally
-    restricts and orders the emitted columns.
+    callable window -> {feature name: value}.  ``features`` names and
+    orders the emitted columns; it is required, since :func:`check_catalog`
+    rejects an entry without it.
     """
 
     name: str

@@ -19,6 +19,7 @@ from affectpipe import (
 from affectpipe.errors import (
     DuplicateSignalFile,
     EmptyDataset,
+    IOFailure,
     MissingHeader,
     MissingReport,
     NonNumericCell,
@@ -50,6 +51,17 @@ def test_registry_extensible(tmp_path):
     meta.write_text("ECG,millivolt,700\nPPG,arbitrary,64\n", encoding="utf-8")
     reg = SignalRegistry.from_file(meta)
     assert reg.lookup("PPG").default_sample_rate_hz == 64
+
+
+def test_registry_file_unreadable_or_not_utf_8_is_an_io_failure(tmp_path):
+    meta = tmp_path / "meta.csv"
+    with pytest.raises(IOFailure, match=f"^cannot read {meta}: .*No such file"):
+        SignalRegistry.from_file(meta)
+    meta.write_bytes(b"ECG,millivolt,700\n# caf\xe9\n")
+    with pytest.raises(IOFailure) as e:
+        SignalRegistry.from_file(meta)
+    assert str(e.value).startswith(f"cannot read {meta}: 'utf-8' codec can't decode "
+                                   "byte 0xe9")
 
 
 def test_registry_rejects_two_lines_naming_one_modality(tmp_path):
@@ -121,8 +133,11 @@ def test_scan_rejects_duplicates(tmp_path):
     # same (phase, modality) twice via case-insensitive modality match
     write(tmp_path / "S1" / "S1_rest_ECG.csv", "timestamp,ECG\n0.0,1\n0.004,2\n")
     write(tmp_path / "S1" / "S1_rest_ecg.csv", "timestamp,ECG\n0.0,1\n0.004,2\n")
-    with pytest.raises(DuplicateSignalFile):
+    with pytest.raises(DuplicateSignalFile) as e:
         scan_dataset(tmp_path)
+    assert str(e.value) == (f"{tmp_path / 'S1' / 'S1_rest_ECG.csv'} and "
+                            f"{tmp_path / 'S1' / 'S1_rest_ecg.csv'} both hold "
+                            "('rest', 'ECG') for subject 'S1'")
 
 
 def test_scan_empty_dataset(tmp_path):
@@ -404,6 +419,14 @@ def test_acquire_names_a_modality_that_no_file_has(tmp_path):
     write(tmp_path / "S1" / "S1_stress_EMG.csv", "timestamp,EMG\n0.0,1\n0.5,2\n1.0,1\n")
     result = acquire(scan_dataset(tmp_path), ["ECG", "EMG"])
     assert result.excluded_subjects == ("S2",)
+
+
+def test_acquire_with_no_subject_holding_every_modality_is_an_empty_dataset(tmp_path):
+    # each requested modality is in some file, but S1 has no EDA and S2 no ECG
+    _fixture(tmp_path, subjects=("S1",), modalities=("ECG",))
+    _fixture(tmp_path, subjects=("S2",), modalities=("EDA",))
+    with pytest.raises(EmptyDataset, match="^no subject has all requested modalities$"):
+        acquire(scan_dataset(tmp_path), ["ECG", "EDA"])
 
 
 def test_acquire_all_five_modalities(tmp_path):

@@ -445,6 +445,36 @@ def test_custom_handle_contract():
     assert scores is None
 
 
+def test_custom_handle_with_predict_proba_gives_scores_and_auc():
+    class Nearest:
+        """1-NN labels; the scores are each class's share of the 3 nearest."""
+
+        def fit(self, X, y):
+            self.X, self.y = X, y
+
+        def predict(self, X):
+            return self.classes_of(X)[0]
+
+        def predict_proba(self, X):
+            return self.classes_of(X)[1]
+
+        def classes_of(self, X):
+            order = np.argsort(((X[:, None, :] - self.X[None]) ** 2).sum(axis=2), axis=1)
+            near = self.y[order[:, :3]]
+            return near[:, 0], np.stack([(near == c).mean(axis=1) for c in (0, 1)], axis=1)
+
+    m, labels = _separable()
+    spec = ClassifierSpec("near", "custom", {"handle": Nearest()})
+    pred, scores = predict(fit(spec, m.to_array(), labels.to_array()), m.to_array()[:4])
+    np.testing.assert_array_equal(scores, [[1.0, 0.0]] * 4)
+    np.testing.assert_array_equal(pred, [0] * 4)
+    report = cross_validate([spec], m, labels, CVStrategy("kfold", 4))
+    assert all(fold.scores.shape == (fold.test.size, 2) for fold in report.per_model["near"])
+    assert [r[1] for r in report.to_records() if r[2] == "auc"] == [
+        "0", "1", "2", "3", "mean", "std"]
+    assert report.aggregate("near")["auc"] == (1.0, 0.0)
+
+
 class _FitOnly:
     predict = None  # present, but not callable
 

@@ -113,6 +113,18 @@ def test_validate_conforming_dataset(dataset_root, capsys):
     assert "0 violations" in capsys.readouterr().out
 
 
+def test_validate_lists_each_skipped_file(dataset_root, tmp_path, capsys):
+    data = dataset_copy(dataset_root, tmp_path)
+    stray = [data / "S1" / "notes.txt", data / "S2" / "S2_rest_PPG.csv"]
+    for path in stray:
+        path.write_text("", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["validate", str(data)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"SKIPPED {path}" for path in stray] + [
+        "3 subjects, 12 signal files, 0 violations, 2 skipped"]
+
+
 def test_validate_bad_header_exit_2(dataset_root, tmp_path, capsys):
     import shutil
     bad = tmp_path / "bad"
@@ -165,12 +177,17 @@ def test_validate_two_files_naming_one_phase_and_modality_exit_2(dataset_root, t
                                                                  capsys):
     data = dataset_copy(dataset_root, tmp_path)
     ecg = data / "S1" / "S1_rest_ECG.csv"
-    ecg.with_name("S1_rest_ecg.csv").write_bytes(ecg.read_bytes())
+    copy = ecg.with_name("S1_rest_ecg.csv")
+    copy.write_bytes(ecg.read_bytes())
+    message = f"{ecg} and {copy} both hold ('rest', 'ECG') for subject 'S1'"
     capsys.readouterr()
     assert cmd_validate(str(data)) == 2
     assert main(["validate", str(data)]) == 2
-    assert capsys.readouterr().out == (
-        "invalid dataset: duplicate ('rest', 'ECG') for subject 'S1'\n" * 2)
+    assert capsys.readouterr().out == f"invalid dataset: {message}\n" * 2
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(run_config(data), encoding="utf-8")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 4
+    assert f"stage 0 (Acquisition) failed: {message}\n" in capsys.readouterr().out
 
 
 # --- synth ---
@@ -187,6 +204,16 @@ def test_synth_negative_duration_exit_2(tmp_path):
     spec = tmp_path / "bad.yaml"
     spec.write_text("duration_s: -5\n", encoding="utf-8")
     assert cmd_synth(str(spec), str(tmp_path / "out")) == 2
+
+
+def test_synth_spec_not_utf_8_exit_2(tmp_path, capsys):
+    spec = tmp_path / "spec.yaml"
+    spec.write_bytes(SPEC_YAML.encode() + b"# caf\xe9\n")
+    assert main(["synth", str(spec), str(tmp_path / "out")]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith(f"spec error: cannot read dataset spec {spec}: 'utf-8' codec "
+                          "can't decode byte 0xe9")
+    assert not (tmp_path / "out").exists()
 
 
 def test_synth_unknown_field_exit_2(tmp_path):
@@ -642,6 +669,37 @@ def test_run_bad_config_exit_2_before_io(tmp_path, capsys, edit, key):
     assert not (tmp_path / "out").exists()
 
 
+def _one_entry(modality):
+    """An edit that puts a one-entry catalog on ``modality`` for run_config's."""
+    return _replace("features: default-ecg-eda", "features:\n  - {name: stats, modality: "
+                    f"{modality}, computation: ecg_stats, features: [mean]}}")
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(_one_entry("EKG"), "features[0].modality: 'EKG' is not a known modality "
+                 "(ECG, EDA, EMG, RESP, TEMP)", id="unknown"),
+    pytest.param(_one_entry("RESP"), "features[0].modality: 'RESP' is not among "
+                 "dataset.signal_types ['ECG', 'EDA']", id="not-loaded"),
+    pytest.param(_replace("signal_types: [ECG, EDA]", "signal_types: [ecg]"),
+                 "features: the default catalog 'default-ecg-eda' reads ['EDA'], which "
+                 "dataset.signal_types ['ECG'] does not load", id="default-not-loaded"),
+])
+def test_run_catalog_modality_not_loaded_exit_2_before_io(tmp_path, capsys, edit, message):
+    # the dataset root does not exist, so exit 2 shows no I/O happened
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(edit(run_config(tmp_path / "no-such-dataset")), encoding="utf-8")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().out == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_catalog_modality_matches_signal_types_in_any_case(tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(_one_entry("eda")(run_config(tmp_path)).replace("[ECG, EDA]", "[ECG, Eda]"),
+                   encoding="utf-8")
+    assert build_pipeline_spec(load_config(cfg)).stages[2].catalog[0].modality == "eda"
+
+
 def test_run_step_above_window_exit_2_before_io(tmp_path, capsys):
     # WindowingPolicy makes the check; the config reports it as its own
     cfg = tmp_path / "cfg.yaml"
@@ -715,6 +773,17 @@ def test_run_unwritable_record_file_exit_1(dataset_root, tmp_path, capsys):
     assert cmd_run(str(cfg), out_dir=str(tmp_path / "out")) == 1
     out = capsys.readouterr().out
     assert "I/O failure: cannot write" in out and "dropped_rows.csv" in out
+
+
+@pytest.mark.parametrize("byte", [0xe9, 0xff])  # a latin-1 "é" in "café", and 0xff
+def test_run_config_not_utf_8_exit_2(dataset_root, tmp_path, capsys, byte):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_bytes(run_config(dataset_root).encode() + b"# caf" + bytes([byte]) + b"\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith(f"config error: cannot read config {cfg}: 'utf-8' codec "
+                          f"can't decode byte {byte:#x}")
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_config_error_exit_2(tmp_path):

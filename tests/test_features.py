@@ -90,6 +90,14 @@ def test_extract_short_series_kept_whole_is_one_row():
     assert m.values.tolist() == [[stats["mean"], stats["std"]]]
 
 
+def test_extract_an_entry_on_a_modality_the_bundle_lacks_names_it():
+    s = make_series(np.sin(np.arange(400.0)), 4.0, modality_name="ECG")
+    entries = [FeatureCatalogEntry("ecg", "ECG", "ecg_stats", features=("mean",)),
+               FeatureCatalogEntry("eda", "eda", "eda_stats", features=("mean",))]
+    with pytest.raises(ValueError, match=r"^modality 'eda' missing for S1/rest$"):
+        extract_features(SubjectBundle({"S1": [s]}), WindowingPolicy(60.0, 30.0), entries)
+
+
 def test_policy_rejects_step_above_window():
     with pytest.raises(ValueError):
         WindowingPolicy(30.0, 60.0)

@@ -2,14 +2,29 @@
 
 Whatever is fitted for a fold may depend on that fold's training rows only:
 changing the test rows' values and labels leaves the fold's FittedModel
-bit-identical.  Under LOSO no subject has rows on both sides of a fold.
+bit-identical.  Under LOSO no subject has rows on both sides of a fold, and
+labels that carry no signal score near chance.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from affectpipe import ClassifierSpec, CVStrategy, FeatureMatrix, cross_validate, make_folds
+from affectpipe import (
+    ClassifierSpec,
+    CVStrategy,
+    DatasetSpec,
+    FeatureExtractor,
+    FeatureMatrix,
+    SignalAcquisition,
+    SignalPreprocessor,
+    WindowingPolicy,
+    cross_validate,
+    ecg_eda_catalog,
+    make_folds,
+    synth_dataset,
+)
+from affectpipe.engine import RunContext
 from affectpipe.types import LabelVector
 
 SPECS = [ClassifierSpec("knn3", "KNN", {"k_neighbors": 3}),
@@ -99,3 +114,38 @@ def test_loso_never_puts_one_subject_in_train_and_test(ids):
         assert len(set(subjects[r.test])) == 1
     # every row is tested once
     assert sorted(np.concatenate([r.test for r in records]).tolist()) == list(range(N_ROWS))
+
+
+@pytest.fixture(scope="module")
+def three_class_matrix(tmp_path_factory):
+    """The complete rows of the shipped 3-class set (dataset seed 3) under the
+    default catalog and 60/30 s windows: 90 rows x 14 columns."""
+    root = tmp_path_factory.mktemp("three_class")
+    synth_dataset(DatasetSpec(n_subjects=6, phases=("rest", "amusement", "stress"),
+                              duration_s=180.0, seed=3), root)
+    payload = None
+    for stage in (SignalAcquisition(["ECG", "EDA"], root), SignalPreprocessor(),
+                  FeatureExtractor(ecg_eda_catalog(), WindowingPolicy(60.0, 30.0))):
+        payload = stage.run(payload, RunContext())
+    matrix, _ = payload.drop_incomplete_rows()
+    assert matrix.values.shape == (90, 14)
+    return matrix
+
+
+def test_loso_scores_labels_drawn_per_subject_and_phase_at_chance(three_class_matrix):
+    # 0/1 labels drawn at random per (subject, phase) block carry no signal,
+    # so chance is 0.5.  Window-level 5-fold keeps a test window's
+    # overlapping neighbours from its own block in training and scores about
+    # 0.70 here; LOSO holds every block of the test subject out.  One draw
+    # ranges 0.40-0.76, so the band is on the mean over 12 draws.
+    m = three_class_matrix
+    keys = list(zip(m.subject_ids.tolist(), m.phases.tolist()))
+    blocks = sorted(set(keys))
+    block = np.array([blocks.index(key) for key in keys])
+    accuracies = []
+    for seed in range(100, 112):
+        y = np.random.default_rng(seed).integers(0, 2, len(blocks))[block]
+        report = cross_validate([ClassifierSpec("knn1", "KNN", {"k_neighbors": 1})], m,
+                                LabelVector(y, {0: "low", 1: "high"}), CVStrategy("loso"))
+        accuracies.append(float(np.mean(report.in_row_order("knn1", "y_pred") == y)))
+    assert 0.35 <= np.mean(accuracies) <= 0.65, accuracies
