@@ -217,8 +217,8 @@ def _row_blocks(width: int, n_rows: int) -> list[slice]:
     """Consecutive slices over ``n_rows`` rows, each as long as a (rows,
     ``width``) float64 block within :data:`KNN_BLOCK_BYTES` allows, but at
     least one row; the last one may be shorter.  The rows are queries
-    against ``width`` training rows, or in a selection step candidates
-    against a query block's near sets."""
+    against ``width`` training rows, or in a selection step against
+    ``width`` near rows each."""
     block = max(1, KNN_BLOCK_BYTES // (8 * max(width, 1)))
     return [slice(start, start + block) for start in range(0, n_rows, block)]
 
@@ -297,43 +297,71 @@ def _nearest(d: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def forward_selection(scorer: ClassifierSpec, X: np.ndarray, y: np.ndarray,
                       k: int, folds) -> tuple[list[int], list[dict]]:
     """Column indices chosen greedily, plus one dict per step mapping each
-    candidate column to its mean CV accuracy over ``folds``.
+    candidate column scored to the end to its mean CV accuracy over
+    ``folds``.
 
     Each step adds the candidate whose ``selected + [candidate]`` scores
-    best; ties keep the lower column index.  A KNN scorer scores every step
-    from per-fold cached columns (see :class:`_KnnFolds`), each query first
-    against a near set of training rows: in the first step the rows around
-    it in the candidate's sorted column, later the rows of least
-    selected-column distance.  Other scorers fit and predict every
-    candidate on every fold.
+    best; ties keep the lower column index.  A step scores its candidates in
+    index order and fold by fold, and drops each one that can no longer win
+    (see :func:`_step_scores`); a dropped candidate is absent from its
+    step's dict.  A KNN scorer scores each fold from cached columns (see
+    :class:`_KnnFolds`), each query first against a near set of training
+    rows: in the first step the rows around it in the candidate's sorted
+    column, later the rows of least selected-column distance.  Other scorers
+    make one fit and predict per candidate and fold.
     """
-    def cv_accuracy(col_indices):
-        accs = []
-        for train, test in folds:
-            model = fit(scorer, X[np.ix_(train, col_indices)], y[train])
-            pred, _ = predict(model, X[np.ix_(test, col_indices)])
-            accs.append(float(np.mean(pred == y[test])))
-        return float(np.mean(accs))
+    def fit_hits(selected):
+        def hits(j, f):
+            train, test = folds[f]
+            cols = selected + [j]
+            model = fit(scorer, X[np.ix_(train, cols)], y[train])
+            pred, _ = predict(model, X[np.ix_(test, cols)])
+            return np.count_nonzero(pred == y[test])
+        return hits
 
-    knn = _KnnFolds(scorer, X, y, folds) if scorer.algorithm == "KNN" else None
+    step_hits = (_KnnFolds(scorer, X, y, folds).step_hits
+                 if scorer.algorithm == "KNN" else fit_hits)
+    n_tests = np.array([test.size for _, test in folds])
     selected: list[int] = []
     remaining = list(range(X.shape[1]))
     steps = []
     for _ in range(k):
-        if knn is not None:
-            scores = knn.step_scores(selected, remaining)
-        else:
-            scores = [cv_accuracy(selected + [j]) for j in remaining]
-        steps.append(dict(zip(remaining, scores)))
-        # argmax takes the first maximum: ties keep the lower column index
-        best = remaining[int(np.argmax(scores))]
+        scores = _step_scores(remaining, step_hits(selected), n_tests)
+        steps.append(scores)
+        # max takes the first maximum in index order: ties keep the lower index
+        best = max(scores, key=scores.get)
         selected.append(best)
         remaining.remove(best)
     return selected, steps
 
 
+def _step_scores(candidates, fold_hits, n_tests) -> dict[int, float]:
+    """Mean CV accuracy of each candidate in ``candidates`` (in index order)
+    that can still win, from ``fold_hits(j, f)``, the hits of candidate
+    ``j`` over the ``n_tests[f]`` test rows of fold ``f``.
+
+    Before each fold, a candidate's bound is the score it would reach if
+    every test row of its unscored folds hit.  Adding and dividing round
+    monotonically, so its score never exceeds its bound; and a later
+    candidate wins only above the best score so far.  So a candidate whose
+    bound is at most that best is dropped, unscored on its remaining folds,
+    and after a perfect score every later candidate is dropped at once.
+    """
+    scores, best = {}, -np.inf
+    for j in candidates:
+        hits, untested = np.zeros_like(n_tests), n_tests.copy()
+        for f in range(n_tests.size):
+            if float(np.mean((hits + untested) / n_tests)) <= best:
+                break
+            hits[f], untested[f] = fold_hits(j, f), 0
+        else:
+            scores[j] = float(np.mean(hits / n_tests))
+            best = max(best, scores[j])
+    return scores
+
+
 class _KnnFolds:
-    """The CV folds of a KNN scorer, cached for scoring whole selection steps.
+    """The CV folds of a KNN scorer, cached for scoring selection steps.
 
     Per fold the train and test rows are z-scored once with the training
     statistics and stored column-major.  A column's statistics and squared
@@ -354,20 +382,17 @@ class _KnnFolds:
       nearer of the two rows just outside it: that row's distance is the
       bound.
     - Once a column is selected, per query: its rows of least
-      selected-column sum.  Adding a candidate's square and taking the
-      root never lowers a row below the root of its sum, as rounding and
-      the square root are monotone, so every other row lies at least the
-      root of the next larger sum away.
+      selected-column sum, found once per step and fold.  Adding a
+      candidate's square and taking the root never lowers a row below the
+      root of its sum, as rounding and the square root are monotone, so
+      every other row lies at least the root of the next larger sum away.
 
     A vote whose k-th nearest distance in the near set is strictly below
-    the bound is the vote over all rows, ties included; any other
-    (candidate, query) pair is scored against every training row.
-
-    The arrays a step builds per query block stay bounded whatever the
-    number of candidates: a query block's candidates are scored in blocks
-    too, so each (candidates, queries, near rows) array is within
-    :data:`KNN_BLOCK_BYTES`, as is each full-row (queries, training rows)
-    block.
+    the bound is the vote over all rows, ties included; any other query is
+    scored against every training row.  Each (queries, near rows) and each
+    full-row (queries, training rows) distance block is within
+    :data:`KNN_BLOCK_BYTES`; a step keeps its near sets, 16 bytes per
+    (query, near row), until it ends.
     """
 
     def __init__(self, spec, X, y, folds):
@@ -377,118 +402,109 @@ class _KnnFolds:
             Xtr, y_train, classes = _training_rows(X[train], y[train])
             Xte = _as_array(X[test])
             mu, sigma = _zscore_stats(Xtr)
+            near_rows = min(KNN_NEAR_ROWS, train.size - 1)
             self.folds.append({
                 "train": ((Xtr - mu) / sigma).T.copy(),
                 "test": ((Xte - mu) / sigma).T.copy(),
                 "y_train": y_train, "y_test": y[test], "classes": classes,
                 "k": min(k, train.size),
+                # 0 when a near set could not hold the k nearest rows
+                "near_rows": near_rows if near_rows >= min(k, train.size) else 0,
             })
 
-    def step_scores(self, selected, candidates) -> list[float]:
-        """Mean CV accuracy of ``selected + [j]`` for each candidate ``j``.
+    def step_hits(self, selected):
+        """``hits(j, f)``: the hits of ``selected + [j]`` over the test rows
+        of fold ``f``, for the :func:`_step_scores` of one step.
 
-        A fold's test rows are scored in the query blocks of
-        :func:`_knn_scores`, so every candidate reuses a block's summed
-        selected columns while they are still in cache.  A fold's accuracy
-        is its hits over its test rows.
+        A step with columns selected finds each fold's near sets once, in
+        the query blocks of :func:`_knn_scores`, and keeps them for the
+        step.  The test rows their near set cannot decide get their
+        selected-column sums again, in blocks, for a full-row vote.
         """
-        cand = np.asarray(candidates)
-        accs = np.empty((cand.size, len(self.folds)))
-        for f, fold in enumerate(self.folds):
-            n_train, n_test = fold["train"].shape[1], fold["y_test"].size
-            near_rows = min(KNN_NEAR_ROWS, n_train - 1)
-            train, test = fold["train"][cand], fold["test"][cand]
-            ranked = None if selected else _ranked_columns(train, test)
-            hits = np.zeros(cand.size, dtype=np.int64)
-            for rows in _row_blocks(n_train, n_test):
-                queries = np.arange(n_test)[rows]
-                total = _squared_distances(fold["train"][selected],
-                                           fold["test"][selected, rows])
-                full = np.ones((cand.size, queries.size), dtype=bool)
-                if near_rows >= fold["k"]:
-                    summed = _sum_window(total, near_rows) if selected else None
-                    for c in _row_blocks(queries.size * near_rows, cand.size):
-                        window = summed if selected else _column_window(
-                            [a[c] for a in ranked], test[c], queries, near_rows)
-                        hit, full[c] = _near_hits(fold, train[c], test[c], queries, *window)
-                        hits[c] += hit
-                for i, j in enumerate(candidates):
-                    if full[i].any():
-                        hits[i] += _full_hits(fold, total[full[i]], j, queries[full[i]])
-            accs[:, f] = hits / n_test
-        return [float(np.mean(a)) for a in accs]
+        windows = [_sum_windows(fold, selected) if selected and fold["near_rows"] else None
+                   for fold in self.folds]
+
+        def hits(j, f):
+            fold = self.folds[f]
+            if not fold["near_rows"]:
+                total, undecided = 0, np.arange(fold["y_test"].size)
+            else:
+                window = windows[f] if selected else _column_window(fold, j)
+                total, undecided = _near_hits(fold, j, *window)
+            train = fold["train"][selected]
+            for rows in _row_blocks(train.shape[1], undecided.size):
+                queries = undecided[rows]
+                sums = _squared_distances(train, fold["test"][np.ix_(selected, queries)])
+                total += _full_hits(fold, sums, j, queries)
+            return total
+        return hits
 
 
-def _sum_window(total, near_rows):
-    """Per query, its ``near_rows`` training rows of least selected-column
-    sum in index order, their sums, and the root of the next larger sum."""
-    part = np.argpartition(total, near_rows, axis=1)
-    near = np.sort(part[:, :near_rows], axis=1)
-    bound = np.sqrt(np.take_along_axis(total, part[:, near_rows:near_rows + 1], axis=1))
-    return near, np.take_along_axis(total, near, axis=1), bound[:, 0]
+def _sum_windows(fold, selected):
+    """Per test row of ``fold``, its near set once ``selected`` is chosen:
+    its ``near_rows`` training rows of least selected-column sum in index
+    order, their sums, and the root of the next larger sum."""
+    train, near_rows = fold["train"][selected], fold["near_rows"]
+    parts = []
+    for rows in _row_blocks(train.shape[1], fold["y_test"].size):
+        total = _squared_distances(train, fold["test"][selected, rows])
+        part = np.argpartition(total, near_rows, axis=1)
+        near = np.sort(part[:, :near_rows], axis=1)
+        bound = np.take_along_axis(total, part[:, near_rows:near_rows + 1], axis=1)
+        parts.append((near, np.take_along_axis(total, near, axis=1), np.sqrt(bound[:, 0])))
+    return tuple(np.concatenate(a) for a in zip(*parts))
 
 
-def _ranked_columns(train, test):
-    """Each candidate's training rows in the order of their values, those
-    values, and each test value's ``searchsorted`` position among them."""
-    order = np.argsort(train, axis=1)
-    values = np.take_along_axis(train, order, axis=1)
-    pos = np.array([np.searchsorted(v, q) for v, q in zip(values, test)])
-    return order, values, pos
-
-
-def _column_window(ranked, test, queries, near_rows):
-    """Per (candidate, query), the ``near_rows`` training rows around the
-    query's position in the candidate's ranked column, in index order; no
-    selected sum (0); and the distance of the nearer of the two rows just
-    outside the window, inf past either end of the column."""
-    order, values, pos = ranked
-    n_cand, n_train = order.shape
-    lo = np.clip(pos[:, queries] - near_rows // 2, 0, n_train - near_rows)
-    offset = n_train * np.arange(n_cand)[:, None]
-    near = np.take(order, (offset + lo)[..., None] + np.arange(near_rows))
-    near.sort(axis=2)
+def _column_window(fold, j):
+    """Per test row of ``fold``, the ``near_rows`` training rows around its
+    ``searchsorted`` position in candidate ``j``'s sorted training column,
+    in index order; no selected sums (None); and the distance of the nearer
+    of the two rows just outside the window, inf past either end."""
+    train, test, near_rows = fold["train"][j], fold["test"][j], fold["near_rows"]
+    order = np.argsort(train)
+    values = train[order]
+    lo = np.clip(np.searchsorted(values, test) - near_rows // 2, 0, train.size - near_rows)
+    near = order[lo[:, None] + np.arange(near_rows)]
+    near.sort(axis=1)
     outside = np.stack([lo - 1, lo + near_rows])
-    d = np.subtract(np.take(values, offset + np.clip(outside, 0, n_train - 1)),
-                    test[:, queries])
+    d = np.subtract(values[np.clip(outside, 0, train.size - 1)], test)
     np.square(d, out=d)
     np.sqrt(d, out=d)
-    d[(outside < 0) | (outside == n_train)] = np.inf
-    return near, 0.0, d.min(axis=0)
+    d[(outside < 0) | (outside == train.size)] = np.inf
+    return near, None, d.min(axis=0)
 
 
-def _near_hits(fold, train, test, queries, near, sums, bound):
-    """Hits of each candidate over the query rows ``queries`` whose vote
-    the near set decides, and the (candidates, queries) mask of the pairs
-    it cannot decide.  ``train`` and ``test`` hold the candidates' columns.
+def _near_hits(fold, j, near, sums, bound):
+    """Hits of candidate ``j`` over the test rows of ``fold`` whose vote
+    their near set decides, and the test rows it cannot decide, in order.
 
-    ``near`` holds the near training rows in index order, ``sums`` their
-    selected-column sums and ``bound`` the least distance of any other
-    row: per query, shaped (queries, near rows) and (queries,), or per
-    (candidate, query), shaped (candidates, queries, near rows) and
-    (candidates, queries).  See :class:`_KnnFolds`."""
-    (n_cand, n_train), near_rows = train.shape, near.shape[-1]
-    # (candidates, queries, near rows): the same subtract, square, add and
-    # root as the full rows
-    d = np.take(train, n_train * np.arange(n_cand)[:, None, None] + near)
-    np.subtract(d, test[:, queries, None], out=d)
-    np.square(d, out=d)
-    np.add(sums, d, out=d)
-    np.sqrt(d, out=d)
-    k, classes = fold["k"], fold["classes"]
-    if k == 1:
-        # the nearest row's distance is the k-th and its label the vote
-        nearest, kth = _nearest(d, near)
-        pred = fold["y_train"][nearest]
-    else:
-        flat = d.reshape(-1, near_rows)
-        kth = np.partition(flat, k - 1, axis=1)[:, k - 1].reshape(d.shape[:2])
-        y_near = np.broadcast_to(fold["y_train"][near], d.shape).reshape(flat.shape)
-        scores = _knn_vote(flat, y_near, classes, k)
-        pred = classes[np.argmax(scores, axis=1)].reshape(d.shape[:2])
-    decided = kth < bound
-    hits = np.count_nonzero(decided & (pred == fold["y_test"][queries]), axis=1)
-    return hits, ~decided
+    Per test row, ``near`` holds its near training rows in index order,
+    ``sums`` their selected-column sums (None when nothing is selected) and
+    ``bound`` the least distance of any other row; see :class:`_KnnFolds`.
+    The test rows are scored in blocks of :func:`_row_blocks`."""
+    train, test, k, classes = fold["train"][j], fold["test"][j], fold["k"], fold["classes"]
+    hits, undecided = 0, []
+    for rows in _row_blocks(near.shape[1], test.size):
+        # (queries, near rows): the same subtract, square, add and root as
+        # the full rows
+        d = np.take(train, near[rows])
+        np.subtract(d, test[rows, None], out=d)
+        np.square(d, out=d)
+        if sums is not None:
+            np.add(sums[rows], d, out=d)
+        np.sqrt(d, out=d)
+        if k == 1:
+            # the nearest row's distance is the k-th and its label the vote
+            nearest, kth = _nearest(d, near[rows])
+            pred = fold["y_train"][nearest]
+        else:
+            kth = np.partition(d, k - 1, axis=1)[:, k - 1]
+            scores = _knn_vote(d, fold["y_train"][near[rows]], classes, k)
+            pred = classes[np.argmax(scores, axis=1)]
+        decided = kth < bound[rows]
+        hits += np.count_nonzero(decided & (pred == fold["y_test"][rows]))
+        undecided.append(rows.start + np.flatnonzero(~decided))
+    return hits, np.concatenate(undecided)
 
 
 def _full_hits(fold, total, j, queries) -> int:

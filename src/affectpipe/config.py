@@ -68,16 +68,20 @@ def _classifier(doc, path) -> ClassifierSpec:
     return spec
 
 
-def _modality(registry: SignalRegistry, name, key):
+def _modality(registry: SignalRegistry, name, key, loaded):
+    """Check that ``name`` is a known modality among the canonical names
+    ``loaded``: the Acquisition loads no other, so a step on one could never
+    run."""
     if registry.lookup(str(name)) is None:
         raise ConfigError(f"{key}: {name!r} is not a known modality "
                           f"({', '.join(registry.names())})")
+    if canonical_name(name) not in loaded:
+        raise ConfigError(f"{key}: {name!r} is not among dataset.signal_types {loaded}")
 
 
 def _build_catalog(features_doc, registry: SignalRegistry,
                    signal_types) -> list[FeatureCatalogEntry]:
-    """The catalog, each entry on a known modality among ``signal_types``:
-    the Acquisition loads no other, so an entry on one could never run."""
+    """The catalog, each entry on a known modality among ``signal_types``."""
     loaded = [canonical_name(name) for name in signal_types]
     if features_doc == "default-ecg-eda":
         catalog = ecg_eda_catalog()
@@ -91,10 +95,7 @@ def _build_catalog(features_doc, registry: SignalRegistry,
         entry = Section(item, f"features[{i}]", ConfigError)
         names = entry.get("features", (), _LIST)
         name, modality = entry.get("name"), entry.get("modality")
-        _modality(registry, modality, entry.key("modality"))
-        if canonical_name(modality) not in loaded:
-            raise ConfigError(f"{entry.key('modality')}: {modality!r} is not among "
-                              f"dataset.signal_types {loaded}")
+        _modality(registry, modality, entry.key("modality"), loaded)
         entries.append(FeatureCatalogEntry(
             name, modality, entry.get("computation"),
             entry.section("parameters", optional=True).doc, tuple(names) or None))
@@ -102,10 +103,13 @@ def _build_catalog(features_doc, registry: SignalRegistry,
     return entries
 
 
-def _build_chains(chains: Section, registry: SignalRegistry) -> dict[str, PreprocessChain]:
+def _build_chains(chains: Section, registry: SignalRegistry,
+                  signal_types) -> dict[str, PreprocessChain]:
+    """Each chain, keyed by a known modality among ``signal_types``."""
+    loaded = [canonical_name(name) for name in signal_types]
     built = {}
     for modality in chains.doc:
-        _modality(registry, modality, chains.key(modality))
+        _modality(registry, modality, chains.key(modality), loaded)
         parsed = []
         for i, step in enumerate(chains.get(modality, check=_LIST)):
             step = Section(step, f"{chains.key(modality)}[{i}]", ConfigError)
@@ -148,7 +152,7 @@ def build_pipeline_spec(doc: dict) -> PipelineSpec:
         raise ConfigError(f"dataset.{exc}") from exc
     dataset.done()
     pre = root.section("preprocessing", optional=True)
-    chains = _build_chains(pre.section("chains", optional=True), registry)
+    chains = _build_chains(pre.section("chains", optional=True), registry, signal_types)
     try:
         stages.append(SignalPreprocessor(chains, pre.get("resample_rate_hz", None, POSITIVE)))
     except ValueError as exc:  # keys naming one modality in two cases

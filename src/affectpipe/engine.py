@@ -17,7 +17,13 @@ from . import preprocessing
 from .acquisition import AcquisitionResult, SignalRegistry, acquire, scan_dataset
 from .checks import INTEGER, REQUIRED, at_least, check_value, checked
 from .classification import CV_KEYS, ClassifierSpec, CVStrategy, cross_validate, fit, predict
-from .errors import AllRowsDropped, IncompatibleStages, MissingStage, StageExecutionError
+from .errors import (
+    AllRowsDropped,
+    CatalogError,
+    IncompatibleStages,
+    MissingStage,
+    StageExecutionError,
+)
 from .features import WindowingPolicy, check_catalog, column_entry, extract_features
 from .labels import LABEL_RULES, LabelRule, attach_labels, load_reports, sequential_forward_selection
 from .types import FeatureMatrix, LabelVector, SubjectBundle, canonical_name
@@ -259,7 +265,9 @@ def build_pipeline(spec: PipelineSpec) -> Pipeline:
     Each stage's output must be the next stage's input, and stage 0 must take
     the run's start payload ``none``; so a built-in layout opens with its one
     Acquisition and ends with its one Classification.  Raises MissingStage
-    or IncompatibleStages(i, i+1), with i = -1 for stage 0.
+    or IncompatibleStages(i, i+1), with i = -1 for stage 0; and CatalogError
+    for a FeatureExtractor catalog entry on a modality that a
+    SignalAcquisition's signal types do not name, as it could never run.
     """
     stages = list(spec.stages)
     kinds = [s.kind for s in stages]
@@ -272,4 +280,12 @@ def build_pipeline(spec: PipelineSpec) -> Pipeline:
                                      stage.kind, after.kind)
     if stages[0].input_type != NONE:
         raise IncompatibleStages(-1, 0, NONE, stages[0].input_type, "run start", kinds[0])
+    if isinstance(stages[0], SignalAcquisition):
+        loaded = [canonical_name(name) for name in stages[0].signal_types]
+        for stage in stages:
+            for entry in stage.catalog if isinstance(stage, FeatureExtractor) else ():
+                if canonical_name(entry.modality) not in loaded:
+                    raise CatalogError(f"catalog entry {entry.name!r} reads modality "
+                                       f"{entry.modality!r}, which the Acquisition's "
+                                       f"signal_types {loaded} do not name")
     return Pipeline(spec)

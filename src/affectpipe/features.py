@@ -454,11 +454,9 @@ def _slopes(d, t) -> np.ndarray:
     """Least-squares slope of each row of ``d`` (samples minus their row
     mean) against the same row of ``t``."""
     tc = t - t.mean(axis=1)[:, None]
-    out = np.empty(d.shape[0])
-    for i, (tc_i, d_i) in enumerate(zip(tc, d)):
-        denom = np.dot(tc_i, tc_i)
-        out[i] = np.dot(tc_i, d_i) / denom if denom > 0 else 0.0
-    return out
+    # vecdot takes each row's dot product with np.dot's float64 kernel
+    denom = np.vecdot(tc, tc)
+    return np.divide(np.vecdot(tc, d), denom, out=np.zeros(d.shape[0]), where=denom > 0)
 
 
 # ---------------------------------------------------------------------------

@@ -860,14 +860,16 @@ def test_run_entry_name_holding_a_dot_exit_3_before_acquisition(tmp_path, capsys
     assert "pipeline build error: catalog entry 'hrv.v2' holds '.'" in capsys.readouterr().out
 
 
-def test_run_chain_for_a_modality_not_loaded_exit_4_at_stage_1(dataset_root, tmp_path,
-                                                               capsys):
+def test_run_chain_for_a_modality_not_loaded_exit_2_before_any_io(dataset_root, tmp_path,
+                                                                  capsys):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(run_config(dataset_root) + CHAIN.format(modality="EMG", op="lowpass"),
                    encoding="utf-8")
-    assert cmd_run(str(cfg), out_dir=str(tmp_path / "out")) == 4
+    assert cmd_run(str(cfg), out_dir=str(tmp_path / "out")) == 2
     out = capsys.readouterr().out
-    assert "stage 1 (Preprocessor) failed: chains for ['EMG'] match no series" in out
+    assert ("config error: preprocessing.chains.EMG: 'EMG' is not among "
+            "dataset.signal_types ['ECG', 'EDA']") in out
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_window_longer_than_recording_exit_4(dataset_root, tmp_path, capsys):

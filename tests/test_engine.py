@@ -315,6 +315,23 @@ def test_misspelled_feature_name_fails_at_feature_extractor(dataset_root):
     assert "'hrv'" in str(e.value) and "rmsdd_s" in str(e.value)
 
 
+def test_build_rejects_a_catalog_entry_on_a_modality_not_acquired(dataset_root):
+    # the default catalog reads EDA, which an ECG-only Acquisition never
+    # loads: the build fails, before the (missing) dataset folder is read
+    stages = _stages(dataset_root)
+    stages[0] = SignalAcquisition(["ECG"], dataset_root / "missing")
+    with pytest.raises(CatalogError, match=re.escape(
+            "catalog entry 'eda_stats' reads modality 'EDA', which the Acquisition's "
+            "signal_types ['ECG'] do not name")):
+        build_pipeline(PipelineSpec(tuple(stages)))
+    # signal types and entries match in any case
+    stages[0] = SignalAcquisition(["ecg", "Eda"], dataset_root)
+    stages[2] = FeatureExtractor([FeatureCatalogEntry("ecg", "ecg", "ecg_stats",
+                                                      features=("mean",))],
+                                 WindowingPolicy(60.0, 30.0))
+    build_pipeline(PipelineSpec(tuple(stages)))
+
+
 def test_failed_run_keeps_its_record(dataset_root):
     stages = _stages(dataset_root)
     stages[3] = LabelGenerator(LabelRule("phase-map",

@@ -601,6 +601,23 @@ def test_stats_slope_normal_equation_oracle():
     assert out["slope"] == pytest.approx(slope_oracle, rel=1e-9, abs=1e-12)
 
 
+@pytest.mark.parametrize("n_samples", [2, 7, 64, 1000])
+def test_window_slopes_equal_the_per_row_dot_loop_bit_for_bit(n_samples):
+    # rows of several lengths and scales, two of them over a constant time
+    # row, whose slope is 0 whatever the samples
+    rng = np.random.default_rng(n_samples)
+    X = rng.normal(0, 1, (9, n_samples)) * rng.uniform(1e-3, 1e3, (9, 1))
+    T = np.sort(rng.uniform(0, 600, (9, n_samples)), axis=1)
+    T[[2, 6]] = 41.5
+    d = X - X.mean(axis=1)[:, None]
+    tc = T - T.mean(axis=1)[:, None]
+    want = np.array([np.dot(t, x) / np.dot(t, t) if np.dot(t, t) > 0 else 0.0
+                     for t, x in zip(tc, d)])
+    got = features._slopes(d, T)
+    assert got.tobytes() == want.tobytes()
+    assert got[2] == got[6] == 0.0
+
+
 def _statistical_features_reference(values, timestamps=None):
     """Reference: one numpy reduction per statistic."""
     x = np.asarray(values, dtype=float)

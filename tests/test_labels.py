@@ -453,10 +453,43 @@ def _selection_data(kind, n_rows, n_cols, seed):
     return X, y
 
 
+def _assert_same_search(got, want):
+    """``got``, the ``(selected, steps)`` of :func:`forward_selection`,
+    selects as the reference ``want`` does, and checks every candidate of
+    every step: one the search scored holds the reference's exact score, and
+    one it dropped cannot win, its reference score below the step's best or
+    equal to it with a higher index than the winner."""
+    (selected, steps), (want_selected, want_steps) = got, want
+    assert selected == want_selected
+    assert len(steps) == len(want_steps)
+    for step, want_step, winner in zip(steps, want_steps, want_selected):
+        assert winner in step and set(step) <= set(want_step)
+        best = want_step[winner]
+        for j, score in want_step.items():
+            if j in step:
+                assert step[j] == score
+            else:
+                assert score < best or (score == best and j > winner)
+
+
 def _assert_matches_reference(scorer, X, y, k, seed=0):
     folds = make_folds(CVStrategy("kfold", 5), X, seed)
-    got = forward_selection(scorer, X, y, k, folds)
-    assert got == _greedy_reference(scorer, X, y, k, folds)
+    _assert_same_search(forward_selection(scorer, X, y, k, folds),
+                        _greedy_reference(scorer, X, y, k, folds))
+
+
+def _knn_step(scorer, X, y, folds, selected, candidates):
+    """The scores one step of the cached KNN search keeps: those of the
+    candidates in ``candidates`` it scores to the end."""
+    hits = classification._KnnFolds(scorer, X, y, folds).step_hits(selected)
+    return classification._step_scores(candidates, hits,
+                                       np.array([test.size for _, test in folds]))
+
+
+def _knn_scores(scorer, X, y, folds, selected, candidates):
+    """Each candidate's cached KNN score, each scored in a step of its own,
+    so none is dropped."""
+    return {j: _knn_step(scorer, X, y, folds, selected, [j])[j] for j in candidates}
 
 
 #: Near-set sizes the cached search is checked at: 1, so most (candidate,
@@ -505,7 +538,7 @@ def test_cached_knn_sfs_in_ragged_blocks_matches_fit_predict(kind, k_neighbors,
         assert sizes[0] > 1 and len(sizes) > 1 and sizes[-1] < sizes[0]
     want = _greedy_reference(scorer, X, y, 4, folds)
     for _ in _near_rows(monkeypatch):
-        assert forward_selection(scorer, X, y, 4, folds) == want
+        _assert_same_search(forward_selection(scorer, X, y, 4, folds), want)
 
 
 @pytest.mark.parametrize("n_cols, k", [(4, 3), (10, 9)])
@@ -526,7 +559,7 @@ def test_cached_knn_sfs_rounds_like_fit_to_the_last_bit(seed, n_cols, k, monkeyp
     folds = [(even, odd), (odd, even)]
     want = _greedy_reference(KNN1, X, y, k, folds)
     for _ in _near_rows(monkeypatch):
-        assert forward_selection(KNN1, X, y, k, folds) == want
+        _assert_same_search(forward_selection(KNN1, X, y, k, folds), want)
 
 
 def _count_full_rows(monkeypatch) -> list[int]:
@@ -552,9 +585,9 @@ def test_cached_knn_sfs_scores_most_queries_from_the_near_set(monkeypatch):
     # the reference's second step, scored with its first choice selected
     (first, _), (_, want) = _greedy_reference(KNN1, X, y, 2, folds)
     candidates = [j for j in range(5) if j != first]
-    scores = classification._KnnFolds(KNN1, X, y, folds).step_scores([first], candidates)
+    scores = _knn_scores(KNN1, X, y, folds, [first], candidates)
     assert 0 < sum(full_rows) < X.shape[0]
-    assert dict(zip(candidates, scores)) == want
+    assert scores == want
 
 
 def test_cached_knn_sfs_falls_back_on_a_tie_with_the_bound(monkeypatch):
@@ -567,7 +600,7 @@ def test_cached_knn_sfs_falls_back_on_a_tie_with_the_bound(monkeypatch):
     X = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [3.0, 0.0], [0.0, 0.0]])
     y = np.array([0, 1, 0, 1, 1])
     folds = [(np.arange(4), np.array([4]))]
-    assert classification._KnnFolds(KNN1, X, y, folds).step_scores([0], [1]) == [1.0]
+    assert _knn_step(KNN1, X, y, folds, [0], [1]) == {1: 1.0}
     assert full_rows == [1]
 
 
@@ -592,8 +625,7 @@ def test_cached_knn1_sfs_breaks_a_nearest_tie_in_the_near_set_to_the_lower_row(
     y[[10, 50, 150]] = [1, 0, 1]
     folds = [(np.arange(150), np.array([150]))]
     full_rows = _count_full_rows(monkeypatch)
-    knn = classification._KnnFolds(KNN1, X, y, folds)
-    assert knn.step_scores(selected, [0]) == [1.0]
+    assert _knn_step(KNN1, X, y, folds, selected, [0]) == {0: 1.0}
     assert _fit_predict_accuracy(KNN1, X, y, folds, selected + [0]) == 1.0
     assert full_rows == []
 
@@ -613,8 +645,8 @@ def test_cached_knn_sfs_falls_back_when_the_kth_distance_ties_with_the_bound(
     folds = [(np.arange(200), np.array([200]))]
     scorer = ClassifierSpec("knn", "KNN", {"k_neighbors": k_neighbors})
     full_rows = _count_full_rows(monkeypatch)
-    scores = classification._KnnFolds(scorer, X, y, folds).step_scores(selected, [0])
-    assert scores == [_fit_predict_accuracy(scorer, X, y, folds, selected + [0])]
+    scores = _knn_step(scorer, X, y, folds, selected, [0])
+    assert scores == {0: _fit_predict_accuracy(scorer, X, y, folds, selected + [0])}
     assert full_rows == [1]
 
 
@@ -628,9 +660,9 @@ def test_cached_knn_sfs_first_step_scores_spread_columns_from_windows(k_neighbor
     X, y = _selection_data("normal", 400, 5, seed=k_neighbors)
     folds = make_folds(CVStrategy("kfold", 5), X, 0)
     full_rows = _count_full_rows(monkeypatch)
-    scores = classification._KnnFolds(scorer, X, y, folds).step_scores([], list(range(5)))
+    scores = _knn_scores(scorer, X, y, folds, [], range(5))
     assert full_rows == []
-    assert dict(enumerate(scores)) == _greedy_reference(scorer, X, y, 1, folds)[1][0]
+    assert scores == _greedy_reference(scorer, X, y, 1, folds)[1][0]
 
 
 @pytest.mark.parametrize("k_neighbors", [1, 4, 9])
@@ -646,7 +678,7 @@ def test_cached_knn_sfs_first_step_falls_back_on_long_duplicate_runs(k_neighbors
     scorer = ClassifierSpec("knn", "KNN", {"k_neighbors": k_neighbors})
     folds = make_folds(CVStrategy("kfold", 5), X, 0)
     full_rows = _count_full_rows(monkeypatch)
-    classification._KnnFolds(scorer, X, y, folds).step_scores([], [0])
+    _knn_step(scorer, X, y, folds, [], [0])
     assert sum(full_rows) == X.shape[0]
     _assert_matches_reference(scorer, X, y, k=3)
 
@@ -661,27 +693,31 @@ def test_cached_knn_sfs_first_step_falls_back_on_a_tie_with_the_bound(monkeypatc
     X = np.array([[2.0], [-1.0], [1.0], [-2.0], [0.0]])
     y = np.array([0, 1, 0, 0, 1])
     folds = [(np.arange(4), np.array([4]))]
-    assert classification._KnnFolds(KNN1, X, y, folds).step_scores([], [0]) == [1.0]
+    assert _knn_step(KNN1, X, y, folds, [], [0]) == {0: 1.0}
     assert full_rows == [1]
 
 
 @pytest.mark.parametrize("kind", ["normal", "integer"])
 def test_cached_knn_sfs_scores_candidates_in_capped_blocks(kind, monkeypatch):
-    # 96 training rows per fold, 5-query blocks and near sets of 16 rows: 6
-    # candidates fill a block (7 beside the short last query block), so
-    # each step scores its 14 to 16 candidates in several near-set blocks,
-    # none larger than the byte cap
-    monkeypatch.setattr(classification, "KNN_BLOCK_BYTES", 8 * 96 * 5)
+    # 96 training rows and 24 test rows per fold, near sets of 16 rows and
+    # a cap of two full-row queries: each candidate's one near-set call per
+    # fold takes all 24 test rows and votes them in two blocks of 12, and
+    # each full-row vote takes at most 2 queries, none above the byte cap
+    monkeypatch.setattr(classification, "KNN_BLOCK_BYTES", 8 * 96 * 2)
     monkeypatch.setattr(classification, "KNN_NEAR_ROWS", 16)
-    shapes = []  # (candidates, queries, near rows) per near-set block
-    near_hits = classification._near_hits
-    monkeypatch.setattr(classification, "_near_hits", lambda *a: shapes.append(
-        (a[1].shape[0], a[3].size, a[4].shape[-1])) or near_hits(*a))
+    calls, votes = [], []  # test rows per near-set call; (queries, rows) per vote
+    near_hits, knn_vote = classification._near_hits, classification._knn_vote
+    monkeypatch.setattr(classification, "_near_hits", lambda fold, j, near, sums, bound: (
+        calls.append(near.shape[0]) or near_hits(fold, j, near, sums, bound)))
+    monkeypatch.setattr(classification, "_knn_vote", lambda d, y, classes, k: (
+        votes.append(d.shape) or knn_vote(d, y, classes, k)))
     scorer = ClassifierSpec("knn", "KNN", {"k_neighbors": 4})
     X, y = _selection_data(kind, 120, 16, seed=5)
     _assert_matches_reference(scorer, X, y, k=3)
-    assert {c for c, _, _ in shapes} >= {6, 7} and max(c for c, _, _ in shapes) == 7
-    assert all(8 * c * q * r <= classification.KNN_BLOCK_BYTES for c, q, r in shapes)
+    assert set(calls) == {24}
+    assert [q for q, rows in votes if rows == 16] == [12, 12] * len(calls)
+    assert {rows for _, rows in votes} == {16, 96}
+    assert all(8 * q * rows <= classification.KNN_BLOCK_BYTES for q, rows in votes)
 
 
 def test_cached_knn_sfs_falls_back_from_eight_columns(monkeypatch):
@@ -695,6 +731,59 @@ def test_cached_knn_sfs_falls_back_from_eight_columns(monkeypatch):
                         lambda *a: calls.append(a) or fit_model(*a))
     forward_selection(scorer, X, y, 9, make_folds(CVStrategy("kfold", 5), X))
     assert calls == []
+
+
+def test_knn_sfs_stops_a_step_at_a_perfect_score(monkeypatch):
+    # column 0 alone separates the classes, so its KNN-1 score is 1.0 and
+    # no later candidate can beat it: none is scored on any fold
+    rng = np.random.default_rng(2)
+    y = rng.integers(0, 2, 100)
+    X = rng.normal(0, 1, (100, 4))
+    X[:, 0] += 10.0 * y
+    scored = []  # the candidate of each near-set call
+    near_hits = classification._near_hits
+    monkeypatch.setattr(classification, "_near_hits", lambda fold, j, *window: (
+        scored.append(j) or near_hits(fold, j, *window)))
+    folds = make_folds(CVStrategy("kfold", 5), X, 0)
+    selected, steps = forward_selection(KNN1, X, y, 1, folds)
+    assert selected == [0] and steps == [{0: 1.0}]
+    assert scored == [0] * 5
+    _assert_same_search((selected, steps), _greedy_reference(KNN1, X, y, 1, folds))
+
+
+def test_knn_sfs_keeps_the_lower_index_when_a_later_candidate_ties():
+    # column 2 is a copy of column 0, the most informative column, so it
+    # scores the same on every fold: it is scored to the end, as the bound
+    # before its last fold is above the best, and the tie keeps column 0
+    rng = np.random.default_rng(6)
+    y = rng.integers(0, 2, 97)
+    X = rng.normal(0, 1, (97, 4)) + 0.5 * y[:, None]
+    X[:, 0] += 1.5 * y
+    X[:, 2] = X[:, 0]
+    folds = make_folds(CVStrategy("kfold", 5), X, 0)
+    want = _greedy_reference(KNN1, X, y, 2, folds)
+    selected, steps = forward_selection(KNN1, X, y, 2, folds)
+    assert selected[0] == 0 and steps[0][2] == steps[0][0] < 1.0
+    _assert_same_search((selected, steps), want)
+
+
+def test_fit_predict_sfs_drops_a_candidate_between_folds(monkeypatch):
+    # a stump on column 0 scores about 0.85; one on the noise column 1
+    # scores so low on its first folds that even perfect later folds could
+    # not reach that, so column 1 is dropped before its last fold
+    rng = np.random.default_rng(1)
+    y = rng.integers(0, 2, 100)
+    # column 1 lies above 500, column 0 below
+    X = np.column_stack([y + rng.normal(0, 0.5, 100), rng.normal(1000, 1, 100)])
+    stump = ClassifierSpec("stump", "DecisionTree", {"max_depth": 1})
+    fits = []  # the candidate of each fit
+    monkeypatch.setattr(classification, "fit", lambda spec, Xs, ys: (
+        fits.append(int(Xs[0, 0] > 500)) or fit_model(spec, Xs, ys)))
+    folds = make_folds(CVStrategy("kfold", 5), X, 0)
+    selected, steps = forward_selection(stump, X, y, 1, folds)
+    assert selected == [0] and list(steps[0]) == [0]
+    assert fits.count(0) == 5 and 0 < fits.count(1) < 5
+    _assert_same_search((selected, steps), _greedy_reference(stump, X, y, 1, folds))
 
 
 @pytest.mark.parametrize("scorer", [
